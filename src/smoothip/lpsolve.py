@@ -354,10 +354,31 @@ def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
     worst = _max_row_violation(model, y)
     if worst > FEAS_TOL:
         return LpSolution(NUMERICAL_FAILURE, y, None, sx.iterations)
-    value = sum(float(c) * v for c, v in zip(model.objective, y)) + float(
-        model.offset
+    return LpSolution(
+        OPTIMAL, y, _objective_value(model.objective, model.offset, y),
+        sx.iterations,
     )
-    return LpSolution(OPTIMAL, y, value, sx.iterations)
+
+
+def box_optimum(objective: Sequence, offset, warm_start: Sequence) -> LpSolution:
+    """The optimum :func:`solve` returns from ``warm_start`` when no row
+    can cut the box [0,1]^n.
+
+    With only slacks basic the duals are zero and no row limits a ratio
+    test, so every pivot is a bound flip: y_j becomes 1 where the cost
+    exceeds DUAL_TOL, 0 where it is below -DUAL_TOL, and stays at the
+    warm start otherwise.
+    """
+    y = tuple(
+        1.0 if float(c) > DUAL_TOL else 0.0 if float(c) < -DUAL_TOL
+        else float(v)
+        for c, v in zip(objective, warm_start)
+    )
+    return LpSolution(OPTIMAL, y, _objective_value(objective, offset, y))
+
+
+def _objective_value(objective, offset, y) -> float:
+    return sum(float(c) * v for c, v in zip(objective, y)) + float(offset)
 
 
 def _clamped(sx: _Simplex, model: LpModel) -> tuple:

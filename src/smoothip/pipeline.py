@@ -1,12 +1,18 @@
 """End-to-end solve loop: enumerate error budgets, relax, solve, round.
 
-For each eps in a grid over [0, n] the pipeline builds the
-prediction-centered relaxation, solves it, rounds the fractional optimum
-to a Boolean point, and scores that point against the true objective in
-exact arithmetic.  The prediction itself and a cheap baseline (greedy
-rounding of the all-halves vector) enter the candidate pool as well, so
-the returned solution is never worse than either; the best candidate by
-exact value wins, earliest tag on ties.
+The prediction-centered relaxation is prepared once per solve.  For each
+eps in a grid over [0, n] the pipeline derives that budget's LP, solves
+it, rounds the fractional optimum to a Boolean point, and scores that
+point against the true objective in exact arithmetic.  From the
+saturation budget on (the first grid eps at which no row can cut the box)
+the embedded simplex is skipped: the box LP's optimum is written down in
+closed form, and those budgets share one rounded point.  A user-supplied
+LP backend still receives every budget's model.
+
+The prediction itself and a cheap baseline (greedy rounding of the
+all-halves vector) enter the candidate pool as well, so the returned
+solution is never worse than either; the best candidate by exact value
+wins, earliest tag on ties.
 
 A failed LP solve skips that eps and is recorded as such; it never aborts
 the run.  Tiny instances (n <= declared degree) bypass the LP machinery
@@ -29,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lpsolve import OPTIMAL, solve as lp_solve
+from .lpsolve import OPTIMAL, box_optimum, solve as lp_solve
 from .poly import (
     Polynomial,
     decompose,
@@ -37,12 +43,17 @@ from .poly import (
     min_smoothness,
     multilinearize,
 )
-from .relax import (
+# The per-budget builders are not called here, since a solve prepares its
+# relaxation once; they stay in this module's namespace, where the
+# benchmark's traced run (perfbench/layers.py) looks them up.
+from .relax import (  # noqa: F401
     ConstrainedProgram,
     build_constrained_relaxation,
     build_relaxation,
     constraint_degree,
     gap_bound,
+    prepare_constrained_relaxation,
+    prepare_relaxation,
 )
 from .rounding import (
     greedy_round,
@@ -174,6 +185,24 @@ def _round_seed(base: int, eps: int, index: int) -> int:
     return int(stream.generate_state(1, np.uint64)[0])
 
 
+def _round_and_score(p, constraints, y, config: SolveConfig, eps: int):
+    """(z, exact value, violation, values of the randomized rounds) for
+    the rounding of the LP optimum y."""
+    y = tuple(min(max(v, 0.0), 1.0) for v in y)
+    if config.strategy == GREEDY:
+        z = greedy_round(p, y)
+        return z, evaluate(p, z), _violation(constraints, z), ()
+    outcomes = []
+    for r in range(config.randomized_rounds):
+        zr = randomized_round(y, _round_seed(config.seed, eps, r))
+        outcomes.append((zr, evaluate(p, zr)))
+    z, value = max(outcomes, key=lambda zv: zv[1])
+    return (
+        z, value, _violation(constraints, z),
+        tuple(v for _, v in outcomes),
+    )
+
+
 def _normalized(objective: Polynomial, constraints):
     """Multilinearize, pad the degree to at least 2, take the shared
     smoothness certificate over objective and constraints."""
@@ -228,24 +257,45 @@ def _run(
         candidates.append(Candidate("exact", z, value, Fraction(0)))
     else:
         backend = config.lp_backend
-        prog = ConstrainedProgram(p, constraints) if constrained else None
-        tree = None if constrained else decompose(p)
+        relaxation = (
+            prepare_constrained_relaxation(
+                ConstrainedProgram(p, constraints), xhat, beta
+            )
+            if constrained
+            else prepare_relaxation(decompose(p), xhat, beta)
+        )
         radius = (
             rounding_error_bound(beta, n, d, config.k)
             if config.strategy == RANDOMIZED and beta > 0
             else Fraction(0)
         )
-        for eps in _grid(config, n):
+        grid = _grid(config, n)
+        # From the saturation budget on, no row cuts the box, so the
+        # embedded simplex would only flip bounds from its warm start: its
+        # result is taken in closed form.  Greedy rounding of that one y
+        # gives one z, and since y is Boolean, randomized rounding returns
+        # y under every seed; so the point is rounded and scored once.  A
+        # user backend still sees every budget's model.
+        saturation = (
+            relaxation.saturation_budget(grid) if backend is None else None
+        )
+        box = (
+            None if saturation is None
+            else box_optimum(relaxation.objective, relaxation.offset, xhat)
+        )
+        box_rounded = None
+        for eps in grid:
             started = time.perf_counter()
-            if constrained:
-                model = build_constrained_relaxation(prog, xhat, eps, beta)
+            saturated = saturation is not None and eps >= saturation
+            if saturated:
+                sol = box
             else:
-                model = build_relaxation(tree, xhat, eps, beta)
-            sol = (
-                backend(model)
-                if backend is not None
-                else lp_solve(model, warm_start=xhat)
-            )
+                model = relaxation.model(eps)
+                sol = (
+                    backend(model)
+                    if backend is not None
+                    else lp_solve(model, warm_start=xhat)
+                )
             gap = gap_bound(beta, n, d, eps)
             if sol.status != OPTIMAL:
                 records.append(
@@ -256,19 +306,13 @@ def _run(
                     )
                 )
                 continue
-            y = tuple(min(max(v, 0.0), 1.0) for v in sol.y)
-            seed_values: tuple = ()
-            if config.strategy == GREEDY:
-                z = greedy_round(p, y)
+            if saturated and box_rounded is not None:
+                rounded = box_rounded
             else:
-                outcomes = []
-                for r in range(config.randomized_rounds):
-                    zr = randomized_round(y, _round_seed(config.seed, eps, r))
-                    outcomes.append((zr, evaluate(p, zr)))
-                seed_values = tuple(v for _, v in outcomes)
-                z = max(outcomes, key=lambda zv: zv[1])[0]
-            value = evaluate(p, z)
-            violation = _violation(constraints, z)
+                rounded = _round_and_score(p, constraints, sol.y, config, eps)
+                if saturated:
+                    box_rounded = rounded
+            z, value, violation, seed_values = rounded
             records.append(
                 EpsRecord(
                     eps, OPTIMAL, float(sol.objective_value), z, value,

@@ -133,9 +133,19 @@ class Polynomial:
 
 
 def evaluate(p: Polynomial, x: Sequence) -> Fraction:
-    """Exact value of p at the point x (entries coerced to Fraction)."""
+    """Exact value of p at the point x (entries coerced to Fraction).
+
+    At a Boolean point this is the sum of the coefficients of the monomials
+    whose variables are all 1, taken without any products.
+    """
     if len(x) != p.n:
         raise ValueError(f"point has {len(x)} entries, expected {p.n}")
+    if all(v == 0 or v == 1 for v in x):
+        ones = [v == 1 for v in x]
+        return sum(
+            (c for mono, c in p.coeffs.items() if all(ones[i] for i in mono)),
+            Fraction(0),
+        )
     point = [Fraction(v) for v in x]
     total = Fraction(0)
     for mono, coeff in p.coeffs.items():
@@ -221,8 +231,13 @@ def decompose(p: Polynomial) -> DecompositionTree:
     if not is_multilinear(p):
         raise ValueError("decompose requires a multilinear polynomial")
     nodes: dict[tuple, TreeNode] = {}
-
-    def build(key: tuple, poly: Polynomial) -> None:
+    # An explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which kept every tree alive until the
+    # cyclic garbage collector ran.  Children are pushed in reverse so
+    # that nodes are visited in preorder.
+    stack = [((), p)]
+    while stack:
+        key, poly = stack.pop()
         const = poly.coeffs.get((), Fraction(0))
         groups: dict[int, dict[Monomial, Fraction]] = {}
         for mono, coeff in poly.coeffs.items():
@@ -230,10 +245,8 @@ def decompose(p: Polynomial) -> DecompositionTree:
                 groups.setdefault(mono[0], {})[mono[1:]] = coeff
         children = tuple(sorted(groups))
         nodes[key] = TreeNode(poly=poly, constant=const, children=children)
-        for j in children:
-            build(key + (j,), Polynomial(p.n, groups[j]))
-
-    build((), p)
+        for j in reversed(children):
+            stack.append((key + (j,), Polynomial(p.n, groups[j])))
     return DecompositionTree(root=p, nodes=nodes)
 
 

@@ -22,10 +22,20 @@ feasibility of x* survives the passage to concrete numbers.  The
 constrained variant adds, per polynomial side constraint, the same
 component rows plus a relaxed top-level window widened by the sum of that
 constraint's tolerances.
+
+Only the tolerances depend on eps.  A :class:`Relaxation` holds everything
+else (objective, offset, and per row its coefficients, centre, depths and
+exact range over the box) and is built once per solve; ``model(eps)``
+derives the LP of one budget.  Once every row's range over [0,1]^n lies
+strictly inside its window, no row can cut the box: the first grid budget
+where that holds is the saturation budget, and it holds for every larger
+budget since the windows nest.
 """
 
 from __future__ import annotations
 
+import bisect
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,17 +44,6 @@ from .lpsolve import LpModel
 from .poly import DecompositionTree, Polynomial, decompose, evaluate
 from .rat import E_UPPER, sqrt_upper
 from .rounding import rounding_deviation_term
-
-
-@dataclass(frozen=True)
-class ToleranceTable:
-    """Per-component slack radii for one (tree, beta, eps) combination."""
-
-    entries: dict
-    epsilon: int
-    beta: Fraction
-    n: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,96 @@ def tolerance(
     return 2 * Fraction(beta) * E_UPPER * Fraction(n) ** (d - tuple_len - 1) * root
 
 
-def tolerance_table(
-    tree: DecompositionTree, beta: Fraction | int, eps: int
-) -> ToleranceTable:
-    """Radii for every component of the tree that receives a constraint."""
-    n = tree.root.n
-    d = tree.root.degree
-    entries = {
-        key: tolerance(beta, n, d, len(key), eps)
-        for key in tree.component_keys()
-        if 1 <= len(key) <= d - 1
-    }
-    return ToleranceTable(entries, eps, Fraction(beta), n, d)
+@dataclass(frozen=True)
+class Row:
+    """One relaxation row, without its eps-dependent tolerance.
+
+    At budget eps the row reads lower - w <= coeffs . x <= upper + w, where
+    w sums count * tolerance(beta, n, degree, depth, eps) over the
+    (degree, depth, count) triples in ``widening``.  A component row of
+    p_I has key I, lower = upper = p_I(xhat) - c_I and widening
+    ((d, |I|, 1),); a side constraint's top-level window has key (), its
+    bounds minus the constraint's constant, and widens by the sum of that
+    constraint's component tolerances.  [low, high] is the exact range of
+    coeffs . x over [0,1]^n.
+    """
+
+    key: tuple
+    coeffs: tuple
+    lower: Fraction | None
+    upper: Fraction | None
+    widening: tuple
+    low: Fraction
+    high: Fraction
+
+
+def _row(key, coeffs, lower, upper, widening) -> Row:
+    low = sum((c for c in coeffs if c < 0), Fraction(0))
+    high = sum((c for c in coeffs if c > 0), Fraction(0))
+    return Row(key, tuple(coeffs), lower, upper, widening, low, high)
+
+
+@dataclass(frozen=True)
+class Relaxation:
+    """The part of the oracle-centered LP that no error budget changes.
+
+    Built once per solve; ``model(eps)`` adds the tolerances of one budget.
+    """
+
+    n: int
+    beta: Fraction
+    objective: tuple
+    offset: Fraction
+    rows: tuple
+
+    def windows(self, eps: int) -> list:
+        """(lower, upper) of every row at budget eps; one tolerance call
+        per distinct (degree, depth)."""
+        radius: dict = {}
+        out = []
+        for row in self.rows:
+            width = Fraction(0)
+            for degree, depth, count in row.widening:
+                if (degree, depth) not in radius:
+                    radius[degree, depth] = tolerance(
+                        self.beta, self.n, degree, depth, eps
+                    )
+                width += count * radius[degree, depth]
+            out.append(
+                (
+                    None if row.lower is None else row.lower - width,
+                    None if row.upper is None else row.upper + width,
+                )
+            )
+        return out
+
+    def model(self, eps: int) -> LpModel:
+        return LpModel(
+            num_vars=self.n,
+            var_bounds=((Fraction(0), Fraction(1)),) * self.n,
+            rows=tuple(
+                (row.coeffs, lo, hi)
+                for row, (lo, hi) in zip(self.rows, self.windows(eps))
+            ),
+            objective=self.objective,
+            offset=self.offset,
+            maximize=True,
+        )
+
+    def saturated(self, eps: int) -> bool:
+        """Whether every row's range over the box lies strictly inside its
+        window at budget eps, so that no row can cut [0,1]^n."""
+        return all(
+            (lo is None or lo < row.low) and (hi is None or row.high < hi)
+            for row, (lo, hi) in zip(self.rows, self.windows(eps))
+        )
+
+    def saturation_budget(self, grid: Sequence[int]) -> int | None:
+        """First eps of the ascending grid at which the relaxation is
+        saturated, or None.  Windows only widen as eps grows, so every
+        later budget is saturated too and a bisection finds the first."""
+        i = bisect.bisect_left(grid, True, key=self.saturated)
+        return grid[i] if i < len(grid) else None
 
 
 def _check_prediction(xhat: Sequence, n: int) -> list[Fraction]:
@@ -122,16 +199,30 @@ def _linearization(tree: DecompositionTree, key, point) -> tuple:
     return coeffs, node.constant
 
 
-def _component_rows(tree, point, table) -> list:
+def _component_rows(tree: DecompositionTree, point) -> list[Row]:
+    d = tree.root.degree
     rows = []
-    for key in sorted(table.entries):
-        coeffs, const = _linearization(tree, key, point)
-        center = evaluate(tree.nodes[key].poly, point)
-        delta = table.entries[key]
-        rows.append(
-            (tuple(coeffs), center - const - delta, center - const + delta)
-        )
+    for key in tree.component_keys():
+        if len(key) > d - 1:
+            continue
+        coeffs, _ = _linearization(tree, key, point)
+        # p_I(xhat) - c_I by the reconstruction identity.
+        center = sum((c for c, v in zip(coeffs, point) if v), Fraction(0))
+        rows.append(_row(key, coeffs, center, center, ((d, len(key), 1),)))
     return rows
+
+
+def prepare_relaxation(
+    tree: DecompositionTree, xhat: Sequence, beta: Fraction | int
+) -> Relaxation:
+    """Objective, offset and component rows of the relaxation around xhat."""
+    n = tree.root.n
+    point = _check_prediction(xhat, n)
+    objective, offset = _linearization(tree, (), point)
+    return Relaxation(
+        n, Fraction(beta), tuple(objective), offset,
+        tuple(_component_rows(tree, point)),
+    )
 
 
 def build_relaxation(
@@ -145,18 +236,7 @@ def build_relaxation(
     The prediction satisfies every row of the output exactly, so the model
     is never genuinely infeasible; growing eps only widens the rows.
     """
-    n = tree.root.n
-    point = _check_prediction(xhat, n)
-    table = tolerance_table(tree, beta, eps)
-    objective, offset = _linearization(tree, (), point)
-    return LpModel(
-        num_vars=n,
-        var_bounds=tuple((Fraction(0), Fraction(1)) for _ in range(n)),
-        rows=tuple(_component_rows(tree, point, table)),
-        objective=tuple(objective),
-        offset=offset,
-        maximize=True,
-    )
+    return prepare_relaxation(tree, xhat, beta).model(eps)
 
 
 def constraint_degree(poly: Polynomial) -> int:
@@ -166,45 +246,52 @@ def constraint_degree(poly: Polynomial) -> int:
     return max(2, poly.degree)
 
 
+def prepare_constrained_relaxation(
+    prog: ConstrainedProgram, xhat: Sequence, beta: Fraction | int
+) -> Relaxation:
+    """Objective relaxation plus relaxed windows for each side constraint.
+
+    Each constraint polynomial is decomposed on its own, once; its
+    linearized top level q_c must stay within [lower - delta_c, upper +
+    delta_c] where delta_c is the sum of the constraint's component
+    tolerances, and its components obey the same per-tuple rows as the
+    objective's.
+    """
+    base = prepare_relaxation(decompose(prog.objective), xhat, beta)
+    point = _check_prediction(xhat, base.n)
+    rows = list(base.rows)
+    for poly, lower, upper in prog.constraints:
+        tree = decompose(poly.with_degree(constraint_degree(poly)))
+        components = _component_rows(tree, point)
+        depths = Counter(len(row.key) for row in components)
+        top, top_const = _linearization(tree, (), point)
+        rows.append(
+            _row(
+                (),
+                top,
+                None if lower is None else lower - top_const,
+                None if upper is None else upper - top_const,
+                tuple(
+                    (tree.root.degree, depth, count)
+                    for depth, count in sorted(depths.items())
+                ),
+            )
+        )
+        rows.extend(components)
+    return Relaxation(
+        base.n, base.beta, base.objective, base.offset, tuple(rows)
+    )
+
+
 def build_constrained_relaxation(
     prog: ConstrainedProgram,
     xhat: Sequence,
     eps: int,
     beta: Fraction | int,
 ) -> LpModel:
-    """Objective relaxation plus relaxed windows for each side constraint.
-
-    Each constraint polynomial is decomposed on its own; its linearized
-    top level q_c must stay within [lower - delta_c, upper + delta_c] where
-    delta_c is the sum of the constraint's component tolerances, and its
-    components obey the same per-tuple rows as the objective's.
-    """
-    objective_tree = decompose(prog.objective)
-    base = build_relaxation(objective_tree, xhat, eps, beta)
-    n = prog.objective.n
-    point = _check_prediction(xhat, n)
-    rows = list(base.rows)
-    for poly, lower, upper in prog.constraints:
-        tree = decompose(poly.with_degree(constraint_degree(poly)))
-        table = tolerance_table(tree, beta, eps)
-        slack = sum(table.entries.values(), Fraction(0))
-        top, top_const = _linearization(tree, (), point)
-        rows.append(
-            (
-                tuple(top),
-                None if lower is None else lower - slack - top_const,
-                None if upper is None else upper + slack - top_const,
-            )
-        )
-        rows.extend(_component_rows(tree, point, table))
-    return LpModel(
-        num_vars=base.num_vars,
-        var_bounds=base.var_bounds,
-        rows=tuple(rows),
-        objective=base.objective,
-        offset=base.offset,
-        maximize=True,
-    )
+    """The constrained LP for one error budget; see
+    :func:`prepare_constrained_relaxation`."""
+    return prepare_constrained_relaxation(prog, xhat, beta).model(eps)
 
 
 def gap_bound(

@@ -19,30 +19,13 @@ The two coincide for d >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .poly import Polynomial, evaluate, is_multilinear
+from .poly import Polynomial, is_multilinear
 from .rat import E_UPPER, ln_upper, sqrt_upper
-
-
-@dataclass(frozen=True)
-class RoundingOutcome:
-    """A Boolean assignment, its exact objective value, and how it arose."""
-
-    z: tuple
-    value: Fraction
-    strategy: str
-    seed: int | None = None
-
-
-def outcome_for(
-    p: Polynomial, z: Sequence[int], strategy: str, seed: int | None = None
-) -> RoundingOutcome:
-    return RoundingOutcome(tuple(z), evaluate(p, z), strategy, seed)
 
 
 def randomized_round(y: Sequence, seed: int) -> tuple:

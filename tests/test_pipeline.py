@@ -21,7 +21,15 @@ from smoothip.pipeline import (
     solve_constrained,
 )
 from smoothip.poly import Polynomial, evaluate, min_smoothness
-from smoothip.problems import Graph, gen_gnp, maxcut_objective
+from smoothip.problems import (
+    Graph,
+    gen_gnp,
+    gen_kcsp,
+    gen_ksat,
+    maxcut_objective,
+    maxkcsp_objective,
+    maxksat_objective,
+)
 from smoothip.relax import ConstrainedProgram, gap_bound
 from smoothip.rounding import rounding_deviation_term
 
@@ -217,6 +225,57 @@ def test_custom_backend_is_used():
     )
     assert len(calls) == 4
     assert report.best_value == 2
+
+
+def canonical(report) -> dict:
+    payload = json.loads(report_json(report))
+    for record in payload["per_eps"]:
+        del record["wall_ms"]
+    return payload
+
+
+def seeded_corpus(seed):
+    """MAX-CUT, 3-SAT, 3-CSP and a cardinality-constrained MAX-CUT."""
+    yield Instance(maxcut_objective(gen_gnp(16, 0.4, seed)))
+    yield Instance(maxksat_objective(gen_ksat(12, 48, 3, seed)))
+    yield Instance(maxkcsp_objective(gen_kcsp(10, 24, 3, seed)))
+    card = Polynomial(14, {(j,): 1 for j in range(14)})
+    yield Instance(
+        maxcut_objective(gen_gnp(14, 0.4, seed)),
+        ((card, None, Fraction(4)),),
+    )
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "randomized"])
+def test_closed_form_matches_the_simplex_at_every_budget(
+    strategy, monkeypatch
+):
+    """Past the saturation budget the default solve skips the simplex; its
+    report must equal the one from running the simplex at every budget."""
+    simplex_calls = []
+
+    def counted(model, warm_start=None):
+        simplex_calls.append(model)
+        return lpsolve.solve(model, warm_start=warm_start)
+
+    monkeypatch.setattr("smoothip.pipeline.lp_solve", counted)
+    for seed in range(3):
+        for instance in seeded_corpus(seed):
+            n = instance.objective.n
+            xhat = random_bool_vector(random.Random(seed), n)
+            config = SolveConfig(
+                strategy=strategy, seed=seed, randomized_rounds=4
+            )
+            forced = dataclasses.replace(
+                config,
+                lp_backend=lambda m: lpsolve.solve(m, warm_start=xhat),
+            )
+            del simplex_calls[:]
+            default = solve(instance, xhat, config)
+            assert len(simplex_calls) < n + 1  # some budgets saturated
+            assert canonical(default) == canonical(
+                solve(instance, xhat, forced)
+            )
 
 
 def test_failed_eps_is_skipped_not_fatal():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_bool_vector, random_multilinear
-from smoothip.lpsolve import OPTIMAL, solve
+from smoothip.lpsolve import OPTIMAL, box_optimum, solve
 from smoothip.poly import Polynomial, decompose, evaluate, min_smoothness
 from smoothip.rat import E_UPPER
 from smoothip.relax import (
@@ -16,8 +16,8 @@ from smoothip.relax import (
     constraint_violation_bound,
     gap_bound,
     lp_text,
+    prepare_relaxation,
     tolerance,
-    tolerance_table,
 )
 from smoothip.rounding import rounding_deviation_term
 
@@ -92,11 +92,23 @@ def test_tolerance_square_is_tight():
         assert delta**2 <= beta**2 * n * eps * (1 + Fraction(1, 10**9))
 
 
-def test_tolerance_table_keys_skip_top_level():
+def test_relaxation_rows_skip_top_level():
     p = Polynomial(4, {(0, 1, 2): 1, (1, 3): 1, (): 3})
-    table = tolerance_table(decompose(p), 1, 2)
-    assert set(table.entries) == {(0,), (1,), (0, 1), (1, 3)}
-    assert table.n == 4 and table.d == 3 and table.epsilon == 2
+    relaxation = prepare_relaxation(decompose(p), (1, 1, 0, 1), 1)
+    assert [row.key for row in relaxation.rows] == [(0,), (0, 1), (1,), (1, 3)]
+    assert [row.widening for row in relaxation.rows] == [
+        ((3, 1, 1),), ((3, 2, 1),), ((3, 1, 1),), ((3, 2, 1),)
+    ]
+    assert relaxation.n == 4 and relaxation.beta == 1
+    # Row (0,) linearizes p_0 = x1 x2 around xhat: coefficient of x1 is
+    # p_(0,1)(xhat) = x2 = 0; centre p_0(xhat) - c_0 = 0; range [0, 0].
+    first = relaxation.rows[0]
+    assert first.coeffs == (0, 0, 0, 0)
+    assert (first.lower, first.upper, first.low, first.high) == (0, 0, 0, 0)
+    # Row (1,): p_1 = x3 gives coefficient 1 on x3, centre 1, range [0, 1].
+    third = relaxation.rows[2]
+    assert third.coeffs == (0, 0, 0, 1)
+    assert (third.lower, third.upper, third.low, third.high) == (1, 1, 0, 1)
 
 
 # -- the relaxation itself ----------------------------------------------
@@ -200,6 +212,73 @@ def test_rows_nest_as_the_budget_grows():
         for (c1, lo1, hi1), (c2, lo2, hi2) in zip(small.rows, large.rows):
             assert c1 == c2
             assert lo2 <= lo1 and hi1 <= hi2
+
+
+def strictly_redundant(coeffs, lo, hi) -> bool:
+    low = sum(min(c, 0) for c in coeffs)
+    high = sum(max(c, 0) for c in coeffs)
+    return (lo is None or lo < low) and (hi is None or high < hi)
+
+
+def random_relaxation(rng):
+    n = rng.randint(3, 9)
+    p = random_multilinear(rng, n, rng.randint(2, min(4, n)))
+    p = p.with_degree(max(2, p.degree))
+    xhat = random_bool_vector(rng, n)
+    return p, xhat, prepare_relaxation(decompose(p), xhat, min_smoothness(p))
+
+
+def test_saturation_budget_is_exact_and_monotone():
+    rng = random.Random(83)
+    interior = 0
+    for _ in range(80):
+        p, _, relaxation = random_relaxation(rng)
+        grid = list(range(p.n + 1))
+        budget = relaxation.saturation_budget(grid)
+        for eps in grid:
+            model = relaxation.model(eps)
+            # Exact check on the built model: from the budget on every row
+            # holds on the whole box; before it at least one row is live.
+            assert all(
+                strictly_redundant(*row) for row in model.rows
+            ) == (budget is not None and eps >= budget)
+        if budget is not None:
+            interior += budget > 0
+            # On a coarser grid the budget is the first grid point past it.
+            assert relaxation.saturation_budget(grid[::2]) == next(
+                (e for e in grid[::2] if e >= budget), None
+            )
+    assert interior >= 20
+
+
+def test_box_optimum_is_the_simplex_result_past_saturation():
+    # TRIANGLE has objective coefficient p_0(xhat) = 2 - 2 x1 - 2 x2 = 0
+    # at both predictions below, so y_0 must stay at the prediction.
+    cases = [(TRIANGLE, (1, 1, 0)), (TRIANGLE, (0, 0, 1))]
+    rng = random.Random(89)
+    for _ in range(40):
+        p, xhat, _ = random_relaxation(rng)
+        cases.append((p, xhat))
+    saturated = 0
+    for p, xhat in cases:
+        relaxation = prepare_relaxation(decompose(p), xhat, min_smoothness(p))
+        budget = relaxation.saturation_budget(list(range(p.n + 1)))
+        if budget is None:
+            continue
+        box = box_optimum(relaxation.objective, relaxation.offset, xhat)
+        for eps in range(budget, p.n + 1):
+            sol = solve(relaxation.model(eps), warm_start=xhat)
+            assert sol.status == OPTIMAL
+            assert box.y == sol.y
+            assert box.objective_value == sol.objective_value
+            saturated += 1
+    assert saturated >= 100
+    for xhat in ((1, 1, 0), (0, 0, 1)):
+        relaxation = prepare_relaxation(decompose(TRIANGLE), xhat, 2)
+        assert relaxation.objective[0] == 0
+        assert box_optimum(
+            relaxation.objective, relaxation.offset, xhat
+        ).y[0] == xhat[0]
 
 
 def test_prediction_rejected_when_malformed():

@@ -10,7 +10,6 @@ from helpers import random_multilinear, random_point
 from smoothip.poly import Polynomial, evaluate
 from smoothip.rounding import (
     greedy_round,
-    outcome_for,
     randomized_round,
     rounding_deviation_term,
     rounding_error_bound,
@@ -169,14 +168,6 @@ def test_greedy_rejects_bad_inputs():
         greedy_round(TRIANGLE, (0.5, 0.5))
     with pytest.raises(ValueError):
         greedy_round(TRIANGLE, (0.5, 0.5, 1.5))
-
-
-def test_outcome_records_exact_value():
-    out = outcome_for(TRIANGLE, (0, 1, 0), "greedy")
-    assert out.z == (0, 1, 0)
-    assert out.value == Fraction(2)
-    assert out.strategy == "greedy"
-    assert out.seed is None
 
 
 # -- concentration radius -----------------------------------------------
