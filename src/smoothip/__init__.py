@@ -17,6 +17,7 @@ from .pipeline import (
     approx_ratio_bound,
     exact_solve,
     guarantee_bound,
+    guarantee_floor,
     solve,
     solve_constrained,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "gap_bound",
     "greedy_round",
     "guarantee_bound",
+    "guarantee_floor",
     "min_smoothness",
     "randomized_round",
     "rounding_error_bound",

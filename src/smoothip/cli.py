@@ -24,11 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .oracle import exact_prediction, perturb, read_prediction
-from .pipeline import (
+# A sweep cell takes its floor from guarantee_floor and the opt it is
+# given; guarantee_bound, which brute-forces opt again, is not called here.
+# It stays in this module's namespace, where the benchmark's traced run
+# (perfbench/layers.py) looks it up.
+from .pipeline import (  # noqa: F401
     Instance,
     SolveConfig,
     exact_solve,
     guarantee_bound,
+    guarantee_floor,
     report_csv,
     report_json,
     solve,
@@ -176,8 +181,11 @@ def _sweep_cell(payload):
     cell_seed = int(stream.generate_state(1, np.uint64)[0])
     prediction = perturb(star, eps, cell_seed)
     config = SolveConfig(strategy=strategy, seed=cell_seed, grid=(eps,), k=k)
-    achieved = solve(instance, prediction, config).best_value
-    bound = guarantee_bound(instance, eps, config)
+    report = solve(instance, prediction, config)
+    achieved = report.best_value
+    bound = guarantee_floor(
+        opt, report.beta, report.n, report.degree, eps, strategy, k
+    )
     ratio = "" if opt <= 0 else repr(float(Fraction(achieved) / opt))
     return (
         instance.label, eps, trial,
@@ -318,7 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--k", type=int, default=1)
     sweep.add_argument(
-        "--opt", help="known optimum (single instance only; skips brute force)"
+        "--opt",
+        help="known optimum for the opt, ratio and bound columns (single "
+        "instance only; the predictions still come from brute force)",
     )
     sweep.add_argument("--out", help="output CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)

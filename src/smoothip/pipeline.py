@@ -389,6 +389,23 @@ def _exact(p: Polynomial, constraints, cap: int) -> tuple:
     if n > cap:
         raise ValueError(f"{n} variables exceeds the brute-force cap {cap}")
     values, denom = _masks_to_values(p, n)
+    # The feasibility mask and the masked copy of the values cost two more
+    # 2^n arrays, so they are built only when there are side constraints.
+    feasible = _feasible(constraints, n) if constraints else None
+    # Both branches take the first maximum, the lexicographically smallest.
+    if values.dtype == object:
+        masks = range(1 << n) if feasible is None else np.flatnonzero(feasible)
+        best_mask = int(max(masks, key=values.__getitem__))
+    else:
+        if feasible is not None:
+            values = np.where(feasible, values, np.iinfo(np.int64).min)
+        best_mask = int(np.argmax(values))
+    z = tuple((best_mask >> (n - 1 - i)) & 1 for i in range(n))
+    return z, Fraction(int(values[best_mask]), denom)
+
+
+def _feasible(constraints, n: int):
+    """Boolean mask of the points that satisfy every constraint window."""
     feasible = np.ones(1 << n, dtype=bool)
     for poly, lower, upper in constraints:
         bounds_denom = math.lcm(
@@ -403,19 +420,7 @@ def _exact(p: Polynomial, constraints, cap: int) -> tuple:
             feasible &= table <= int(Fraction(upper) * bounds_denom * qd)
     if not feasible.any():
         raise ValueError("no Boolean point satisfies the constraints")
-    if values.dtype == object:
-        best_mask = None
-        best_val = None
-        for mask in range(1 << n):
-            if feasible[mask] and (best_val is None or values[mask] > best_val):
-                best_mask, best_val = mask, values[mask]
-    else:
-        sentinel = np.iinfo(np.int64).min
-        masked = np.where(feasible, values, sentinel)
-        best_mask = int(np.argmax(masked))  # first max: lex smallest
-        best_val = int(masked[best_mask])
-    z = tuple((best_mask >> (n - 1 - i)) & 1 for i in range(n))
-    return z, Fraction(best_val, denom)
+    return feasible
 
 
 def exact_solve(instance: Instance, cap: int = 24) -> tuple:
@@ -430,18 +435,35 @@ def exact_solve(instance: Instance, cap: int = 24) -> tuple:
 # -- theoretical floors -------------------------------------------------
 
 
+def guarantee_floor(
+    opt: Fraction | int,
+    beta: Fraction | int,
+    n: int,
+    d: int,
+    eps: int,
+    strategy: str = GREEDY,
+    k: int = 1,
+) -> Fraction:
+    """Value the pipeline is guaranteed to reach at prediction error eps
+    on a normalized instance (n variables, degree d, smoothness beta)
+    whose optimum is opt: opt minus the relaxation gap, minus the rounding
+    deviation when the strategy is randomized (greedy rounding never loses
+    value)."""
+    floor = Fraction(opt) - gap_bound(beta, n, d, eps)
+    if strategy == RANDOMIZED and beta > 0:
+        floor -= rounding_deviation_term(beta, n, d, k)
+    return floor
+
+
 def guarantee_bound(
     instance: Instance, eps: int, config: SolveConfig = SolveConfig()
 ) -> Fraction:
-    """Value the pipeline is guaranteed to reach at prediction error eps:
-    OPT minus the relaxation gap, minus the rounding deviation when the
-    strategy is randomized (greedy rounding never loses value)."""
+    """:func:`guarantee_floor` with opt brute-forced from the instance."""
     p, constraints, beta = _normalized(instance.objective, instance.constraints)
     _, opt = _exact(p, constraints, config.exact_cap)
-    floor = opt - gap_bound(beta, p.n, p.degree, eps)
-    if config.strategy == RANDOMIZED and beta > 0:
-        floor -= rounding_deviation_term(beta, p.n, p.degree, config.k)
-    return floor
+    return guarantee_floor(
+        opt, beta, p.n, p.degree, eps, config.strategy, config.k
+    )
 
 
 def approx_ratio_bound(

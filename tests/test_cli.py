@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from smoothip import pipeline
 from smoothip.cli import load_instance, main
+from smoothip.pipeline import SolveConfig, exact_solve, guarantee_bound
 from smoothip.problems import parse_dimacs_graph
 
 TRIANGLE_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -197,6 +200,68 @@ def test_sweep_opt_flag_single_instance_only(two_instances, capsys):
                        "--opt", "5")
     assert code == 2
     assert "single instance" in err
+
+
+def sweep_rows(capsys, out, *argv):
+    code, _, _ = run(capsys, "sweep", *argv, "--out", str(out))
+    assert code == 0
+    return [line.split(",") for line in out.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "strategy,k", [("greedy", "1"), ("randomized", "2")]
+)
+def test_sweep_bound_is_the_brute_forced_guarantee(
+    two_instances, tmp_path, capsys, strategy, k
+):
+    rows = sweep_rows(
+        capsys, tmp_path / "sweep.csv", *map(str, two_instances),
+        "--eps", "0,2,5", "--trials", "2", "--strategy", strategy, "--k", k,
+    )
+    assert len(rows) == 12
+    instances = {path.stem: load_instance(path) for path in two_instances}
+    config = SolveConfig(strategy=strategy, k=int(k))
+    for row in rows:
+        bound = guarantee_bound(instances[row[0]], int(row[1]), config)
+        assert row[6] == repr(float(bound))
+
+
+def test_sweep_brute_forces_once_per_file(
+    two_instances, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    exact = pipeline._exact
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_exact", counted)
+    rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
+                      "--eps", "0,2", "--trials", "2")
+    assert len(rows) == 8
+    assert len(calls) == 2
+
+
+def test_sweep_opt_sets_the_opt_ratio_and_bound_columns(
+    two_instances, tmp_path, capsys
+):
+    cut, _ = two_instances
+    _, opt = exact_solve(load_instance(cut))
+    argv = (str(cut), "--eps", "0,3", "--trials", "2", "--seed", "4")
+    plain, given = tmp_path / "plain.csv", tmp_path / "given.csv"
+    base = sweep_rows(capsys, plain, *argv)
+    sweep_rows(capsys, given, *argv, "--opt", str(opt))
+    assert given.read_bytes() == plain.read_bytes()
+    moved = sweep_rows(capsys, tmp_path / "moved.csv", *argv,
+                       "--opt", str(opt + 1))
+    assert len(moved) == len(base) == 4
+    for a, b in zip(base, moved):
+        assert a[:4] == b[:4]
+        assert float(b[4]) == pytest.approx(float(a[4]) + 1, abs=1e-9)
+        assert float(b[6]) == pytest.approx(float(a[6]) + 1, abs=1e-9)
+        achieved = Fraction(float(a[3]))
+        assert float(b[5]) == pytest.approx(float(achieved / (opt + 1)))
 
 
 # -- verify -------------------------------------------------------------

@@ -15,6 +15,7 @@ from smoothip.pipeline import (
     approx_ratio_bound,
     exact_solve,
     guarantee_bound,
+    guarantee_floor,
     report_csv,
     report_json,
     solve,
@@ -404,6 +405,25 @@ def test_exact_cap():
         exact_solve(Instance(Polynomial(25, {(0,): 1})), cap=24)
 
 
+def test_exact_ignores_a_window_that_holds_everywhere():
+    rng = random.Random(8)
+    huge = Fraction(2**62)  # pushes the value table onto the object dtype
+    polys = [random_multilinear(rng, n, 3) for n in (4, 6, 9)]
+    polys.append(Polynomial(5, {(0, 1): huge, (2,): huge, (3, 4): -huge}))
+    for p in polys:
+        n = p.n
+        everywhere = Polynomial(n, {(i,): 1 for i in range(n)})
+        plain = exact_solve(Instance(p))
+        windowed = exact_solve(Instance(p, ((everywhere, 0, n),)))
+        assert windowed == plain
+        values = {}
+        for mask in range(2**n):
+            point = tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
+            values[point] = evaluate(p, point)
+        best = max(values.values())
+        assert plain == (min(pt for pt, v in values.items() if v == best), best)
+
+
 def test_exact_agrees_with_enumeration():
     rng = random.Random(3)
     for _ in range(20):
@@ -437,6 +457,31 @@ def test_guarantee_bound_formula_quadratic():
     assert randomized == opt - gap_bound(beta, 3, 2, 2) - (
         rounding_deviation_term(beta, 3, 2, 2)
     )
+
+
+def test_guarantee_floor_is_guarantee_bound_given_opt():
+    sat = maxksat_objective(gen_ksat(10, 40, 3, 5))
+    configs = (
+        SolveConfig(),
+        SolveConfig(strategy="randomized"),
+        SolveConfig(strategy="randomized", k=2),
+    )
+    cases = [(Instance(TRIANGLE), (0, 1, 0)), (Instance(sat), (0, 1) * 5)]
+    # beta = 0: the randomized deviation term must be left out
+    cases.append((Instance(Polynomial(4, {})), (1, 0, 1, 0)))
+    for inst, prediction in cases:
+        _, opt = exact_solve(inst)
+        for config in configs:
+            for eps in range(inst.objective.n + 1):
+                report = solve(
+                    inst, prediction, dataclasses.replace(config, grid=(eps,))
+                )
+                floor = guarantee_floor(
+                    opt, report.beta, report.n, report.degree, eps,
+                    config.strategy, config.k,
+                )
+                assert floor == guarantee_bound(inst, eps, config)
+    assert guarantee_floor(0, 0, 4, 2, 3, "randomized", 2) == 0
 
 
 def test_ratio_bound_cut_form():
