@@ -8,7 +8,8 @@ smoothness diagnostics.  Instance kind is detected from file content
 
 Exit codes: 0 success, 2 parse or parameter failure, 3 when every
 relaxation in a solve failed.  All output is deterministic for fixed
-flags and seed; the only varying CSV column is wall_ms.
+flags and seed except solve's wall_ms, a --csv column and a per-eps
+--json field; the sweep table has no timing column.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .oracle import exact_prediction, perturb, read_prediction
 # It stays in this module's namespace, where the benchmark's traced run
 # (perfbench/layers.py) looks it up.
 from .pipeline import (  # noqa: F401
+    EXACT_CAP,
     Instance,
     SolveConfig,
     exact_solve,
@@ -96,26 +98,37 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _parse_grid(flag: str):
-    """Grid flag: full | stride:S | comma-separated eps values."""
+def _parse_grid(flag: str, n: int):
+    """Grid flag: full | stride:S (eps 0, S, 2S, ... <= n) | e1,e2,..."""
     if flag == "full":
-        return None, 1
+        return None
     if flag.startswith("stride:"):
-        return None, int(flag.split(":", 1)[1])
-    return tuple(int(part) for part in flag.split(",")), 1
+        stride = int(flag.split(":", 1)[1])
+        if stride < 1:
+            raise ValueError("stride must be at least 1")
+        return tuple(range(0, n + 1, stride))
+    return tuple(int(part) for part in flag.split(","))
 
 
 def _prediction_for(flag: str, instance: Instance, seed: int):
-    if flag == "exact":
-        return exact_prediction(instance)
-    if flag.startswith("perturb:"):
-        eps = int(flag.split(":", 1)[1])
-        return perturb(exact_prediction(instance), eps, seed)
     if flag.startswith("file:"):
         return read_prediction(flag.split(":", 1)[1])
-    raise ValueError(
-        f"prediction source {flag!r} is not exact, perturb:EPS, or file:PATH"
-    )
+    if flag != "exact" and not flag.startswith("perturb:"):
+        raise ValueError(
+            f"prediction source {flag!r} is not exact, perturb:EPS, "
+            "or file:PATH"
+        )
+    n = instance.objective.n
+    if n > EXACT_CAP:
+        raise ValueError(
+            f"--prediction {flag} brute-forces the optimum, but "
+            f"{instance.label} has {n} variables, over the brute-force cap "
+            f"{EXACT_CAP}; pass --prediction file:PATH instead"
+        )
+    eps = 0 if flag == "exact" else int(flag.split(":", 1)[1])
+    if not 0 <= eps <= n:
+        raise ValueError(f"flip count {eps} outside [0, {n}]")
+    return perturb(exact_prediction(instance), eps, seed)  # exact: no flips
 
 
 # -- gen ----------------------------------------------------------------
@@ -137,12 +150,10 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    grid, stride = _parse_grid(args.grid)
     config = SolveConfig(
         strategy=args.strategy,
         seed=args.seed,
-        grid=grid,
-        stride=stride,
+        grid=_parse_grid(args.grid, instance.objective.n),
         k=args.k,
         randomized_rounds=args.rounds,
     )
@@ -194,19 +205,27 @@ def _sweep_cell(payload):
 
 
 def cmd_sweep(args) -> int:
+    workers = int(os.environ.get("SMOOTHIP_WORKERS", "1"))
     eps_values = sorted(set(int(part) for part in args.eps.split(",")))
     if args.opt is not None and len(args.instances) != 1:
         raise ValueError("--opt applies to a single instance")
+    given_opt = None if args.opt is None else Fraction(args.opt)
+    instances = [load_instance(path) for path in args.instances]
+    # Every file is checked before the first brute force starts.
+    for path, instance in zip(args.instances, instances):
+        n = instance.objective.n
+        if n > EXACT_CAP:
+            raise ValueError(
+                f"{path} has {n} variables, over the brute-force cap "
+                f"{EXACT_CAP}: a sweep perturbs the brute-forced optimum"
+            )
+        if eps_values[0] < 0 or eps_values[-1] > n:
+            raise ValueError(f"eps values must lie in [0, {n}] for {path}")
     cells = []
-    for path in args.instances:
-        instance = load_instance(path)
+    for instance in instances:
         star, brute_opt = exact_solve(instance)
-        opt = Fraction(args.opt) if args.opt is not None else brute_opt
+        opt = brute_opt if given_opt is None else given_opt
         for eps in eps_values:
-            if eps > instance.objective.n:
-                raise ValueError(
-                    f"eps {eps} exceeds {instance.label}'s variable count"
-                )
             for trial in range(args.trials):
                 cells.append(
                     (
@@ -214,7 +233,6 @@ def cmd_sweep(args) -> int:
                         args.strategy, args.seed, args.k,
                     )
                 )
-    workers = int(os.environ.get("SMOOTHIP_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
@@ -249,7 +267,7 @@ def cmd_verify(args) -> int:
     near_at = n ** (d - 0.5 + (0.5 - NEAR_DENSE_EXPONENT_DROP))
     if args.opt is not None:
         opt = Fraction(args.opt)
-    elif n <= 24:
+    elif n <= EXACT_CAP:
         _, opt = exact_solve(instance)
     else:
         opt = None

@@ -52,7 +52,6 @@ class LpModel:
     rows: tuple
     objective: tuple
     offset: Fraction = Fraction(0)
-    maximize: bool = True
 
     def __post_init__(self):
         if len(self.var_bounds) != self.num_vars:
@@ -77,15 +76,6 @@ class LpSolution:
     iterations: int = 0
 
 
-def _row_feasible_exact(coeffs, lo, hi, x) -> bool:
-    value = sum(c * xi for c, xi in zip(coeffs, x))
-    if lo is not None and value < lo:
-        return False
-    if hi is not None and value > hi:
-        return False
-    return True
-
-
 class _Simplex:
     """One solve. Column layout: [0, n) structural, [n, n+m) slack,
     [n+m, n+2m) artificial."""
@@ -94,7 +84,6 @@ class _Simplex:
         n = model.num_vars
         m = len(kept)
         self.n, self.m = n, m
-        self.sense = -1.0 if model.maximize else 1.0
         total = n + 2 * m
         self.M = np.zeros((m, total))
         for i, (coeffs, _, _) in enumerate(kept):
@@ -111,7 +100,7 @@ class _Simplex:
         self.lb[n + m :] = 0.0
         self.ub[n + m :] = math.inf
         self.cost = np.zeros(total)
-        self.cost[:n] = [self.sense * float(c) for c in model.objective]
+        self.cost[:n] = [-float(c) for c in model.objective]  # minimizes -c.x
         self.val = np.zeros(total)
         self.basis: list[int] = []
         self.basic = np.zeros(total, dtype=bool)
@@ -280,20 +269,22 @@ def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
         exact = [Fraction(v) for v in warm_start]
         warm_ok = all(
             any(exact[j] == b for b in model.var_bounds[j]) for j in range(n)
-        ) and all(
-            _row_feasible_exact(coeffs, lo, hi, exact)
-            for coeffs, lo, hi in kept
         )
+        # One exact activity per row serves the check and the slack's start.
+        activity = []
+        for coeffs, lo, hi in kept:
+            if not warm_ok:
+                break
+            value = sum(c * x for c, x in zip(coeffs, exact))
+            warm_ok = (lo is None or value >= lo) and (hi is None or value <= hi)
+            activity.append(value)
 
     if warm_ok:
         for j in range(n):
             sx.val[j] = float(warm_start[j])
-            sx.at_upper[j] = Fraction(warm_start[j]) == model.var_bounds[j][1]
-        for i, (coeffs, _, _) in enumerate(kept):
-            value = float(
-                sum(c * Fraction(v) for c, v in zip(coeffs, warm_start))
-            )
-            sx.val[n + i] = min(max(value, sx.lb[n + i]), sx.ub[n + i])
+            sx.at_upper[j] = exact[j] == model.var_bounds[j][1]
+        for i, value in enumerate(activity):
+            sx.val[n + i] = min(max(float(value), sx.lb[n + i]), sx.ub[n + i])
         sx.ub[n + m :] = 0.0
         if not sx.set_basis(range(n, n + m)):
             warm_ok = False

@@ -10,7 +10,6 @@ cost of achieving value v on an instance with ceiling h is h - v.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,9 +60,9 @@ def _vector(prediction) -> tuple:
     return tuple(int(v) for v in getattr(prediction, "x_hat", prediction))
 
 
-def exact_prediction(instance: Instance, cap: int = 24) -> Prediction:
+def exact_prediction(instance: Instance) -> Prediction:
     """The canonical optimum itself (lexicographically smallest)."""
-    z, _ = exact_solve(instance, cap)
+    z, _ = exact_solve(instance)
     return Prediction(z, "exact")
 
 
@@ -98,9 +97,7 @@ def erm_select(
     return best_id, best_cost
 
 
-def empirical_prediction_error(
-    candidate: Callable, instances, cap: int = 24
-) -> Fraction:
+def empirical_prediction_error(candidate: Callable, instances) -> Fraction:
     """Mean Hamming distance from the candidate's predictions to the
     canonical brute-force optima."""
     instances = tuple(instances)
@@ -108,7 +105,7 @@ def empirical_prediction_error(
         raise ValueError("need at least one instance")
     total = 0
     for instance in instances:
-        star, _ = exact_solve(instance, cap)
+        star, _ = exact_solve(instance)
         guess = _vector(candidate(instance))
         if len(guess) != len(star):
             raise ValueError("prediction length mismatch")
@@ -131,31 +128,3 @@ def read_prediction(path) -> Prediction:
         raise ValueError(f"prediction file {path} is not a 0/1 line")
     return Prediction(tuple(int(ch) for ch in text), "file")
 
-
-def parse_manifest(text: str, base_dir) -> tuple:
-    """Candidate callables from a JSON list of {instance label: file}.
-
-    Each manifest entry becomes a candidate that looks up the instance's
-    label and reads the named prediction file (relative to base_dir).
-    """
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(entries, list):
-        raise ValueError("manifest must be a JSON list")
-    base = Path(base_dir)
-
-    def make(mapping) -> Callable:
-        def candidate(instance: Instance):
-            try:
-                name = mapping[instance.label]
-            except KeyError:
-                raise ValueError(
-                    f"manifest has no prediction for {instance.label!r}"
-                ) from None
-            return read_prediction(base / name)
-
-        return candidate
-
-    return tuple(make(dict(entry)) for entry in entries)

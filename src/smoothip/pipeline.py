@@ -65,6 +65,10 @@ from .rounding import (
 GREEDY = "greedy"
 RANDOMIZED = "randomized"
 
+# Largest variable count that exact_solve (and so the exact prediction, a
+# sweep's optimum and verify's density label) brute-forces: 2^24 points.
+EXACT_CAP = 24
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -86,28 +90,24 @@ class Instance:
 class SolveConfig:
     """Knobs for one pipeline run.
 
-    grid = None walks 0, stride, 2*stride, ... up to n; an explicit grid
-    is used as given (sorted, deduplicated).  k is the tail exponent in
-    the reported concentration radii.  lp_backend may swap in any solver
-    with the embedded one's signature and status vocabulary.
+    grid = None walks every eps 0, 1, ..., n; an explicit grid is used as
+    given (sorted, deduplicated).  k is the tail exponent in the reported
+    concentration radii.  lp_backend may swap in any solver with the
+    embedded one's signature and status vocabulary.
     """
 
     strategy: str = GREEDY
     seed: int = 0
     grid: tuple | None = None
-    stride: int = 1
     include_prediction_candidate: bool = True
     include_baseline_candidate: bool = True
     k: int = 1
     randomized_rounds: int = 16
     lp_backend: Callable | None = None
-    exact_cap: int = 24
 
     def __post_init__(self):
         if self.strategy not in (GREEDY, RANDOMIZED):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.stride < 1:
-            raise ValueError("stride must be at least 1")
         if self.randomized_rounds < 1:
             raise ValueError("need at least one randomized round")
         if self.k <= 0:
@@ -161,7 +161,7 @@ def _as_point(prediction, n: int) -> tuple:
 
 def _grid(config: SolveConfig, n: int) -> list[int]:
     if config.grid is None:
-        return list(range(0, n + 1, config.stride))
+        return list(range(n + 1))
     values = sorted(set(int(e) for e in config.grid))
     for e in values:
         if not 0 <= e <= n:
@@ -253,7 +253,7 @@ def _run(
     records: list[EpsRecord] = []
     if n <= d:
         # The relaxation's analysis needs n > d; brute force instead.
-        z, value = _exact(p, constraints, config.exact_cap)
+        z, value = _exact(p, constraints)
         candidates.append(Candidate("exact", z, value, Fraction(0)))
     else:
         backend = config.lp_backend
@@ -384,10 +384,12 @@ def _masks_to_values(poly: Polynomial, n: int):
     return table, denom
 
 
-def _exact(p: Polynomial, constraints, cap: int) -> tuple:
+def _exact(p: Polynomial, constraints) -> tuple:
     n = p.n
-    if n > cap:
-        raise ValueError(f"{n} variables exceeds the brute-force cap {cap}")
+    if n > EXACT_CAP:
+        raise ValueError(
+            f"{n} variables exceeds the brute-force cap {EXACT_CAP}"
+        )
     values, denom = _masks_to_values(p, n)
     # The feasibility mask and the masked copy of the values cost two more
     # 2^n arrays, so they are built only when there are side constraints.
@@ -423,13 +425,13 @@ def _feasible(constraints, n: int):
     return feasible
 
 
-def exact_solve(instance: Instance, cap: int = 24) -> tuple:
-    """Exhaustive maximization honoring constraints.
+def exact_solve(instance: Instance) -> tuple:
+    """Exhaustive maximization honoring constraints, n <= EXACT_CAP.
 
     Returns (z, value) with z the lexicographically smallest optimum.
     """
     p, constraints, _ = _normalized(instance.objective, instance.constraints)
-    return _exact(p, constraints, cap)
+    return _exact(p, constraints)
 
 
 # -- theoretical floors -------------------------------------------------
@@ -460,7 +462,7 @@ def guarantee_bound(
 ) -> Fraction:
     """:func:`guarantee_floor` with opt brute-forced from the instance."""
     p, constraints, beta = _normalized(instance.objective, instance.constraints)
-    _, opt = _exact(p, constraints, config.exact_cap)
+    _, opt = _exact(p, constraints)
     return guarantee_floor(
         opt, beta, p.n, p.degree, eps, config.strategy, config.k
     )

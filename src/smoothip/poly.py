@@ -270,33 +270,3 @@ def global_bound(beta: Fraction | int, d: int, n: int) -> Fraction:
         raise ValueError("bound requires n > d")
     return 2 * Fraction(beta) * E_UPPER * Fraction(n) ** d
 
-
-def poly_to_text(p: Polynomial) -> str:
-    """Serialize: header line ``n degree``, then one monomial per line as
-    ``num/den i1 i2 ...`` (the constant term has no indices)."""
-    lines = [f"{p.n} {p.degree}"]
-    for mono in sorted(p.coeffs):
-        coeff = p.coeffs[mono]
-        parts = [f"{coeff.numerator}/{coeff.denominator}", *map(str, mono)]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def poly_from_text(text: str) -> Polynomial:
-    """Parse the :func:`poly_to_text` format; exact round-trip."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty polynomial text")
-    try:
-        n, degree = map(int, lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad polynomial header: {lines[0]!r}") from exc
-    coeffs: dict[Monomial, Fraction] = {}
-    for line in lines[1:]:
-        head, *tail = line.split()
-        coeff = Fraction(head)
-        mono = tuple(int(t) for t in tail)
-        if mono in coeffs:
-            raise ValueError(f"duplicate monomial {mono}")
-        coeffs[mono] = coeff
-    return Polynomial(n, coeffs, degree)

@@ -159,7 +159,6 @@ class Relaxation:
             ),
             objective=self.objective,
             offset=self.offset,
-            maximize=True,
         )
 
     def saturated(self, eps: int) -> bool:
@@ -329,42 +328,3 @@ def constraint_violation_bound(
     )
     return slack + rounding_deviation_term(beta, n, d, k)
 
-
-def lp_text(model: LpModel) -> str:
-    """Render a model in LP exchange text (for external cross-checks).
-
-    Two-sided rows are written as a <=/>= pair; rationals are printed as
-    15-significant-digit decimals.
-    """
-
-    def num(v) -> str:
-        return f"{float(v):.15g}"
-
-    def expr(coeffs) -> str:
-        parts = []
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(f"{sign} {num(abs(c))} x{j}".strip())
-        return " ".join(parts) if parts else "0 x0"
-
-    lines = ["Maximize" if model.maximize else "Minimize"]
-    obj = expr(model.objective)
-    if model.offset:
-        obj += f" + {num(model.offset)}" if model.offset > 0 else (
-            f" - {num(-model.offset)}"
-        )
-    lines.append(f" obj: {obj}")
-    lines.append("Subject To")
-    for i, (coeffs, lo, hi) in enumerate(model.rows):
-        body = expr(coeffs)
-        if hi is not None:
-            lines.append(f" r{i}u: {body} <= {num(hi)}")
-        if lo is not None:
-            lines.append(f" r{i}l: {body} >= {num(lo)}")
-    lines.append("Bounds")
-    for j, (lo, hi) in enumerate(model.var_bounds):
-        lines.append(f" {num(lo)} <= x{j} <= {num(hi)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ def reference_solve(model) -> RefSolution:
     n = model.num_vars
     lo = [float(l) for l, _ in model.var_bounds]
     span = [float(h) - float(l) for l, h in model.var_bounds]
-    sense = 1.0 if model.maximize else -1.0
+    sense = 1.0  # LpModel always maximizes
 
     # Inequality rows over the shifted variables u = x - lo, all "<= rhs".
     ineqs: list[tuple[list[float], float]] = []

@@ -5,7 +5,12 @@ import pytest
 
 from smoothip import pipeline
 from smoothip.cli import load_instance, main
-from smoothip.pipeline import SolveConfig, exact_solve, guarantee_bound
+from smoothip.pipeline import (
+    EXACT_CAP,
+    SolveConfig,
+    exact_solve,
+    guarantee_bound,
+)
 from smoothip.problems import parse_dimacs_graph
 
 TRIANGLE_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -118,6 +123,45 @@ def test_solve_csv_deterministic_modulo_timing(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def without_timing(report_path) -> dict:
+    payload = json.loads(report_path.read_text())
+    for record in payload["per_eps"]:
+        del record["wall_ms"]
+    return payload
+
+
+def test_solve_json_equal_across_runs_modulo_timing(tmp_path, capsys):
+    instance = tmp_path / "g.graph"
+    run(capsys, "gen", "maxcut", "--n", "10", "--p", "0.5", "--seed", "6",
+        "--out", str(instance))
+    payloads = []
+    for name in ("one.json", "two.json"):
+        path = tmp_path / name
+        code, _, _ = run(capsys, "solve", str(instance), "--prediction",
+                         "perturb:3", "--strategy", "randomized",
+                         "--seed", "2", "--json", str(path))
+        assert code == 0
+        payloads.append(without_timing(path))
+    assert payloads[0] == payloads[1]
+    assert len(payloads[0]["per_eps"]) == 11
+
+
+def test_solve_stride_grid(tmp_path, capsys):
+    instance = tmp_path / "g.graph"
+    run(capsys, "gen", "maxcut", "--n", "10", "--p", "0.4", "--seed", "9",
+        "--out", str(instance))
+    report_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "solve", str(instance), "--grid", "stride:3",
+                       "--json", str(report_path))
+    assert code == 0
+    assert "eps records: 4 (0 skipped)" in out
+    payload = json.loads(report_path.read_text())
+    assert [r["eps"] for r in payload["per_eps"]] == [0, 3, 6, 9]
+    code, _, err = run(capsys, "solve", str(instance), "--grid", "stride:0")
+    assert code == 2
+    assert "stride must be at least 1" in err
+
+
 def test_solve_prediction_file(triangle_file, tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     pred.write_text("100\n")
@@ -226,9 +270,8 @@ def test_sweep_bound_is_the_brute_forced_guarantee(
         assert row[6] == repr(float(bound))
 
 
-def test_sweep_brute_forces_once_per_file(
-    two_instances, tmp_path, capsys, monkeypatch
-):
+@pytest.fixture
+def brute_force_calls(monkeypatch):
     calls = []
     exact = pipeline._exact
 
@@ -237,10 +280,16 @@ def test_sweep_brute_forces_once_per_file(
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_exact", counted)
+    return calls
+
+
+def test_sweep_brute_forces_once_per_file(
+    two_instances, tmp_path, capsys, brute_force_calls
+):
     rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
                       "--eps", "0,2", "--trials", "2")
     assert len(rows) == 8
-    assert len(calls) == 2
+    assert len(brute_force_calls) == 2
 
 
 def test_sweep_opt_sets_the_opt_ratio_and_bound_columns(
@@ -262,6 +311,52 @@ def test_sweep_opt_sets_the_opt_ratio_and_bound_columns(
         assert float(b[6]) == pytest.approx(float(a[6]) + 1, abs=1e-9)
         achieved = Fraction(float(a[3]))
         assert float(b[5]) == pytest.approx(float(achieved / (opt + 1)))
+
+
+@pytest.fixture
+def large_file(tmp_path, capsys):
+    path = tmp_path / "g30.graph"
+    run(capsys, "gen", "maxcut", "--n", "30", "--p", "0.2", "--seed", "1",
+        "--out", str(path))
+    assert load_instance(path).objective.n > EXACT_CAP
+    return path
+
+
+def test_large_instance_needs_a_prediction_file(large_file, tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    pred.write_text("01" * 15 + "\n")
+    code, out, _ = run(capsys, "solve", str(large_file), "--grid", "0,30",
+                       "--prediction", f"file:{pred}")
+    assert code == 0
+    assert "eps records: 2 (0 skipped)" in out
+    for flag in ("exact", "perturb:3"):
+        code, _, err = run(capsys, "solve", str(large_file),
+                           "--prediction", flag)
+        assert code == 2
+        assert "pass --prediction file:PATH" in err
+    code, out, _ = run(capsys, "verify", str(large_file))
+    assert code == 0
+    assert "density: unknown" in out
+
+
+def test_rejects_bad_input_before_any_brute_force(
+    large_file, two_instances, brute_force_calls, capsys, monkeypatch
+):
+    cut, _ = two_instances
+    code, _, err = run(capsys, "sweep", str(cut), str(large_file),
+                       "--eps", "0")
+    assert code == 2
+    assert str(large_file) in err
+    assert "a sweep perturbs the brute-forced optimum" in err
+    code, _, err = run(capsys, "sweep", str(cut), "--eps", "0,99")
+    assert code == 2
+    assert "[0, 7]" in err
+    assert run(capsys, "sweep", str(cut), "--eps", "0", "--opt", "x")[0] == 2
+    monkeypatch.setenv("SMOOTHIP_WORKERS", "x")
+    assert run(capsys, "sweep", str(cut), "--eps", "0")[0] == 2
+    monkeypatch.delenv("SMOOTHIP_WORKERS")
+    assert run(capsys, "solve", str(cut), "--prediction", "perturb:8")[0] == 2
+    assert brute_force_calls == []
 
 
 # -- verify -------------------------------------------------------------

@@ -111,12 +111,22 @@ def test_determinism_bit_exact():
 
 
 def test_warm_start_agrees_with_cold_start():
+    # (1, 0, 0) is feasible at every budget; (0, 1, 1) breaks rows at
+    # eps = 0, and a start that breaks a row must fall back to a cold start.
     for eps in (0, 1, 2, 3):
         model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), eps, 2)
         cold = solve(model)
-        warm = solve(model, warm_start=(1, 0, 0))
-        assert cold.status == warm.status == "optimal"
-        assert abs(cold.objective_value - warm.objective_value) < 1e-6
+        for start in ((1, 0, 0), (0, 1, 1)):
+            warm = solve(model, warm_start=start)
+            assert cold.status == warm.status == "optimal"
+            assert abs(cold.objective_value - warm.objective_value) < 1e-6
+    one_row = LpModel(
+        num_vars=2,
+        var_bounds=box(2),
+        rows=((tuple(map(Fraction, (1, 1))), None, Fraction(1)),),
+        objective=tuple(map(Fraction, (1, 2))),
+    )
+    assert solve(one_row, warm_start=(1, 1)).y == solve(one_row).y == (0, 1)
 
 
 def test_reference_agreement():

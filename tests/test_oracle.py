@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from smoothip.oracle import (
     empirical_prediction_error,
     erm_select,
     exact_prediction,
-    parse_manifest,
     perturb,
     read_prediction,
     write_prediction,
@@ -141,7 +139,7 @@ def test_prediction_error_needs_instances():
         empirical_prediction_error(exact_prediction, ())
 
 
-# -- files and manifests ------------------------------------------------
+# -- files --------------------------------------------------------------
 
 
 def test_prediction_file_round_trip(tmp_path):
@@ -161,34 +159,3 @@ def test_prediction_file_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         read_prediction(path)
 
-
-def test_manifest_candidates(tmp_path):
-    write_prediction(tmp_path / "a.txt", (1, 1, 1, 1))
-    write_prediction(tmp_path / "b.txt", (0, 0, 0, 0))
-    manifest = json.dumps(
-        [{"inst": "a.txt"}, {"inst": "b.txt"}]
-    )
-    first, second = parse_manifest(manifest, tmp_path)
-    inst = clique_instance(4, label="inst")
-    assert first(inst).x_hat == (1, 1, 1, 1)
-    assert second(inst).x_hat == (0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        first(clique_instance(4, label="missing"))
-
-
-def test_manifest_shape_errors(tmp_path):
-    with pytest.raises(ValueError):
-        parse_manifest("{", tmp_path)
-    with pytest.raises(ValueError):
-        parse_manifest('{"not": "a list"}', tmp_path)
-
-
-def test_manifest_candidates_in_selection(tmp_path):
-    inst = clique_instance(5, label="train")
-    star, _ = exact_solve(inst)
-    write_prediction(tmp_path / "good.txt", star)
-    write_prediction(tmp_path / "bad.txt", tuple(1 - v for v in star))
-    manifest = json.dumps([{"train": "bad.txt"}, {"train": "good.txt"}])
-    candidates = parse_manifest(manifest, tmp_path)
-    chosen, _ = erm_select(ErmProblem(candidates, (inst,)), STRICT)
-    assert chosen == 1

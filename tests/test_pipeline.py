@@ -10,6 +10,7 @@ import pytest
 from helpers import random_bool_vector, random_multilinear
 from smoothip import lpsolve
 from smoothip.pipeline import (
+    EXACT_CAP,
     Instance,
     SolveConfig,
     approx_ratio_bound,
@@ -143,8 +144,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(strategy="annealing")
     with pytest.raises(ValueError):
-        SolveConfig(stride=0)
-    with pytest.raises(ValueError):
         SolveConfig(randomized_rounds=0)
     with pytest.raises(ValueError):
         SolveConfig(k=0)
@@ -156,7 +155,8 @@ def test_stride_and_explicit_grids():
     g = gen_gnp(10, 0.4, 9)
     inst = Instance(maxcut_objective(g))
     xhat = (0,) * 10
-    by_stride = solve(inst, xhat, SolveConfig(stride=3))
+    # The CLI's --grid stride:S reaches the pipeline as an explicit grid.
+    by_stride = solve(inst, xhat, SolveConfig(grid=tuple(range(0, 11, 3))))
     assert [r.eps for r in by_stride.per_eps] == [0, 3, 6, 9]
     explicit = solve(inst, xhat, SolveConfig(grid=(10, 0, 5, 5)))
     assert [r.eps for r in explicit.per_eps] == [0, 5, 10]
@@ -402,7 +402,7 @@ def test_exact_honors_constraints():
 
 def test_exact_cap():
     with pytest.raises(ValueError):
-        exact_solve(Instance(Polynomial(25, {(0,): 1})), cap=24)
+        exact_solve(Instance(Polynomial(EXACT_CAP + 1, {(0,): 1})))
 
 
 def test_exact_ignores_a_window_that_holds_everywhere():

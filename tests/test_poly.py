@@ -1,5 +1,5 @@
 """Polynomial algebra: evaluation, multilinearization, smoothness,
-decomposition, magnitude bounds, serialization."""
+decomposition, magnitude bounds."""
 
 import itertools
 import random
@@ -18,8 +18,6 @@ from smoothip.poly import (
     is_multilinear,
     min_smoothness,
     multilinearize,
-    poly_from_text,
-    poly_to_text,
 )
 from smoothip.rat import E_UPPER
 
@@ -222,30 +220,3 @@ def test_global_bound_holds_on_unit_cube():
         x = random_point(rng, n)
         assert abs(evaluate(p, x)) <= global_bound(beta, p.degree, n)
 
-
-def test_serialization_round_trip_example():
-    text = poly_to_text(EXAMPLE)
-    assert text.splitlines()[0] == "4 3"
-    assert "3/1" in text
-    back = poly_from_text(text)
-    assert back == EXAMPLE
-    assert back.degree == EXAMPLE.degree
-
-
-def test_serialization_round_trip_random():
-    rng = random.Random(41)
-    for _ in range(50):
-        n = rng.randrange(1, 9)
-        p = random_multilinear(rng, n, min(4, n)).with_degree(5)
-        back = poly_from_text(poly_to_text(p))
-        assert back == p
-        assert back.degree == 5 and back.n == n
-
-
-def test_serialization_rejects_malformed():
-    with pytest.raises(ValueError):
-        poly_from_text("")
-    with pytest.raises(ValueError):
-        poly_from_text("not a header\n1/1 0\n")
-    with pytest.raises(ValueError):
-        poly_from_text("2 1\n1/1 0\n2/1 0\n")

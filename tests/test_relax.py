@@ -15,7 +15,6 @@ from smoothip.relax import (
     constraint_degree,
     constraint_violation_bound,
     gap_bound,
-    lp_text,
     prepare_relaxation,
     tolerance,
 )
@@ -118,7 +117,6 @@ def test_triangle_model_structure():
     model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), 0, 2)
     assert model.objective == (2, 2, 2)
     assert model.offset == 0
-    assert model.maximize
     assert model.var_bounds == ((0, 1),) * 3
     # Component rows in key order: (0,), (1,), (2,); all centered at 0
     # because the prediction satisfies each linearization exactly.
@@ -387,17 +385,3 @@ def test_crossed_constraint_bounds_rejected():
             TRIANGLE, ((Polynomial(4, {(0,): 1}), None, 1),)
         )
 
-
-# -- text export --------------------------------------------------------
-
-
-def test_lp_text_layout():
-    text = lp_text(build_relaxation(decompose(TRIANGLE), (1, 0, 0), 0, 2))
-    lines = text.splitlines()
-    assert lines[0] == "Maximize"
-    assert lines[1] == " obj: 2 x0 + 2 x1 + 2 x2"
-    assert "Subject To" in lines
-    assert " r0u: - 2 x1 - 2 x2 <= 0" in lines
-    assert " r0l: - 2 x1 - 2 x2 >= 0" in lines
-    assert lines[-1] == "End"
-    assert " 0 <= x1 <= 1" in lines
