@@ -13,8 +13,17 @@ switch to Bland's rule after a long degenerate stretch.  A basis inverse is
 kept explicitly and refreshed periodically.  The solver is deterministic:
 fixed pivot rules, no randomization.
 
-Any callable with the same signature and status vocabulary can replace
-:func:`solve` wherever a solver is accepted (see the pipeline configuration).
+Everything but the row windows is prepared once in a :class:`PreparedLp`:
+the float matrix, the cost, the row split and a warm start with its exact
+row activities.  Its ``solve(windows)`` then does one LP, so a caller that
+solves the same rows under many windows (the pipeline, one per error
+budget) converts and checks them once.  :func:`solve` is that object used
+once.  The simplex accepts the warm start only when its exact activities
+lie in the exact windows, and otherwise starts cold with a phase 1.
+
+Any callable with the signature of :func:`solve` and the same status
+vocabulary can replace it wherever a solver is accepted (see the pipeline
+configuration).
 """
 
 from __future__ import annotations
@@ -80,29 +89,19 @@ class _Simplex:
     """One solve. Column layout: [0, n) structural, [n, n+m) slack,
     [n+m, n+2m) artificial."""
 
-    def __init__(self, model: LpModel, kept):
-        n = model.num_vars
-        m = len(kept)
+    def __init__(self, lp: PreparedLp, slack_lb, slack_ub):
+        n, m = lp.num_vars, len(lp.kept)
         self.n, self.m = n, m
         total = n + 2 * m
         self.M = np.zeros((m, total))
-        for i, (coeffs, _, _) in enumerate(kept):
-            self.M[i, :n] = [float(c) for c in coeffs]
-            self.M[i, n + i] = -1.0
-        self.lb = np.empty(total)
-        self.ub = np.empty(total)
-        for j, (lo, hi) in enumerate(model.var_bounds):
-            self.lb[j] = float(lo)
-            self.ub[j] = float(hi)
-        for i, (_, lo, hi) in enumerate(kept):
-            self.lb[n + i] = -math.inf if lo is None else float(lo)
-            self.ub[n + i] = math.inf if hi is None else float(hi)
-        self.lb[n + m :] = 0.0
-        self.ub[n + m :] = math.inf
+        self.M[:, :n] = lp.matrix
+        self.M[range(m), range(n, n + m)] = -1.0
+        self.lb = np.concatenate((lp.var_lb, slack_lb, np.zeros(m)))
+        self.ub = np.concatenate((lp.var_ub, slack_ub, np.full(m, math.inf)))
         self.cost = np.zeros(total)
-        self.cost[:n] = [-float(c) for c in model.objective]  # minimizes -c.x
+        self.cost[:n] = lp.cost
         self.val = np.zeros(total)
-        self.basis: list[int] = []
+        self.basis = np.zeros(0, dtype=np.intp)
         self.basic = np.zeros(total, dtype=bool)
         self.at_upper = np.zeros(total, dtype=bool)
         self.Binv = np.zeros((m, m))
@@ -113,7 +112,7 @@ class _Simplex:
     # -- state helpers ----------------------------------------------------
 
     def set_basis(self, columns: Sequence[int]) -> bool:
-        self.basis = list(columns)
+        self.basis = np.array(columns, dtype=np.intp)
         self.basic[:] = False
         self.basic[self.basis] = True
         try:
@@ -123,7 +122,7 @@ class _Simplex:
         return True
 
     def recompute_basic_values(self):
-        if not self.basis:
+        if not self.basis.size:
             return
         v = self.val.copy()
         v[self.basis] = 0.0
@@ -131,7 +130,7 @@ class _Simplex:
         self.val[self.basis] = self.Binv @ rhs
 
     def refresh(self) -> bool:
-        if self.basis and not self.set_basis(self.basis):
+        if self.basis.size and not self.set_basis(self.basis):
             return False
         self.recompute_basic_values()
         return True
@@ -149,41 +148,16 @@ class _Simplex:
 
             duals = (
                 self.cost[self.basis] @ self.Binv
-                if self.basis
+                if self.basis.size
                 else np.zeros(self.m)
             )
             reduced = self.cost - duals @ self.M
-            entering = self._pick_entering(reduced)
-            if entering is None:
+            j = self._pick_entering(reduced)
+            if j is None:
                 return OPTIMAL
-            j = entering
             sigma = -1.0 if self.at_upper[j] else 1.0
             w = self.Binv @ self.M[:, j]
-
-            # Bounded ratio test: entering moves by delta >= 0 along sigma.
-            span = self.ub[j] - self.lb[j]
-            best = span
-            leave_pos = -1
-            leave_to_upper = False
-            for pos, col in enumerate(self.basis):
-                piv = sigma * w[pos]
-                if piv > PIVOT_TOL:
-                    limit = self.val[col] - self.lb[col]
-                    hits_upper = False
-                elif piv < -PIVOT_TOL:
-                    limit = self.val[col] - self.ub[col]
-                    hits_upper = True
-                else:
-                    continue
-                ratio = max(limit / piv, 0.0)
-                if ratio < best - 1e-12 or (
-                    leave_pos >= 0
-                    and ratio < best + 1e-12
-                    and self._prefer_leaving(pos, leave_pos, w)
-                ):
-                    best = ratio
-                    leave_pos = pos
-                    leave_to_upper = hits_upper
+            best, leave_pos, leave_to_upper = self._ratio_test(j, sigma, w)
             if math.isinf(best):
                 return UNBOUNDED
             if best > 1e-11:
@@ -194,7 +168,7 @@ class _Simplex:
                     self.bland = True
 
             delta = best
-            if self.basis:
+            if self.basis.size:
                 self.val[self.basis] -= sigma * delta * w
             self.val[j] += sigma * delta
 
@@ -212,142 +186,250 @@ class _Simplex:
             self.basic[leaving] = False
             self.basic[j] = True
             self.basis[leave_pos] = j
-            piv = w[leave_pos]
-            self.Binv[leave_pos, :] /= piv
-            for i in range(self.m):
-                if i != leave_pos and abs(w[i]) > 0:
-                    self.Binv[i, :] -= w[i] * self.Binv[leave_pos, :]
+            self._update_inverse(leave_pos, w)
 
     def _pick_entering(self, reduced):
-        best = None
-        best_score = DUAL_TOL
-        for j in range(len(reduced)):
-            if self.basic[j] or self.lb[j] == self.ub[j]:
-                continue
-            score = -reduced[j] if not self.at_upper[j] else reduced[j]
-            if score <= best_score:
-                continue
-            if self.bland:
-                return j  # ascending scan: first eligible is the smallest
-            best = j
-            best_score = score
-        return best
-
-    def _prefer_leaving(self, pos, incumbent, w) -> bool:
+        """Dantzig: the first column of largest score; under Bland's rule
+        the first column whose score passes DUAL_TOL.  Basic and fixed
+        columns never enter."""
+        score = np.where(self.at_upper, reduced, -reduced)
+        score[self.basic | (self.lb == self.ub)] = -math.inf
         if self.bland:
-            return self.basis[pos] < self.basis[incumbent]
-        if abs(w[pos]) != abs(w[incumbent]):
-            return abs(w[pos]) > abs(w[incumbent])
-        return self.basis[pos] < self.basis[incumbent]
+            eligible = np.flatnonzero(score > DUAL_TOL)
+            return int(eligible[0]) if eligible.size else None
+        j = int(np.argmax(score))  # first maximum
+        return j if score[j] > DUAL_TOL else None
+
+    def _ratio_test(self, j, sigma, w):
+        """(step, leaving position or -1, whether it leaves at its upper
+        bound) for the entering column j moving by delta >= 0 along sigma.
+
+        The rows with a usable pivot and their ratios are found at once;
+        they are then scanned in position order.  A ratio more than 1e-12
+        below the best so far replaces it; one within 1e-12 replaces it if
+        its key is smaller: under Bland's rule the smaller basic column,
+        otherwise the larger |pivot|, then the smaller column.
+        """
+        piv = sigma * w
+        rows = np.flatnonzero(np.abs(piv) > PIVOT_TOL)
+        cols = self.basis[rows]
+        piv = piv[rows]
+        hits_upper = piv < 0
+        ratios = (
+            self.val[cols] - np.where(hits_upper, self.ub[cols], self.lb[cols])
+        ) / piv
+        # max(ratio, 0.0) as Python takes it: a ratio of -0.0 stays -0.0.
+        ratios = np.where(ratios < 0.0, 0.0, ratios)
+        keys = (
+            cols.tolist() if self.bland
+            else list(zip((-np.abs(piv)).tolist(), cols.tolist()))
+        )
+        best = self.ub[j] - self.lb[j]
+        leave = -1
+        for k, ratio in enumerate(ratios.tolist()):
+            if ratio < best - 1e-12 or (
+                leave >= 0 and ratio < best + 1e-12 and keys[k] < keys[leave]
+            ):
+                best = ratio
+                leave = k
+        if leave < 0:
+            return best, -1, False
+        return best, int(rows[leave]), bool(hits_upper[leave])
+
+    def _update_inverse(self, leave_pos, w):
+        """Rank-1 update of Binv after the column at leave_pos left: the
+        pivot row is divided by the pivot and eliminated from every other
+        row with a nonzero multiplier."""
+        self.Binv[leave_pos, :] /= w[leave_pos]
+        rows = np.flatnonzero(w)
+        rows = rows[rows != leave_pos]
+        self.Binv[rows] -= np.outer(w[rows], self.Binv[leave_pos])
+
+
+class PreparedLp:
+    """The part of an LP that its row windows do not change, prepared once.
+
+    Holds the float matrix of the rows that can bind (it seeds each
+    solve's working matrix and serves its final row check), the cost, the
+    variable box, which rows are empty or vacuous, and an optional warm
+    start with its exact activity on every row of ``model``; a caller that
+    already has those activities passes them, otherwise they are computed
+    here.  :meth:`solve` then takes one set of row windows, whose absent
+    bounds must be those of ``model``.
+    """
+
+    def __init__(
+        self,
+        model: LpModel,
+        warm_start: Sequence | None = None,
+        activities: Sequence | None = None,
+    ):
+        n = model.num_vars
+        self.num_vars = n
+        self.objective = tuple(float(c) for c in model.objective)
+        self.offset = float(model.offset)
+        self.num_rows = len(model.rows)
+        self.absent = tuple(
+            (lo is None, hi is None) for _, lo, hi in model.rows
+        )
+        self.kept: list[int] = []
+        self.empty: list[int] = []
+        for i, (coeffs, lo, hi) in enumerate(model.rows):
+            if lo is None and hi is None:
+                continue  # vacuous row
+            if any(coeffs):
+                self.kept.append(i)
+            else:
+                self.empty.append(i)
+        self.matrix = np.array(
+            [
+                [float(c) if c else 0.0 for c in model.rows[i][0]]
+                for i in self.kept
+            ],
+            dtype=float,
+        ).reshape(len(self.kept), n)
+        self.var_lb = np.array([float(lo) for lo, _ in model.var_bounds])
+        self.var_ub = np.array([float(hi) for _, hi in model.var_bounds])
+        self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
+        # A warm start must sit at a variable bound in every coordinate;
+        # whether its activities lie in the windows is checked per solve.
+        self.warm_x = None
+        if warm_start is not None and len(warm_start) == n:
+            exact = [Fraction(v) for v in warm_start]
+            if all(x in bounds for x, bounds in zip(exact, model.var_bounds)):
+                self.warm_x = np.array([float(v) for v in warm_start])
+                self.warm_at_upper = np.array(
+                    [x == hi for x, (_, hi) in zip(exact, model.var_bounds)]
+                )
+                self.warm_activity = [
+                    sum(c * x for c, x in zip(model.rows[i][0], exact))
+                    if activities is None else activities[i]
+                    for i in self.kept
+                ]
+                self.warm_activity_float = np.array(
+                    [float(a) for a in self.warm_activity]
+                )
+
+    def solve(self, windows: Sequence) -> LpSolution:
+        """Solve with rows lo_i <= a_i . x <= hi_i for the given (lo, hi)
+        pairs, one per model row; see :func:`solve`."""
+        if len(windows) != self.num_rows or any(
+            (lo is None, hi is None) != absent
+            for (lo, hi), absent in zip(windows, self.absent)
+        ):
+            raise ValueError("windows do not match the prepared rows")
+        for i in self.empty:
+            lo, hi = windows[i]
+            if (lo is not None and lo > 0) or (hi is not None and hi < 0):
+                # Empty row whose bounds exclude zero: trivially infeasible.
+                floor = tuple(self.var_lb.tolist())
+                return LpSolution(INFEASIBLE, floor, None)
+        n, m = self.num_vars, len(self.kept)
+        kept = [windows[i] for i in self.kept]
+        sx = _Simplex(
+            self,
+            np.array(
+                [-math.inf if lo is None else float(lo) for lo, _ in kept]
+            ),
+            np.array(
+                [math.inf if hi is None else float(hi) for _, hi in kept]
+            ),
+        )
+        max_iterations = 50 * (self.num_rows + n)
+
+        warm_ok = self.warm_x is not None and all(
+            (lo is None or a >= lo) and (hi is None or a <= hi)
+            for a, (lo, hi) in zip(self.warm_activity, kept)
+        )
+        if warm_ok:
+            sx.val[:n] = self.warm_x
+            sx.at_upper[:n] = self.warm_at_upper
+            sx.val[n : n + m] = np.clip(
+                self.warm_activity_float, sx.lb[n : n + m], sx.ub[n : n + m]
+            )
+            sx.ub[n + m :] = 0.0
+            if not sx.set_basis(range(n, n + m)):
+                warm_ok = False
+
+        if not warm_ok:
+            # Cold start: structurals at lower bound, slacks at the finite
+            # bound nearest zero, artificials basic absorbing the residual.
+            sx.ub[n + m :] = math.inf
+            sx.val[:n] = sx.lb[:n]
+            sx.at_upper[:n] = False
+            for i in range(m):
+                lo, hi = sx.lb[n + i], sx.ub[n + i]
+                # A nonbasic variable must sit at a bound; presolve
+                # guarantees at least one of the two is finite.
+                finite = [b for b in (lo, hi) if math.isfinite(b)]
+                target = min(finite, key=lambda b: (abs(b), b))
+                sx.val[n + i] = target
+                sx.at_upper[n + i] = target == hi and target != lo
+                residual = target - float(np.dot(sx.M[i, :n], sx.val[:n]))
+                if residual < 0:
+                    sx.M[i, n + m + i] = -1.0
+                    residual = -residual
+                else:
+                    sx.M[i, n + m + i] = 1.0
+                sx.val[n + m + i] = residual
+            if not sx.set_basis(range(n + m, n + 2 * m)):
+                return LpSolution(NUMERICAL_FAILURE, _clamped(sx), None)
+            phase1 = np.zeros(n + 2 * m)
+            phase1[n + m :] = 1.0
+            true_cost = sx.cost
+            sx.cost = phase1
+            status = sx.iterate(max_iterations)
+            if status != OPTIMAL:
+                # Phase 1 is bounded below by zero, so anything but
+                # optimal here is a numerical breakdown.
+                return LpSolution(
+                    NUMERICAL_FAILURE, _clamped(sx), None, sx.iterations
+                )
+            if float(np.sum(sx.val[n + m :])) > FEAS_TOL:
+                return LpSolution(
+                    INFEASIBLE, _clamped(sx), None, sx.iterations
+                )
+            sx.cost = true_cost
+            sx.ub[n + m :] = 0.0
+            sx.val[n + m :] = np.maximum(sx.val[n + m :], 0.0)
+
+        status = sx.iterate(max_iterations)
+        if status != OPTIMAL:
+            return LpSolution(status, _clamped(sx), None, sx.iterations)
+
+        if not sx.refresh():
+            return LpSolution(
+                NUMERICAL_FAILURE, _clamped(sx), None, sx.iterations
+            )
+        y = _clamped(sx)
+        # Only the kept rows can be broken: an empty row's window holds
+        # zero (checked above) and a vacuous row has none.
+        activity = self.matrix @ np.asarray(y, dtype=float)
+        worst = max(
+            np.max(sx.lb[n : n + m] - activity, initial=0.0),
+            np.max(activity - sx.ub[n : n + m], initial=0.0),
+        )
+        if worst > FEAS_TOL:
+            return LpSolution(NUMERICAL_FAILURE, y, None, sx.iterations)
+        return LpSolution(
+            OPTIMAL, y, _objective_value(self.objective, self.offset, y),
+            sx.iterations,
+        )
 
 
 def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
-    """Solve the model; optional warm start from a point known to be
-    feasible (each coordinate at one of its variable bounds).
+    """Solve the model, optionally warm-started at a point with each
+    coordinate at one of its variable bounds.
 
-    Returns status optimal / infeasible / unbounded / numerical-failure.
-    The optimal y is clamped into the variable box and satisfies every row
-    within FEAS_TOL; otherwise the status says numerical-failure.
+    The warm start is used only when it satisfies every row exactly;
+    otherwise the solve starts cold with a phase 1.  Returns status
+    optimal / infeasible / unbounded / numerical-failure.  The optimal y
+    is clamped into the variable box and satisfies every row within
+    FEAS_TOL; otherwise the status says numerical-failure.  This is
+    :class:`PreparedLp` used for the model's own windows.
     """
-    n = model.num_vars
-    kept = []
-    for coeffs, lo, hi in model.rows:
-        if lo is None and hi is None:
-            continue  # vacuous row
-        if any(c != 0 for c in coeffs):
-            kept.append((coeffs, lo, hi))
-        elif (lo is not None and lo > 0) or (hi is not None and hi < 0):
-            # Empty row whose bounds exclude zero: trivially infeasible.
-            floor = tuple(float(lo_) for lo_, _ in model.var_bounds)
-            return LpSolution(INFEASIBLE, floor, None)
-    m = len(kept)
-    sx = _Simplex(model, kept)
-    max_iterations = 50 * (len(model.rows) + n)
-
-    warm_ok = False
-    if warm_start is not None and len(warm_start) == n:
-        exact = [Fraction(v) for v in warm_start]
-        warm_ok = all(
-            any(exact[j] == b for b in model.var_bounds[j]) for j in range(n)
-        )
-        # One exact activity per row serves the check and the slack's start.
-        activity = []
-        for coeffs, lo, hi in kept:
-            if not warm_ok:
-                break
-            value = sum(c * x for c, x in zip(coeffs, exact))
-            warm_ok = (lo is None or value >= lo) and (hi is None or value <= hi)
-            activity.append(value)
-
-    if warm_ok:
-        for j in range(n):
-            sx.val[j] = float(warm_start[j])
-            sx.at_upper[j] = exact[j] == model.var_bounds[j][1]
-        for i, value in enumerate(activity):
-            sx.val[n + i] = min(max(float(value), sx.lb[n + i]), sx.ub[n + i])
-        sx.ub[n + m :] = 0.0
-        if not sx.set_basis(range(n, n + m)):
-            warm_ok = False
-
-    if not warm_ok:
-        # Cold start: structurals at lower bound, slacks at the finite bound
-        # nearest zero, artificials basic absorbing the residual.
-        sx.ub[n + m :] = math.inf
-        sx.val[:n] = sx.lb[:n]
-        sx.at_upper[:n] = False
-        for i in range(m):
-            lo, hi = sx.lb[n + i], sx.ub[n + i]
-            # A nonbasic variable must sit at a bound; presolve guarantees
-            # at least one of the two is finite.
-            finite = [b for b in (lo, hi) if math.isfinite(b)]
-            target = min(finite, key=lambda b: (abs(b), b))
-            sx.val[n + i] = target
-            sx.at_upper[n + i] = target == hi and target != lo
-            residual = target - float(
-                np.dot(sx.M[i, :n], sx.val[:n])
-            )
-            if residual < 0:
-                sx.M[i, n + m + i] = -1.0
-                residual = -residual
-            else:
-                sx.M[i, n + m + i] = 1.0
-            sx.val[n + m + i] = residual
-        if not sx.set_basis(range(n + m, n + 2 * m)):
-            return LpSolution(NUMERICAL_FAILURE, _clamped(sx, model), None)
-        phase1 = np.zeros(n + 2 * m)
-        phase1[n + m :] = 1.0
-        true_cost = sx.cost
-        sx.cost = phase1
-        status = sx.iterate(max_iterations)
-        if status != OPTIMAL:
-            # Phase 1 is bounded below by zero, so anything but optimal
-            # here is a numerical breakdown.
-            return LpSolution(
-                NUMERICAL_FAILURE, _clamped(sx, model), None, sx.iterations
-            )
-        if float(np.sum(sx.val[n + m :])) > FEAS_TOL:
-            return LpSolution(
-                INFEASIBLE, _clamped(sx, model), None, sx.iterations
-            )
-        sx.cost = true_cost
-        sx.ub[n + m :] = 0.0
-        sx.val[n + m :] = np.maximum(sx.val[n + m :], 0.0)
-
-    status = sx.iterate(max_iterations)
-    if status != OPTIMAL:
-        return LpSolution(status, _clamped(sx, model), None, sx.iterations)
-
-    if not sx.refresh():
-        return LpSolution(
-            NUMERICAL_FAILURE, _clamped(sx, model), None, sx.iterations
-        )
-    y = _clamped(sx, model)
-    worst = _max_row_violation(model, y)
-    if worst > FEAS_TOL:
-        return LpSolution(NUMERICAL_FAILURE, y, None, sx.iterations)
-    return LpSolution(
-        OPTIMAL, y, _objective_value(model.objective, model.offset, y),
-        sx.iterations,
+    return PreparedLp(model, warm_start).solve(
+        [(lo, hi) for _, lo, hi in model.rows]
     )
 
 
@@ -372,20 +454,9 @@ def _objective_value(objective, offset, y) -> float:
     return sum(float(c) * v for c, v in zip(objective, y)) + float(offset)
 
 
-def _clamped(sx: _Simplex, model: LpModel) -> tuple:
+def _clamped(sx: _Simplex) -> tuple:
     out = []
-    for j in range(model.num_vars):
+    for j in range(sx.n):
         lo, hi = sx.lb[j], sx.ub[j]
         out.append(min(max(sx.val[j], lo), hi))
     return tuple(out)
-
-
-def _max_row_violation(model: LpModel, y) -> float:
-    worst = 0.0
-    for coeffs, lo, hi in model.rows:
-        value = sum(float(c) * v for c, v in zip(coeffs, y))
-        if lo is not None:
-            worst = max(worst, float(lo) - value)
-        if hi is not None:
-            worst = max(worst, value - float(hi))
-    return worst

@@ -1,9 +1,10 @@
 """End-to-end solve loop: enumerate error budgets, relax, solve, round.
 
-The prediction-centered relaxation is prepared once per solve.  For each
-eps in a grid over [0, n] the pipeline derives that budget's LP, solves
-it, rounds the fractional optimum to a Boolean point, and scores that
-point against the true objective in exact arithmetic.  From the
+The prediction-centered relaxation is prepared once per solve, and so is
+its float LP, warm-started at the prediction.  For each eps in a grid over
+[0, n] the pipeline derives that budget's row windows, solves the LP,
+rounds the fractional optimum to a Boolean point, and scores that point
+against the true objective in exact arithmetic.  From the
 saturation budget on (the first grid eps at which no row can cut the box)
 the embedded simplex is skipped: the box LP's optimum is written down in
 closed form, and those budgets share one rounded point.  A user-supplied
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lpsolve import OPTIMAL, box_optimum, solve as lp_solve
+from .lpsolve import OPTIMAL, PreparedLp, box_optimum
 from .poly import (
     Polynomial,
     decompose,
@@ -61,6 +62,10 @@ from .rounding import (
     rounding_deviation_term,
     rounding_error_bound,
 )
+
+# Every budget's LP is solved through this name, lp_solve(prepared,
+# windows), which the benchmark's traced run (perfbench/layers.py) wraps.
+lp_solve = PreparedLp.solve
 
 GREEDY = "greedy"
 RANDOMIZED = "randomized"
@@ -284,18 +289,20 @@ def _run(
             else box_optimum(relaxation.objective, relaxation.offset, xhat)
         )
         box_rounded = None
+        # Below saturation the float LP is prepared once, at the first
+        # budget that needs it, and each budget passes only its windows.
+        lp = None
         for eps in grid:
             started = time.perf_counter()
             saturated = saturation is not None and eps >= saturation
             if saturated:
                 sol = box
+            elif backend is not None:
+                sol = backend(relaxation.model(eps))
             else:
-                model = relaxation.model(eps)
-                sol = (
-                    backend(model)
-                    if backend is not None
-                    else lp_solve(model, warm_start=xhat)
-                )
+                if lp is None:
+                    lp = relaxation.lp()
+                sol = lp_solve(lp, relaxation.windows(eps))
             gap = gap_bound(beta, n, d, eps)
             if sol.status != OPTIMAL:
                 records.append(

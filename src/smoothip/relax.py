@@ -24,12 +24,14 @@ component rows plus a relaxed top-level window widened by the sum of that
 constraint's tolerances.
 
 Only the tolerances depend on eps.  A :class:`Relaxation` holds everything
-else (objective, offset, and per row its coefficients, centre, depths and
-exact range over the box) and is built once per solve; ``model(eps)``
-derives the LP of one budget.  Once every row's range over [0,1]^n lies
-strictly inside its window, no row can cut the box: the first grid budget
-where that holds is the saturation budget, and it holds for every larger
-budget since the windows nest.
+else (objective, offset, and per row its coefficients, centre, depths,
+exact range over the box and the prediction's exact activity) and is built
+once per solve; ``model(eps)`` derives the LP of one budget, and ``lp()``
+prepares the float LP that every budget shares, warm-started at the
+prediction.  Once every row's range over [0,1]^n lies strictly inside its
+window, no row can cut the box: the first grid budget where that holds is
+the saturation budget, and it holds for every larger budget since the
+windows nest.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lpsolve import LpModel
+from .lpsolve import LpModel, PreparedLp
 from .poly import DecompositionTree, Polynomial, decompose, evaluate
 from .rat import E_UPPER, sqrt_upper
 from .rounding import rounding_deviation_term
@@ -97,7 +99,8 @@ class Row:
     ((d, |I|, 1),); a side constraint's top-level window has key (), its
     bounds minus the constraint's constant, and widens by the sum of that
     constraint's component tolerances.  [low, high] is the exact range of
-    coeffs . x over [0,1]^n.
+    coeffs . x over [0,1]^n, and activity is coeffs . xhat, the
+    prediction's value (a component row's centre).
     """
 
     key: tuple
@@ -107,19 +110,27 @@ class Row:
     widening: tuple
     low: Fraction
     high: Fraction
+    activity: Fraction
 
 
-def _row(key, coeffs, lower, upper, widening) -> Row:
+def _row(key, coeffs, lower, upper, widening, activity) -> Row:
     low = sum((c for c in coeffs if c < 0), Fraction(0))
     high = sum((c for c in coeffs if c > 0), Fraction(0))
-    return Row(key, tuple(coeffs), lower, upper, widening, low, high)
+    return Row(key, tuple(coeffs), lower, upper, widening, low, high, activity)
+
+
+def _activity(coeffs, point) -> Fraction:
+    """coeffs . point at a Boolean point: the sum over its ones."""
+    return sum((c for c, v in zip(coeffs, point) if v), Fraction(0))
 
 
 @dataclass(frozen=True)
 class Relaxation:
     """The part of the oracle-centered LP that no error budget changes.
 
-    Built once per solve; ``model(eps)`` adds the tolerances of one budget.
+    Built once per solve around the prediction xhat; ``model(eps)`` adds
+    the tolerances of one budget, and ``lp()`` prepares the LP that every
+    budget shares, up to ``windows(eps)``.
     """
 
     n: int
@@ -127,6 +138,7 @@ class Relaxation:
     objective: tuple
     offset: Fraction
     rows: tuple
+    xhat: tuple
 
     def windows(self, eps: int) -> list:
         """(lower, upper) of every row at budget eps; one tolerance call
@@ -150,15 +162,28 @@ class Relaxation:
         return out
 
     def model(self, eps: int) -> LpModel:
+        return self._model(self.windows(eps))
+
+    def _model(self, windows) -> LpModel:
         return LpModel(
             num_vars=self.n,
             var_bounds=((Fraction(0), Fraction(1)),) * self.n,
             rows=tuple(
                 (row.coeffs, lo, hi)
-                for row, (lo, hi) in zip(self.rows, self.windows(eps))
+                for row, (lo, hi) in zip(self.rows, windows)
             ),
             objective=self.objective,
             offset=self.offset,
+        )
+
+    def lp(self) -> PreparedLp:
+        """The LP of every budget, warm-started at the prediction, whose
+        exact row activities the rows already carry; solve one budget
+        with ``lp().solve(self.windows(eps))``."""
+        return PreparedLp(
+            self._model([(row.lower, row.upper) for row in self.rows]),
+            self.xhat,
+            [row.activity for row in self.rows],
         )
 
     def saturated(self, eps: int) -> bool:
@@ -206,8 +231,10 @@ def _component_rows(tree: DecompositionTree, point) -> list[Row]:
             continue
         coeffs, _ = _linearization(tree, key, point)
         # p_I(xhat) - c_I by the reconstruction identity.
-        center = sum((c for c, v in zip(coeffs, point) if v), Fraction(0))
-        rows.append(_row(key, coeffs, center, center, ((d, len(key), 1),)))
+        center = _activity(coeffs, point)
+        rows.append(
+            _row(key, coeffs, center, center, ((d, len(key), 1),), center)
+        )
     return rows
 
 
@@ -220,7 +247,7 @@ def prepare_relaxation(
     objective, offset = _linearization(tree, (), point)
     return Relaxation(
         n, Fraction(beta), tuple(objective), offset,
-        tuple(_component_rows(tree, point)),
+        tuple(_component_rows(tree, point)), tuple(point),
     )
 
 
@@ -274,11 +301,13 @@ def prepare_constrained_relaxation(
                     (tree.root.degree, depth, count)
                     for depth, count in sorted(depths.items())
                 ),
+                _activity(top, point),
             )
         )
         rows.extend(components)
     return Relaxation(
-        base.n, base.beta, base.objective, base.offset, tuple(rows)
+        base.n, base.beta, base.objective, base.offset, tuple(rows),
+        base.xhat,
     )
 
 

@@ -3,7 +3,13 @@
 from fractions import Fraction
 
 from smoothip.lpsolve import LpModel
-from smoothip.poly import Polynomial
+from smoothip.pipeline import _normalized
+from smoothip.poly import Polynomial, decompose
+from smoothip.relax import (
+    ConstrainedProgram,
+    prepare_constrained_relaxation,
+    prepare_relaxation,
+)
 
 
 def random_multilinear(rng, n, d, max_terms=12, coeff_bound=6):
@@ -76,3 +82,22 @@ def random_lp_model(rng, max_vars=30, max_rows=60):
         objective=objective,
         offset=Fraction(rng.randrange(-3, 4)),
     )
+
+
+def alternating(n):
+    return tuple(i % 2 for i in range(n))
+
+
+def at_most(n, limit):
+    """Side constraint sum_j x_j <= limit."""
+    return (Polynomial(n, {(j,): 1 for j in range(n)}), None, Fraction(limit))
+
+
+def pipeline_relaxation(objective, xhat, constraints=()):
+    """The relaxation a solve prepares, normalized as the pipeline does."""
+    p, constraints, beta = _normalized(objective, constraints)
+    if constraints:
+        return prepare_constrained_relaxation(
+            ConstrainedProgram(p, constraints), xhat, beta
+        )
+    return prepare_relaxation(decompose(p), xhat, beta)

@@ -13,6 +13,7 @@ import numpy as np
 
 _EPS = 1e-9
 _PIVOT = 1e-10
+_ROW_TOL = 1e-7  # an answer breaking a row by more is not optimal
 
 
 @dataclass
@@ -83,7 +84,9 @@ def reference_solve(model) -> RefSolution:
             best = None
             for i in range(m):
                 if col[i] > _PIVOT:
-                    ratio = T[i, -1] / col[i]
+                    # A residual a hair below zero over a tiny pivot would
+                    # give a negative ratio and step outside the region.
+                    ratio = max(T[i, -1], 0.0) / col[i]
                     if (
                         best is None
                         or ratio < best[0] - _EPS
@@ -127,6 +130,12 @@ def reference_solve(model) -> RefSolution:
     y = tuple(
         min(max(lo[j] + u[j], lo[j]), lo[j] + span[j]) for j in range(n)
     )
+    for coeffs, rlo, rhi in model.rows:
+        activity = sum(float(c) * yj for c, yj in zip(coeffs, y))
+        if (rlo is not None and activity < float(rlo) - _ROW_TOL) or (
+            rhi is not None and activity > float(rhi) + _ROW_TOL
+        ):
+            return RefSolution("numerical-failure", y, None)
     value = sum(float(c) * yj for c, yj in zip(model.objective, y)) + float(
         model.offset
     )

@@ -1,13 +1,25 @@
 """Embedded LP solver: worked examples, feasibility certificate,
-determinism, warm starts, and agreement with the dense-tableau reference."""
+determinism, warm starts, its vectorized pivoting against plain loops, and
+agreement with the dense-tableau reference (and HiGHS, when scipy is
+installed) on random models and on the relaxations the pipeline solves."""
 
 import random
 from fractions import Fraction
 
-from helpers import random_lp_model
+import numpy as np
+import pytest
+
+from helpers import alternating, at_most, pipeline_relaxation, random_lp_model
 from lp_reference import reference_solve
+from smoothip import lpsolve
 from smoothip.lpsolve import FEAS_TOL, LpModel, solve
 from smoothip.poly import Polynomial, decompose
+from smoothip.problems import (
+    gen_gnp,
+    gen_ksat,
+    maxcut_objective,
+    maxksat_objective,
+)
 from smoothip.relax import build_relaxation
 
 # MAX-CUT objective of the triangle graph, expanded by hand.
@@ -129,20 +141,191 @@ def test_warm_start_agrees_with_cold_start():
     assert solve(one_row, warm_start=(1, 1)).y == solve(one_row).y == (0, 1)
 
 
-def test_reference_agreement():
+def agrees(ours, ref) -> bool:
+    """Same status and, when optimal, objectives within 1e-6 relative."""
+    if ours.status != ref.status:
+        return False
+    if ours.status != "optimal":
+        return True
+    scale = max(1.0, abs(ours.objective_value), abs(ref.objective_value))
+    return abs(ours.objective_value - ref.objective_value) <= 1e-6 * scale
+
+
+def reference_models():
     rng = random.Random(977)
+    return [random_lp_model(rng, max_vars=15, max_rows=30) for _ in range(60)]
+
+
+def assert_reference_agreement():
     optimal_seen = 0
     infeasible_seen = 0
-    for _ in range(60):
-        model = random_lp_model(rng, max_vars=15, max_rows=30)
+    for model in reference_models():
         ours = solve(model)
         ref = reference_solve(model)
-        assert ours.status == ref.status, (ours.status, ref.status)
-        if ours.status == "optimal":
-            optimal_seen += 1
-            scale = max(1.0, abs(ours.objective_value), abs(ref.objective_value))
-            assert abs(ours.objective_value - ref.objective_value) <= 1e-6 * scale
-        elif ours.status == "infeasible":
-            infeasible_seen += 1
+        assert agrees(ours, ref), (ours, ref)
+        optimal_seen += ours.status == "optimal"
+        infeasible_seen += ours.status == "infeasible"
     assert optimal_seen >= 30
     assert infeasible_seen >= 1
+
+
+def test_reference_agreement():
+    assert_reference_agreement()
+
+
+def test_bland_rule_and_refresh_agree_with_reference(monkeypatch):
+    # Bland's rule from the first degenerate pivot on, and a basis-inverse
+    # refresh every third iteration.
+    monkeypatch.setattr(lpsolve, "DEGENERATE_LIMIT", 0)
+    monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
+    assert_reference_agreement()
+
+
+# -- the LPs the pipeline solves ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pipeline_lps():
+    """(name, model) of every budget below saturation, each relaxation
+    around the alternating prediction: MAX-CUT G(40, 0.3) and G(60, 0.3),
+    3-SAT n=24 m=96, and G(40, 0.3) under sum x <= 10, which the
+    prediction breaks, so that eps = 0 is infeasible."""
+    lps = []
+    for seed in (5, 7):
+        cut40 = maxcut_objective(gen_gnp(40, 0.3, seed))
+        for name, objective, constraints in (
+            ("cut40", cut40, ()),
+            ("cut60", maxcut_objective(gen_gnp(60, 0.3, seed)), ()),
+            ("sat24", maxksat_objective(gen_ksat(24, 96, 3, seed)), ()),
+            ("card40", cut40, (at_most(40, 10),)),
+        ):
+            n = objective.n
+            relaxation = pipeline_relaxation(
+                objective, alternating(n), constraints
+            )
+            for eps in range(relaxation.saturation_budget(range(n + 1))):
+                lps.append((f"{name}/{seed}/eps={eps}", relaxation.model(eps)))
+    return lps
+
+
+def test_pipeline_lps_agree_with_reference(pipeline_lps):
+    statuses = set()
+    for name, model in pipeline_lps:
+        ours = solve(model, warm_start=alternating(model.num_vars))
+        ref = reference_solve(model)
+        assert agrees(ours, ref), (name, ours.status, ref.status)
+        statuses.add(ours.status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def highs_solve(model):
+    """The model through scipy's HiGHS, as an LpSolution."""
+    from scipy.optimize import linprog
+    a_ub, b_ub = [], []
+    for coeffs, lo, hi in model.rows:
+        a = [float(c) for c in coeffs]
+        if hi is not None:
+            a_ub.append(a)
+            b_ub.append(float(hi))
+        if lo is not None:
+            a_ub.append([-v for v in a])
+            b_ub.append(-float(lo))
+    result = linprog(
+        [-float(c) for c in model.objective],
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=b_ub or None,
+        bounds=[(float(lo), float(hi)) for lo, hi in model.var_bounds],
+        method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
+        result.status, "numerical-failure"
+    )
+    value = -result.fun + float(model.offset) if status == "optimal" else None
+    return lpsolve.LpSolution(status, (), value)
+
+
+def test_pipeline_lps_agree_with_highs(pipeline_lps):
+    pytest.importorskip("scipy")
+    for name, model in pipeline_lps:
+        ours = solve(model, warm_start=alternating(model.num_vars))
+        theirs = highs_solve(model)
+        assert agrees(ours, theirs), (name, ours.status, theirs.status)
+
+
+# -- vectorized pivoting against plain loops --------------------------------
+
+
+class LoopSimplex(lpsolve._Simplex):
+    """Pricing, ratio test and inverse update as plain loops over every
+    column and row, the reference for the vectorized ones."""
+
+    def _pick_entering(self, reduced):
+        best = None
+        best_score = lpsolve.DUAL_TOL
+        for j in range(len(reduced)):
+            if self.basic[j] or self.lb[j] == self.ub[j]:
+                continue
+            score = -reduced[j] if not self.at_upper[j] else reduced[j]
+            if score <= best_score:
+                continue
+            if self.bland:
+                return j  # ascending scan: first eligible is the smallest
+            best = j
+            best_score = score
+        return best
+
+    def _ratio_test(self, j, sigma, w):
+        best = self.ub[j] - self.lb[j]
+        leave_pos = -1
+        leave_to_upper = False
+        for pos, col in enumerate(self.basis):
+            piv = sigma * w[pos]
+            if piv > lpsolve.PIVOT_TOL:
+                limit = self.val[col] - self.lb[col]
+                hits_upper = False
+            elif piv < -lpsolve.PIVOT_TOL:
+                limit = self.val[col] - self.ub[col]
+                hits_upper = True
+            else:
+                continue
+            ratio = max(limit / piv, 0.0)
+            if ratio < best - 1e-12 or (
+                leave_pos >= 0
+                and ratio < best + 1e-12
+                and self._prefer_leaving(pos, leave_pos, w)
+            ):
+                best = ratio
+                leave_pos = pos
+                leave_to_upper = hits_upper
+        return best, leave_pos, leave_to_upper
+
+    def _prefer_leaving(self, pos, incumbent, w) -> bool:
+        if self.bland:
+            return self.basis[pos] < self.basis[incumbent]
+        if abs(w[pos]) != abs(w[incumbent]):
+            return abs(w[pos]) > abs(w[incumbent])
+        return self.basis[pos] < self.basis[incumbent]
+
+    def _update_inverse(self, leave_pos, w):
+        self.Binv[leave_pos, :] /= w[leave_pos]
+        for i in range(self.m):
+            if i != leave_pos and abs(w[i]) > 0:
+                self.Binv[i, :] -= w[i] * self.Binv[leave_pos, :]
+
+
+@pytest.mark.parametrize("rules", ["dantzig", "bland-and-refresh"])
+def test_vectorized_pivoting_matches_the_loops(
+    rules, pipeline_lps, monkeypatch
+):
+    """Same status, y, value and iterations, to the last bit, on the
+    reference models (cold) and on pipeline LPs (warm and cold)."""
+    if rules == "bland-and-refresh":
+        monkeypatch.setattr(lpsolve, "DEGENERATE_LIMIT", 0)
+        monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
+    cases = [(model, None) for model in reference_models()]
+    for name, model in pipeline_lps:
+        if name.startswith(("cut40/5/", "card40/5/", "sat24/5/")):
+            cases.append((model, alternating(model.num_vars)))
+    vectorized = [repr(solve(m, warm_start=x)) for m, x in cases]
+    monkeypatch.setattr(lpsolve, "_Simplex", LoopSimplex)
+    assert [repr(solve(m, warm_start=x)) for m, x in cases] == vectorized

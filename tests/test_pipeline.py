@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import random_bool_vector, random_multilinear
-from smoothip import lpsolve
+from smoothip import lpsolve, pipeline
 from smoothip.pipeline import (
     EXACT_CAP,
     Instance,
@@ -254,12 +254,13 @@ def test_closed_form_matches_the_simplex_at_every_budget(
     """Past the saturation budget the default solve skips the simplex; its
     report must equal the one from running the simplex at every budget."""
     simplex_calls = []
+    original = pipeline.lp_solve
 
-    def counted(model, warm_start=None):
-        simplex_calls.append(model)
-        return lpsolve.solve(model, warm_start=warm_start)
+    def counted(lp, windows):
+        simplex_calls.append(windows)
+        return original(lp, windows)
 
-    monkeypatch.setattr("smoothip.pipeline.lp_solve", counted)
+    monkeypatch.setattr(pipeline, "lp_solve", counted)
     for seed in range(3):
         for instance in seeded_corpus(seed):
             n = instance.objective.n

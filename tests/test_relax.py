@@ -4,9 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_bool_vector, random_multilinear
-from smoothip.lpsolve import OPTIMAL, box_optimum, solve
+from helpers import (
+    alternating,
+    at_most,
+    pipeline_relaxation,
+    random_bool_vector,
+    random_multilinear,
+)
+from smoothip.lpsolve import INFEASIBLE, OPTIMAL, box_optimum, solve
 from smoothip.poly import Polynomial, decompose, evaluate, min_smoothness
+from smoothip.problems import (
+    gen_gnp,
+    gen_ksat,
+    maxcut_objective,
+    maxksat_objective,
+)
 from smoothip.rat import E_UPPER
 from smoothip.relax import (
     ConstrainedProgram,
@@ -277,6 +289,50 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
         assert box_optimum(
             relaxation.objective, relaxation.offset, xhat
         ).y[0] == xhat[0]
+
+
+def seeded_relaxations():
+    """(xhat, relaxation) for seeded MAX-CUT, 3-SAT and MAX-CUT under
+    sum x <= 4; the alternating prediction breaks that window, so its LPs
+    start cold below the budget that widens it to 8."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        cut = maxcut_objective(gen_gnp(20, 0.4, seed))
+        sat = maxksat_objective(gen_ksat(14, 56, 3, seed))
+        for objective, constraints in (
+            (cut, ()),
+            (sat, ()),
+            (maxcut_objective(gen_gnp(16, 0.4, seed)), (at_most(16, 4),)),
+        ):
+            n = objective.n
+            for xhat in (random_bool_vector(rng, n), alternating(n)):
+                yield xhat, pipeline_relaxation(objective, xhat, constraints)
+
+
+def test_rows_carry_the_predictions_activity():
+    for xhat, relaxation in seeded_relaxations():
+        for row in relaxation.rows:
+            assert row.activity == sum(c * x for c, x in zip(row.coeffs, xhat))
+
+
+def test_prepared_lp_is_solve_at_every_budget():
+    """The LP prepared once per solve, given one budget's windows, returns
+    what lpsolve.solve returns on that budget's model from the
+    prediction, cold starts included."""
+    cold = infeasible = 0
+    for xhat, relaxation in seeded_relaxations():
+        lp = relaxation.lp()
+        grid = list(range(relaxation.n + 1))
+        # Past the first saturated budget every LP is a box LP.
+        for eps in grid[: grid.index(relaxation.saturation_budget(grid)) + 1]:
+            windows = relaxation.windows(eps)
+            model = relaxation.model(eps)
+            once = solve(model, warm_start=xhat)
+            assert repr(lp.solve(windows)) == repr(once)
+            if not feasible(model, xhat):
+                cold += 1
+                infeasible += solve(model).status == INFEASIBLE
+    assert cold > infeasible > 0
 
 
 def test_prediction_rejected_when_malformed():
