@@ -111,10 +111,17 @@ class _Simplex:
 
     # -- state helpers ----------------------------------------------------
 
-    def set_basis(self, columns: Sequence[int]) -> bool:
+    def set_basis(self, columns: Sequence[int], signs=None) -> bool:
+        """Make ``columns`` the basis and invert it.  A start whose basis
+        is the diagonal of ``signs`` (each +-1.0) passes them, and its
+        inverse is written down: dividing each row of the identity by its
+        sign gives what LAPACK returns, -0.0 entries included."""
         self.basis = np.array(columns, dtype=np.intp)
         self.basic[:] = False
         self.basic[self.basis] = True
+        if signs is not None:
+            self.Binv = np.eye(self.m) / signs[:, None]
+            return True
         try:
             self.Binv = np.linalg.inv(self.M[:, self.basis])
         except np.linalg.LinAlgError:
@@ -348,8 +355,7 @@ class PreparedLp:
                 self.warm_activity_float, sx.lb[n : n + m], sx.ub[n : n + m]
             )
             sx.ub[n + m :] = 0.0
-            if not sx.set_basis(range(n, n + m)):
-                warm_ok = False
+            sx.set_basis(range(n, n + m), np.full(m, -1.0))
 
         if not warm_ok:
             # Cold start: structurals at lower bound, slacks at the finite
@@ -372,8 +378,10 @@ class PreparedLp:
                 else:
                     sx.M[i, n + m + i] = 1.0
                 sx.val[n + m + i] = residual
-            if not sx.set_basis(range(n + m, n + 2 * m)):
-                return LpSolution(NUMERICAL_FAILURE, _clamped(sx), None)
+            sx.set_basis(
+                range(n + m, n + 2 * m),
+                sx.M[range(m), range(n + m, n + 2 * m)],
+            )
             phase1 = np.zeros(n + 2 * m)
             phase1[n + m :] = 1.0
             true_cost = sx.cost

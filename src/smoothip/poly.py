@@ -16,6 +16,7 @@ points and |p(x)| <= 2 * beta * e * n^d on the unit cube.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -136,15 +137,18 @@ def evaluate(p: Polynomial, x: Sequence) -> Fraction:
     """Exact value of p at the point x (entries coerced to Fraction).
 
     At a Boolean point this is the sum of the coefficients of the monomials
-    whose variables are all 1, taken without any products.
+    whose variables are all 1, taken without any products: their
+    numerators are summed as integers over the lcm of their denominators,
+    and one Fraction is built from the total.
     """
     if len(x) != p.n:
         raise ValueError(f"point has {len(x)} entries, expected {p.n}")
     if all(v == 0 or v == 1 for v in x):
-        ones = [v == 1 for v in x]
-        return sum(
-            (c for mono, c in p.coeffs.items() if all(ones[i] for i in mono)),
-            Fraction(0),
+        zeros = {i for i, v in enumerate(x) if v == 0}
+        chosen = [c for mono, c in p.coeffs.items() if zeros.isdisjoint(mono)]
+        scale = math.lcm(*(c.denominator for c in chosen))
+        return Fraction(
+            sum(c.numerator * (scale // c.denominator) for c in chosen), scale
         )
     point = [Fraction(v) for v in x]
     total = Fraction(0)

@@ -25,25 +25,40 @@ constraint's tolerances.
 
 Only the tolerances depend on eps.  A :class:`Relaxation` holds everything
 else (objective, offset, and per row its coefficients, centre, depths,
-exact range over the box and the prediction's exact activity) and is built
-once per solve; ``model(eps)`` derives the LP of one budget, and ``lp()``
-prepares the float LP that every budget shares, warm-started at the
-prediction.  Once every row's range over [0,1]^n lies strictly inside its
-window, no row can cut the box: the first grid budget where that holds is
-the saturation budget, and it holds for every larger budget since the
-windows nest.
+exact range over the box, the prediction's exact activity and the widening
+past which the row cannot cut the box) and is built once per solve.  No
+polynomial is evaluated to build it: every node value p_I(xhat) is
+computed once, bottom-up, by the reconstruction identity p_I(xhat) = c_I +
+sum over j with xhat_j = 1 of p_(I,j)(xhat), as an integer over the lcm L
+of the coefficient denominators.  Each row's coefficients, range and
+activity are integer sums, turned into Fractions once when the row is
+built.  ``model(eps)`` derives the LP of one budget, and ``lp()`` prepares
+the float LP that every budget shares, warm-started at the prediction.
+Once every row's range over [0,1]^n lies strictly inside its window, no
+row can cut the box: the first grid budget where that holds is the
+saturation budget, and it holds for every larger budget since the windows
+nest.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .lpsolve import LpModel, PreparedLp
-from .poly import DecompositionTree, Polynomial, decompose, evaluate
+# evaluate is not called here, since rows come from node values; the name
+# stays in this module's namespace, where the benchmark's traced run
+# (perfbench/layers.py) looks it up.
+from .poly import (  # noqa: F401
+    DecompositionTree,
+    Polynomial,
+    decompose,
+    evaluate,
+)
 from .rat import E_UPPER, sqrt_upper
 from .rounding import rounding_deviation_term
 
@@ -100,7 +115,10 @@ class Row:
     bounds minus the constraint's constant, and widens by the sum of that
     constraint's component tolerances.  [low, high] is the exact range of
     coeffs . x over [0,1]^n, and activity is coeffs . xhat, the
-    prediction's value (a component row's centre).
+    prediction's value (a component row's centre).  need is
+    max(lower - low, high - upper) over the bounds present, or None when
+    both are absent: [low, high] lies strictly inside the row's window
+    exactly when w > need.
     """
 
     key: tuple
@@ -111,17 +129,27 @@ class Row:
     low: Fraction
     high: Fraction
     activity: Fraction
+    need: Fraction | None
 
 
-def _row(key, coeffs, lower, upper, widening, activity) -> Row:
-    low = sum((c for c in coeffs if c < 0), Fraction(0))
-    high = sum((c for c in coeffs if c > 0), Fraction(0))
-    return Row(key, tuple(coeffs), lower, upper, widening, low, high, activity)
+# Every absent coefficient is this one object.
+_ZERO = Fraction(0)
 
 
-def _activity(coeffs, point) -> Fraction:
-    """coeffs . point at a Boolean point: the sum over its ones."""
-    return sum((c for c, v in zip(coeffs, point) if v), Fraction(0))
+def _row(key, n, values, scale, lower, upper, widening, activity) -> Row:
+    """The row whose coefficient on x_j is values[j] / scale (0 where j is
+    absent); lower, upper and activity are already Fractions."""
+    low = Fraction(sum(v for v in values.values() if v < 0), scale)
+    high = Fraction(sum(v for v in values.values() if v > 0), scale)
+    needs = []
+    if lower is not None:
+        needs.append(lower - low)
+    if upper is not None:
+        needs.append(high - upper)
+    return Row(
+        key, tuple(_vector(n, values, scale)), lower, upper, widening, low,
+        high, activity, max(needs, default=None),
+    )
 
 
 @dataclass(frozen=True)
@@ -140,26 +168,31 @@ class Relaxation:
     rows: tuple
     xhat: tuple
 
-    def windows(self, eps: int) -> list:
-        """(lower, upper) of every row at budget eps; one tolerance call
-        per distinct (degree, depth)."""
+    def _widths(self, eps: int) -> list:
+        """The widening w of every row at budget eps; one tolerance call
+        per distinct (degree, depth) and one sum per distinct widening."""
         radius: dict = {}
-        out = []
-        for row in self.rows:
-            width = Fraction(0)
-            for degree, depth, count in row.widening:
+        width: dict = {}
+        for widening in dict.fromkeys(row.widening for row in self.rows):
+            total = _ZERO
+            for degree, depth, count in widening:
                 if (degree, depth) not in radius:
                     radius[degree, depth] = tolerance(
                         self.beta, self.n, degree, depth, eps
                     )
-                width += count * radius[degree, depth]
-            out.append(
-                (
-                    None if row.lower is None else row.lower - width,
-                    None if row.upper is None else row.upper + width,
-                )
+                total += count * radius[degree, depth]
+            width[widening] = total
+        return [width[row.widening] for row in self.rows]
+
+    def windows(self, eps: int) -> list:
+        """(lower, upper) of every row at budget eps."""
+        return [
+            (
+                None if row.lower is None else row.lower - width,
+                None if row.upper is None else row.upper + width,
             )
-        return out
+            for row, width in zip(self.rows, self._widths(eps))
+        ]
 
     def model(self, eps: int) -> LpModel:
         return self._model(self.windows(eps))
@@ -188,10 +221,11 @@ class Relaxation:
 
     def saturated(self, eps: int) -> bool:
         """Whether every row's range over the box lies strictly inside its
-        window at budget eps, so that no row can cut [0,1]^n."""
+        window at budget eps, so that no row can cut [0,1]^n: whether each
+        row's widening exceeds its need."""
         return all(
-            (lo is None or lo < row.low) and (hi is None or row.high < hi)
-            for row, (lo, hi) in zip(self.rows, self.windows(eps))
+            row.need is None or width > row.need
+            for row, width in zip(self.rows, self._widths(eps))
         )
 
     def saturation_budget(self, grid: Sequence[int]) -> int | None:
@@ -214,26 +248,57 @@ def _check_prediction(xhat: Sequence, n: int) -> list[Fraction]:
     return out
 
 
-def _linearization(tree: DecompositionTree, key, point) -> tuple:
-    """Coefficient vector and constant of c_I + sum_j x_j * p_(I,j)(xhat)."""
-    node = tree.nodes[key]
-    coeffs = [Fraction(0)] * tree.root.n
-    for j in node.children:
-        coeffs[j] = evaluate(tree.nodes[key + (j,)].poly, point)
-    return coeffs, node.constant
+def _node_values(tree: DecompositionTree, point) -> tuple[int, dict]:
+    """(L, {I: p_I(xhat) * L}) with L the lcm of the coefficient
+    denominators, every node visited once.
+
+    Reverse sorted order puts each node's children (I, j) before I, so
+    the reconstruction identity p_I(xhat) = c_I + sum over j with
+    xhat_j = 1 of p_(I,j)(xhat) gives each value from values already
+    known.  Every c_I is a coefficient of the root, so every value is an
+    integer over L.
+    """
+    scale = math.lcm(*(c.denominator for c in tree.root.coeffs.values()))
+    values: dict = {}
+    for key in sorted(tree.nodes, reverse=True):
+        node = tree.nodes[key]
+        total = node.constant.numerator * (scale // node.constant.denominator)
+        for j in node.children:
+            if point[j]:
+                total += values[key + (j,)]
+        values[key] = total
+    return scale, values
 
 
-def _component_rows(tree: DecompositionTree, point) -> list[Row]:
+def _linearization(tree: DecompositionTree, key, point, values) -> tuple:
+    """({j: p_(I,j)(xhat) * L} over the children j of I, and its sum over
+    the ones of xhat, (p_I(xhat) - c_I) * L)."""
+    children = {j: values[key + (j,)] for j in tree.nodes[key].children}
+    return children, sum(v for j, v in children.items() if point[j])
+
+
+def _vector(n: int, values: dict, scale: int) -> list:
+    """The length-n vector with values[j] / scale at each j of values."""
+    out = [_ZERO] * n
+    for j, v in values.items():
+        if v:
+            out[j] = Fraction(v, scale)
+    return out
+
+
+def _component_rows(tree: DecompositionTree, point, scale, values) -> list:
     d = tree.root.degree
     rows = []
     for key in tree.component_keys():
         if len(key) > d - 1:
             continue
-        coeffs, _ = _linearization(tree, key, point)
-        # p_I(xhat) - c_I by the reconstruction identity.
-        center = _activity(coeffs, point)
+        coeffs, activity = _linearization(tree, key, point, values)
+        center = Fraction(activity, scale)
         rows.append(
-            _row(key, coeffs, center, center, ((d, len(key), 1),), center)
+            _row(
+                key, tree.root.n, coeffs, scale, center, center,
+                ((d, len(key), 1),), center,
+            )
         )
     return rows
 
@@ -244,10 +309,11 @@ def prepare_relaxation(
     """Objective, offset and component rows of the relaxation around xhat."""
     n = tree.root.n
     point = _check_prediction(xhat, n)
-    objective, offset = _linearization(tree, (), point)
+    scale, values = _node_values(tree, point)
+    objective, _ = _linearization(tree, (), point, values)
     return Relaxation(
-        n, Fraction(beta), tuple(objective), offset,
-        tuple(_component_rows(tree, point)), tuple(point),
+        n, Fraction(beta), tuple(_vector(n, objective, scale)), tree.constant,
+        tuple(_component_rows(tree, point, scale, values)), tuple(point),
     )
 
 
@@ -288,20 +354,23 @@ def prepare_constrained_relaxation(
     rows = list(base.rows)
     for poly, lower, upper in prog.constraints:
         tree = decompose(poly.with_degree(constraint_degree(poly)))
-        components = _component_rows(tree, point)
+        scale, values = _node_values(tree, point)
+        components = _component_rows(tree, point, scale, values)
         depths = Counter(len(row.key) for row in components)
-        top, top_const = _linearization(tree, (), point)
+        top, activity = _linearization(tree, (), point, values)
         rows.append(
             _row(
                 (),
+                base.n,
                 top,
-                None if lower is None else lower - top_const,
-                None if upper is None else upper - top_const,
+                scale,
+                None if lower is None else lower - tree.constant,
+                None if upper is None else upper - tree.constant,
                 tuple(
                     (tree.root.degree, depth, count)
                     for depth, count in sorted(depths.items())
                 ),
-                _activity(top, point),
+                Fraction(activity, scale),
             )
         )
         rows.extend(components)

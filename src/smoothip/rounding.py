@@ -7,7 +7,9 @@ Greedy deterministic rounding fixes coordinates in ascending order, each
 time choosing the value that maximizes the objective with earlier
 coordinates already integral and later ones still fractional; for
 multilinear objectives this never decreases the objective, so p(z) >= p(y)
-holds exactly.
+holds exactly.  This is the method of conditional expectations: each step
+is the sign of one margin, computed on integers over shared denominators,
+so it is exact without any rational arithmetic.
 
 The radius calculators quantify how far randomized rounding can move the
 objective.  ``rounding_error_bound`` is the high-probability radius used in
@@ -19,6 +21,7 @@ The two coincide for d >= 3.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,41 +56,56 @@ def greedy_round(p: Polynomial, y: Sequence) -> tuple:
     coordinates before i already fixed and coordinates after i still at y.
     Ties go to the Boolean value nearest y_i, then to 0.  The returned z
     satisfies p(z) >= p(y) exactly.
+
+    Each step is the sign of one margin, g_i(1) - g_i(0), taken exactly on
+    integers.  The coefficients share one denominator L and the point one
+    denominator D (every float is dyadic, so D is a power of two for float
+    input), so c_m = C_m / L and y_j = Y_j / D.  A monomial m touching i
+    contributes C_m * D^(d - |m|) times the product of the other Y_j, which
+    is L * D^(d - 1) times its true contribution: the integer margin is the
+    true margin times a positive constant and has the same sign.
     """
     if not is_multilinear(p):
         raise ValueError("greedy rounding needs a multilinear objective")
     if len(y) != p.n:
         raise ValueError(f"point length {len(y)}, expected {p.n}")
-    current = []
+    point = []
     for v in y:
         f = Fraction(v)
         if not 0 <= f <= 1:
             raise ValueError(f"coordinate {v} outside [0, 1]")
-        current.append(f)
+        point.append(f.as_integer_ratio())
+    den = math.lcm(*(b for _, b in point))
+    current = [a * (den // b) for a, b in point]
+    ratios = [c.as_integer_ratio() for c in p.coeffs.values()]
+    scale = math.lcm(*(b for _, b in ratios))
+    d = max(map(len, p.coeffs), default=0)
+    powers = [den**k for k in range(d + 1)]
 
-    touching: dict[int, list] = {}
-    for mono, coeff in p.coeffs.items():
+    # touching[i]: (the other variables, C_m * D^(d - |m|)) for each
+    # monomial m that holds x_i.
+    touching: list = [[] for _ in range(p.n)]
+    for mono, (a, b) in zip(p.coeffs, ratios):
+        weight = a * (scale // b) * powers[d - len(mono)]
         for i in mono:
-            touching.setdefault(i, []).append((mono, coeff))
+            touching[i].append(([j for j in mono if j != i], weight))
 
     z = []
     for i in range(p.n):
-        # Margin g_i(1) - g_i(0): the multilinear coefficient of x_i at the
+        # L * D^(d-1) times the multilinear coefficient of x_i at the
         # current mixed point.
-        margin = Fraction(0)
-        for mono, coeff in touching.get(i, ()):
-            term = coeff
-            for j in mono:
-                if j != i:
-                    term *= current[j]
+        margin = 0
+        for others, term in touching[i]:
+            for j in others:
+                term *= current[j]
             margin += term
         if margin > 0:
             choice = 1
         elif margin < 0:
             choice = 0
         else:
-            choice = 1 if current[i] > Fraction(1, 2) else 0
-        current[i] = Fraction(choice)
+            choice = 1 if 2 * current[i] > den else 0
+        current[i] = choice * den
         z.append(choice)
     return tuple(z)
 

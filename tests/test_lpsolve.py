@@ -329,3 +329,36 @@ def test_vectorized_pivoting_matches_the_loops(
     vectorized = [repr(solve(m, warm_start=x)) for m, x in cases]
     monkeypatch.setattr(lpsolve, "_Simplex", LoopSimplex)
     assert [repr(solve(m, warm_start=x)) for m, x in cases] == vectorized
+
+
+# -- the starting basis inverse -------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 60, 260])
+def test_diagonal_start_inverse_is_lapacks_to_the_bit(m):
+    """The warm start's slack basis and the cold start's artificial basis
+    are +-1 diagonals; the inverse written down from their signs equals
+    np.linalg.inv of the basis bit for bit, signs of zeros included."""
+    rng = np.random.default_rng(m)
+    model = LpModel(
+        num_vars=1,
+        var_bounds=box(1),
+        rows=(((Fraction(1),), Fraction(0), Fraction(1)),) * m,
+        objective=(Fraction(1),),
+    )
+    sx = lpsolve._Simplex(
+        lpsolve.PreparedLp(model), np.zeros(m), np.ones(m)
+    )
+    slacks = range(1, 1 + m)
+    artificials = range(1 + m, 1 + 2 * m)
+    for _ in range(3):
+        signs = rng.choice([-1.0, 1.0], size=m)
+        sx.M[range(m), artificials] = signs
+        for columns, diagonal in (
+            (slacks, np.full(m, -1.0)),
+            (artificials, signs),
+        ):
+            lapack = np.linalg.inv(sx.M[:, columns])
+            assert sx.set_basis(columns, diagonal)
+            assert np.array_equal(sx.Binv, lapack)
+            assert np.array_equal(np.signbit(sx.Binv), np.signbit(lapack))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from exact_reference import fraction_value
 from helpers import random_bool_vector, random_multilinear, random_point
 from smoothip.poly import (
     DecompositionTree,
@@ -46,6 +47,27 @@ def test_evaluate_constant():
 
 def test_evaluate_all_zero_point():
     assert evaluate(EXAMPLE, (0, 0, 0, 0)) == 3
+
+
+def test_evaluate_at_boolean_points_is_the_fraction_sum():
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        p = random_multilinear(rng, n, rng.randint(1, min(4, n)))
+        p = p * Fraction(rng.randrange(1, 20), rng.randrange(1, 20))
+        x = random_bool_vector(rng, n)
+        value = evaluate(p, x)
+        assert value == fraction_value(p, x)
+        assert type(value) is Fraction
+    zero = Polynomial(3, {})
+    for x in itertools.product((0, 1), repeat=3):
+        assert evaluate(zero, x) == 0
+        assert type(evaluate(zero, x)) is Fraction
+    # Denominators that share factors: 1/4 + 1/6 + 5/12 = 5/6.
+    p = Polynomial(2, {(0,): Fraction(1, 4), (1,): Fraction(1, 6),
+                       (0, 1): Fraction(5, 12), (): Fraction(-1, 9)})
+    assert evaluate(p, (1, 1)) == Fraction(5, 6) - Fraction(1, 9)
+    assert evaluate(p, (True, False)) == Fraction(1, 4) - Fraction(1, 9)
 
 
 def test_evaluate_dimension_mismatch():

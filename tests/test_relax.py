@@ -4,6 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from exact_reference import (
+    evaluate_constrained_relaxation,
+    evaluate_relaxation,
+    window_saturated,
+)
 from helpers import (
     alternating,
     at_most,
@@ -27,6 +32,7 @@ from smoothip.relax import (
     constraint_degree,
     constraint_violation_bound,
     gap_bound,
+    prepare_constrained_relaxation,
     prepare_relaxation,
     tolerance,
 )
@@ -441,3 +447,94 @@ def test_crossed_constraint_bounds_rejected():
             TRIANGLE, ((Polynomial(4, {(0,): 1}), None, 1),)
         )
 
+
+
+# -- integer build against per-child evaluation -------------------------
+
+
+def fractional_multilinear(rng, n, d):
+    """Multilinear polynomial of degree d with signed coefficients over
+    denominators up to 12, so that the shared denominator is rarely 1."""
+    coeffs = {tuple(range(d)): Fraction(rng.choice((-7, 5)), 6)}
+    for _ in range(rng.randrange(1, 14)):
+        mono = tuple(sorted(rng.sample(range(n), rng.randrange(0, d + 1))))
+        coeffs[mono] = coeffs.get(mono, 0) + Fraction(
+            rng.randrange(-9, 10), rng.randrange(1, 13)
+        )
+    return Polynomial(n, coeffs)
+
+
+def assert_same_relaxation(built, reference):
+    assert built.objective == reference.objective
+    assert built.offset == reference.offset
+    assert len(built.rows) == len(reference.rows)
+    for row, ref in zip(built.rows, reference.rows):
+        for field in (
+            "key", "coeffs", "lower", "upper", "low", "high", "activity",
+            "widening", "need",
+        ):
+            assert getattr(row, field) == getattr(ref, field), field
+        assert all(type(c) is Fraction for c in row.coeffs)
+    assert built == reference
+    for eps in range(built.n + 1):
+        assert built.saturated(eps) == window_saturated(reference, eps)
+
+
+def test_integer_build_matches_per_child_evaluation():
+    rng = random.Random(97)
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        p = fractional_multilinear(rng, n, rng.randint(2, min(4, n)))
+        xhat = random_bool_vector(rng, n)
+        tree = decompose(p)
+        beta = min_smoothness(p)
+        assert_same_relaxation(
+            prepare_relaxation(tree, xhat, beta),
+            evaluate_relaxation(tree, xhat, beta),
+        )
+
+
+def test_integer_constrained_build_matches_per_child_evaluation():
+    rng = random.Random(101)
+    one_sided = fractional = 0
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        objective = fractional_multilinear(rng, n, rng.randint(2, min(3, n)))
+        xhat = random_bool_vector(rng, n)
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            q = fractional_multilinear(rng, n, rng.randint(1, min(3, n)))
+            at = evaluate(q, xhat)
+            lower = at - Fraction(rng.randrange(0, 20), rng.randrange(1, 7))
+            upper = at + Fraction(rng.randrange(-3, 20), rng.randrange(1, 7))
+            shape = rng.random()
+            if shape < 0.25:
+                lower = None
+            elif shape < 0.5:
+                upper = None
+            elif shape < 0.55:
+                lower = upper = None
+            elif upper < lower:
+                upper = lower
+            one_sided += (lower is None) != (upper is None)
+            fractional += any(
+                b is not None and b.denominator > 1 for b in (lower, upper)
+            )
+            constraints.append((q, lower, upper))
+        prog = ConstrainedProgram(objective, tuple(constraints))
+        beta = Fraction(rng.randrange(1, 30), rng.randrange(1, 9))
+        assert_same_relaxation(
+            prepare_constrained_relaxation(prog, xhat, beta),
+            evaluate_constrained_relaxation(prog, xhat, beta),
+        )
+    assert one_sided > 20 and fractional > 20
+
+
+def test_saturated_agrees_with_the_windows_on_pipeline_relaxations():
+    seen = set()
+    for xhat, relaxation in seeded_relaxations():
+        for eps in range(relaxation.n + 1):
+            saturated = relaxation.saturated(eps)
+            assert saturated == window_saturated(relaxation, eps)
+            seen.add(saturated)
+    assert seen == {False, True}

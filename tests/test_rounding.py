@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_reference import fraction_greedy_round
 from helpers import random_multilinear, random_point
 from smoothip.poly import Polynomial, evaluate
 from smoothip.rounding import (
@@ -159,6 +162,67 @@ def test_greedy_monotone_property(data):
         for _ in range(n)
     )
     assert evaluate(p, greedy_round(p, y)) >= evaluate(p, y)
+
+
+# Floats where a scaled margin is easiest to get wrong: the ends, the tie
+# point, the float just below 1 and the smallest subnormal.
+SPECIAL_FLOATS = (0.0, 1.0, 0.5, 1 - 2**-53, 5e-324)
+
+
+@st.composite
+def multilinear_polynomials(draw):
+    """Multilinear polynomials of degree 2-4 with negative and
+    non-integer coefficients; at least one monomial has the full degree."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(2, min(4, n)))
+    coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+    monos = draw(
+        st.lists(
+            st.sets(st.integers(0, n - 1), max_size=d), min_size=1,
+            max_size=14,
+        )
+    )
+    coeffs = {tuple(range(d)): draw(coeff.filter(bool))}
+    for mono in monos:
+        key = tuple(sorted(mono))
+        coeffs[key] = coeffs.get(key, 0) + draw(coeff)
+    return Polynomial(n, coeffs)
+
+
+def unit_floats():
+    return st.one_of(
+        st.sampled_from(SPECIAL_FLOATS), st.floats(min_value=0, max_value=1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_margins_match_fraction_margins(data):
+    p = data.draw(multilinear_polynomials())
+    y = data.draw(st.lists(unit_floats(), min_size=p.n, max_size=p.n))
+    z = fraction_greedy_round(p, y)
+    assert greedy_round(p, y) == z
+    assert greedy_round(p, np.array(y, dtype=np.float64)) == z
+    assert greedy_round(p, [np.float64(v) for v in y]) == z
+
+
+@settings(max_examples=100, deadline=None)
+@given(multilinear_polynomials())
+def test_integer_margins_from_the_halves_baseline(p):
+    halves = (Fraction(1, 2),) * p.n
+    assert greedy_round(p, halves) == fraction_greedy_round(p, halves)
+
+
+def test_integer_margins_on_special_floats():
+    # Every pattern of the special floats on a cubic with fractional and
+    # negative coefficients, some margins zero by construction.
+    p = Polynomial(
+        3,
+        {(0, 1, 2): Fraction(-5, 3), (0, 1): Fraction(7, 2), (2,): -1,
+         (1,): Fraction(1, 6), (): 4},
+    )
+    for y in itertools.product(SPECIAL_FLOATS, repeat=3):
+        assert greedy_round(p, y) == fraction_greedy_round(p, y)
 
 
 def test_greedy_rejects_bad_inputs():
