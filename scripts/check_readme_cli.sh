@@ -1,7 +1,9 @@
 #!/bin/sh
 # Run the README's command-line block (every line starting "smoothip ") in a
 # temporary directory, and check that `smoothip solve` prints exactly the
-# sample summary the README shows.  Needs `smoothip` on PATH.
+# sample summary the README shows.  Then run the README's `sweep` line again
+# with SMOOTHIP_WORKERS=2 and check that the worker pool writes the same CSV
+# as the serial run.  Needs `smoothip` on PATH.
 #
 #   sh scripts/check_readme_cli.sh
 set -eu
@@ -21,3 +23,11 @@ sed -n '/^instance: demo /,/^eps records: /p' "$readme" > expected
 test -s expected
 diff expected solve.out
 echo "README command-line block: ok"
+sweep="$(grep '^smoothip sweep ' commands)"
+table="$(printf '%s\n' "$sweep" | sed -n 's/.*--out \([^ ]*\).*/\1/p')"
+test -s "$table"
+mv "$table" serial.csv
+echo "+ SMOOTHIP_WORKERS=2 $sweep"
+SMOOTHIP_WORKERS=2 sh -c "$sweep"
+diff serial.csv "$table"
+echo "README sweep with 2 workers: ok"

@@ -12,12 +12,14 @@ __version__ = "0.1.0"
 
 from .pipeline import (
     Instance,
+    PreparedInstance,
     SolveConfig,
     SolveReport,
     approx_ratio_bound,
     exact_solve,
     guarantee_bound,
     guarantee_floor,
+    prepare,
     solve,
     solve_constrained,
 )
@@ -34,6 +36,7 @@ __all__ = [
     "ConstrainedProgram",
     "Instance",
     "Polynomial",
+    "PreparedInstance",
     "SolveConfig",
     "SolveReport",
     "approx_ratio_bound",
@@ -47,6 +50,7 @@ __all__ = [
     "guarantee_bound",
     "guarantee_floor",
     "min_smoothness",
+    "prepare",
     "randomized_round",
     "rounding_error_bound",
     "solve",

@@ -3,8 +3,14 @@
 Four subcommands: ``gen`` writes instance files, ``solve`` runs the
 pipeline on one instance, ``sweep`` produces the ratio-versus-error CSV
 across instances and trials, and ``verify`` prints an instance's
-smoothness diagnostics.  Instance kind is detected from file content
-(DIMACS edge, DIMACS CNF, or the CSP JSON shape).
+smoothness diagnostics, read from the prepared instance.  Instance kind is
+detected from file content (DIMACS edge, DIMACS CNF, or the CSP JSON
+shape).
+
+A sweep loads, prepares and brute-forces each file once, then solves one
+cell per (file, eps, trial).  With ``SMOOTHIP_WORKERS`` above 1 the cells
+run in a process pool; each worker receives the prepared files once,
+through the pool's initializer, and each cell names its file by index.
 
 Exit codes: 0 success, 2 parse or parameter failure, 3 when every
 relaxation in a solve failed.  All output is deterministic for fixed
@@ -36,11 +42,11 @@ from .pipeline import (  # noqa: F401
     exact_solve,
     guarantee_bound,
     guarantee_floor,
+    prepare,
     report_csv,
     report_json,
     solve,
 )
-from .poly import decompose, min_smoothness, multilinearize
 from .problems import (
     gen_gnp,
     gen_kcsp,
@@ -186,20 +192,31 @@ def cmd_solve(args) -> int:
 # -- sweep --------------------------------------------------------------
 
 
+# The prepared files of the running sweep, by index: a cell names its file
+# by index, so that a worker receives each prepared file once, through the
+# pool's initializer, and not with every cell.
+_prepared: tuple = ()
+
+
+def _share(prepared: tuple) -> None:
+    global _prepared
+    _prepared = prepared
+
+
 def _sweep_cell(payload):
-    instance, star, opt, eps, trial, strategy, seed, k = payload
+    index, star, opt, eps, trial, strategy, seed, k = payload
     stream = np.random.SeedSequence((seed % 2**64, eps, trial))
     cell_seed = int(stream.generate_state(1, np.uint64)[0])
     prediction = perturb(star, eps, cell_seed)
     config = SolveConfig(strategy=strategy, seed=cell_seed, grid=(eps,), k=k)
-    report = solve(instance, prediction, config)
+    report = solve(_prepared[index], prediction, config)
     achieved = report.best_value
     bound = guarantee_floor(
         opt, report.beta, report.n, report.degree, eps, strategy, k
     )
     ratio = "" if opt <= 0 else repr(float(Fraction(achieved) / opt))
     return (
-        instance.label, eps, trial,
+        report.label, eps, trial,
         repr(float(achieved)), repr(float(opt)), ratio, repr(float(bound)),
     )
 
@@ -221,23 +238,30 @@ def cmd_sweep(args) -> int:
             )
         if eps_values[0] < 0 or eps_values[-1] > n:
             raise ValueError(f"eps values must lie in [0, {n}] for {path}")
+    prepared = tuple(prepare(instance) for instance in instances)
     cells = []
-    for instance in instances:
+    for index, instance in enumerate(prepared):
         star, brute_opt = exact_solve(instance)
         opt = brute_opt if given_opt is None else given_opt
         for eps in eps_values:
             for trial in range(args.trials):
                 cells.append(
                     (
-                        instance, star, opt, eps, trial,
+                        index, star, opt, eps, trial,
                         args.strategy, args.seed, args.k,
                     )
                 )
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_share, initargs=(prepared,)
+        ) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
-        rows = [_sweep_cell(cell) for cell in cells]
+        _share(prepared)
+        try:
+            rows = [_sweep_cell(cell) for cell in cells]
+        finally:
+            _share(())
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     lines = ["instance,eps,trial,achieved,opt,ratio,bound"]
     lines.extend(
@@ -252,23 +276,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    p = multilinearize(instance.objective)
-    p = p.with_degree(max(2, p.degree))
-    tree = decompose(p)
-    beta = min_smoothness(p)
+    prepared = prepare(instance)
+    p, beta = prepared.p, prepared.beta
     n, d = p.n, p.degree
     print(f"instance: {instance.label} (kind={instance.kind})")
     print(f"n: {n}")
     print(f"degree: {d}")
     print(f"monomials: {len(p.coeffs)}")
     print(f"beta: {float(beta):.6g} ({beta})")
-    print(f"decomposition nodes: {len(tree.nodes)}")
+    print(f"decomposition nodes: {len(prepared.tree.nodes)}")
     dense_at = DENSE_FRACTION * Fraction(n) ** d
     near_at = n ** (d - 0.5 + (0.5 - NEAR_DENSE_EXPONENT_DROP))
     if args.opt is not None:
         opt = Fraction(args.opt)
     elif n <= EXACT_CAP:
-        _, opt = exact_solve(instance)
+        _, opt = exact_solve(prepared)
     else:
         opt = None
     print(

@@ -46,6 +46,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical-failure"
 
+# The zero that callers may share across their rows' absent coefficients
+# (relax does): PreparedLp skips it by identity, with no Fraction call.
+ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class LpModel:
@@ -281,20 +285,28 @@ class PreparedLp:
         )
         self.kept: list[int] = []
         self.empty: list[int] = []
+        # The float matrix is filled from each row's nonzero entries only,
+        # at their offsets in the flattened matrix.
+        offsets: list[int] = []
+        values: list[float] = []
         for i, (coeffs, lo, hi) in enumerate(model.rows):
             if lo is None and hi is None:
                 continue  # vacuous row
-            if any(coeffs):
-                self.kept.append(i)
-            else:
+            base = len(self.kept) * n
+            nonzero = [
+                (base + j, c) for j, c in enumerate(coeffs)
+                if c is not ZERO and c
+            ]
+            if not nonzero:
                 self.empty.append(i)
-        self.matrix = np.array(
-            [
-                [float(c) if c else 0.0 for c in model.rows[i][0]]
-                for i in self.kept
-            ],
-            dtype=float,
-        ).reshape(len(self.kept), n)
+                continue
+            self.kept.append(i)
+            for offset, c in nonzero:
+                offsets.append(offset)
+                values.append(float(c))
+        flat = np.zeros(len(self.kept) * n)
+        flat[offsets] = values
+        self.matrix = flat.reshape(len(self.kept), n)
         self.var_lb = np.array([float(lo) for lo, _ in model.var_bounds])
         self.var_ub = np.array([float(hi) for _, hi in model.var_bounds])
         self.cost = np.array([-c for c in self.objective])  # minimizes -c.x

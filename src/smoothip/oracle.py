@@ -3,9 +3,10 @@ empirical-risk selection over a finite candidate family.
 
 A prediction is just a Boolean vector with a provenance tag.  Candidates
 for selection are callables from an instance to such a vector (or to a
-Prediction); selection runs the full pipeline on every training instance
-per candidate and keeps the one with the smallest mean cost, where the
-cost of achieving value v on an instance with ceiling h is h - v.
+Prediction); selection prepares every training instance once, runs the
+pipeline on it for every candidate's prediction and keeps the candidate
+with the smallest mean cost, where the cost of achieving value v on an
+instance with ceiling h is h - v.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .pipeline import Instance, SolveConfig, exact_solve, solve
+from .pipeline import Instance, SolveConfig, exact_solve, prepare, solve
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,14 @@ def erm_select(
     prob: ErmProblem, config: SolveConfig = SolveConfig()
 ) -> tuple[int, Fraction]:
     """Pick the candidate with the smallest mean cost over the training
-    set; ties go to the lowest index."""
+    set; ties go to the lowest index.  Each training instance is prepared
+    once and solved for every candidate's prediction."""
+    prepared = [prepare(instance) for instance in prob.training]
     best_id, best_cost = None, None
     for i, candidate in enumerate(prob.candidates):
         total = Fraction(0)
-        for instance in prob.training:
-            report = solve(instance, _vector(candidate(instance)), config)
+        for instance, ready in zip(prob.training, prepared):
+            report = solve(ready, _vector(candidate(instance)), config)
             total += Fraction(instance.h) - report.best_value
         cost = total / len(prob.training)
         if best_cost is None or cost < best_cost:

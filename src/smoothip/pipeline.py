@@ -1,12 +1,20 @@
 """End-to-end solve loop: enumerate error budgets, relax, solve, round.
 
-The prediction-centered relaxation is prepared once per solve, and so is
-its float LP, warm-started at the prediction.  For each eps in a grid over
-[0, n] the pipeline derives that budget's row windows, solves the LP,
+A solve has two parts.  :func:`prepare` does the work that no prediction
+changes, once per instance: it multilinearizes the objective and the side
+constraints, takes the smoothness certificate beta, decomposes every
+polynomial, and greedily rounds the all-halves baseline.  :func:`solve`
+accepts an instance, which it prepares on entry, or a prepared one, so
+that a sweep or an empirical-risk selection solves many predictions on
+one instance without repeating that work.
+
+Per prediction, the prediction-centered relaxation is built once, and so
+is its float LP, warm-started at the prediction.  For each eps in a grid
+over [0, n] the pipeline derives that budget's row windows, solves the LP,
 rounds the fractional optimum to a Boolean point, and scores that point
-against the true objective in exact arithmetic.  From the
-saturation budget on (the first grid eps at which no row can cut the box)
-the embedded simplex is skipped: the box LP's optimum is written down in
+against the true objective in exact arithmetic.  From the saturation
+budget on (the first grid eps at which no row can cut the box) the
+embedded simplex is skipped: the box LP's optimum is written down in
 closed form, and those budgets share one rounded point.  A user-supplied
 LP backend still receives every budget's model.
 
@@ -38,6 +46,7 @@ import numpy as np
 
 from .lpsolve import OPTIMAL, PreparedLp, box_optimum
 from .poly import (
+    DecompositionTree,
     Polynomial,
     decompose,
     evaluate,
@@ -52,9 +61,9 @@ from .relax import (  # noqa: F401
     build_constrained_relaxation,
     build_relaxation,
     constraint_degree,
+    constraint_trees,
     gap_bound,
     prepare_constrained_relaxation,
-    prepare_relaxation,
 )
 from .rounding import (
     greedy_round,
@@ -229,14 +238,49 @@ def _normalized(objective: Polynomial, constraints):
     return p, tuple(normal), beta
 
 
-def _run(
-    objective: Polynomial,
-    constraints: tuple,
+@dataclass(frozen=True)
+class PreparedInstance:
+    """What every solve of one instance shares, whatever the prediction.
+
+    The normalized objective p and side constraints (poly, lower, upper),
+    the smoothness certificate beta, the decomposition tree of p, one
+    (tree, lower, upper) per side constraint, the baseline candidate
+    (greedy rounding of the all-halves point, which depends on p alone)
+    and the instance's label.  Built by :func:`prepare`.
+    """
+
+    p: Polynomial
+    constraints: tuple
+    beta: Fraction
+    tree: DecompositionTree
+    constraint_trees: tuple
+    baseline: Candidate
+    label: str
+
+
+def prepare(instance: Instance) -> PreparedInstance:
+    """Normalize, decompose and round the baseline of an instance once;
+    pass the result to :func:`solve` in place of the instance to solve it
+    for many predictions."""
+    p, constraints, beta = _normalized(instance.objective, instance.constraints)
+    z = greedy_round(p, (Fraction(1, 2),) * p.n)
+    return PreparedInstance(
+        p, constraints, beta, decompose(p), constraint_trees(constraints),
+        Candidate("baseline", z, evaluate(p, z), _violation(constraints, z)),
+        instance.label,
+    )
+
+
+def solve(
+    instance: Instance | PreparedInstance,
     prediction,
-    config: SolveConfig,
-    label: str,
+    config: SolveConfig = SolveConfig(),
 ) -> SolveReport:
-    p, constraints, beta = _normalized(objective, constraints)
+    """Run the full loop on an instance, or on what :func:`prepare` made
+    of one; see the module docstring."""
+    if isinstance(instance, Instance):
+        instance = prepare(instance)
+    p, constraints, beta = instance.p, instance.constraints, instance.beta
     n, d = p.n, p.degree
     xhat = _as_point(prediction, n)
     constrained = bool(constraints)
@@ -250,10 +294,7 @@ def _run(
             )
         )
     if config.include_baseline_candidate:
-        z = greedy_round(p, (Fraction(1, 2),) * n)
-        candidates.append(
-            Candidate("baseline", z, evaluate(p, z), _violation(constraints, z))
-        )
+        candidates.append(instance.baseline)
 
     records: list[EpsRecord] = []
     if n <= d:
@@ -262,12 +303,8 @@ def _run(
         candidates.append(Candidate("exact", z, value, Fraction(0)))
     else:
         backend = config.lp_backend
-        relaxation = (
-            prepare_constrained_relaxation(
-                ConstrainedProgram(p, constraints), xhat, beta
-            )
-            if constrained
-            else prepare_relaxation(decompose(p), xhat, beta)
+        relaxation = prepare_constrained_relaxation(
+            instance.tree, instance.constraint_trees, xhat, beta
         )
         radius = (
             rounding_error_bound(beta, n, d, config.k)
@@ -346,17 +383,7 @@ def _run(
         )
     return SolveReport(
         n, d, beta, config.strategy, best.z, best.value,
-        tuple(records), tuple(candidates), label,
-    )
-
-
-def solve(
-    instance: Instance, prediction, config: SolveConfig = SolveConfig()
-) -> SolveReport:
-    """Run the full loop on an instance; see the module docstring."""
-    return _run(
-        instance.objective, instance.constraints, prediction, config,
-        instance.label,
+        tuple(records), tuple(candidates), instance.label,
     )
 
 
@@ -364,7 +391,7 @@ def solve_constrained(
     prog: ConstrainedProgram, prediction, config: SolveConfig = SolveConfig()
 ) -> SolveReport:
     """Same loop driven by an explicit constrained program."""
-    return _run(prog.objective, prog.constraints, prediction, config, "")
+    return solve(Instance(prog.objective, prog.constraints), prediction, config)
 
 
 # -- exact reference ----------------------------------------------------
@@ -432,12 +459,18 @@ def _feasible(constraints, n: int):
     return feasible
 
 
-def exact_solve(instance: Instance) -> tuple:
-    """Exhaustive maximization honoring constraints, n <= EXACT_CAP.
+def exact_solve(instance: Instance | PreparedInstance) -> tuple:
+    """Exhaustive maximization honoring constraints, n <= EXACT_CAP; a
+    prepared instance is not normalized again.
 
     Returns (z, value) with z the lexicographically smallest optimum.
     """
-    p, constraints, _ = _normalized(instance.objective, instance.constraints)
+    if isinstance(instance, Instance):
+        p, constraints, _ = _normalized(
+            instance.objective, instance.constraints
+        )
+    else:
+        p, constraints = instance.p, instance.constraints
     return _exact(p, constraints)
 
 

@@ -66,6 +66,23 @@ class Polynomial:
         self.degree = degree
 
     @classmethod
+    def _trusted(
+        cls, n: int, coeffs: dict, degree: int | None = None
+    ) -> "Polynomial":
+        """A polynomial from coefficients that are already canonical:
+        sorted keys with indices in [0, n), nonzero Fraction values.
+        Skips the constructor's conversion, sorting and index checks, so
+        it is only for polynomials derived from a checked one; the
+        declared degree defaults to the actual one."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.coeffs = coeffs
+        poly.degree = (
+            max(map(len, coeffs), default=0) if degree is None else degree
+        )
+        return poly
+
+    @classmethod
     def constant(cls, n: int, value: Fraction | int) -> "Polynomial":
         return cls(n, {(): Fraction(value)})
 
@@ -75,7 +92,10 @@ class Polynomial:
 
     def with_degree(self, degree: int) -> "Polynomial":
         """Same polynomial with the declared degree raised to ``degree``."""
-        return Polynomial(self.n, self.coeffs, degree)
+        actual = max(map(len, self.coeffs), default=0)
+        if degree < actual:
+            raise ValueError(f"declared degree {degree} below actual {actual}")
+        return Polynomial._trusted(self.n, self.coeffs, degree)
 
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -173,8 +193,8 @@ def multilinearize(p: Polynomial) -> Polynomial:
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.coeffs.items():
         key = tuple(sorted(set(mono)))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return Polynomial(p.n, out)
+        out[key] = out.get(key, 0) + coeff
+    return Polynomial._trusted(p.n, {k: v for k, v in out.items() if v})
 
 
 def min_smoothness(p: Polynomial) -> Fraction:
@@ -185,11 +205,14 @@ def min_smoothness(p: Polynomial) -> Fraction:
     """
     if not p.coeffs:
         return Fraction(0)
+    # The largest magnitude of each degree, then one division per degree.
+    largest: dict[int, Fraction] = {}
+    for mono, coeff in p.coeffs.items():
+        size = abs(coeff)
+        if size > largest.get(len(mono), 0):
+            largest[len(mono)] = size
     n = Fraction(p.n)
-    return max(
-        abs(coeff) / n ** (p.degree - len(mono))
-        for mono, coeff in p.coeffs.items()
-    )
+    return max(size / n ** (p.degree - l) for l, size in largest.items())
 
 
 @dataclass(frozen=True)
@@ -250,7 +273,7 @@ def decompose(p: Polynomial) -> DecompositionTree:
         children = tuple(sorted(groups))
         nodes[key] = TreeNode(poly=poly, constant=const, children=children)
         for j in reversed(children):
-            stack.append((key + (j,), Polynomial(p.n, groups[j])))
+            stack.append((key + (j,), Polynomial._trusted(p.n, groups[j])))
     return DecompositionTree(root=p, nodes=nodes)
 
 

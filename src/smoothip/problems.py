@@ -132,13 +132,22 @@ def maxcut_objective(g: Graph) -> Polynomial:
     return Polynomial(g.n, coeffs, degree=2)
 
 
-def _clause_falsity(n: int, clause) -> Polynomial:
-    # Product over literals of "this literal is false".
-    product = Polynomial.constant(n, 1)
-    for var, positive in clause:
-        x = Polynomial.variable(n, var)
-        product = product * ((1 - x) if positive else x)
-    return product
+def _indicator(literals) -> dict:
+    """Coefficients of the product over (var, value) of [x_var = value],
+    that is x_var for value 1 and 1 - x_var for value 0; the variables
+    are distinct, so no two terms share a monomial."""
+    terms = {(): 1}
+    for var, value in literals:
+        grown = {}
+        for mono, coeff in terms.items():
+            key = tuple(sorted(mono + (var,)))
+            if value:
+                grown[key] = coeff
+            else:
+                grown[mono] = coeff
+                grown[key] = -coeff
+        terms = grown
+    return terms
 
 
 def maxksat_objective(f: CnfFormula) -> Polynomial:
@@ -149,28 +158,32 @@ def maxksat_objective(f: CnfFormula) -> Polynomial:
     widths = {len(c) for c in f.clauses}
     if len(widths) > 1:
         raise ValueError(f"mixed clause widths {sorted(widths)}")
-    total = Polynomial.constant(f.n, 0)
+    # One coefficient map for the whole formula, one Polynomial at the end.
+    coeffs: dict = {}
     for clause in f.clauses:
-        total = total + (1 - _clause_falsity(f.n, clause))
+        coeffs[()] = coeffs.get((), 0) + 1
+        falsified = ((var, not positive) for var, positive in clause)
+        for mono, coeff in _indicator(falsified).items():
+            coeffs[mono] = coeffs.get(mono, 0) - coeff
     # Declare the clause width as the degree even if top monomials cancel;
     # smoothness is judged against the width.
-    return total.with_degree(widths.pop()) if widths else total
+    return Polynomial(f.n, coeffs, widths.pop() if widths else None)
 
 
 def maxkcsp_objective(inst: CspInstance) -> Polynomial:
     """Satisfied-constraint count as a sum of assignment indicators."""
-    total = Polynomial.constant(inst.n, 0)
+    coeffs: dict = {}
     for scope, table in inst.constraints:
         for a, flag in enumerate(table):
             if not flag:
                 continue
-            product = Polynomial.constant(inst.n, 1)
-            for r, var in enumerate(scope):
-                x = Polynomial.variable(inst.n, var)
-                bit = (a >> (inst.k - 1 - r)) & 1
-                product = product * (x if bit else (1 - x))
-            total = total + product
-    return total.with_degree(inst.k)
+            bits = (
+                (var, (a >> (inst.k - 1 - r)) & 1)
+                for r, var in enumerate(scope)
+            )
+            for mono, coeff in _indicator(bits).items():
+                coeffs[mono] = coeffs.get(mono, 0) + coeff
+    return Polynomial(inst.n, coeffs, inst.k)
 
 
 # -- direct evaluators (independent of the polynomial path) -------------

@@ -26,7 +26,8 @@ constraint's tolerances.
 Only the tolerances depend on eps.  A :class:`Relaxation` holds everything
 else (objective, offset, and per row its coefficients, centre, depths,
 exact range over the box, the prediction's exact activity and the widening
-past which the row cannot cut the box) and is built once per solve.  No
+past which the row cannot cut the box) and is built once per solve, from
+decomposition trees that the caller made once per instance.  No
 polynomial is evaluated to build it: every node value p_I(xhat) is
 computed once, bottom-up, by the reconstruction identity p_I(xhat) = c_I +
 sum over j with xhat_j = 1 of p_(I,j)(xhat), as an integer over the lcm L
@@ -49,7 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lpsolve import LpModel, PreparedLp
+# Every absent coefficient is lpsolve's ZERO, one object that the float
+# matrix skips by identity.
+from .lpsolve import ZERO as _ZERO, LpModel, PreparedLp
 # evaluate is not called here, since rows come from node values; the name
 # stays in this module's namespace, where the benchmark's traced run
 # (perfbench/layers.py) looks it up.
@@ -130,10 +133,6 @@ class Row:
     high: Fraction
     activity: Fraction
     need: Fraction | None
-
-
-# Every absent coefficient is this one object.
-_ZERO = Fraction(0)
 
 
 def _row(key, n, values, scale, lower, upper, widening, activity) -> Row:
@@ -338,36 +337,48 @@ def constraint_degree(poly: Polynomial) -> int:
     return max(2, poly.degree)
 
 
+def constraint_trees(constraints) -> tuple:
+    """(tree, lower, upper) per (poly, lower, upper) side constraint, each
+    polynomial decomposed at its :func:`constraint_degree`."""
+    return tuple(
+        (decompose(poly.with_degree(constraint_degree(poly))), lower, upper)
+        for poly, lower, upper in constraints
+    )
+
+
 def prepare_constrained_relaxation(
-    prog: ConstrainedProgram, xhat: Sequence, beta: Fraction | int
+    tree: DecompositionTree,
+    constraints: Sequence,
+    xhat: Sequence,
+    beta: Fraction | int,
 ) -> Relaxation:
     """Objective relaxation plus relaxed windows for each side constraint.
 
-    Each constraint polynomial is decomposed on its own, once; its
-    linearized top level q_c must stay within [lower - delta_c, upper +
-    delta_c] where delta_c is the sum of the constraint's component
-    tolerances, and its components obey the same per-tuple rows as the
-    objective's.
+    ``tree`` decomposes the objective and ``constraints`` holds one
+    (tree, lower, upper) per side constraint, as :func:`constraint_trees`
+    gives them, so nothing is decomposed here.  A constraint's linearized
+    top level q_c must stay within [lower - delta_c, upper + delta_c]
+    where delta_c is the sum of the constraint's component tolerances, and
+    its components obey the same per-tuple rows as the objective's.
     """
-    base = prepare_relaxation(decompose(prog.objective), xhat, beta)
-    point = _check_prediction(xhat, base.n)
+    base = prepare_relaxation(tree, xhat, beta)
+    point = base.xhat
     rows = list(base.rows)
-    for poly, lower, upper in prog.constraints:
-        tree = decompose(poly.with_degree(constraint_degree(poly)))
-        scale, values = _node_values(tree, point)
-        components = _component_rows(tree, point, scale, values)
+    for side, lower, upper in constraints:
+        scale, values = _node_values(side, point)
+        components = _component_rows(side, point, scale, values)
         depths = Counter(len(row.key) for row in components)
-        top, activity = _linearization(tree, (), point, values)
+        top, activity = _linearization(side, (), point, values)
         rows.append(
             _row(
                 (),
                 base.n,
                 top,
                 scale,
-                None if lower is None else lower - tree.constant,
-                None if upper is None else upper - tree.constant,
+                None if lower is None else lower - side.constant,
+                None if upper is None else upper - side.constant,
                 tuple(
-                    (tree.root.degree, depth, count)
+                    (side.root.degree, depth, count)
                     for depth, count in sorted(depths.items())
                 ),
                 Fraction(activity, scale),
@@ -388,7 +399,10 @@ def build_constrained_relaxation(
 ) -> LpModel:
     """The constrained LP for one error budget; see
     :func:`prepare_constrained_relaxation`."""
-    return prepare_constrained_relaxation(prog, xhat, beta).model(eps)
+    return prepare_constrained_relaxation(
+        decompose(prog.objective), constraint_trees(prog.constraints), xhat,
+        beta,
+    ).model(eps)
 
 
 def gap_bound(

@@ -4,14 +4,16 @@ Greedy rounding, the relaxation build and evaluation at Boolean points
 work on Python integers over shared denominators.  The functions here
 compute the same things the plain way, with one Fraction per operation:
 greedy rounding multiplies exact Fractions through every monomial, and the
-relaxation evaluates every child polynomial at the prediction.  Tests
-require the package to agree with them field for field.
+relaxation evaluates every child polynomial at the prediction.  The SAT
+and CSP encoders accumulate one coefficient map; their references add
+Polynomials clause by clause.  Tests require the package to agree with
+them field for field.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from smoothip.poly import decompose
+from smoothip.poly import Polynomial, decompose
 from smoothip.relax import (
     Relaxation,
     Row,
@@ -150,3 +152,35 @@ def window_saturated(relaxation, eps) -> bool:
         (lo is None or lo < row.low) and (hi is None or row.high < hi)
         for row, (lo, hi) in zip(relaxation.rows, relaxation.windows(eps))
     )
+
+
+def additive_maxksat_objective(f) -> Polynomial:
+    """maxksat_objective as a sum of Polynomials, one per clause."""
+    widths = {len(c) for c in f.clauses}
+    if len(widths) > 1:
+        raise ValueError(f"mixed clause widths {sorted(widths)}")
+    total = Polynomial.constant(f.n, 0)
+    for clause in f.clauses:
+        falsity = Polynomial.constant(f.n, 1)
+        for var, positive in clause:
+            x = Polynomial.variable(f.n, var)
+            falsity = falsity * ((1 - x) if positive else x)
+        total = total + (1 - falsity)
+    return total.with_degree(widths.pop()) if widths else total
+
+
+def additive_maxkcsp_objective(inst) -> Polynomial:
+    """maxkcsp_objective as a sum of Polynomials, one per satisfying
+    assignment."""
+    total = Polynomial.constant(inst.n, 0)
+    for scope, table in inst.constraints:
+        for a, flag in enumerate(table):
+            if not flag:
+                continue
+            product = Polynomial.constant(inst.n, 1)
+            for r, var in enumerate(scope):
+                x = Polynomial.variable(inst.n, var)
+                bit = (a >> (inst.k - 1 - r)) & 1
+                product = product * (x if bit else (1 - x))
+            total = total + product
+    return total.with_degree(inst.k)

@@ -3,13 +3,9 @@
 from fractions import Fraction
 
 from smoothip.lpsolve import LpModel
-from smoothip.pipeline import _normalized
-from smoothip.poly import Polynomial, decompose
-from smoothip.relax import (
-    ConstrainedProgram,
-    prepare_constrained_relaxation,
-    prepare_relaxation,
-)
+from smoothip.pipeline import Instance, prepare
+from smoothip.poly import Polynomial
+from smoothip.relax import prepare_constrained_relaxation
 
 
 def random_multilinear(rng, n, d, max_terms=12, coeff_bound=6):
@@ -94,10 +90,8 @@ def at_most(n, limit):
 
 
 def pipeline_relaxation(objective, xhat, constraints=()):
-    """The relaxation a solve prepares, normalized as the pipeline does."""
-    p, constraints, beta = _normalized(objective, constraints)
-    if constraints:
-        return prepare_constrained_relaxation(
-            ConstrainedProgram(p, constraints), xhat, beta
-        )
-    return prepare_relaxation(decompose(p), xhat, beta)
+    """The relaxation a solve builds at xhat, from the prepared instance."""
+    prepared = prepare(Instance(objective, constraints))
+    return prepare_constrained_relaxation(
+        prepared.tree, prepared.constraint_trees, xhat, prepared.beta
+    )

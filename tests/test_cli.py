@@ -1,15 +1,20 @@
 import json
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from smoothip import pipeline
+from test_golden import timing_free
+from smoothip import cli, pipeline
 from smoothip.cli import load_instance, main
 from smoothip.pipeline import (
     EXACT_CAP,
+    PreparedInstance,
     SolveConfig,
     exact_solve,
     guarantee_bound,
+    solve,
 )
 from smoothip.problems import parse_dimacs_graph
 
@@ -270,17 +275,24 @@ def test_sweep_bound_is_the_brute_forced_guarantee(
         assert row[6] == repr(float(bound))
 
 
+def counted_calls(monkeypatch, module, name, keep=lambda *args: True):
+    """Replace module.name by a wrapper that records the arguments of
+    every call that keep accepts."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        if keep(*args):
+            calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def brute_force_calls(monkeypatch):
-    calls = []
-    exact = pipeline._exact
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return exact(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "_exact", counted)
-    return calls
+    return counted_calls(monkeypatch, pipeline, "_exact")
 
 
 def test_sweep_brute_forces_once_per_file(
@@ -290,6 +302,84 @@ def test_sweep_brute_forces_once_per_file(
                       "--eps", "0,2", "--trials", "2")
     assert len(rows) == 8
     assert len(brute_force_calls) == 2
+
+
+def test_sweep_prepares_once_per_file(
+    two_instances, tmp_path, capsys, monkeypatch
+):
+    trees = counted_calls(monkeypatch, pipeline, "decompose")
+    baselines = counted_calls(
+        monkeypatch, pipeline, "greedy_round",
+        lambda p, y: all(v == Fraction(1, 2) for v in y),
+    )
+    rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
+                      "--eps", "0,2,3", "--trials", "2")
+    assert len(rows) == 12
+    assert len(trees) == 2
+    assert len(baselines) == 2
+
+
+def test_sweep_cells_solve_their_own_file(
+    two_instances, tmp_path, capsys, monkeypatch
+):
+    """Each cell's report is the solve of the file its payload names,
+    from scratch, with the cell's prediction and config; both files have
+    7 variables, so a tree or baseline taken from the other file would
+    not fail on its size."""
+    cells = counted_calls(monkeypatch, cli, "_sweep_cell")
+    solves = []
+    original = cli.solve
+
+    def captured(instance, prediction, config):
+        report = original(instance, prediction, config)
+        solves.append((prediction, config, report))
+        return report
+
+    monkeypatch.setattr(cli, "solve", captured)
+    sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
+               "--eps", "1,3", "--trials", "2", "--seed", "9")
+    assert len(cells) == len(solves) == 8
+    for (payload,), (prediction, config, report) in zip(cells, solves):
+        path = two_instances[payload[0]]
+        assert report.label == path.stem
+        direct = solve(load_instance(path), prediction, config)
+        assert timing_free(report) == timing_free(direct)
+
+
+def test_sweep_workers_receive_each_prepared_file_once(
+    two_instances, tmp_path, capsys, monkeypatch
+):
+    pools, cells = [], []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            pools.append(kwargs)
+            super().__init__(**kwargs)
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            cells.extend(payloads)
+            return super().map(fn, payloads)
+
+    argv = (*map(str, two_instances), "--eps", "0,2", "--trials", "2")
+    serial = tmp_path / "serial.csv"
+    sweep_rows(capsys, serial, *argv)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setenv("SMOOTHIP_WORKERS", "2")
+    parallel = tmp_path / "parallel.csv"
+    sweep_rows(capsys, parallel, *argv)
+    assert parallel.read_bytes() == serial.read_bytes()
+    assert len(pools) == 1
+    assert pools[0]["initializer"] is cli._share
+    (prepared,) = pools[0]["initargs"]
+    assert all(isinstance(p, PreparedInstance) for p in prepared)
+    assert [p.label for p in prepared] == [path.stem for path in two_instances]
+    # A cell names its file by index and carries nothing prepared.
+    assert len(cells) == 8
+    for payload in cells:
+        assert payload[0] in (0, 1)
+        assert not any(isinstance(f, PreparedInstance) for f in payload)
+        assert len(pickle.dumps(payload)) < len(pickle.dumps(prepared)) // 20
 
 
 def test_sweep_opt_sets_the_opt_ratio_and_bound_columns(

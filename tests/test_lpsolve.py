@@ -208,6 +208,27 @@ def pipeline_lps():
     return lps
 
 
+def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
+    """The matrix is filled from nonzero entries only; it must be the
+    float of every entry of every row that has a bound and a nonzero
+    entry.  The random models spell their zeros as distinct Fractions,
+    the relaxations share one."""
+    models = reference_models() + [model for _, model in pipeline_lps]
+    for model in models:
+        lp = lpsolve.PreparedLp(model)
+        bounded = [
+            i for i, (_, lo, hi) in enumerate(model.rows)
+            if lo is not None or hi is not None
+        ]
+        assert lp.kept == [i for i in bounded if any(model.rows[i][0])]
+        assert lp.empty == [i for i in bounded if not any(model.rows[i][0])]
+        dense = np.array(
+            [[float(c) for c in model.rows[i][0]] for i in lp.kept],
+            dtype=float,
+        ).reshape(len(lp.kept), model.num_vars)
+        assert lp.matrix.tobytes() == dense.tobytes()
+
+
 def test_pipeline_lps_agree_with_reference(pipeline_lps):
     statuses = set()
     for name, model in pipeline_lps:

@@ -12,6 +12,7 @@ from smoothip.oracle import (
     read_prediction,
     write_prediction,
 )
+from smoothip import pipeline
 from smoothip.pipeline import Instance, SolveConfig, exact_solve, solve
 from smoothip.poly import Polynomial
 from smoothip.problems import Graph, maxcut_objective
@@ -104,6 +105,30 @@ def test_erm_tie_goes_to_lowest_id():
         (exact_prediction, exact_prediction), (clique_instance(4),)
     )
     assert erm_select(prob, STRICT)[0] == 0
+
+
+def test_erm_prepares_each_training_instance_once(monkeypatch):
+    trees = []
+    decompose = pipeline.decompose
+
+    def counted(p):
+        trees.append(p)
+        return decompose(p)
+
+    monkeypatch.setattr(pipeline, "decompose", counted)
+    training = (clique_instance(5, "a"), clique_instance(6, "b"))
+    candidates = (complement, exact_prediction, complement)
+    chosen, cost = erm_select(ErmProblem(candidates, training), STRICT)
+    assert [p.n for p in trees] == [5, 6]
+    # The same selection as solving each pair from scratch.
+    costs = [
+        sum(
+            Fraction(inst.h) - solve(inst, candidate(inst), STRICT).best_value
+            for inst in training
+        ) / 2
+        for candidate in candidates
+    ]
+    assert (chosen, cost) == (costs.index(min(costs)), min(costs))
 
 
 def test_erm_validation():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import random_bool_vector, random_multilinear
+from test_golden import corpus
 from smoothip import lpsolve, pipeline
 from smoothip.pipeline import (
     EXACT_CAP,
@@ -17,12 +18,13 @@ from smoothip.pipeline import (
     exact_solve,
     guarantee_bound,
     guarantee_floor,
+    prepare,
     report_csv,
     report_json,
     solve,
     solve_constrained,
 )
-from smoothip.poly import Polynomial, evaluate, min_smoothness
+from smoothip.poly import Polynomial, evaluate, min_smoothness, multilinearize
 from smoothip.problems import (
     Graph,
     gen_gnp,
@@ -33,7 +35,7 @@ from smoothip.problems import (
     maxksat_objective,
 )
 from smoothip.relax import ConstrainedProgram, gap_bound
-from smoothip.rounding import rounding_deviation_term
+from smoothip.rounding import greedy_round, rounding_deviation_term
 
 TRIANGLE = maxcut_objective(Graph(3, ((0, 1), (0, 2), (1, 2))))
 PATH3 = maxcut_objective(Graph(3, ((0, 1), (1, 2))))
@@ -312,6 +314,43 @@ def test_no_candidates_at_all_raises():
                 include_baseline_candidate=False,
             ),
         )
+
+
+# -- prepared instances -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_a_prepared_instance_solves_like_the_instance(name):
+    """One prepared value, solved for several predictions, gives the
+    reports of solving the instance itself (MAX-CUT, 3-SAT, 3-CSP,
+    cardinality-constrained, randomized strategy and n <= d)."""
+    instance, xhat, config = corpus()[name]
+    prepared = prepare(instance)
+    flipped = tuple(1 - v for v in xhat)
+    for prediction in (xhat, flipped, xhat):
+        assert canonical(solve(prepared, prediction, config)) == canonical(
+            solve(instance, prediction, config)
+        )
+    assert exact_solve(prepared) == exact_solve(instance)
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_the_baseline_rounds_the_halves_of_its_own_objective(name):
+    instance, _, _ = corpus()[name]
+    baseline = prepare(instance).baseline
+    p = multilinearize(instance.objective)
+    z = greedy_round(p, (Fraction(1, 2),) * p.n)
+    assert baseline.tag == "baseline" and baseline.z == z
+    assert baseline.value == evaluate(instance.objective, z)
+    worst = Fraction(0)
+    for poly, lower, upper in instance.constraints:
+        value = evaluate(poly, z)
+        worst = max(
+            worst,
+            Fraction(0) if lower is None else lower - value,
+            Fraction(0) if upper is None else value - upper,
+        )
+    assert baseline.violation == worst
 
 
 # -- constrained programs -----------------------------------------------

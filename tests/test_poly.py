@@ -128,6 +128,59 @@ def test_multilinearize_agrees_on_boolean_points():
             assert evaluate(p, x) == evaluate(q, x)
 
 
+def random_with_repeats(rng, n):
+    """Random polynomial whose monomials may repeat indices and cancel."""
+    coeffs = {}
+    for _ in range(rng.randrange(1, 10)):
+        mono = tuple(rng.choices(range(n), k=rng.randrange(0, 5)))
+        coeffs[mono] = coeffs.get(mono, 0) + Fraction(
+            rng.randrange(-4, 5), rng.randrange(1, 4)
+        )
+    return Polynomial(n, coeffs)
+
+
+def assert_canonical(q, degree=None):
+    """q is what the checking constructor makes of its own coefficients:
+    sorted in-range keys, nonzero Fraction values, and the declared degree
+    (by default the actual one)."""
+    checked = Polynomial(q.n, q.coeffs, degree)
+    assert q.coeffs == checked.coeffs
+    assert all(list(mono) == sorted(mono) for mono in q.coeffs)
+    assert all(type(c) is Fraction and c != 0 for c in q.coeffs.values())
+    assert q.degree == checked.degree
+
+
+def test_derived_polynomials_are_canonical():
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randrange(1, 7)
+        q = multilinearize(random_with_repeats(rng, n))
+        assert_canonical(q)
+        raised = q.with_degree(q.degree + 2)
+        assert_canonical(raised, q.degree + 2)
+        assert raised == q
+        for node in decompose(q).nodes.values():
+            assert_canonical(node.poly)
+    with pytest.raises(ValueError):
+        Polynomial(3, {(0, 1): 1}).with_degree(1)
+
+
+def test_min_smoothness_is_the_largest_scaled_coefficient():
+    rng = random.Random(43)
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        p = random_with_repeats(rng, n)
+        p = p.with_degree(p.degree + rng.randrange(0, 2))
+        expected = max(
+            (
+                abs(c) / Fraction(n) ** (p.degree - len(mono))
+                for mono, c in p.coeffs.items()
+            ),
+            default=Fraction(0),
+        )
+        assert min_smoothness(p) == expected
+
+
 def test_min_smoothness_single_top_monomial():
     p = Polynomial(4, {(0, 1): 5})
     assert min_smoothness(p) == 5

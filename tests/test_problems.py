@@ -1,8 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from exact_reference import (
+    additive_maxkcsp_objective,
+    additive_maxksat_objective,
+)
 from smoothip.poly import (
     Polynomial,
     evaluate,
@@ -160,6 +165,61 @@ def test_clause_polynomial_counts_satisfied_clauses():
 
 def test_empty_formula():
     assert maxksat_objective(CnfFormula(3, ())) == Polynomial(3, {})
+
+
+def assert_same_encoding(actual, expected):
+    assert actual.n == expected.n
+    assert actual.coeffs == expected.coeffs
+    assert actual.degree == expected.degree
+    assert all(type(c) is Fraction for c in actual.coeffs.values())
+
+
+def random_cnf(rng, n, k, m):
+    return CnfFormula(n, tuple(
+        tuple((v, rng.random() < 0.5) for v in rng.sample(range(n), k))
+        for _ in range(m)
+    ))
+
+
+def test_clause_encoding_is_the_sum_of_clause_polynomials():
+    # (x0 or x1) + (not x0 or x1) = 1 + x1: the x0 and x0 x1 terms cancel,
+    # and so do most terms of the small random formulas below.
+    cancel = CnfFormula(2, (((0, True), (1, True)), ((0, False), (1, True))))
+    assert maxksat_objective(cancel) == Polynomial(2, {(): 1, (1,): 1})
+    formulas = [cancel, CnfFormula(4, ())]
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, min(n, 4))
+        formulas.append(random_cnf(rng, n, k, rng.randint(1, 12)))
+    formulas.append(gen_ksat(36, 144, 3, 7))
+    for f in formulas:
+        assert_same_encoding(
+            maxksat_objective(f), additive_maxksat_objective(f)
+        )
+
+
+def test_csp_encoding_is_the_sum_of_assignment_indicators():
+    # Complementary tables on one scope sum to the constant 1.
+    complement = CspInstance(
+        3, 2, (((0, 2), (1, 0, 0, 1)), ((2, 0), (0, 1, 1, 0)))
+    )
+    assert maxkcsp_objective(complement) == Polynomial(3, {(): 1})
+    instances = [complement, CspInstance(4, 3, ())]
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, min(n, 3))
+        instances.append(CspInstance(n, k, tuple(
+            (tuple(rng.sample(range(n), k)),
+             tuple(rng.randint(0, 1) for _ in range(2**k)))
+            for _ in range(rng.randint(1, 8))
+        )))
+    instances.append(gen_kcsp(10, 24, 3, 3))
+    for inst in instances:
+        assert_same_encoding(
+            maxkcsp_objective(inst), additive_maxkcsp_objective(inst)
+        )
 
 
 # -- csp encoding -------------------------------------------------------

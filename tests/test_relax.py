@@ -30,6 +30,7 @@ from smoothip.relax import (
     build_constrained_relaxation,
     build_relaxation,
     constraint_degree,
+    constraint_trees,
     constraint_violation_bound,
     gap_bound,
     prepare_constrained_relaxation,
@@ -524,7 +525,10 @@ def test_integer_constrained_build_matches_per_child_evaluation():
         prog = ConstrainedProgram(objective, tuple(constraints))
         beta = Fraction(rng.randrange(1, 30), rng.randrange(1, 9))
         assert_same_relaxation(
-            prepare_constrained_relaxation(prog, xhat, beta),
+            prepare_constrained_relaxation(
+                decompose(prog.objective), constraint_trees(prog.constraints),
+                xhat, beta,
+            ),
             evaluate_constrained_relaxation(prog, xhat, beta),
         )
     assert one_sided > 20 and fractional > 20
