@@ -24,12 +24,7 @@ from .pipeline import (
     solve_constrained,
 )
 from .poly import Polynomial, decompose, evaluate, min_smoothness
-from .relax import (
-    ConstrainedProgram,
-    build_constrained_relaxation,
-    build_relaxation,
-    gap_bound,
-)
+from .relax import ConstrainedProgram, gap_bound
 from .rounding import greedy_round, randomized_round, rounding_error_bound
 
 __all__ = [
@@ -40,8 +35,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "approx_ratio_bound",
-    "build_constrained_relaxation",
-    "build_relaxation",
     "decompose",
     "evaluate",
     "exact_solve",

@@ -105,7 +105,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_grid(flag: str, n: int):
-    """Grid flag: full | stride:S (eps 0, S, 2S, ... <= n) | e1,e2,..."""
+    """Grid flag: full | stride:S (eps 0, S, 2S, ... <= n) | e1,e2,...,
+    each explicit value in [0, n]."""
     if flag == "full":
         return None
     if flag.startswith("stride:"):
@@ -113,7 +114,11 @@ def _parse_grid(flag: str, n: int):
         if stride < 1:
             raise ValueError("stride must be at least 1")
         return tuple(range(0, n + 1, stride))
-    return tuple(int(part) for part in flag.split(","))
+    grid = tuple(int(part) for part in flag.split(","))
+    for e in grid:
+        if not 0 <= e <= n:
+            raise ValueError(f"grid value {e} outside [0, {n}]")
+    return grid
 
 
 def _prediction_for(flag: str, instance: Instance, seed: int):
@@ -227,6 +232,10 @@ def cmd_sweep(args) -> int:
     if args.opt is not None and len(args.instances) != 1:
         raise ValueError("--opt applies to a single instance")
     given_opt = None if args.opt is None else Fraction(args.opt)
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    # The checks every cell's SolveConfig makes, made once up front.
+    SolveConfig(strategy=args.strategy, k=args.k)
     instances = [load_instance(path) for path in args.instances]
     # Every file is checked before the first brute force starts.
     for path, instance in zip(args.instances, instances):

@@ -20,10 +20,6 @@ solves the same rows under many windows (the pipeline, one per error
 budget) converts and checks them once.  :func:`solve` is that object used
 once.  The simplex accepts the warm start only when its exact activities
 lie in the exact windows, and otherwise starts cold with a phase 1.
-
-Any callable with the signature of :func:`solve` and the same status
-vocabulary can replace it wherever a solver is accepted (see the pipeline
-configuration).
 """
 
 from __future__ import annotations
@@ -313,7 +309,11 @@ class PreparedLp:
         # A warm start must sit at a variable bound in every coordinate;
         # whether its activities lie in the windows is checked per solve.
         self.warm_x = None
-        if warm_start is not None and len(warm_start) == n:
+        if warm_start is not None:
+            if len(warm_start) != n:
+                raise ValueError(
+                    f"warm start length {len(warm_start)}, expected {n}"
+                )
             exact = [Fraction(v) for v in warm_start]
             if all(x in bounds for x, bounds in zip(exact, model.var_bounds)):
                 self.warm_x = np.array([float(v) for v in warm_start])
@@ -441,11 +441,12 @@ def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
     """Solve the model, optionally warm-started at a point with each
     coordinate at one of its variable bounds.
 
-    The warm start is used only when it satisfies every row exactly;
-    otherwise the solve starts cold with a phase 1.  Returns status
-    optimal / infeasible / unbounded / numerical-failure.  The optimal y
-    is clamped into the variable box and satisfies every row within
-    FEAS_TOL; otherwise the status says numerical-failure.  This is
+    A warm start of the wrong length raises ValueError.  The warm start is
+    used only when it sits at a bound in every coordinate and satisfies
+    every row exactly; otherwise the solve starts cold with a phase 1.
+    Returns status optimal / infeasible / unbounded / numerical-failure.
+    The optimal y is clamped into the variable box and satisfies every row
+    within FEAS_TOL; otherwise the status says numerical-failure.  This is
     :class:`PreparedLp` used for the model's own windows.
     """
     return PreparedLp(model, warm_start).solve(

@@ -15,8 +15,7 @@ rounds the fractional optimum to a Boolean point, and scores that point
 against the true objective in exact arithmetic.  From the saturation
 budget on (the first grid eps at which no row can cut the box) the
 embedded simplex is skipped: the box LP's optimum is written down in
-closed form, and those budgets share one rounded point.  A user-supplied
-LP backend still receives every budget's model.
+closed form, and those budgets share one rounded point.
 
 The prediction itself and a cheap baseline (greedy rounding of the
 all-halves vector) enter the candidate pool as well, so the returned
@@ -40,7 +39,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -63,7 +61,7 @@ from .relax import (  # noqa: F401
     constraint_degree,
     constraint_trees,
     gap_bound,
-    prepare_constrained_relaxation,
+    prepare_relaxation,
 )
 from .rounding import (
     greedy_round,
@@ -106,8 +104,7 @@ class SolveConfig:
 
     grid = None walks every eps 0, 1, ..., n; an explicit grid is used as
     given (sorted, deduplicated).  k is the tail exponent in the reported
-    concentration radii.  lp_backend may swap in any solver with the
-    embedded one's signature and status vocabulary.
+    concentration radii.
     """
 
     strategy: str = GREEDY
@@ -117,7 +114,6 @@ class SolveConfig:
     include_baseline_candidate: bool = True
     k: int = 1
     randomized_rounds: int = 16
-    lp_backend: Callable | None = None
 
     def __post_init__(self):
         if self.strategy not in (GREEDY, RANDOMIZED):
@@ -201,8 +197,7 @@ def _round_seed(base: int, eps: int, index: int) -> int:
 
 def _round_and_score(p, constraints, y, config: SolveConfig, eps: int):
     """(z, exact value, violation, values of the randomized rounds) for
-    the rounding of the LP optimum y."""
-    y = tuple(min(max(v, 0.0), 1.0) for v in y)
+    the rounding of the LP optimum y, a point of [0,1]^n."""
     if config.strategy == GREEDY:
         z = greedy_round(p, y)
         return z, evaluate(p, z), _violation(constraints, z), ()
@@ -302,9 +297,8 @@ def solve(
         z, value = _exact(p, constraints)
         candidates.append(Candidate("exact", z, value, Fraction(0)))
     else:
-        backend = config.lp_backend
-        relaxation = prepare_constrained_relaxation(
-            instance.tree, instance.constraint_trees, xhat, beta
+        relaxation = prepare_relaxation(
+            instance.tree, xhat, beta, instance.constraint_trees
         )
         radius = (
             rounding_error_bound(beta, n, d, config.k)
@@ -316,11 +310,8 @@ def solve(
         # embedded simplex would only flip bounds from its warm start: its
         # result is taken in closed form.  Greedy rounding of that one y
         # gives one z, and since y is Boolean, randomized rounding returns
-        # y under every seed; so the point is rounded and scored once.  A
-        # user backend still sees every budget's model.
-        saturation = (
-            relaxation.saturation_budget(grid) if backend is None else None
-        )
+        # y under every seed; so the point is rounded and scored once.
+        saturation = relaxation.saturation_budget(grid)
         box = (
             None if saturation is None
             else box_optimum(relaxation.objective, relaxation.offset, xhat)
@@ -334,8 +325,6 @@ def solve(
             saturated = saturation is not None and eps >= saturation
             if saturated:
                 sol = box
-            elif backend is not None:
-                sol = backend(relaxation.model(eps))
             else:
                 if lp is None:
                     lp = relaxation.lp()

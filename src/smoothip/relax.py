@@ -18,10 +18,9 @@ x* feasible whenever eps is at least the prediction's Hamming error, while
 the prediction itself is feasible for every eps >= 0.
 
 Square roots and e are carried as upper rational approximations, so
-feasibility of x* survives the passage to concrete numbers.  The
-constrained variant adds, per polynomial side constraint, the same
-component rows plus a relaxed top-level window widened by the sum of that
-constraint's tolerances.
+feasibility of x* survives the passage to concrete numbers.  Each
+polynomial side constraint adds the same component rows plus a relaxed
+top-level window widened by the sum of that constraint's tolerances.
 
 Only the tolerances depend on eps.  A :class:`Relaxation` holds everything
 else (objective, offset, and per row its coefficients, centre, depths,
@@ -302,20 +301,6 @@ def _component_rows(tree: DecompositionTree, point, scale, values) -> list:
     return rows
 
 
-def prepare_relaxation(
-    tree: DecompositionTree, xhat: Sequence, beta: Fraction | int
-) -> Relaxation:
-    """Objective, offset and component rows of the relaxation around xhat."""
-    n = tree.root.n
-    point = _check_prediction(xhat, n)
-    scale, values = _node_values(tree, point)
-    objective, _ = _linearization(tree, (), point, values)
-    return Relaxation(
-        n, Fraction(beta), tuple(_vector(n, objective, scale)), tree.constant,
-        tuple(_component_rows(tree, point, scale, values)), tuple(point),
-    )
-
-
 def build_relaxation(
     tree: DecompositionTree,
     xhat: Sequence,
@@ -346,13 +331,14 @@ def constraint_trees(constraints) -> tuple:
     )
 
 
-def prepare_constrained_relaxation(
+def prepare_relaxation(
     tree: DecompositionTree,
-    constraints: Sequence,
     xhat: Sequence,
     beta: Fraction | int,
+    constraints: Sequence = (),
 ) -> Relaxation:
-    """Objective relaxation plus relaxed windows for each side constraint.
+    """Objective, offset and component rows of the relaxation around xhat,
+    then relaxed windows for each side constraint.
 
     ``tree`` decomposes the objective and ``constraints`` holds one
     (tree, lower, upper) per side constraint, as :func:`constraint_trees`
@@ -361,9 +347,12 @@ def prepare_constrained_relaxation(
     where delta_c is the sum of the constraint's component tolerances, and
     its components obey the same per-tuple rows as the objective's.
     """
-    base = prepare_relaxation(tree, xhat, beta)
-    point = base.xhat
-    rows = list(base.rows)
+    n = tree.root.n
+    point = _check_prediction(xhat, n)
+    scale, values = _node_values(tree, point)
+    coeffs, _ = _linearization(tree, (), point, values)
+    objective = tuple(_vector(n, coeffs, scale))
+    rows = _component_rows(tree, point, scale, values)
     for side, lower, upper in constraints:
         scale, values = _node_values(side, point)
         components = _component_rows(side, point, scale, values)
@@ -372,7 +361,7 @@ def prepare_constrained_relaxation(
         rows.append(
             _row(
                 (),
-                base.n,
+                n,
                 top,
                 scale,
                 None if lower is None else lower - side.constant,
@@ -386,8 +375,8 @@ def prepare_constrained_relaxation(
         )
         rows.extend(components)
     return Relaxation(
-        base.n, base.beta, base.objective, base.offset, tuple(rows),
-        base.xhat,
+        n, Fraction(beta), objective, tree.constant, tuple(rows),
+        tuple(point),
     )
 
 
@@ -398,10 +387,10 @@ def build_constrained_relaxation(
     beta: Fraction | int,
 ) -> LpModel:
     """The constrained LP for one error budget; see
-    :func:`prepare_constrained_relaxation`."""
-    return prepare_constrained_relaxation(
-        decompose(prog.objective), constraint_trees(prog.constraints), xhat,
-        beta,
+    :func:`prepare_relaxation`."""
+    return prepare_relaxation(
+        decompose(prog.objective), xhat, beta,
+        constraint_trees(prog.constraints),
     ).model(eps)
 
 

@@ -116,7 +116,7 @@ def evaluate_relaxation(tree, xhat, beta) -> Relaxation:
 
 
 def evaluate_constrained_relaxation(prog, xhat, beta) -> Relaxation:
-    """prepare_constrained_relaxation with one evaluation per child."""
+    """prepare_relaxation with side constraints, one evaluation per child."""
     base = evaluate_relaxation(decompose(prog.objective), xhat, beta)
     point = _check_prediction(xhat, base.n)
     rows = list(base.rows)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from smoothip.lpsolve import LpModel
 from smoothip.pipeline import Instance, prepare
 from smoothip.poly import Polynomial
-from smoothip.relax import prepare_constrained_relaxation
+from smoothip.relax import prepare_relaxation
 
 
 def random_multilinear(rng, n, d, max_terms=12, coeff_bound=6):
@@ -92,6 +92,6 @@ def at_most(n, limit):
 def pipeline_relaxation(objective, xhat, constraints=()):
     """The relaxation a solve builds at xhat, from the prepared instance."""
     prepared = prepare(Instance(objective, constraints))
-    return prepare_constrained_relaxation(
-        prepared.tree, prepared.constraint_trees, xhat, prepared.beta
+    return prepare_relaxation(
+        prepared.tree, xhat, prepared.beta, prepared.constraint_trees
     )

@@ -449,6 +449,36 @@ def test_rejects_bad_input_before_any_brute_force(
     assert brute_force_calls == []
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--k", "0"), ("--k", "-1"), ("--trials", "0"), ("--trials", "-1")],
+    ids=["k=0", "k=-1", "trials=0", "trials=-1"],
+)
+def test_sweep_rejects_bad_flags_before_any_brute_force(
+    two_instances, capsys, monkeypatch, flags
+):
+    brute_forced = counted_calls(monkeypatch, cli, "exact_solve")
+    code, out, err = run(capsys, "sweep", *map(str, two_instances),
+                         "--eps", "0,2", *flags)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert brute_forced == []
+
+
+@pytest.mark.parametrize("grid", ["0,99", "-1", "0,8"])
+def test_solve_rejects_an_out_of_range_grid_before_the_prediction(
+    two_instances, capsys, monkeypatch, grid
+):
+    cut, _ = two_instances
+    predicted = counted_calls(monkeypatch, cli, "exact_prediction")
+    for prediction in ("exact", "perturb:1"):
+        code, _, err = run(capsys, "solve", str(cut), "--grid", grid,
+                           "--prediction", prediction)
+        assert code == 2
+        assert "outside [0, 7]" in err
+    assert predicted == []
+
+
 # -- verify -------------------------------------------------------------
 
 

@@ -141,6 +141,16 @@ def test_warm_start_agrees_with_cold_start():
     assert solve(one_row, warm_start=(1, 1)).y == solve(one_row).y == (0, 1)
 
 
+def test_warm_start_of_the_wrong_length_is_rejected():
+    model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), 1, 2)
+    for start in ((1, 0), (1, 0, 0, 1), ()):
+        with pytest.raises(ValueError, match="warm start length"):
+            solve(model, warm_start=start)
+    # A start off the variable bounds keeps its cold start.
+    half = solve(model, warm_start=(Fraction(1, 2), 0, 0))
+    assert repr(half) == repr(solve(model))
+
+
 def agrees(ours, ref) -> bool:
     """Same status and, when optimal, objectives within 1e-6 relative."""
     if ours.status != ref.status:

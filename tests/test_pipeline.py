@@ -9,7 +9,7 @@ import pytest
 
 from helpers import random_bool_vector, random_multilinear
 from test_golden import corpus
-from smoothip import lpsolve, pipeline
+from smoothip import lpsolve, pipeline, relax
 from smoothip.pipeline import (
     EXACT_CAP,
     Instance,
@@ -192,42 +192,36 @@ def test_randomized_runs_are_reproducible():
         assert record.rounded_value == max(record.seed_values)
 
 
-def test_randomized_differs_across_seeds():
+def force_the_simplex(monkeypatch):
+    """Make no budget saturate, so that every budget's LP goes through
+    pipeline.lp_solve, where a test can inject its result."""
+    monkeypatch.setattr(
+        relax.Relaxation, "saturation_budget", lambda self, grid: None
+    )
+
+
+def test_randomized_differs_across_seeds(monkeypatch):
     # Pin the LP answer to the all-halves point so the rounding stream is
     # the only source of variation.
-    def center(model):
-        return lpsolve.LpSolution("optimal", (0.5,) * 12, 0.0)
-
+    force_the_simplex(monkeypatch)
+    monkeypatch.setattr(
+        pipeline, "lp_solve",
+        lambda lp, windows: lpsolve.LpSolution("optimal", (0.5,) * 12, 0.0),
+    )
     g = gen_gnp(12, 0.5, 3)
     inst = Instance(maxcut_objective(g))
     runs = {
         solve(
             inst,
             (0,) * 12,
-            SolveConfig(
-                strategy="randomized", seed=s, grid=(6,), lp_backend=center
-            ),
+            SolveConfig(strategy="randomized", seed=s, grid=(6,)),
         ).per_eps[0].rounded_z
         for s in range(6)
     }
     assert len(runs) > 1
 
 
-# -- LP backend hooks ---------------------------------------------------
-
-
-def test_custom_backend_is_used():
-    calls = []
-
-    def backend(model):
-        calls.append(model)
-        return lpsolve.solve(model)
-
-    report = solve(
-        Instance(TRIANGLE), (1, 0, 0), SolveConfig(lp_backend=backend)
-    )
-    assert len(calls) == 4
-    assert report.best_value == 2
+# -- the simplex and the closed form ------------------------------------
 
 
 def canonical(report) -> dict:
@@ -270,46 +264,48 @@ def test_closed_form_matches_the_simplex_at_every_budget(
             config = SolveConfig(
                 strategy=strategy, seed=seed, randomized_rounds=4
             )
-            forced = dataclasses.replace(
-                config,
-                lp_backend=lambda m: lpsolve.solve(m, warm_start=xhat),
-            )
             del simplex_calls[:]
             default = solve(instance, xhat, config)
             assert len(simplex_calls) < n + 1  # some budgets saturated
-            assert canonical(default) == canonical(
-                solve(instance, xhat, forced)
-            )
+            del simplex_calls[:]
+            with monkeypatch.context() as forcing:
+                force_the_simplex(forcing)
+                forced = solve(instance, xhat, config)
+            assert len(simplex_calls) == n + 1
+            assert canonical(default) == canonical(forced)
 
 
-def test_failed_eps_is_skipped_not_fatal():
+def test_failed_eps_is_skipped_not_fatal(monkeypatch):
+    force_the_simplex(monkeypatch)
+    original = pipeline.lp_solve
     count = [0]
 
-    def flaky(model):
+    def flaky(lp, windows):
         count[0] += 1
         if count[0] == 3:
             return lpsolve.LpSolution("numerical-failure", (), None)
-        return lpsolve.solve(model)
+        return original(lp, windows)
 
-    report = solve(
-        Instance(TRIANGLE), (1, 0, 0), SolveConfig(lp_backend=flaky)
-    )
+    monkeypatch.setattr(pipeline, "lp_solve", flaky)
+    report = solve(Instance(TRIANGLE), (1, 0, 0))
+    assert count[0] == 4
     bad = report.per_eps[2]
     assert bad.status == "numerical-failure"
     assert bad.lp_value is None and bad.rounded_z is None
     assert report.best_value == 2
 
 
-def test_no_candidates_at_all_raises():
-    def broken(model):
-        return lpsolve.LpSolution("numerical-failure", (), None)
-
+def test_no_candidates_at_all_raises(monkeypatch):
+    force_the_simplex(monkeypatch)
+    monkeypatch.setattr(
+        pipeline, "lp_solve",
+        lambda lp, windows: lpsolve.LpSolution("numerical-failure", (), None),
+    )
     with pytest.raises(RuntimeError):
         solve(
             Instance(TRIANGLE),
             (1, 0, 0),
             SolveConfig(
-                lp_backend=broken,
                 include_prediction_candidate=False,
                 include_baseline_candidate=False,
             ),

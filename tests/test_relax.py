@@ -33,7 +33,6 @@ from smoothip.relax import (
     constraint_trees,
     constraint_violation_bound,
     gap_bound,
-    prepare_constrained_relaxation,
     prepare_relaxation,
     tolerance,
 )
@@ -525,9 +524,9 @@ def test_integer_constrained_build_matches_per_child_evaluation():
         prog = ConstrainedProgram(objective, tuple(constraints))
         beta = Fraction(rng.randrange(1, 30), rng.randrange(1, 9))
         assert_same_relaxation(
-            prepare_constrained_relaxation(
-                decompose(prog.objective), constraint_trees(prog.constraints),
-                xhat, beta,
+            prepare_relaxation(
+                decompose(prog.objective), xhat, beta,
+                constraint_trees(prog.constraints),
             ),
             evaluate_constrained_relaxation(prog, xhat, beta),
         )
