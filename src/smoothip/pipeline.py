@@ -389,19 +389,46 @@ def solve_constrained(
 def _masks_to_values(poly: Polynomial, n: int):
     """Objective value of every Boolean point as integers over a common
     denominator, indexed so that bit (n - 1 - i) holds z_i; ascending
-    index order is then lexicographic order on z."""
+    index order is then lexicographic order on z.
+
+    Every entry is the sum of the scaled coefficients of the monomials
+    that the point satisfies, a subset sum, so none exceeds the total
+    of their magnitudes in size; the table is the narrowest of int16,
+    int32 and int64 that holds that total, and Python ints (object)
+    past int64.  The sums are Yates' subset-sum transform, one pass per
+    bit, split in two: the low k = n // 2 bits are transformed on a
+    table with one row per distinct high part among the monomials, and
+    after the rows are scattered into the full table the n - k high
+    passes each add whole contiguous blocks.
+    """
     denom = math.lcm(
         *(c.denominator for c in poly.coeffs.values()), 1
     )
-    total = sum(abs(int(c * denom)) for c in poly.coeffs.values())
-    dtype = np.int64 if total < 2**62 else object
-    table = np.zeros(1 << n, dtype=dtype)
-    for mono, coeff in poly.coeffs.items():
+    scaled = {mono: int(c * denom) for mono, c in poly.coeffs.items()}
+    total = sum(map(abs, scaled.values()))
+    dtype = next(
+        (t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= total),
+        object,
+    )
+    k = n // 2
+    rows: dict = {}
+    cells = []
+    for mono, value in scaled.items():
         mask = 0
         for i in mono:
             mask |= 1 << (n - 1 - i)
-        table[mask] += int(coeff * denom)
-    for b in range(n):
+        row = rows.setdefault(mask >> k, len(rows))
+        cells.append((row, mask & ((1 << k) - 1), value))
+    low = np.zeros((len(rows), 1 << k), dtype=dtype)
+    for row, mask, value in cells:
+        low[row, mask] = value
+    for b in range(k):
+        view = low.reshape(len(rows), 1 << (k - b - 1), 2, 1 << b)
+        view[:, :, 1, :] += view[:, :, 0, :]
+    table = np.zeros((1 << (n - k), 1 << k), dtype=dtype)
+    table[list(rows)] = low
+    table = table.reshape(-1)
+    for b in range(k, n):
         view = table.reshape(-1, 2, 1 << b)
         view[:, 1, :] += view[:, 0, :]
     return table, denom
@@ -423,10 +450,23 @@ def _exact(p: Polynomial, constraints) -> tuple:
         best_mask = int(max(masks, key=values.__getitem__))
     else:
         if feasible is not None:
-            values = np.where(feasible, values, np.iinfo(np.int64).min)
+            # The dtype's own minimum lies below every entry.
+            values = np.where(feasible, values, np.iinfo(values.dtype).min)
         best_mask = int(np.argmax(values))
     z = tuple((best_mask >> (n - 1 - i)) & 1 for i in range(n))
     return z, Fraction(int(values[best_mask]), denom)
+
+
+def _clamp(bound: int, dtype) -> int:
+    """bound clamped to the dtype's range as a Python int, so that a
+    table of that dtype is compared with a value it holds, whatever
+    NumPy's promotion rules; the entries lie strictly above the minimum,
+    so ``table > _clamp(lo - 1)`` and ``table <= _clamp(hi)`` answer as
+    the unclamped comparisons do."""
+    if dtype == object:
+        return bound
+    info = np.iinfo(dtype)
+    return min(max(bound, int(info.min)), int(info.max))
 
 
 def _feasible(constraints, n: int):
@@ -440,9 +480,11 @@ def _feasible(constraints, n: int):
         scaled = poly * bounds_denom
         table, qd = _masks_to_values(scaled, n)
         if lower is not None:
-            feasible &= table >= int(Fraction(lower) * bounds_denom * qd)
+            lo = int(Fraction(lower) * bounds_denom * qd)
+            feasible &= table > _clamp(lo - 1, table.dtype)
         if upper is not None:
-            feasible &= table <= int(Fraction(upper) * bounds_denom * qd)
+            hi = int(Fraction(upper) * bounds_denom * qd)
+            feasible &= table <= _clamp(hi, table.dtype)
     if not feasible.any():
         raise ValueError("no Boolean point satisfies the constraints")
     return feasible

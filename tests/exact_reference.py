@@ -6,12 +6,17 @@ compute the same things the plain way, with one Fraction per operation:
 greedy rounding multiplies exact Fractions through every monomial, and the
 relaxation evaluates every child polynomial at the prediction.  The SAT
 and CSP encoders accumulate one coefficient map; their references add
-Polynomials clause by clause.  Tests require the package to agree with
-them field for field.
+Polynomials clause by clause.  The brute force's value table is built on
+the narrowest integer type, with the low bits transformed once per
+distinct high part; its reference runs all n passes over the full table.
+Tests require the package to agree with them field for field.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from smoothip.poly import Polynomial, decompose
 from smoothip.relax import (
@@ -184,3 +189,24 @@ def additive_maxkcsp_objective(inst) -> Polynomial:
                 product = product * (x if bit else (1 - x))
             total = total + product
     return total.with_degree(inst.k)
+
+
+def butterfly_masks_to_values(poly, n: int):
+    """pipeline._masks_to_values with n full-table passes of Yates'
+    subset-sum transform, on int64 when the coefficient total is below
+    2^62 and on Python ints (object) otherwise."""
+    denom = math.lcm(
+        *(c.denominator for c in poly.coeffs.values()), 1
+    )
+    total = sum(abs(int(c * denom)) for c in poly.coeffs.values())
+    dtype = np.int64 if total < 2**62 else object
+    table = np.zeros(1 << n, dtype=dtype)
+    for mono, coeff in poly.coeffs.items():
+        mask = 0
+        for i in mono:
+            mask |= 1 << (n - 1 - i)
+        table[mask] += int(coeff * denom)
+    for b in range(n):
+        view = table.reshape(-1, 2, 1 << b)
+        view[:, 1, :] += view[:, 0, :]
+    return table, denom

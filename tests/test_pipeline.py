@@ -1,17 +1,23 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exact_reference import butterfly_masks_to_values
 from helpers import random_bool_vector, random_multilinear
 from test_golden import corpus
 from smoothip import lpsolve, pipeline, relax
 from smoothip.pipeline import (
     EXACT_CAP,
+    _masks_to_values,
     Instance,
     SolveConfig,
     approx_ratio_bound,
@@ -472,6 +478,145 @@ def test_exact_agrees_with_enumeration():
             values[point] = evaluate(p, point)
         assert value == max(values.values())
         assert z == min(pt for pt, v in values.items() if v == value)
+
+
+def assert_table_matches_reference(p, dtype=None):
+    table, denom = _masks_to_values(p, p.n)
+    want, want_denom = butterfly_masks_to_values(p, p.n)
+    assert denom == want_denom
+    assert [int(v) for v in table] == [int(v) for v in want]
+    if dtype is not None:
+        assert table.dtype == np.dtype(dtype)
+
+
+# Multipliers that put a polynomial with coefficients of size up to 8 on
+# each table dtype: int16, int32, int64 and, past int64, Python ints.
+SCALES = (1, 2**13, 2**29, 2**58, 2**70)
+
+
+@st.composite
+def table_polynomials(draw):
+    """Polynomials on 1-10 variables of degree 1-4 with negative and
+    fractional coefficients, scaled onto any of the table dtypes."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, min(4, n)))
+    coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+    monos = draw(
+        st.lists(st.sets(st.integers(0, n - 1), max_size=d), max_size=20)
+    )
+    scale = draw(st.sampled_from(SCALES))
+    coeffs = {}
+    for mono in monos:
+        key = tuple(sorted(mono))
+        coeffs[key] = coeffs.get(key, 0) + draw(coeff) * scale
+    return Polynomial(n, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_polynomials())
+def test_value_table_matches_the_full_butterfly(p):
+    assert_table_matches_reference(p)
+
+
+@pytest.mark.parametrize(
+    "total, dtype",
+    [
+        (2**15 - 1, np.int16),
+        (2**15, np.int32),
+        (2**31 - 1, np.int32),
+        (2**31, np.int64),
+        (2**63 - 1, np.int64),
+        (2**63, object),
+    ],
+)
+def test_value_table_dtype_is_the_narrowest_that_holds_the_total(
+    total, dtype
+):
+    # The coefficients' magnitudes sum to total.
+    half = total // 2
+    p = Polynomial(7, {(): 1, (0, 1): half, (2, 6): -(total - half - 1)})
+    assert_table_matches_reference(p, dtype)
+
+
+def test_value_table_of_the_zero_polynomial():
+    for n in (1, 2, 5):
+        table, denom = _masks_to_values(Polynomial(n, {}), n)
+        assert denom == 1 and table.shape == (1 << n,) and not table.any()
+
+
+def test_value_table_with_one_and_with_every_high_part():
+    # n = 7 splits into k = 3 low variables (4, 5, 6) and 4 high ones.
+    rng = random.Random(21)
+    n, high = 7, range(4)
+    low_only = {
+        tuple(sorted(rng.sample(range(4, n), rng.randint(0, 3)))): Fraction(
+            rng.randint(-9, 9), rng.randint(1, 4)
+        )
+        for _ in range(6)
+    }
+    every_high = {
+        mono + low: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        for size in range(5)
+        for mono in itertools.combinations(high, size)
+        for low in [tuple(sorted(rng.sample(range(4, n), 1)))]
+    }
+    for coeffs in (low_only, every_high):
+        assert_table_matches_reference(Polynomial(n, coeffs))
+    assert len({tuple(i for i in m if i < 4) for m in every_high}) == 16
+
+
+@pytest.mark.parametrize(
+    "scale, dtype",
+    [(1, np.int16), (2**14, np.int32), (2**30, np.int64), (2**62, object)],
+)
+def test_infeasible_points_lose_on_every_table_dtype(scale, dtype):
+    # Every feasible value is negative, and the infeasible all-zeros
+    # point has the largest value; it must not win.
+    p = Polynomial(3, {(): -scale, (0,): -scale, (1,): -scale, (2,): -scale})
+    assert _masks_to_values(p, 3)[0].dtype == np.dtype(dtype)
+    at_least_one = Polynomial(3, {(0,): 1, (1,): 1, (2,): 1})
+    z, value = exact_solve(Instance(p, ((at_least_one, 1, None),)))
+    assert z == (0, 0, 1) and value == -2 * scale
+
+
+def test_windows_far_outside_a_narrow_table():
+    p = Polynomial(3, {(0,): 3, (1,): -2, (0, 2): 1})
+    count = Polynomial(3, {(0,): 1, (1,): 1, (2,): 1})
+    assert _masks_to_values(count, 3)[0].dtype == np.int16
+    plain = exact_solve(Instance(p))
+    for window in ((None, 10**30), (-(10**30), None), (-(10**30), 10**30)):
+        assert exact_solve(Instance(p, ((count, *window),))) == plain
+    for window in ((10**30, None), (None, -(10**30))):
+        with pytest.raises(ValueError, match="no Boolean point satisfies"):
+            exact_solve(Instance(p, ((count, *window),)))
+
+
+def test_windows_at_the_edge_of_a_full_int16_table():
+    # The constraint's total is the int16 maximum, so a bound one past it
+    # does not fit the table's dtype.
+    p = Polynomial(2, {(0,): -1, (1,): 1})
+    heavy = Polynomial(2, {(0,): 2**15 - 1})
+    assert _masks_to_values(heavy, 2)[0].dtype == np.int16
+    assert exact_solve(Instance(p, ((heavy, 2**15 - 1, None),))) == (
+        (1, 1), 0
+    )
+    assert exact_solve(Instance(p, ((heavy, None, 0),))) == ((0, 1), 1)
+    for window in ((2**15, None), (None, -1)):
+        with pytest.raises(ValueError, match="no Boolean point satisfies"):
+            exact_solve(Instance(p, ((heavy, *window),)))
+
+
+def test_exact_at_the_cap():
+    # MAX-CUT of K_{12,12} with the even vertices on one side and the odd
+    # ones on the other: every edge is cut by exactly the two points that
+    # split the sides, and (0, 1, 0, 1, ...) is the smaller of them.
+    assert EXACT_CAP == 24
+    edges = tuple(
+        (i, j) for i in range(0, 24, 2) for j in range(1, 24, 2)
+    )
+    z, value = exact_solve(Instance(maxcut_objective(Graph(24, edges))))
+    assert z == (0, 1) * 12
+    assert value == 144
 
 
 # -- bounds -------------------------------------------------------------
