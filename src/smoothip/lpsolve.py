@@ -1,8 +1,9 @@
 """Self-contained LP solver for the relaxations built by this package.
 
 Models are boxes plus two-sided linear rows: maximize c^T x + offset over
-x in [0,1]^n subject to lo_i <= a_i^T x <= hi_i.  Coefficients and bounds
-are exact rationals; the solver itself works in floats and the caller
+x in [0,1]^n subject to lo_i <= a_i^T x <= hi_i.  An :class:`LpModel`
+records one exactly, in Fractions; the solver takes its rows as integers
+over one positive denominator per row, works in floats and the caller
 re-evaluates objectives exactly after rounding, so float error never leaks
 into a reported bound.
 
@@ -15,11 +16,15 @@ fixed pivot rules, no randomization.
 
 Everything but the row windows is prepared once in a :class:`PreparedLp`:
 the float matrix, the cost, the row split and a warm start with its exact
-row activities.  Its ``solve(windows)`` then does one LP, so a caller that
-solves the same rows under many windows (the pipeline, one per error
-budget) converts and checks them once.  :func:`solve` is that object used
+row activities.  Every float in it is an integer over an integer, divided
+once with Python's correctly rounded ``int / int``, so it has the bits of
+the float of the exact Fraction.  Its ``solve(windows)`` then does one LP,
+so a caller that solves the same rows under many windows (the pipeline,
+one per error budget) converts and checks them once.  :func:`solve` puts
+an :class:`LpModel` over integers with :func:`integer_form` and solves it
 once.  The simplex accepts the warm start only when its exact activities
-lie in the exact windows, and otherwise starts cold with a phase 1.
+lie in the exact windows, an integer comparison, and otherwise starts cold
+with a phase 1.
 """
 
 from __future__ import annotations
@@ -41,11 +46,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical-failure"
-
-# The zero that callers may share across their rows' absent coefficients
-# (relax does): PreparedLp skips it by identity, with no Fraction call.
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class LpModel:
@@ -256,110 +256,132 @@ class _Simplex:
 class PreparedLp:
     """The part of an LP that its row windows do not change, prepared once.
 
-    Holds the float matrix of the rows that can bind (it seeds each
-    solve's working matrix and serves its final row check), the cost, the
+    ``objective`` is (coeffs, denom) and ``rows`` holds one (coeffs,
+    lower, upper, denom) per row: integer coefficients and bounds over a
+    positive integer denominator, a bound None when absent.
+    ``var_bounds`` holds an exact (lo, hi) per variable.  Prepared here:
+    the float matrix of the rows that can bind (it seeds each solve's
+    working matrix and serves its final row check), the cost, the
     variable box, which rows are empty or vacuous, and an optional warm
-    start with its exact activity on every row of ``model``; a caller that
-    already has those activities passes them, otherwise they are computed
-    here.  :meth:`solve` then takes one set of row windows, whose absent
-    bounds must be those of ``model``.
+    start with its exact activity on every row that can bind.
+    :meth:`solve` then takes one set of row windows in the same integer
+    form, whose absent bounds must be those of ``rows``.
     """
 
     def __init__(
         self,
-        model: LpModel,
+        objective: tuple,
+        offset,
+        rows: Sequence,
+        var_bounds: Sequence,
         warm_start: Sequence | None = None,
-        activities: Sequence | None = None,
     ):
-        n = model.num_vars
+        costs, cost_denom = objective
+        n = len(costs)
         self.num_vars = n
-        self.objective = tuple(float(c) for c in model.objective)
-        self.offset = float(model.offset)
-        self.num_rows = len(model.rows)
-        self.absent = tuple(
-            (lo is None, hi is None) for _, lo, hi in model.rows
-        )
-        self.kept: list[int] = []
-        self.empty: list[int] = []
-        # The float matrix is filled from each row's nonzero entries only,
-        # at their offsets in the flattened matrix.
-        offsets: list[int] = []
-        values: list[float] = []
-        for i, (coeffs, lo, hi) in enumerate(model.rows):
-            if lo is None and hi is None:
-                continue  # vacuous row
-            base = len(self.kept) * n
-            nonzero = [
-                (base + j, c) for j, c in enumerate(coeffs)
-                if c is not ZERO and c
-            ]
-            if not nonzero:
-                self.empty.append(i)
-                continue
-            self.kept.append(i)
-            for offset, c in nonzero:
-                offsets.append(offset)
-                values.append(float(c))
-        flat = np.zeros(len(self.kept) * n)
-        flat[offsets] = values
-        self.matrix = flat.reshape(len(self.kept), n)
-        self.var_lb = np.array([float(lo) for lo, _ in model.var_bounds])
-        self.var_ub = np.array([float(hi) for _, hi in model.var_bounds])
-        self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
+        self.objective = tuple(c / cost_denom for c in costs)
+        self.offset = float(offset)
+        self.num_rows = len(rows)
+        self.absent = tuple((lo is None, hi is None) for _, lo, hi, _ in rows)
         # A warm start must sit at a variable bound in every coordinate;
         # whether its activities lie in the windows is checked per solve.
-        self.warm_x = None
+        warm = None
         if warm_start is not None:
             if len(warm_start) != n:
                 raise ValueError(
                     f"warm start length {len(warm_start)}, expected {n}"
                 )
             exact = [Fraction(v) for v in warm_start]
-            if all(x in bounds for x, bounds in zip(exact, model.var_bounds)):
-                self.warm_x = np.array([float(v) for v in warm_start])
+            if all(x in bounds for x, bounds in zip(exact, var_bounds)):
+                # The start as integers over one denominator.
+                scale = math.lcm(*(x.denominator for x in exact))
+                warm = [x.numerator * (scale // x.denominator) for x in exact]
+                self.warm_x = np.array([float(x) for x in exact])
                 self.warm_at_upper = np.array(
-                    [x == hi for x, (_, hi) in zip(exact, model.var_bounds)]
+                    [x == hi for x, (_, hi) in zip(exact, var_bounds)]
                 )
-                self.warm_activity = [
-                    sum(c * x for c, x in zip(model.rows[i][0], exact))
-                    if activities is None else activities[i]
-                    for i in self.kept
-                ]
-                self.warm_activity_float = np.array(
-                    [float(a) for a in self.warm_activity]
+        self.warm_activity = None if warm is None else []
+        self.kept: list[int] = []
+        self.empty: list[int] = []
+        # The float matrix is filled from each row's nonzero entries only,
+        # at their offsets in the flattened matrix.
+        offsets: list[int] = []
+        values: list[float] = []
+        for i, (coeffs, lo, hi, denom) in enumerate(rows):
+            if lo is None and hi is None:
+                continue  # vacuous row
+            nonzero = [(j, c) for j, c in enumerate(coeffs) if c]
+            if not nonzero:
+                self.empty.append(i)
+                continue
+            base = len(self.kept) * n
+            self.kept.append(i)
+            for j, c in nonzero:
+                offsets.append(base + j)
+                values.append(c / denom)
+            if warm is not None:
+                # (numerator, denominator) of the exact activity.
+                self.warm_activity.append(
+                    (sum(c * warm[j] for j, c in nonzero), denom * scale)
                 )
+        flat = np.zeros(len(self.kept) * n)
+        flat[offsets] = values
+        self.matrix = flat.reshape(len(self.kept), n)
+        self.var_lb = np.array([float(lo) for lo, _ in var_bounds])
+        self.var_ub = np.array([float(hi) for _, hi in var_bounds])
+        self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
+        if warm is not None:
+            self.warm_activity_float = np.array(
+                [a / d for a, d in self.warm_activity]
+            )
+
+    def slack_bounds(self, windows: Sequence) -> tuple:
+        """Float lower and upper bounds of the kept rows' slacks, each
+        bound an integer divided by its denominator; infinite where
+        absent."""
+        kept = [windows[i] for i in self.kept]
+        return (
+            np.array(
+                [-math.inf if lo is None else lo / d for lo, _, d in kept]
+            ),
+            np.array(
+                [math.inf if hi is None else hi / d for _, hi, d in kept]
+            ),
+        )
+
+    def warm_fits(self, windows: Sequence) -> bool:
+        """Whether the warm start's exact activity lies in every kept
+        row's window, compared as integers: a / ad >= lo / d exactly when
+        a * d >= lo * ad, both denominators being positive."""
+        if self.warm_activity is None:
+            return False
+        return all(
+            (lo is None or a * d >= lo * ad)
+            and (hi is None or a * d <= hi * ad)
+            for (a, ad), (lo, hi, d) in zip(
+                self.warm_activity, (windows[i] for i in self.kept)
+            )
+        )
 
     def solve(self, windows: Sequence) -> LpSolution:
-        """Solve with rows lo_i <= a_i . x <= hi_i for the given (lo, hi)
-        pairs, one per model row; see :func:`solve`."""
+        """Solve with rows lo_i <= a_i . x <= hi_i for the given (lower,
+        upper, denom) windows, one per row; see :func:`solve`."""
         if len(windows) != self.num_rows or any(
             (lo is None, hi is None) != absent
-            for (lo, hi), absent in zip(windows, self.absent)
+            for (lo, hi, _), absent in zip(windows, self.absent)
         ):
             raise ValueError("windows do not match the prepared rows")
         for i in self.empty:
-            lo, hi = windows[i]
+            lo, hi, _ = windows[i]
             if (lo is not None and lo > 0) or (hi is not None and hi < 0):
                 # Empty row whose bounds exclude zero: trivially infeasible.
                 floor = tuple(self.var_lb.tolist())
                 return LpSolution(INFEASIBLE, floor, None)
         n, m = self.num_vars, len(self.kept)
-        kept = [windows[i] for i in self.kept]
-        sx = _Simplex(
-            self,
-            np.array(
-                [-math.inf if lo is None else float(lo) for lo, _ in kept]
-            ),
-            np.array(
-                [math.inf if hi is None else float(hi) for _, hi in kept]
-            ),
-        )
+        sx = _Simplex(self, *self.slack_bounds(windows))
         max_iterations = 50 * (self.num_rows + n)
 
-        warm_ok = self.warm_x is not None and all(
-            (lo is None or a >= lo) and (hi is None or a <= hi)
-            for a, (lo, hi) in zip(self.warm_activity, kept)
-        )
+        warm_ok = self.warm_fits(windows)
         if warm_ok:
             sx.val[:n] = self.warm_x
             sx.at_upper[:n] = self.warm_at_upper
@@ -437,6 +459,29 @@ class PreparedLp:
         )
 
 
+def integer_form(model: LpModel) -> tuple:
+    """(objective, rows) of the model as :class:`PreparedLp` takes them:
+    the objective as (coeffs, denom) and each row as (coeffs, lower,
+    upper, denom), every Fraction an integer over the lcm of the
+    denominators of its row (or of the objective)."""
+    rows = []
+    for coeffs, lo, hi in model.rows:
+        (*scaled, lower, upper), denom = _over_lcm((*coeffs, lo, hi))
+        rows.append((tuple(scaled), lower, upper, denom))
+    return _over_lcm(model.objective), rows
+
+
+def _over_lcm(values) -> tuple:
+    """(integers, d) with values[i] = integers[i] / d, d the lcm of the
+    denominators; None stays None."""
+    exact = [None if v is None else Fraction(v) for v in values]
+    denom = math.lcm(*(f.denominator for f in exact if f is not None))
+    return tuple(
+        None if f is None else f.numerator * (denom // f.denominator)
+        for f in exact
+    ), denom
+
+
 def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
     """Solve the model, optionally warm-started at a point with each
     coordinate at one of its variable bounds.
@@ -447,28 +492,32 @@ def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
     Returns status optimal / infeasible / unbounded / numerical-failure.
     The optimal y is clamped into the variable box and satisfies every row
     within FEAS_TOL; otherwise the status says numerical-failure.  This is
-    :class:`PreparedLp` used for the model's own windows.
+    :class:`PreparedLp` of the model's :func:`integer_form`, used for the
+    model's own windows.
     """
-    return PreparedLp(model, warm_start).solve(
-        [(lo, hi) for _, lo, hi in model.rows]
-    )
+    objective, rows = integer_form(model)
+    return PreparedLp(
+        objective, model.offset, rows, model.var_bounds, warm_start
+    ).solve([(lo, hi, denom) for _, lo, hi, denom in rows])
 
 
-def box_optimum(objective: Sequence, offset, warm_start: Sequence) -> LpSolution:
+def box_optimum(objective: tuple, offset, warm_start: Sequence) -> LpSolution:
     """The optimum :func:`solve` returns from ``warm_start`` when no row
-    can cut the box [0,1]^n.
+    can cut the box [0,1]^n; ``objective`` is (coeffs, denom) as
+    :class:`PreparedLp` takes it.
 
     With only slacks basic the duals are zero and no row limits a ratio
     test, so every pivot is a bound flip: y_j becomes 1 where the cost
     exceeds DUAL_TOL, 0 where it is below -DUAL_TOL, and stays at the
     warm start otherwise.
     """
+    coeffs, denom = objective
+    costs = [c / denom for c in coeffs]
     y = tuple(
-        1.0 if float(c) > DUAL_TOL else 0.0 if float(c) < -DUAL_TOL
-        else float(v)
-        for c, v in zip(objective, warm_start)
+        1.0 if c > DUAL_TOL else 0.0 if c < -DUAL_TOL else float(v)
+        for c, v in zip(costs, warm_start)
     )
-    return LpSolution(OPTIMAL, y, _objective_value(objective, offset, y))
+    return LpSolution(OPTIMAL, y, _objective_value(costs, offset, y))
 
 
 def _objective_value(objective, offset, y) -> float:

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from .pipeline import Instance, SolveConfig, exact_solve, prepare, solve
+from .relax import prediction_point
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,7 @@ class Prediction:
     provenance: str
 
     def __post_init__(self):
-        object.__setattr__(self, "x_hat", tuple(int(v) for v in self.x_hat))
-        if any(v not in (0, 1) for v in self.x_hat):
-            raise ValueError("prediction entries must be 0 or 1")
+        object.__setattr__(self, "x_hat", prediction_point(self.x_hat))
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class ErmProblem:
 
 
 def _vector(prediction) -> tuple:
-    return tuple(int(v) for v in getattr(prediction, "x_hat", prediction))
+    return prediction_point(getattr(prediction, "x_hat", prediction))
 
 
 def exact_prediction(instance: Instance) -> Prediction:

@@ -61,6 +61,7 @@ from .relax import (  # noqa: F401
     constraint_degree,
     constraint_trees,
     gap_bound,
+    prediction_point,
     prepare_relaxation,
 )
 from .rounding import (
@@ -157,16 +158,6 @@ class SolveReport:
     per_eps: tuple
     candidates: tuple
     label: str = ""
-
-
-def _as_point(prediction, n: int) -> tuple:
-    raw = getattr(prediction, "x_hat", prediction)
-    point = tuple(int(v) for v in raw)
-    if len(point) != n:
-        raise ValueError(f"prediction length {len(point)}, expected {n}")
-    if any(v not in (0, 1) for v in point):
-        raise ValueError("prediction entries must be 0 or 1")
-    return point
 
 
 def _grid(config: SolveConfig, n: int) -> list[int]:
@@ -277,7 +268,7 @@ def solve(
         instance = prepare(instance)
     p, constraints, beta = instance.p, instance.constraints, instance.beta
     n, d = p.n, p.degree
-    xhat = _as_point(prediction, n)
+    xhat = prediction_point(getattr(prediction, "x_hat", prediction), n)
     constrained = bool(constraints)
 
     candidates: list[Candidate] = []
@@ -314,7 +305,10 @@ def solve(
         saturation = relaxation.saturation_budget(grid)
         box = (
             None if saturation is None
-            else box_optimum(relaxation.objective, relaxation.offset, xhat)
+            else box_optimum(
+                (relaxation.objective, relaxation.denom), relaxation.offset,
+                xhat,
+            )
         )
         box_rounded = None
         # Below saturation the float LP is prepared once, at the first

@@ -30,14 +30,17 @@ decomposition trees that the caller made once per instance.  No
 polynomial is evaluated to build it: every node value p_I(xhat) is
 computed once, bottom-up, by the reconstruction identity p_I(xhat) = c_I +
 sum over j with xhat_j = 1 of p_(I,j)(xhat), as an integer over the lcm L
-of the coefficient denominators.  Each row's coefficients, range and
-activity are integer sums, turned into Fractions once when the row is
-built.  ``model(eps)`` derives the LP of one budget, and ``lp()`` prepares
-the float LP that every budget shares, warm-started at the prediction.
-Once every row's range over [0,1]^n lies strictly inside its window, no
-row can cut the box: the first grid budget where that holds is the
-saturation budget, and it holds for every larger budget since the windows
-nest.
+of the coefficient denominators.  Rows stay in that form: every number of
+a row is an integer over one positive denominator, L for a component row
+and the lcm of L and the bound denominators for a side constraint's
+window, and the objective is integers over L.  No Fraction is made per
+coefficient.  ``windows(eps)`` gives one budget's bounds as integers over
+a denominator too, ``model(eps)`` turns them and the rows into the exact
+Fraction LP of one budget, and ``lp()`` prepares the float LP that every
+budget shares, warm-started at the prediction.  Once every row's range
+over [0,1]^n lies strictly inside its window, no row can cut the box: the
+first grid budget where that holds is the saturation budget, and it holds
+for every larger budget since the windows nest.
 """
 
 from __future__ import annotations
@@ -49,9 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# Every absent coefficient is lpsolve's ZERO, one object that the float
-# matrix skips by identity.
-from .lpsolve import ZERO as _ZERO, LpModel, PreparedLp
+from .lpsolve import LpModel, PreparedLp
 # evaluate is not called here, since rows come from node values; the name
 # stays in this module's namespace, where the benchmark's traced run
 # (perfbench/layers.py) looks it up.
@@ -109,44 +110,51 @@ def tolerance(
 class Row:
     """One relaxation row, without its eps-dependent tolerance.
 
-    At budget eps the row reads lower - w <= coeffs . x <= upper + w, where
-    w sums count * tolerance(beta, n, degree, depth, eps) over the
-    (degree, depth, count) triples in ``widening``.  A component row of
-    p_I has key I, lower = upper = p_I(xhat) - c_I and widening
-    ((d, |I|, 1),); a side constraint's top-level window has key (), its
-    bounds minus the constraint's constant, and widens by the sum of that
-    constraint's component tolerances.  [low, high] is the exact range of
-    coeffs . x over [0,1]^n, and activity is coeffs . xhat, the
-    prediction's value (a component row's centre).  need is
-    max(lower - low, high - upper) over the bounds present, or None when
-    both are absent: [low, high] lies strictly inside the row's window
-    exactly when w > need.
+    Every number of the row is an integer over the positive ``denom``: the
+    coefficient of x_j is coeffs[j] / denom, the lower bound lower /
+    denom, and so on.  At budget eps the row reads lower - w <= coeffs . x
+    <= upper + w, where w sums count * tolerance(beta, n, degree, depth,
+    eps) over the (degree, depth, count) triples in ``widening``.  A
+    component row of p_I has key I, lower = upper = p_I(xhat) - c_I and
+    widening ((d, |I|, 1),); a side constraint's top-level window has key
+    (), its bounds minus the constraint's constant, and widens by the sum
+    of that constraint's component tolerances.  [low, high] is the exact
+    range of coeffs . x over [0,1]^n, and activity is coeffs . xhat, the
+    prediction's value (a component row's centre).  need is max(lower -
+    low, high - upper) over the bounds present, or None when both are
+    absent: [low, high] lies strictly inside the row's window exactly when
+    w > need / denom.
     """
 
     key: tuple
     coeffs: tuple
-    lower: Fraction | None
-    upper: Fraction | None
+    denom: int
+    lower: int | None
+    upper: int | None
     widening: tuple
-    low: Fraction
-    high: Fraction
-    activity: Fraction
-    need: Fraction | None
+    low: int
+    high: int
+    activity: int
+    need: int | None
 
 
-def _row(key, n, values, scale, lower, upper, widening, activity) -> Row:
-    """The row whose coefficient on x_j is values[j] / scale (0 where j is
-    absent); lower, upper and activity are already Fractions."""
-    low = Fraction(sum(v for v in values.values() if v < 0), scale)
-    high = Fraction(sum(v for v in values.values() if v > 0), scale)
+def _row(key, n, values, denom, lower, upper, widening, activity) -> Row:
+    """The row whose coefficient on x_j is values[j] (0 where j is
+    absent); every number is an integer over denom."""
+    low = high = 0
+    for v in values.values():
+        if v < 0:
+            low += v
+        else:
+            high += v
     needs = []
     if lower is not None:
         needs.append(lower - low)
     if upper is not None:
         needs.append(high - upper)
     return Row(
-        key, tuple(_vector(n, values, scale)), lower, upper, widening, low,
-        high, activity, max(needs, default=None),
+        key, _dense(n, values), denom, lower, upper, widening, low, high,
+        activity, max(needs, default=None),
     )
 
 
@@ -154,25 +162,28 @@ def _row(key, n, values, scale, lower, upper, widening, activity) -> Row:
 class Relaxation:
     """The part of the oracle-centered LP that no error budget changes.
 
-    Built once per solve around the prediction xhat; ``model(eps)`` adds
-    the tolerances of one budget, and ``lp()`` prepares the LP that every
+    Built once per solve around the prediction xhat; the objective's
+    coefficients are integers over ``denom``.  ``model(eps)`` adds the
+    tolerances of one budget, and ``lp()`` prepares the LP that every
     budget shares, up to ``windows(eps)``.
     """
 
     n: int
     beta: Fraction
     objective: tuple
+    denom: int
     offset: Fraction
     rows: tuple
     xhat: tuple
 
-    def _widths(self, eps: int) -> list:
-        """The widening w of every row at budget eps; one tolerance call
-        per distinct (degree, depth) and one sum per distinct widening."""
+    def _widths(self, eps: int, widenings) -> dict:
+        """{widening: w at budget eps} over the given distinct widenings,
+        each w a Fraction; one tolerance call per distinct (degree,
+        depth)."""
         radius: dict = {}
         width: dict = {}
-        for widening in dict.fromkeys(row.widening for row in self.rows):
-            total = _ZERO
+        for widening in widenings:
+            total = Fraction(0)
             for degree, depth, count in widening:
                 if (degree, depth) not in radius:
                     radius[degree, depth] = tolerance(
@@ -180,70 +191,111 @@ class Relaxation:
                     )
                 total += count * radius[degree, depth]
             width[widening] = total
-        return [width[row.widening] for row in self.rows]
+        return width
 
     def windows(self, eps: int) -> list:
-        """(lower, upper) of every row at budget eps."""
-        return [
-            (
-                None if row.lower is None else row.lower - width,
-                None if row.upper is None else row.upper + width,
+        """(lower, upper, denom) of every row at budget eps: its bounds
+        widened by w = a / b, as integers over denom = row.denom * b, with
+        None where the row has no bound."""
+        width = self._widths(eps, {row.widening for row in self.rows})
+        out = []
+        for row in self.rows:
+            w = width[row.widening]
+            b = w.denominator
+            slack = w.numerator * row.denom
+            out.append(
+                (
+                    None if row.lower is None else row.lower * b - slack,
+                    None if row.upper is None else row.upper * b + slack,
+                    row.denom * b,
+                )
             )
-            for row, width in zip(self.rows, self._widths(eps))
-        ]
+        return out
 
     def model(self, eps: int) -> LpModel:
-        return self._model(self.windows(eps))
-
-    def _model(self, windows) -> LpModel:
+        """The exact LP of budget eps, every number a Fraction."""
         return LpModel(
             num_vars=self.n,
             var_bounds=((Fraction(0), Fraction(1)),) * self.n,
             rows=tuple(
-                (row.coeffs, lo, hi)
-                for row, (lo, hi) in zip(self.rows, windows)
+                (
+                    tuple(Fraction(c, row.denom) for c in row.coeffs),
+                    None if lo is None else Fraction(lo, denom),
+                    None if hi is None else Fraction(hi, denom),
+                )
+                for row, (lo, hi, denom) in zip(self.rows, self.windows(eps))
             ),
-            objective=self.objective,
+            objective=tuple(Fraction(c, self.denom) for c in self.objective),
             offset=self.offset,
         )
 
     def lp(self) -> PreparedLp:
-        """The LP of every budget, warm-started at the prediction, whose
-        exact row activities the rows already carry; solve one budget
-        with ``lp().solve(self.windows(eps))``."""
+        """The LP of every budget, warm-started at the prediction; solve
+        one budget with ``lp().solve(self.windows(eps))``."""
         return PreparedLp(
-            self._model([(row.lower, row.upper) for row in self.rows]),
+            (self.objective, self.denom),
+            self.offset,
+            [
+                (row.coeffs, row.lower, row.upper, row.denom)
+                for row in self.rows
+            ],
+            ((0, 1),) * self.n,
             self.xhat,
-            [row.activity for row in self.rows],
         )
 
     def saturated(self, eps: int) -> bool:
         """Whether every row's range over the box lies strictly inside its
-        window at budget eps, so that no row can cut [0,1]^n: whether each
-        row's widening exceeds its need."""
-        return all(
-            row.need is None or width > row.need
-            for row, width in zip(self.rows, self._widths(eps))
-        )
+        window at budget eps, so that no row can cut [0,1]^n."""
+        return self.saturation_budget((eps,)) is not None
 
     def saturation_budget(self, grid: Sequence[int]) -> int | None:
         """First eps of the ascending grid at which the relaxation is
         saturated, or None.  Windows only widen as eps grows, so every
-        later budget is saturated too and a bisection finds the first."""
-        i = bisect.bisect_left(grid, True, key=self.saturated)
+        later budget is saturated too and a bisection finds the first.
+
+        A row is saturated when its widening a / b exceeds its need /
+        denom.  The rows that share a widening and a denominator are all
+        saturated exactly when the one of largest need is, so a budget
+        takes one integer comparison per such group.
+        """
+        needs: dict = {}
+        for row in self.rows:
+            if row.need is not None:
+                group = (row.widening, row.denom)
+                if group not in needs or row.need > needs[group]:
+                    needs[group] = row.need
+
+        def saturated(eps: int) -> bool:
+            width = self._widths(eps, {widening for widening, _ in needs})
+            return all(
+                width[widening].numerator * denom
+                > need * width[widening].denominator
+                for (widening, denom), need in needs.items()
+            )
+
+        i = bisect.bisect_left(grid, True, key=saturated)
         return grid[i] if i < len(grid) else None
 
 
-def _check_prediction(xhat: Sequence, n: int) -> list[Fraction]:
-    if len(xhat) != n:
-        raise ValueError(f"prediction length {len(xhat)}, expected {n}")
-    out = []
-    for v in xhat:
-        f = Fraction(v)
-        if f not in (0, 1):
-            raise ValueError("prediction entries must be 0 or 1")
-        out.append(f)
-    return out
+def prediction_point(values: Sequence, n: int | None = None) -> tuple:
+    """values as a tuple of the ints 0 and 1, its length checked against
+    n when n is given.
+
+    An entry is accepted only when it equals 0 or 1 (ints, bools, NumPy
+    integers, 0.0 and 1.0); any other entry (0.5, 2, -1, the string "1")
+    raises ValueError instead of being truncated.
+    """
+    point = []
+    for v in values:
+        if v == 0:
+            point.append(0)
+        elif v == 1:
+            point.append(1)
+        else:
+            raise ValueError(f"prediction entries must be 0 or 1, got {v!r}")
+    if n is not None and len(point) != n:
+        raise ValueError(f"prediction length {len(point)}, expected {n}")
+    return tuple(point)
 
 
 def _node_values(tree: DecompositionTree, point) -> tuple[int, dict]:
@@ -275,27 +327,28 @@ def _linearization(tree: DecompositionTree, key, point, values) -> tuple:
     return children, sum(v for j, v in children.items() if point[j])
 
 
-def _vector(n: int, values: dict, scale: int) -> list:
-    """The length-n vector with values[j] / scale at each j of values."""
-    out = [_ZERO] * n
+def _dense(n: int, values: dict) -> tuple:
+    """The length-n vector with values[j] at each j of values, 0
+    elsewhere."""
+    out = [0] * n
     for j, v in values.items():
-        if v:
-            out[j] = Fraction(v, scale)
-    return out
+        out[j] = v
+    return tuple(out)
 
 
 def _component_rows(tree: DecompositionTree, point, scale, values) -> list:
     d = tree.root.degree
+    # One widening object per depth, shared by that depth's rows.
+    widening = {depth: ((d, depth, 1),) for depth in range(1, d)}
     rows = []
     for key in tree.component_keys():
         if len(key) > d - 1:
             continue
-        coeffs, activity = _linearization(tree, key, point, values)
-        center = Fraction(activity, scale)
+        coeffs, center = _linearization(tree, key, point, values)
         rows.append(
             _row(
                 key, tree.root.n, coeffs, scale, center, center,
-                ((d, len(key), 1),), center,
+                widening[len(key)], center,
             )
         )
     return rows
@@ -348,35 +401,47 @@ def prepare_relaxation(
     its components obey the same per-tuple rows as the objective's.
     """
     n = tree.root.n
-    point = _check_prediction(xhat, n)
+    point = prediction_point(xhat, n)
     scale, values = _node_values(tree, point)
     coeffs, _ = _linearization(tree, (), point, values)
-    objective = tuple(_vector(n, coeffs, scale))
     rows = _component_rows(tree, point, scale, values)
     for side, lower, upper in constraints:
-        scale, values = _node_values(side, point)
-        components = _component_rows(side, point, scale, values)
+        side_scale, values = _node_values(side, point)
+        components = _component_rows(side, point, side_scale, values)
         depths = Counter(len(row.key) for row in components)
         top, activity = _linearization(side, (), point, values)
+        # The window's bounds join the row over one denominator.
+        bounds = [
+            None if b is None else Fraction(b) - side.constant
+            for b in (lower, upper)
+        ]
+        denom = math.lcm(
+            side_scale, *(b.denominator for b in bounds if b is not None)
+        )
+        lower, upper = (
+            None if b is None else b.numerator * (denom // b.denominator)
+            for b in bounds
+        )
+        factor = denom // side_scale
         rows.append(
             _row(
                 (),
                 n,
-                top,
-                scale,
-                None if lower is None else lower - side.constant,
-                None if upper is None else upper - side.constant,
+                {j: v * factor for j, v in top.items()},
+                denom,
+                lower,
+                upper,
                 tuple(
                     (side.root.degree, depth, count)
                     for depth, count in sorted(depths.items())
                 ),
-                Fraction(activity, scale),
+                activity * factor,
             )
         )
         rows.extend(components)
     return Relaxation(
-        n, Fraction(beta), objective, tree.constant, tuple(rows),
-        tuple(point),
+        n, Fraction(beta), _dense(n, coeffs), scale, tree.constant,
+        tuple(rows), point,
     )
 
 

@@ -1,10 +1,11 @@
 """Rational-arithmetic references for the package's integer-scaled paths.
 
 Greedy rounding, the relaxation build and evaluation at Boolean points
-work on Python integers over shared denominators.  The functions here
-compute the same things the plain way, with one Fraction per operation:
-greedy rounding multiplies exact Fractions through every monomial, and the
-relaxation evaluates every child polynomial at the prediction.  The SAT
+work on Python integers over shared denominators, and the relaxation keeps
+its rows in that form.  The functions here compute the same things the
+plain way, with one Fraction per operation: greedy rounding multiplies
+exact Fractions through every monomial, and the relaxation evaluates every
+child polynomial at the prediction and keeps every number a Fraction.  The SAT
 and CSP encoders accumulate one coefficient map; their references add
 Polynomials clause by clause.  The brute force's value table is built on
 the narrowest integer type, with the low bits transformed once per
@@ -14,17 +15,13 @@ Tests require the package to agree with them field for field.
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from smoothip.poly import Polynomial, decompose
-from smoothip.relax import (
-    Relaxation,
-    Row,
-    constraint_degree,
-    _check_prediction,
-)
+from smoothip.relax import constraint_degree, prediction_point
 
 
 def fraction_greedy_round(p, y) -> tuple:
@@ -68,7 +65,62 @@ def fraction_value(poly, point) -> Fraction:
     )
 
 
-def _row(key, coeffs, lower, upper, widening, activity) -> Row:
+@dataclass(frozen=True)
+class ExactRow:
+    """relax.Row with every number a Fraction and dense coefficients."""
+
+    key: tuple
+    coeffs: tuple
+    lower: Fraction | None
+    upper: Fraction | None
+    widening: tuple
+    low: Fraction
+    high: Fraction
+    activity: Fraction
+    need: Fraction | None
+
+
+@dataclass(frozen=True)
+class ExactRelaxation:
+    """relax.Relaxation with every number a Fraction."""
+
+    n: int
+    beta: Fraction
+    objective: tuple
+    offset: Fraction
+    rows: tuple
+    xhat: tuple
+
+
+def as_fractions(relaxation) -> ExactRelaxation:
+    """A relax.Relaxation read as exact rationals: every integer over its
+    row's (or the objective's) denominator."""
+
+    def over(value, denom):
+        return None if value is None else Fraction(value, denom)
+
+    rows = tuple(
+        ExactRow(
+            row.key,
+            tuple(Fraction(c, row.denom) for c in row.coeffs),
+            over(row.lower, row.denom),
+            over(row.upper, row.denom),
+            row.widening,
+            Fraction(row.low, row.denom),
+            Fraction(row.high, row.denom),
+            Fraction(row.activity, row.denom),
+            over(row.need, row.denom),
+        )
+        for row in relaxation.rows
+    )
+    return ExactRelaxation(
+        relaxation.n, relaxation.beta,
+        tuple(Fraction(c, relaxation.denom) for c in relaxation.objective),
+        relaxation.offset, rows, relaxation.xhat,
+    )
+
+
+def _row(key, coeffs, lower, upper, widening, activity) -> ExactRow:
     low = sum((c for c in coeffs if c < 0), Fraction(0))
     high = sum((c for c in coeffs if c > 0), Fraction(0))
     needs = []
@@ -76,7 +128,7 @@ def _row(key, coeffs, lower, upper, widening, activity) -> Row:
         needs.append(lower - low)
     if upper is not None:
         needs.append(high - upper)
-    return Row(
+    return ExactRow(
         key, tuple(coeffs), lower, upper, widening, low, high, activity,
         max(needs, default=None),
     )
@@ -110,20 +162,20 @@ def _component_rows(tree, point) -> list:
     return rows
 
 
-def evaluate_relaxation(tree, xhat, beta) -> Relaxation:
+def evaluate_relaxation(tree, xhat, beta) -> ExactRelaxation:
     """prepare_relaxation with one evaluation per child polynomial."""
-    point = _check_prediction(xhat, tree.root.n)
+    point = prediction_point(xhat, tree.root.n)
     objective, offset = _linearization(tree, (), point)
-    return Relaxation(
+    return ExactRelaxation(
         tree.root.n, Fraction(beta), tuple(objective), offset,
         tuple(_component_rows(tree, point)), tuple(point),
     )
 
 
-def evaluate_constrained_relaxation(prog, xhat, beta) -> Relaxation:
+def evaluate_constrained_relaxation(prog, xhat, beta) -> ExactRelaxation:
     """prepare_relaxation with side constraints, one evaluation per child."""
     base = evaluate_relaxation(decompose(prog.objective), xhat, beta)
-    point = _check_prediction(xhat, base.n)
+    point = base.xhat
     rows = list(base.rows)
     for poly, lower, upper in prog.constraints:
         tree = decompose(poly.with_degree(constraint_degree(poly)))
@@ -144,7 +196,7 @@ def evaluate_constrained_relaxation(prog, xhat, beta) -> Relaxation:
             )
         )
         rows.extend(components)
-    return Relaxation(
+    return ExactRelaxation(
         base.n, base.beta, base.objective, base.offset, tuple(rows),
         base.xhat,
     )
@@ -152,11 +204,16 @@ def evaluate_constrained_relaxation(prog, xhat, beta) -> Relaxation:
 
 def window_saturated(relaxation, eps) -> bool:
     """Whether every row's range over the box lies strictly inside its
-    window at eps, read from the windows themselves."""
-    return all(
-        (lo is None or lo < row.low) and (hi is None or row.high < hi)
-        for row, (lo, hi) in zip(relaxation.rows, relaxation.windows(eps))
-    )
+    window at eps, read from the exact model of that budget: the range of
+    each row is summed from its Fraction coefficients."""
+    for coeffs, lo, hi in relaxation.model(eps).rows:
+        low = sum((c for c in coeffs if c < 0), Fraction(0))
+        high = sum((c for c in coeffs if c > 0), Fraction(0))
+        if (lo is not None and not lo < low) or (
+            hi is not None and not high < hi
+        ):
+            return False
+    return True
 
 
 def additive_maxksat_objective(f) -> Polynomial:

@@ -32,6 +32,14 @@ def box(n):
     return tuple((Fraction(0), Fraction(1)) for _ in range(n))
 
 
+def prepared(model, warm_start=None):
+    """The PreparedLp that lpsolve.solve makes of the model."""
+    objective, rows = lpsolve.integer_form(model)
+    return lpsolve.PreparedLp(
+        objective, model.offset, rows, model.var_bounds, warm_start
+    )
+
+
 def test_single_binding_row():
     model = LpModel(
         num_vars=2,
@@ -221,11 +229,10 @@ def pipeline_lps():
 def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
     """The matrix is filled from nonzero entries only; it must be the
     float of every entry of every row that has a bound and a nonzero
-    entry.  The random models spell their zeros as distinct Fractions,
-    the relaxations share one."""
+    entry, each Fraction put over its row's denominator first."""
     models = reference_models() + [model for _, model in pipeline_lps]
     for model in models:
-        lp = lpsolve.PreparedLp(model)
+        lp = prepared(model)
         bounded = [
             i for i, (_, lo, hi) in enumerate(model.rows)
             if lo is not None or hi is not None
@@ -378,7 +385,7 @@ def test_diagonal_start_inverse_is_lapacks_to_the_bit(m):
         objective=(Fraction(1),),
     )
     sx = lpsolve._Simplex(
-        lpsolve.PreparedLp(model), np.zeros(m), np.ones(m)
+        prepared(model), np.zeros(m), np.ones(m)
     )
     slacks = range(1, 1 + m)
     artificials = range(1 + m, 1 + 2 * m)

@@ -79,6 +79,30 @@ def test_perturb_accepts_prediction_objects():
     assert perturb(pred, 0, 0).x_hat == (1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "entry", (0.5, 1.7, -0.4, "1", "0", Fraction(1, 2), 2), ids=repr
+)
+def test_non_boolean_entries_are_rejected_not_truncated(entry):
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        Prediction((1, entry, 0), "file")
+    for eps in (0, 1):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            perturb((1, entry, 0), eps, 0)
+
+
+def test_boolean_entries_of_any_type_become_ints():
+    import numpy as np
+
+    for spelling in (
+        (1.0, 0.0, True),
+        np.array([1, 0, 1], dtype=np.int64),
+        (Fraction(1), np.uint8(0), 1),
+    ):
+        assert Prediction(spelling, "file").x_hat == (1, 0, 1)
+        assert all(type(v) is int for v in Prediction(spelling, "f").x_hat)
+        assert perturb(spelling, 0, 0).x_hat == (1, 0, 1)
+
+
 # -- empirical risk selection -------------------------------------------
 
 

@@ -148,6 +148,37 @@ def test_bad_predictions_rejected():
         solve(Instance(PATH3), (0, 1, 2))
 
 
+# Entries that int() would truncate to 0 or 1, and one it would parse.
+NOT_BOOLEAN = (0.5, 1.7, -0.4, "1", Fraction(1, 2), np.float64(0.25))
+# Entries equal to 0 or 1 in other types than int.
+BOOLEAN_SPELLINGS = (
+    (False, True, False, True),
+    (0.0, 1.0, 0.0, 1.0),
+    tuple(np.array([0, 1, 0, 1], dtype=np.int8)),
+    np.array([0, 1, 0, 1]),
+    (Fraction(0), Fraction(1), 0, np.uint8(1)),
+)
+
+
+@pytest.mark.parametrize("entry", NOT_BOOLEAN, ids=repr)
+def test_non_boolean_prediction_entries_are_rejected(entry):
+    p = maxcut_objective(Graph(4, ((0, 1), (1, 2), (2, 3))))
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        solve(Instance(p), [entry, 1, 0, 1])
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        solve(prepare(Instance(p)), (1, 0, 1, entry))
+
+
+@pytest.mark.parametrize("spelling", BOOLEAN_SPELLINGS, ids=repr)
+def test_boolean_prediction_entries_of_any_type_are_accepted(spelling):
+    p = maxcut_objective(Graph(4, ((0, 1), (1, 2), (2, 3))))
+    report = solve(Instance(p), spelling)
+    plain = solve(Instance(p), (0, 1, 0, 1))
+    assert strip_wall(report) == strip_wall(plain)
+    assert report.candidates == plain.candidates
+    assert all(type(v) is int for v in report.candidates[0].z)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(strategy="annealing")

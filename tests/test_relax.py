@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exact_reference import (
+    as_fractions,
     evaluate_constrained_relaxation,
     evaluate_relaxation,
     window_saturated,
@@ -281,7 +284,9 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
         budget = relaxation.saturation_budget(list(range(p.n + 1)))
         if budget is None:
             continue
-        box = box_optimum(relaxation.objective, relaxation.offset, xhat)
+        box = box_optimum(
+            (relaxation.objective, relaxation.denom), relaxation.offset, xhat
+        )
         for eps in range(budget, p.n + 1):
             sol = solve(relaxation.model(eps), warm_start=xhat)
             assert sol.status == OPTIMAL
@@ -293,7 +298,7 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
         relaxation = prepare_relaxation(decompose(TRIANGLE), xhat, 2)
         assert relaxation.objective[0] == 0
         assert box_optimum(
-            relaxation.objective, relaxation.offset, xhat
+            (relaxation.objective, relaxation.denom), relaxation.offset, xhat
         ).y[0] == xhat[0]
 
 
@@ -339,6 +344,106 @@ def test_prepared_lp_is_solve_at_every_budget():
                 cold += 1
                 infeasible += solve(model).status == INFEASIBLE
     assert cold > infeasible > 0
+
+
+def extreme_polynomial(rng, n, d):
+    """Degree-d polynomial mixing coefficients near 2^62 over 3, 7 or 11,
+    whose numerators over the shared denominator pass 2^53, with ones of
+    size 10^-40 and small ones."""
+    coeffs = {tuple(range(d)): Fraction(2**62 + 1, 3)}
+    for _ in range(3 * n):
+        mono = tuple(sorted(rng.sample(range(n), rng.randint(0, d))))
+        coeffs[mono] = rng.choice((
+            Fraction(rng.randrange(2**60, 2**62) | 1, rng.choice((3, 7, 11))),
+            Fraction(rng.randrange(1, 10) * rng.choice((-1, 1)), 10**40),
+            Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)),
+        ))
+    return Polynomial(n, coeffs)
+
+
+def bit_cases():
+    """(xhat, relaxation): the seeded pipeline relaxations, MAX-CUT under
+    the fractional bound sum x <= 7/3 around a prediction that breaks it
+    and one that keeps it, and extreme polynomials, one under a side
+    constraint with the same extreme coefficients."""
+    yield from seeded_relaxations()
+    for seed in range(2):
+        cut = maxcut_objective(gen_gnp(16, 0.4, seed))
+        bound = (at_most(16, Fraction(7, 3)),)
+        for xhat in (alternating(16), (1, 1) + (0,) * 14):
+            yield xhat, pipeline_relaxation(cut, xhat, bound)
+    rng = random.Random(131)
+    for _ in range(6):
+        n = rng.randint(6, 10)
+        objective = extreme_polynomial(rng, n, 3)
+        side = extreme_polynomial(rng, n, 2)
+        xhat = random_bool_vector(rng, n)
+        at = evaluate(side, xhat)
+        for constraints in ((), ((side, at - Fraction(1, 3), None),)):
+            yield xhat, pipeline_relaxation(objective, xhat, constraints)
+
+
+def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
+    """The prepared LP's matrix, cost and warm activities, every budget's
+    float window bounds and its warm-start decision are what float() and
+    exact comparison give on the Fraction model of that budget, and
+    saturated(eps) is what the model's windows say."""
+    warm = set()
+    saturated = set()
+    huge = naive_misses = tiny = 0
+    for xhat, relaxation in bit_cases():
+        lp = relaxation.lp()
+        n = relaxation.n
+        model = relaxation.model(0)
+        assert lp.objective == tuple(float(c) for c in model.objective)
+        kept = [
+            i for i, (coeffs, lo, hi) in enumerate(model.rows)
+            if (lo is not None or hi is not None) and any(coeffs)
+        ]
+        assert lp.kept == kept
+        dense = np.array(
+            [[float(c) for c in model.rows[i][0]] for i in kept], dtype=float
+        ).reshape(len(kept), n)
+        assert lp.matrix.tobytes() == dense.tobytes()
+        activity = [
+            sum(c * x for c, x in zip(model.rows[i][0], xhat)) for i in kept
+        ]
+        assert lp.warm_activity_float.tobytes() == np.array(
+            [float(a) for a in activity], dtype=float
+        ).tobytes()
+        for eps in range(n + 1):
+            windows = relaxation.windows(eps)
+            budget = relaxation.model(eps)
+            rows = [budget.rows[i] for i in kept]
+            lower, upper = lp.slack_bounds(windows)
+            assert lower.tobytes() == np.array(
+                [-math.inf if lo is None else float(lo) for _, lo, _ in rows],
+                dtype=float,
+            ).tobytes()
+            assert upper.tobytes() == np.array(
+                [math.inf if hi is None else float(hi) for _, _, hi in rows],
+                dtype=float,
+            ).tobytes()
+            fits = all(
+                (lo is None or lo <= a) and (hi is None or a <= hi)
+                for a, (_, lo, hi) in zip(activity, rows)
+            )
+            assert lp.warm_fits(windows) == fits
+            warm.add(fits)
+            assert relaxation.saturated(eps) == window_saturated(
+                relaxation, eps
+            )
+            saturated.add(relaxation.saturated(eps))
+        for row in relaxation.rows:
+            for c in row.coeffs:
+                if abs(c) > 2**53:
+                    huge += 1
+                    naive_misses += float(c) / float(row.denom) != c / row.denom
+                tiny += 0 < abs(Fraction(c, row.denom)) < Fraction(1, 10**30)
+    assert warm == saturated == {False, True}
+    # The extreme cases bite: dividing the floats of numerator and
+    # denominator would round some entries differently.
+    assert huge > 100 and naive_misses > 10 and tiny > 10
 
 
 def test_prediction_rejected_when_malformed():
@@ -465,19 +570,26 @@ def fractional_multilinear(rng, n, d):
 
 
 def assert_same_relaxation(built, reference):
-    assert built.objective == reference.objective
-    assert built.offset == reference.offset
-    assert len(built.rows) == len(reference.rows)
-    for row, ref in zip(built.rows, reference.rows):
+    """Every number of the built relaxation, read as an exact rational over
+    its denominator, equals the reference's Fraction."""
+    exact = as_fractions(built)
+    assert exact.objective == reference.objective
+    assert exact.offset == reference.offset
+    assert len(exact.rows) == len(reference.rows)
+    for built_row, row, ref in zip(built.rows, exact.rows, reference.rows):
         for field in (
             "key", "coeffs", "lower", "upper", "low", "high", "activity",
             "widening", "need",
         ):
             assert getattr(row, field) == getattr(ref, field), field
-        assert all(type(c) is Fraction for c in row.coeffs)
-    assert built == reference
+        # The integer form: no Fraction per coefficient.
+        assert built_row.denom > 0
+        assert all(type(c) is int for c in built_row.coeffs)
+    assert built.denom > 0
+    assert all(type(c) is int for c in built.objective)
+    assert exact == reference
     for eps in range(built.n + 1):
-        assert built.saturated(eps) == window_saturated(reference, eps)
+        assert built.saturated(eps) == window_saturated(built, eps)
 
 
 def test_integer_build_matches_per_child_evaluation():
