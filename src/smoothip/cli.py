@@ -38,6 +38,7 @@ from .oracle import exact_prediction, perturb, read_prediction
 from .pipeline import (  # noqa: F401
     EXACT_CAP,
     Instance,
+    PreparedInstance,
     SolveConfig,
     exact_solve,
     guarantee_bound,
@@ -121,7 +122,7 @@ def _parse_grid(flag: str, n: int):
     return grid
 
 
-def _prediction_for(flag: str, instance: Instance, seed: int):
+def _prediction_for(flag: str, prepared: PreparedInstance, seed: int):
     if flag.startswith("file:"):
         return read_prediction(flag.split(":", 1)[1])
     if flag != "exact" and not flag.startswith("perturb:"):
@@ -129,17 +130,17 @@ def _prediction_for(flag: str, instance: Instance, seed: int):
             f"prediction source {flag!r} is not exact, perturb:EPS, "
             "or file:PATH"
         )
-    n = instance.objective.n
+    n = prepared.p.n
     if n > EXACT_CAP:
         raise ValueError(
             f"--prediction {flag} brute-forces the optimum, but "
-            f"{instance.label} has {n} variables, over the brute-force cap "
+            f"{prepared.label} has {n} variables, over the brute-force cap "
             f"{EXACT_CAP}; pass --prediction file:PATH instead"
         )
     eps = 0 if flag == "exact" else int(flag.split(":", 1)[1])
     if not 0 <= eps <= n:
         raise ValueError(f"flip count {eps} outside [0, {n}]")
-    return perturb(exact_prediction(instance), eps, seed)  # exact: no flips
+    return perturb(exact_prediction(prepared), eps, seed)  # exact: no flips
 
 
 # -- gen ----------------------------------------------------------------
@@ -168,9 +169,10 @@ def cmd_solve(args) -> int:
         k=args.k,
         randomized_rounds=args.rounds,
     )
-    prediction = _prediction_for(args.prediction, instance, args.seed)
+    prepared = prepare(instance)
+    prediction = _prediction_for(args.prediction, prepared, args.seed)
     try:
-        report = solve(instance, prediction, config)
+        report = solve(prepared, prediction, config)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -256,9 +256,11 @@ class _Simplex:
 class PreparedLp:
     """The part of an LP that its row windows do not change, prepared once.
 
-    ``objective`` is (coeffs, denom) and ``rows`` holds one (coeffs,
-    lower, upper, denom) per row: integer coefficients and bounds over a
-    positive integer denominator, a bound None when absent.
+    ``objective`` is (coeffs, denom), with one integer coefficient per
+    variable, and ``rows`` holds one (coeffs, lower, upper, denom) per
+    row: the row's nonzero coefficients only, as (j, c) pairs, and its
+    bounds, all integers over a positive integer denominator, a bound None
+    when absent.
     ``var_bounds`` holds an exact (lo, hi) per variable.  Prepared here:
     the float matrix of the rows that can bind (it seeds each solve's
     working matrix and serves its final row check), the cost, the
@@ -303,26 +305,25 @@ class PreparedLp:
         self.warm_activity = None if warm is None else []
         self.kept: list[int] = []
         self.empty: list[int] = []
-        # The float matrix is filled from each row's nonzero entries only,
-        # at their offsets in the flattened matrix.
+        # The float matrix is filled from each row's nonzero pairs, at
+        # their offsets in the flattened matrix.
         offsets: list[int] = []
         values: list[float] = []
         for i, (coeffs, lo, hi, denom) in enumerate(rows):
             if lo is None and hi is None:
                 continue  # vacuous row
-            nonzero = [(j, c) for j, c in enumerate(coeffs) if c]
-            if not nonzero:
+            if not coeffs:
                 self.empty.append(i)
                 continue
             base = len(self.kept) * n
             self.kept.append(i)
-            for j, c in nonzero:
+            for j, c in coeffs:
                 offsets.append(base + j)
                 values.append(c / denom)
             if warm is not None:
                 # (numerator, denominator) of the exact activity.
                 self.warm_activity.append(
-                    (sum(c * warm[j] for j, c in nonzero), denom * scale)
+                    (sum(c * warm[j] for j, c in coeffs), denom * scale)
                 )
         flat = np.zeros(len(self.kept) * n)
         flat[offsets] = values
@@ -462,12 +463,14 @@ class PreparedLp:
 def integer_form(model: LpModel) -> tuple:
     """(objective, rows) of the model as :class:`PreparedLp` takes them:
     the objective as (coeffs, denom) and each row as (coeffs, lower,
-    upper, denom), every Fraction an integer over the lcm of the
-    denominators of its row (or of the objective)."""
+    upper, denom), with the row's nonzero coefficients as (j, c) pairs;
+    every Fraction is an integer over the lcm of the denominators of its
+    row (or of the objective)."""
     rows = []
     for coeffs, lo, hi in model.rows:
         (*scaled, lower, upper), denom = _over_lcm((*coeffs, lo, hi))
-        rows.append((tuple(scaled), lower, upper, denom))
+        pairs = tuple((j, c) for j, c in enumerate(scaled) if c)
+        rows.append((pairs, lower, upper, denom))
     return _over_lcm(model.objective), rows
 
 

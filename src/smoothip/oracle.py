@@ -17,7 +17,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .pipeline import Instance, SolveConfig, exact_solve, prepare, solve
+from .pipeline import (
+    Instance,
+    PreparedInstance,
+    SolveConfig,
+    exact_solve,
+    prepare,
+    solve,
+)
 from .relax import prediction_point
 
 
@@ -60,8 +67,9 @@ def _vector(prediction) -> tuple:
     return prediction_point(getattr(prediction, "x_hat", prediction))
 
 
-def exact_prediction(instance: Instance) -> Prediction:
-    """The canonical optimum itself (lexicographically smallest)."""
+def exact_prediction(instance: Instance | PreparedInstance) -> Prediction:
+    """The canonical optimum itself (lexicographically smallest); a
+    prepared instance is not normalized again."""
     z, _ = exact_solve(instance)
     return Prediction(z, "exact")
 

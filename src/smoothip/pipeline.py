@@ -3,10 +3,11 @@
 A solve has two parts.  :func:`prepare` does the work that no prediction
 changes, once per instance: it multilinearizes the objective and the side
 constraints, takes the smoothness certificate beta, decomposes every
-polynomial, and greedily rounds the all-halves baseline.  :func:`solve`
-accepts an instance, which it prepares on entry, or a prepared one, so
-that a sweep or an empirical-risk selection solves many predictions on
-one instance without repeating that work.
+polynomial, builds the objective's greedy-rounding tables and greedily
+rounds the all-halves baseline.  :func:`solve` accepts an instance, which
+it prepares on entry, or a prepared one, so that a sweep or an
+empirical-risk selection solves many predictions on one instance without
+repeating that work.
 
 Per prediction, the prediction-centered relaxation is built once, and so
 is its float LP, warm-started at the prediction.  For each eps in a grid
@@ -65,6 +66,7 @@ from .relax import (  # noqa: F401
     prepare_relaxation,
 )
 from .rounding import (
+    GreedyTables,
     greedy_round,
     randomized_round,
     rounding_deviation_term,
@@ -186,11 +188,14 @@ def _round_seed(base: int, eps: int, index: int) -> int:
     return int(stream.generate_state(1, np.uint64)[0])
 
 
-def _round_and_score(p, constraints, y, config: SolveConfig, eps: int):
+def _round_and_score(
+    instance: PreparedInstance, y, config: SolveConfig, eps: int
+):
     """(z, exact value, violation, values of the randomized rounds) for
     the rounding of the LP optimum y, a point of [0,1]^n."""
+    p, constraints = instance.p, instance.constraints
     if config.strategy == GREEDY:
-        z = greedy_round(p, y)
+        z = greedy_round(instance.greedy, y)
         return z, evaluate(p, z), _violation(constraints, z), ()
     outcomes = []
     for r in range(config.randomized_rounds):
@@ -230,9 +235,10 @@ class PreparedInstance:
 
     The normalized objective p and side constraints (poly, lower, upper),
     the smoothness certificate beta, the decomposition tree of p, one
-    (tree, lower, upper) per side constraint, the baseline candidate
-    (greedy rounding of the all-halves point, which depends on p alone)
-    and the instance's label.  Built by :func:`prepare`.
+    (tree, lower, upper) per side constraint, the greedy-rounding tables
+    of p, the baseline candidate (greedy rounding of the all-halves point,
+    which depends on p alone) and the instance's label.  Built by
+    :func:`prepare`.
     """
 
     p: Polynomial
@@ -240,18 +246,21 @@ class PreparedInstance:
     beta: Fraction
     tree: DecompositionTree
     constraint_trees: tuple
+    greedy: GreedyTables
     baseline: Candidate
     label: str
 
 
 def prepare(instance: Instance) -> PreparedInstance:
-    """Normalize, decompose and round the baseline of an instance once;
-    pass the result to :func:`solve` in place of the instance to solve it
-    for many predictions."""
+    """Normalize and decompose an instance, build its greedy-rounding
+    tables and round its baseline, once; pass the result to :func:`solve`
+    in place of the instance to solve it for many predictions."""
     p, constraints, beta = _normalized(instance.objective, instance.constraints)
-    z = greedy_round(p, (Fraction(1, 2),) * p.n)
+    greedy = GreedyTables(p)
+    z = greedy_round(greedy, (Fraction(1, 2),) * p.n)
     return PreparedInstance(
         p, constraints, beta, decompose(p), constraint_trees(constraints),
+        greedy,
         Candidate("baseline", z, evaluate(p, z), _violation(constraints, z)),
         instance.label,
     )
@@ -336,7 +345,7 @@ def solve(
             if saturated and box_rounded is not None:
                 rounded = box_rounded
             else:
-                rounded = _round_and_score(p, constraints, sol.y, config, eps)
+                rounded = _round_and_score(instance, sol.y, config, eps)
                 if saturated:
                     box_rounded = rounded
             z, value, violation, seed_values = rounded

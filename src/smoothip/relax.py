@@ -23,24 +23,25 @@ polynomial side constraint adds the same component rows plus a relaxed
 top-level window widened by the sum of that constraint's tolerances.
 
 Only the tolerances depend on eps.  A :class:`Relaxation` holds everything
-else (objective, offset, and per row its coefficients, centre, depths,
-exact range over the box, the prediction's exact activity and the widening
-past which the row cannot cut the box) and is built once per solve, from
-decomposition trees that the caller made once per instance.  No
-polynomial is evaluated to build it: every node value p_I(xhat) is
-computed once, bottom-up, by the reconstruction identity p_I(xhat) = c_I +
-sum over j with xhat_j = 1 of p_(I,j)(xhat), as an integer over the lcm L
-of the coefficient denominators.  Rows stay in that form: every number of
-a row is an integer over one positive denominator, L for a component row
-and the lcm of L and the bound denominators for a side constraint's
-window, and the objective is integers over L.  No Fraction is made per
-coefficient.  ``windows(eps)`` gives one budget's bounds as integers over
-a denominator too, ``model(eps)`` turns them and the rows into the exact
-Fraction LP of one budget, and ``lp()`` prepares the float LP that every
-budget shares, warm-started at the prediction.  Once every row's range
-over [0,1]^n lies strictly inside its window, no row can cut the box: the
-first grid budget where that holds is the saturation budget, and it holds
-for every larger budget since the windows nest.
+else (objective, offset, and per row its nonzero coefficients as (index,
+value) pairs, centre, depths, exact range over the box, the prediction's
+exact activity and the widening past which the row cannot cut the box) and
+is built once per solve, from decomposition trees that the caller made
+once per instance.  No polynomial is evaluated to build it: every node
+value p_I(xhat) is computed once, bottom-up, by the reconstruction
+identity p_I(xhat) = c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat), as
+an integer over the lcm L of the coefficient denominators.  Rows stay in
+that form: every number of a row is an integer over one positive
+denominator, L for a component row and the lcm of L and the bound
+denominators for a side constraint's window, and the objective is integers
+over L.  No Fraction is made per coefficient.  ``windows(eps)`` gives one
+budget's bounds as integers over a denominator too, ``model(eps)`` turns
+them and the rows into the exact Fraction LP of one budget, its rows
+dense, and ``lp()`` prepares the float LP that every budget shares,
+warm-started at the prediction.  Once every row's range over [0,1]^n lies
+strictly inside its window, no row can cut the box: the first grid budget
+where that holds is the saturation budget, and it holds for every larger
+budget since the windows nest.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lpsolve import LpModel, PreparedLp
 # evaluate is not called here, since rows come from node values; the name
@@ -106,13 +107,14 @@ def tolerance(
     return 2 * Fraction(beta) * E_UPPER * Fraction(n) ** (d - tuple_len - 1) * root
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One relaxation row, without its eps-dependent tolerance.
 
-    Every number of the row is an integer over the positive ``denom``: the
-    coefficient of x_j is coeffs[j] / denom, the lower bound lower /
-    denom, and so on.  At budget eps the row reads lower - w <= coeffs . x
+    ``coeffs`` holds the row's nonzero coefficients only, as (j, c) pairs
+    in ascending j.  Every number of the row is an integer over the
+    positive ``denom``: the coefficient of x_j is c / denom for its pair
+    (j, c) and 0 for a j without one, the lower bound lower / denom, and
+    so on.  At budget eps the row reads lower - w <= coeffs . x
     <= upper + w, where w sums count * tolerance(beta, n, degree, depth,
     eps) over the (degree, depth, count) triples in ``widening``.  A
     component row of p_I has key I, lower = upper = p_I(xhat) - c_I and
@@ -138,11 +140,11 @@ class Row:
     need: int | None
 
 
-def _row(key, n, values, denom, lower, upper, widening, activity) -> Row:
-    """The row whose coefficient on x_j is values[j] (0 where j is
-    absent); every number is an integer over denom."""
+def _row(key, coeffs, denom, lower, upper, widening, activity) -> Row:
+    """The row of the nonzero (j, c) pairs ``coeffs``; every number is an
+    integer over denom."""
     low = high = 0
-    for v in values.values():
+    for _, v in coeffs:
         if v < 0:
             low += v
         else:
@@ -153,8 +155,8 @@ def _row(key, n, values, denom, lower, upper, widening, activity) -> Row:
     if upper is not None:
         needs.append(high - upper)
     return Row(
-        key, _dense(n, values), denom, lower, upper, widening, low, high,
-        activity, max(needs, default=None),
+        key, coeffs, denom, lower, upper, widening, low, high, activity,
+        max(needs, default=None),
     )
 
 
@@ -213,13 +215,21 @@ class Relaxation:
         return out
 
     def model(self, eps: int) -> LpModel:
-        """The exact LP of budget eps, every number a Fraction."""
+        """The exact LP of budget eps, every number a Fraction and every
+        row a dense coefficient tuple."""
+
+        def dense(row: Row) -> tuple:
+            coeffs = [Fraction(0)] * self.n
+            for j, c in row.coeffs:
+                coeffs[j] = Fraction(c, row.denom)
+            return tuple(coeffs)
+
         return LpModel(
             num_vars=self.n,
             var_bounds=((Fraction(0), Fraction(1)),) * self.n,
             rows=tuple(
                 (
-                    tuple(Fraction(c, row.denom) for c in row.coeffs),
+                    dense(row),
                     None if lo is None else Fraction(lo, denom),
                     None if hi is None else Fraction(hi, denom),
                 )
@@ -321,19 +331,15 @@ def _node_values(tree: DecompositionTree, point) -> tuple[int, dict]:
 
 
 def _linearization(tree: DecompositionTree, key, point, values) -> tuple:
-    """({j: p_(I,j)(xhat) * L} over the children j of I, and its sum over
-    the ones of xhat, (p_I(xhat) - c_I) * L)."""
-    children = {j: values[key + (j,)] for j in tree.nodes[key].children}
-    return children, sum(v for j, v in children.items() if point[j])
-
-
-def _dense(n: int, values: dict) -> tuple:
-    """The length-n vector with values[j] at each j of values, 0
-    elsewhere."""
-    out = [0] * n
-    for j, v in values.items():
-        out[j] = v
-    return tuple(out)
+    """(the pairs (j, p_(I,j)(xhat) * L) over the children j of I, in
+    ascending j, whose value is nonzero, and their sum over the ones of
+    xhat, (p_I(xhat) - c_I) * L)."""
+    # A list first: a tuple built from a generator grows by realloc, and
+    # over many predictions that fragments the heap.
+    pairs = [
+        (j, v) for j in tree.nodes[key].children if (v := values[key + (j,)])
+    ]
+    return tuple(pairs), sum(v for j, v in pairs if point[j])
 
 
 def _component_rows(tree: DecompositionTree, point, scale, values) -> list:
@@ -347,8 +353,8 @@ def _component_rows(tree: DecompositionTree, point, scale, values) -> list:
         coeffs, center = _linearization(tree, key, point, values)
         rows.append(
             _row(
-                key, tree.root.n, coeffs, scale, center, center,
-                widening[len(key)], center,
+                key, coeffs, scale, center, center, widening[len(key)],
+                center,
             )
         )
     return rows
@@ -404,6 +410,9 @@ def prepare_relaxation(
     point = prediction_point(xhat, n)
     scale, values = _node_values(tree, point)
     coeffs, _ = _linearization(tree, (), point, values)
+    objective = [0] * n
+    for j, v in coeffs:
+        objective[j] = v
     rows = _component_rows(tree, point, scale, values)
     for side, lower, upper in constraints:
         side_scale, values = _node_values(side, point)
@@ -426,8 +435,7 @@ def prepare_relaxation(
         rows.append(
             _row(
                 (),
-                n,
-                {j: v * factor for j, v in top.items()},
+                tuple((j, v * factor) for j, v in top),
                 denom,
                 lower,
                 upper,
@@ -440,7 +448,7 @@ def prepare_relaxation(
         )
         rows.extend(components)
     return Relaxation(
-        n, Fraction(beta), _dense(n, coeffs), scale, tree.constant,
+        n, Fraction(beta), tuple(objective), scale, tree.constant,
         tuple(rows), point,
     )
 

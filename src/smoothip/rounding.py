@@ -9,7 +9,12 @@ coordinates already integral and later ones still fractional; for
 multilinear objectives this never decreases the objective, so p(z) >= p(y)
 holds exactly.  This is the method of conditional expectations: each step
 is the sign of one margin, computed on integers over shared denominators,
-so it is exact without any rational arithmetic.
+so it is exact without any rational arithmetic.  What the margins need of
+the objective alone (the multilinearity check, the coefficients over one
+denominator and, per variable, the monomials that touch it) is a
+:class:`GreedyTables`, built once per objective and passed to
+``greedy_round`` in place of the polynomial; a call then converts only
+the point.
 
 The radius calculators quantify how far randomized rounding can move the
 objective.  ``rounding_error_bound`` is the high-probability radius used in
@@ -22,6 +27,7 @@ The two coincide for d >= 3.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,8 +55,42 @@ def randomized_round(y: Sequence, seed: int) -> tuple:
     return tuple(int(u < pi) for u, pi in zip(draws, probs))
 
 
-def greedy_round(p: Polynomial, y: Sequence) -> tuple:
-    """Coordinate-ascent rounding; requires a multilinear objective.
+@dataclass(frozen=True, init=False)
+class GreedyTables:
+    """What greedy rounding needs of a multilinear objective, built once.
+
+    The coefficients are put over one denominator L, c_m = C_m / L, and
+    each monomial m is kept as its integer C_m and its degree gap d - |m|,
+    with d the largest monomial length.  ``touching[i]`` lists, for each
+    monomial m that holds x_i, the other variables of m as a tuple, C_m
+    and the gap.  Building the tables raises ValueError on an objective
+    that is not multilinear.
+    """
+
+    n: int
+    degree: int
+    touching: tuple
+
+    def __init__(self, p: Polynomial):
+        if not is_multilinear(p):
+            raise ValueError("greedy rounding needs a multilinear objective")
+        ratios = [c.as_integer_ratio() for c in p.coeffs.values()]
+        scale = math.lcm(*(b for _, b in ratios))
+        d = max(map(len, p.coeffs), default=0)
+        touching: list = [[] for _ in range(p.n)]
+        for mono, (a, b) in zip(p.coeffs, ratios):
+            coeff, gap = a * (scale // b), d - len(mono)
+            for i in mono:
+                others = tuple(j for j in mono if j != i)
+                touching[i].append((others, coeff, gap))
+        object.__setattr__(self, "n", p.n)
+        object.__setattr__(self, "degree", d)
+        object.__setattr__(self, "touching", tuple(map(tuple, touching)))
+
+
+def greedy_round(p: Polynomial | GreedyTables, y: Sequence) -> tuple:
+    """Coordinate-ascent rounding; requires a multilinear objective, given
+    as a polynomial or as its :class:`GreedyTables`.
 
     At step i the choice is argmax over z_i in {0, 1} of the objective with
     coordinates before i already fixed and coordinates after i still at y.
@@ -58,44 +98,36 @@ def greedy_round(p: Polynomial, y: Sequence) -> tuple:
     satisfies p(z) >= p(y) exactly.
 
     Each step is the sign of one margin, g_i(1) - g_i(0), taken exactly on
-    integers.  The coefficients share one denominator L and the point one
-    denominator D (every float is dyadic, so D is a power of two for float
-    input), so c_m = C_m / L and y_j = Y_j / D.  A monomial m touching i
-    contributes C_m * D^(d - |m|) times the product of the other Y_j, which
-    is L * D^(d - 1) times its true contribution: the integer margin is the
-    true margin times a positive constant and has the same sign.
+    integers.  The tables hold the coefficients over one denominator L,
+    and the point is put over one denominator D (every float is dyadic, so
+    D is a power of two for float input), so c_m = C_m / L and y_j = Y_j /
+    D.  A monomial m touching i contributes C_m * D^(d - |m|) times the
+    product of the other Y_j, which is L * D^(d - 1) times its true
+    contribution: the integer margin is the true margin times a positive
+    constant and has the same sign.  A call given the tables computes only
+    D, the Y_j and the powers of D.
     """
-    if not is_multilinear(p):
-        raise ValueError("greedy rounding needs a multilinear objective")
-    if len(y) != p.n:
-        raise ValueError(f"point length {len(y)}, expected {p.n}")
+    tables = p if isinstance(p, GreedyTables) else GreedyTables(p)
+    if len(y) != tables.n:
+        raise ValueError(f"point length {len(y)}, expected {tables.n}")
     point = []
     for v in y:
-        f = Fraction(v)
-        if not 0 <= f <= 1:
+        # A float's ratio is the Fraction's, without making the Fraction.
+        a, b = (v if isinstance(v, float) else Fraction(v)).as_integer_ratio()
+        if not 0 <= a <= b:
             raise ValueError(f"coordinate {v} outside [0, 1]")
-        point.append(f.as_integer_ratio())
+        point.append((a, b))
     den = math.lcm(*(b for _, b in point))
     current = [a * (den // b) for a, b in point]
-    ratios = [c.as_integer_ratio() for c in p.coeffs.values()]
-    scale = math.lcm(*(b for _, b in ratios))
-    d = max(map(len, p.coeffs), default=0)
-    powers = [den**k for k in range(d + 1)]
-
-    # touching[i]: (the other variables, C_m * D^(d - |m|)) for each
-    # monomial m that holds x_i.
-    touching: list = [[] for _ in range(p.n)]
-    for mono, (a, b) in zip(p.coeffs, ratios):
-        weight = a * (scale // b) * powers[d - len(mono)]
-        for i in mono:
-            touching[i].append(([j for j in mono if j != i], weight))
+    powers = [den**k for k in range(tables.degree + 1)]
 
     z = []
-    for i in range(p.n):
+    for i, touching in enumerate(tables.touching):
         # L * D^(d-1) times the multilinear coefficient of x_i at the
         # current mixed point.
         margin = 0
-        for others, term in touching[i]:
+        for others, coeff, gap in touching:
+            term = coeff * powers[gap]
             for j in others:
                 term *= current[j]
             margin += term

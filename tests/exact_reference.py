@@ -94,15 +94,22 @@ class ExactRelaxation:
 
 def as_fractions(relaxation) -> ExactRelaxation:
     """A relax.Relaxation read as exact rationals: every integer over its
-    row's (or the objective's) denominator."""
+    row's (or the objective's) denominator, each row's (index, value)
+    pairs spread into a dense tuple."""
 
     def over(value, denom):
         return None if value is None else Fraction(value, denom)
 
+    def dense(row):
+        coeffs = [Fraction(0)] * relaxation.n
+        for j, c in row.coeffs:
+            coeffs[j] = Fraction(c, row.denom)
+        return tuple(coeffs)
+
     rows = tuple(
         ExactRow(
             row.key,
-            tuple(Fraction(c, row.denom) for c in row.coeffs),
+            dense(row),
             over(row.lower, row.denom),
             over(row.upper, row.denom),
             row.widening,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from test_golden import timing_free
-from smoothip import cli, pipeline
+from smoothip import cli, pipeline, rounding
 from smoothip.cli import load_instance, main
 from smoothip.pipeline import (
     EXACT_CAP,
@@ -14,6 +14,7 @@ from smoothip.pipeline import (
     SolveConfig,
     exact_solve,
     guarantee_bound,
+    prepare,
     solve,
 )
 from smoothip.problems import parse_dimacs_graph
@@ -97,6 +98,17 @@ def test_zero_perturbation_equals_exact(triangle_file, capsys):
         line for line in text.splitlines() if line.startswith("best value")
     ]
     assert pick(exact_out) == pick(perturbed_out)
+
+
+@pytest.mark.parametrize("source", ["exact", "perturb:1"])
+def test_solve_normalizes_once(triangle_file, capsys, monkeypatch, source):
+    """The prediction's brute force and the solve share one prepared
+    instance."""
+    normalized = counted_calls(monkeypatch, pipeline, "_normalized")
+    code, _, _ = run(capsys, "solve", str(triangle_file),
+                     "--prediction", source)
+    assert code == 0
+    assert len(normalized) == 1
 
 
 def test_solve_explicit_grid_row_count(tmp_path, capsys):
@@ -317,6 +329,27 @@ def test_sweep_prepares_once_per_file(
     assert len(rows) == 12
     assert len(trees) == 2
     assert len(baselines) == 2
+
+
+def test_sweep_builds_the_rounding_tables_once_per_file(
+    two_instances, tmp_path, capsys, monkeypatch
+):
+    """Greedy rounding's tables are built by prepare, once per file; a
+    solve of the prepared instance rounds every budget with them."""
+    tables = counted_calls(monkeypatch, rounding, "is_multilinear")
+    rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
+                      "--eps", "0,2,3", "--trials", "2")
+    assert len(rows) == 12
+    assert len(tables) == 2
+    prepared = prepare(load_instance(two_instances[0]))
+    assert len(tables) == 3
+    rounded = counted_calls(monkeypatch, pipeline, "greedy_round")
+    report = solve(prepared, (0, 1) * 3 + (0,), SolveConfig())
+    assert len(tables) == 3
+    assert len(rounded) > 1 and all(
+        args[0] is prepared.greedy for args in rounded
+    )
+    assert report.per_eps
 
 
 def test_sweep_cells_solve_their_own_file(

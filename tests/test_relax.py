@@ -121,13 +121,14 @@ def test_relaxation_rows_skip_top_level():
     ]
     assert relaxation.n == 4 and relaxation.beta == 1
     # Row (0,) linearizes p_0 = x1 x2 around xhat: coefficient of x1 is
-    # p_(0,1)(xhat) = x2 = 0; centre p_0(xhat) - c_0 = 0; range [0, 0].
+    # p_(0,1)(xhat) = x2 = 0, so the row keeps no (index, value) pair;
+    # centre p_0(xhat) - c_0 = 0; range [0, 0].
     first = relaxation.rows[0]
-    assert first.coeffs == (0, 0, 0, 0)
+    assert first.coeffs == ()
     assert (first.lower, first.upper, first.low, first.high) == (0, 0, 0, 0)
     # Row (1,): p_1 = x3 gives coefficient 1 on x3, centre 1, range [0, 1].
     third = relaxation.rows[2]
-    assert third.coeffs == (0, 0, 0, 1)
+    assert third.coeffs == ((3, 1),)
     assert (third.lower, third.upper, third.low, third.high) == (1, 1, 0, 1)
 
 
@@ -323,7 +324,10 @@ def seeded_relaxations():
 def test_rows_carry_the_predictions_activity():
     for xhat, relaxation in seeded_relaxations():
         for row in relaxation.rows:
-            assert row.activity == sum(c * x for c, x in zip(row.coeffs, xhat))
+            indices = [j for j, _ in row.coeffs]
+            assert indices == sorted(set(indices))
+            assert all(c != 0 for _, c in row.coeffs)
+            assert row.activity == sum(c * xhat[j] for j, c in row.coeffs)
 
 
 def test_prepared_lp_is_solve_at_every_budget():
@@ -435,7 +439,7 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
             )
             saturated.add(relaxation.saturated(eps))
         for row in relaxation.rows:
-            for c in row.coeffs:
+            for _, c in row.coeffs:
                 if abs(c) > 2**53:
                     huge += 1
                     naive_misses += float(c) / float(row.denom) != c / row.denom
@@ -584,7 +588,7 @@ def assert_same_relaxation(built, reference):
             assert getattr(row, field) == getattr(ref, field), field
         # The integer form: no Fraction per coefficient.
         assert built_row.denom > 0
-        assert all(type(c) is int for c in built_row.coeffs)
+        assert all(type(c) is int for _, c in built_row.coeffs)
     assert built.denom > 0
     assert all(type(c) is int for c in built.objective)
     assert exact == reference

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from exact_reference import fraction_greedy_round
 from helpers import random_multilinear, random_point
 from smoothip.poly import Polynomial, evaluate
 from smoothip.rounding import (
+    GreedyTables,
     greedy_round,
     randomized_round,
     rounding_deviation_term,
@@ -232,6 +234,79 @@ def test_greedy_rejects_bad_inputs():
         greedy_round(TRIANGLE, (0.5, 0.5))
     with pytest.raises(ValueError):
         greedy_round(TRIANGLE, (0.5, 0.5, 1.5))
+
+
+# -- greedy-rounding tables ---------------------------------------------
+
+
+@st.composite
+def table_objectives(draw):
+    """Multilinear polynomials of degree 1-4 with a constant monomial and
+    at least one variable that appears in no monomial."""
+    n = draw(st.integers(2, 9))
+    live = sorted(
+        draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    )
+    d = draw(st.integers(1, min(4, len(live))))
+    coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+    monos = draw(
+        st.lists(st.sets(st.sampled_from(live), max_size=d), max_size=14)
+    )
+    coeffs = {
+        (): draw(coeff.filter(bool)),
+        tuple(live[:d]): draw(coeff.filter(bool)),
+    }
+    for mono in monos:
+        key = tuple(sorted(mono))
+        coeffs[key] = coeffs.get(key, 0) + draw(coeff)
+    return Polynomial(n, coeffs)
+
+
+def unit_values():
+    """A coordinate in [0, 1] as a float, an np.float64, a Fraction or an
+    int."""
+    return st.one_of(
+        unit_floats(),
+        unit_floats().map(np.float64),
+        st.fractions(min_value=0, max_value=1, max_denominator=30),
+        st.sampled_from((0, 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tables_round_as_the_polynomial_and_the_fractions(data):
+    p = data.draw(table_objectives())
+    tables = GreedyTables(p)
+    shipped = pickle.loads(pickle.dumps(tables))
+    assert shipped == tables
+    for _ in range(3):
+        y = data.draw(st.lists(unit_values(), min_size=p.n, max_size=p.n))
+        z = fraction_greedy_round(p, y)
+        assert greedy_round(tables, y) == z
+        assert greedy_round(shipped, y) == z
+        assert greedy_round(p, y) == z
+
+
+def test_tables_reject_what_the_polynomial_rejects():
+    with pytest.raises(ValueError):
+        GreedyTables(Polynomial(2, {(0, 1): 1, (1, 1): 2}))
+    tables = GreedyTables(TRIANGLE)
+    for y in (
+        (0.5, 0.5),
+        (0.5, 0.5, 0.5, 0.5),
+        (0.5, 0.5, 1.5),
+        (0.5, -5e-324, 0.5),
+        (np.float64(1.25), 0, 0),
+        (Fraction(4, 3), 0, 0),
+        (0, 2, 0),
+        (0, -1, 0),
+        (0.5, math.nan, 0.5),
+    ):
+        with pytest.raises(ValueError):
+            greedy_round(tables, y)
+        with pytest.raises(ValueError):
+            greedy_round(TRIANGLE, y)
 
 
 # -- concentration radius -----------------------------------------------
