@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
     print(f"degree: {d}")
     print(f"monomials: {len(p.coeffs)}")
     print(f"beta: {float(beta):.6g} ({beta})")
-    print(f"decomposition nodes: {len(prepared.tree.nodes)}")
+    print(f"decomposition nodes: {len(prepared.plan.constants)}")
     dense_at = DENSE_FRACTION * Fraction(n) ** d
     near_at = n ** (d - 0.5 + (0.5 - NEAR_DENSE_EXPONENT_DROP))
     if args.opt is not None:

@@ -3,20 +3,25 @@
 A solve has two parts.  :func:`prepare` does the work that no prediction
 changes, once per instance: it multilinearizes the objective and the side
 constraints, takes the smoothness certificate beta, decomposes every
-polynomial, builds the objective's greedy-rounding tables and greedily
-rounds the all-halves baseline.  :func:`solve` accepts an instance, which
-it prepares on entry, or a prepared one, so that a sweep or an
-empirical-risk selection solves many predictions on one instance without
-repeating that work.
+polynomial into its relaxation plan, builds the objective's
+greedy-rounding tables, which also score Boolean points, and a score
+table per side constraint, and greedily rounds the all-halves baseline.
+:func:`solve` accepts an instance, which it prepares on entry, or a
+prepared one, so that a sweep or an empirical-risk selection solves many
+predictions on one instance without repeating that work.
 
-Per prediction, the prediction-centered relaxation is built once, and so
-is its float LP, warm-started at the prediction.  For each eps in a grid
-over [0, n] the pipeline derives that budget's row windows, solves the LP,
-rounds the fractional optimum to a Boolean point, and scores that point
-against the true objective in exact arithmetic.  From the saturation
-budget on (the first grid eps at which no row can cut the box) the
-embedded simplex is skipped: the box LP's optimum is written down in
-closed form, and those budgets share one rounded point.
+Per prediction, the relaxation computes only its node values and each
+row's need; its rows and its float LP, warm-started at the prediction,
+are built once, and only when some budget lies below the saturation
+budget.  For each eps in a grid over [0, n] the pipeline derives that
+budget's row windows, solves the LP, rounds the fractional optimum to a
+Boolean point, and scores that point against the true objective in
+exact arithmetic.  From the saturation budget on (the first grid eps at
+which no row can cut the box) the embedded simplex is skipped: the box
+LP's optimum is written down in closed form, and those budgets share one
+rounded point.  Every Boolean point (the prediction, the baseline and
+each rounding) is scored, and its violation of the side constraints
+measured, on integers over one denominator.
 
 The prediction itself and a cheap baseline (greedy rounding of the
 all-halves vector) enter the candidate pool as well, so the returned
@@ -44,27 +49,31 @@ from fractions import Fraction
 import numpy as np
 
 from .lpsolve import OPTIMAL, PreparedLp, box_optimum
-from .poly import (
-    DecompositionTree,
+# evaluate and the per-budget builders are not called here, since Boolean
+# points are scored from integer tables and a solve prepares its
+# relaxation once; they stay in this module's namespace, where the
+# benchmark's traced run (perfbench/layers.py) looks them up.
+from .poly import (  # noqa: F401
     Polynomial,
+    ScoreTable,
     decompose,
     evaluate,
     min_smoothness,
     multilinearize,
 )
-# The per-budget builders are not called here, since a solve prepares its
-# relaxation once; they stay in this module's namespace, where the
-# benchmark's traced run (perfbench/layers.py) looks them up.
 from .relax import (  # noqa: F401
     ConstrainedProgram,
+    RelaxationPlan,
     build_constrained_relaxation,
     build_relaxation,
     constraint_degree,
-    constraint_trees,
+    constraint_plans,
     gap_bound,
+    gap_factor,
     prediction_point,
     prepare_relaxation,
 )
+from .rat import sqrt_upper
 from .rounding import (
     GreedyTables,
     greedy_round,
@@ -172,10 +181,13 @@ def _grid(config: SolveConfig, n: int) -> list[int]:
     return values
 
 
-def _violation(constraints, z) -> Fraction:
+def _violation(scores, z) -> Fraction:
+    """How far the Boolean point z lies outside the worst of the side
+    constraints' windows, given as (score table, lower, upper); 0 inside
+    every window."""
     worst = Fraction(0)
-    for poly, lower, upper in constraints:
-        value = evaluate(poly, z)
+    for table, lower, upper in scores:
+        value = table.value(z)
         if lower is not None and lower - value > worst:
             worst = lower - value
         if upper is not None and value - upper > worst:
@@ -193,17 +205,17 @@ def _round_and_score(
 ):
     """(z, exact value, violation, values of the randomized rounds) for
     the rounding of the LP optimum y, a point of [0,1]^n."""
-    p, constraints = instance.p, instance.constraints
+    tables, scores = instance.greedy, instance.constraint_scores
     if config.strategy == GREEDY:
-        z = greedy_round(instance.greedy, y)
-        return z, evaluate(p, z), _violation(constraints, z), ()
+        z = greedy_round(tables, y)
+        return z, tables.value(z), _violation(scores, z), ()
     outcomes = []
     for r in range(config.randomized_rounds):
         zr = randomized_round(y, _round_seed(config.seed, eps, r))
-        outcomes.append((zr, evaluate(p, zr)))
+        outcomes.append((zr, tables.value(zr)))
     z, value = max(outcomes, key=lambda zv: zv[1])
     return (
-        z, value, _violation(constraints, z),
+        z, value, _violation(scores, z),
         tuple(v for _, v in outcomes),
     )
 
@@ -234,34 +246,41 @@ class PreparedInstance:
     """What every solve of one instance shares, whatever the prediction.
 
     The normalized objective p and side constraints (poly, lower, upper),
-    the smoothness certificate beta, the decomposition tree of p, one
-    (tree, lower, upper) per side constraint, the greedy-rounding tables
-    of p, the baseline candidate (greedy rounding of the all-halves point,
-    which depends on p alone) and the instance's label.  Built by
-    :func:`prepare`.
+    the smoothness certificate beta, the relaxation plan of p and one
+    side plan per side constraint (:mod:`smoothip.relax`), the
+    greedy-rounding tables of p, which also score its Boolean points, one
+    (score table, lower, upper) per side constraint, the baseline
+    candidate (greedy rounding of the all-halves point, which depends on
+    p alone) and the instance's label.  Built by :func:`prepare`; compares
+    by value and pickles.
     """
 
     p: Polynomial
     constraints: tuple
     beta: Fraction
-    tree: DecompositionTree
-    constraint_trees: tuple
+    plan: RelaxationPlan
+    constraint_plans: tuple
     greedy: GreedyTables
+    constraint_scores: tuple
     baseline: Candidate
     label: str
 
 
 def prepare(instance: Instance) -> PreparedInstance:
-    """Normalize and decompose an instance, build its greedy-rounding
-    tables and round its baseline, once; pass the result to :func:`solve`
-    in place of the instance to solve it for many predictions."""
+    """Normalize and decompose an instance, build its relaxation plans,
+    greedy-rounding and scoring tables and round its baseline, once; pass
+    the result to :func:`solve` in place of the instance to solve it for
+    many predictions."""
     p, constraints, beta = _normalized(instance.objective, instance.constraints)
     greedy = GreedyTables(p)
+    scores = tuple(
+        (ScoreTable(poly), lower, upper) for poly, lower, upper in constraints
+    )
     z = greedy_round(greedy, (Fraction(1, 2),) * p.n)
     return PreparedInstance(
-        p, constraints, beta, decompose(p), constraint_trees(constraints),
-        greedy,
-        Candidate("baseline", z, evaluate(p, z), _violation(constraints, z)),
+        p, constraints, beta, RelaxationPlan(decompose(p)),
+        constraint_plans(constraints), greedy, scores,
+        Candidate("baseline", z, greedy.value(z), _violation(scores, z)),
         instance.label,
     )
 
@@ -284,8 +303,8 @@ def solve(
     if config.include_prediction_candidate:
         candidates.append(
             Candidate(
-                "prediction", xhat, evaluate(p, xhat),
-                _violation(constraints, xhat),
+                "prediction", xhat, instance.greedy.value(xhat),
+                _violation(instance.constraint_scores, xhat),
             )
         )
     if config.include_baseline_candidate:
@@ -298,8 +317,10 @@ def solve(
         candidates.append(Candidate("exact", z, value, Fraction(0)))
     else:
         relaxation = prepare_relaxation(
-            instance.tree, xhat, beta, instance.constraint_trees
+            instance.plan, xhat, beta, instance.constraint_plans
         )
+        # gap_bound at eps is this factor times sqrt(n * eps).
+        factor = gap_factor(beta, n, d)
         radius = (
             rounding_error_bound(beta, n, d, config.k)
             if config.strategy == RANDOMIZED and beta > 0
@@ -332,7 +353,7 @@ def solve(
                 if lp is None:
                     lp = relaxation.lp()
                 sol = lp_solve(lp, relaxation.windows(eps))
-            gap = gap_bound(beta, n, d, eps)
+            gap = factor * sqrt_upper(n * eps)
             if sol.status != OPTIMAL:
                 records.append(
                     EpsRecord(
@@ -493,18 +514,21 @@ def _feasible(constraints, n: int):
     return feasible
 
 
+def _normal_form(instance: Instance | PreparedInstance) -> tuple:
+    """(p, constraints, beta) of an instance, normalized, or read from a
+    prepared one."""
+    if isinstance(instance, Instance):
+        return _normalized(instance.objective, instance.constraints)
+    return instance.p, instance.constraints, instance.beta
+
+
 def exact_solve(instance: Instance | PreparedInstance) -> tuple:
     """Exhaustive maximization honoring constraints, n <= EXACT_CAP; a
     prepared instance is not normalized again.
 
     Returns (z, value) with z the lexicographically smallest optimum.
     """
-    if isinstance(instance, Instance):
-        p, constraints, _ = _normalized(
-            instance.objective, instance.constraints
-        )
-    else:
-        p, constraints = instance.p, instance.constraints
+    p, constraints, _ = _normal_form(instance)
     return _exact(p, constraints)
 
 
@@ -532,10 +556,13 @@ def guarantee_floor(
 
 
 def guarantee_bound(
-    instance: Instance, eps: int, config: SolveConfig = SolveConfig()
+    instance: Instance | PreparedInstance,
+    eps: int,
+    config: SolveConfig = SolveConfig(),
 ) -> Fraction:
-    """:func:`guarantee_floor` with opt brute-forced from the instance."""
-    p, constraints, beta = _normalized(instance.objective, instance.constraints)
+    """:func:`guarantee_floor` with opt brute-forced from the instance; a
+    prepared instance is not normalized again."""
+    p, constraints, beta = _normal_form(instance)
     _, opt = _exact(p, constraints)
     return guarantee_floor(
         opt, beta, p.n, p.degree, eps, config.strategy, config.k

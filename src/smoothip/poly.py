@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .rat import E_UPPER
@@ -157,19 +158,13 @@ def evaluate(p: Polynomial, x: Sequence) -> Fraction:
     """Exact value of p at the point x (entries coerced to Fraction).
 
     At a Boolean point this is the sum of the coefficients of the monomials
-    whose variables are all 1, taken without any products: their
-    numerators are summed as integers over the lcm of their denominators,
-    and one Fraction is built from the total.
+    whose variables are all 1, taken without any products, as
+    :class:`ScoreTable` takes it.
     """
     if len(x) != p.n:
         raise ValueError(f"point has {len(x)} entries, expected {p.n}")
     if all(v == 0 or v == 1 for v in x):
-        zeros = {i for i, v in enumerate(x) if v == 0}
-        chosen = [c for mono, c in p.coeffs.items() if zeros.isdisjoint(mono)]
-        scale = math.lcm(*(c.denominator for c in chosen))
-        return Fraction(
-            sum(c.numerator * (scale // c.denominator) for c in chosen), scale
-        )
+        return ScoreTable(p).value(x)
     point = [Fraction(v) for v in x]
     total = Fraction(0)
     for mono, coeff in p.coeffs.items():
@@ -178,6 +173,43 @@ def evaluate(p: Polynomial, x: Sequence) -> Fraction:
             term *= point[i]
         total += term
     return total
+
+
+class ScoreTable:
+    """A polynomial's coefficients over one denominator, to score Boolean
+    points exactly without any Fraction arithmetic.
+
+    The coefficients are put over the lcm L of their denominators, c_m =
+    C_m / L; ``scale`` is L, and ``monomials`` and ``coeffs`` hold each
+    monomial and its integer C_m, in the polynomial's order.  At a
+    Boolean point z, p(z) is the sum of the c_m whose variables are all
+    1, so :meth:`value` sums those C_m and builds one Fraction.
+    Immutable by convention, like :class:`Polynomial`; compares by value
+    and pickles.  A plain class, because a dataclass's generated methods
+    cost every import of the package.
+    """
+
+    def __init__(self, p: Polynomial):
+        ratios = [c.as_integer_ratio() for c in p.coeffs.values()]
+        self.n = p.n
+        self.scale = math.lcm(*(b for _, b in ratios))
+        self.monomials = tuple(p.coeffs)
+        self.coeffs = tuple([a * (self.scale // b) for a, b in ratios])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    __hash__ = None
+
+    def value(self, z: Sequence) -> Fraction:
+        """p(z), exactly, at a point z of 0s and 1s."""
+        if len(z) != self.n:
+            raise ValueError(f"point has {len(z)} entries, expected {self.n}")
+        zeros = {i for i, v in enumerate(z) if not v}
+        return Fraction(
+            sum(compress(self.coeffs, map(zeros.isdisjoint, self.monomials))),
+            self.scale,
+        )
 
 
 def is_multilinear(p: Polynomial) -> bool:

@@ -22,26 +22,38 @@ feasibility of x* survives the passage to concrete numbers.  Each
 polynomial side constraint adds the same component rows plus a relaxed
 top-level window widened by the sum of that constraint's tolerances.
 
-Only the tolerances depend on eps.  A :class:`Relaxation` holds everything
-else (objective, offset, and per row its nonzero coefficients as (index,
-value) pairs, centre, depths, exact range over the box, the prediction's
-exact activity and the widening past which the row cannot cut the box) and
-is built once per solve, from decomposition trees that the caller made
-once per instance.  No polynomial is evaluated to build it: every node
-value p_I(xhat) is computed once, bottom-up, by the reconstruction
-identity p_I(xhat) = c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat), as
-an integer over the lcm L of the coefficient denominators.  Rows stay in
-that form: every number of a row is an integer over one positive
-denominator, L for a component row and the lcm of L and the bound
-denominators for a side constraint's window, and the objective is integers
-over L.  No Fraction is made per coefficient.  ``windows(eps)`` gives one
-budget's bounds as integers over a denominator too, ``model(eps)`` turns
-them and the rows into the exact Fraction LP of one budget, its rows
-dense, and ``lp()`` prepares the float LP that every budget shares,
-warm-started at the prediction.  Once every row's range over [0,1]^n lies
-strictly inside its window, no row can cut the box: the first grid budget
-where that holds is the saturation budget, and it holds for every larger
-budget since the windows nest.
+Only the tolerances depend on eps, and much of the rest depends on the
+polynomial alone.  A :class:`RelaxationPlan`, built once per polynomial
+from its decomposition tree (by ``prepare`` in the pipeline, once per
+objective and once per side constraint), holds that part: the lcm L of
+the coefficient denominators, the nodes in child-first order with their
+constants c_I as integers over L and their (child, position) lists, and
+per component row its key, node position and widening; a
+:class:`SidePlan` adds a side constraint's window.  No polynomial is
+evaluated per prediction: every node value p_I(xhat) is computed once,
+bottom-up, into one flat list by the reconstruction identity p_I(xhat) =
+c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat), as an integer over L,
+and a row's centre is p_I(xhat) - c_I.  In the same pass each row's need
+(how wide its window must grow before it cannot cut the box) is folded
+into the largest need of its group, which is all the saturation test
+reads.
+
+A :class:`Relaxation` holds, per prediction, the objective, offset, node
+values and needs, and builds its rows only when an LP reads them: per
+row its nonzero coefficients as (index, value) pairs, centre, depths,
+exact range over the box, the prediction's exact activity and the
+widening past which the row cannot cut the box.  Every number of a row
+is an integer over one positive denominator, L for a component row and
+the lcm of L and the bound denominators for a side constraint's window,
+and the objective is integers over L.  No Fraction is made per
+coefficient.  ``windows(eps)`` gives one budget's bounds as integers
+over a denominator too, ``model(eps)`` turns them and the rows into the
+exact Fraction LP of one budget, its rows dense, and ``lp()`` prepares
+the float LP that every budget shares, warm-started at the prediction.
+Once every row's range over [0,1]^n lies strictly inside its window, no
+row can cut the box: the first grid budget where that holds is the
+saturation budget, and it holds for every larger budget since the
+windows nest.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .lpsolve import LpModel, PreparedLp
@@ -140,6 +153,13 @@ class Row(NamedTuple):
     need: int | None
 
 
+def _need(lower, upper, low: int, high: int) -> int | None:
+    """max(lower - low, high - upper) over the bounds present, or None."""
+    if lower is None:
+        return None if upper is None else high - upper
+    return lower - low if upper is None else max(lower - low, high - upper)
+
+
 def _row(key, coeffs, denom, lower, upper, widening, activity) -> Row:
     """The row of the nonzero (j, c) pairs ``coeffs``; every number is an
     integer over denom."""
@@ -149,15 +169,186 @@ def _row(key, coeffs, denom, lower, upper, widening, activity) -> Row:
             low += v
         else:
             high += v
-    needs = []
-    if lower is not None:
-        needs.append(lower - low)
-    if upper is not None:
-        needs.append(high - upper)
     return Row(
         key, coeffs, denom, lower, upper, widening, low, high, activity,
-        max(needs, default=None),
+        _need(lower, upper, low, high),
     )
+
+
+def _span(values: list, children) -> tuple[int, int]:
+    """(low, high): the sums of the negative and of the positive values of
+    the children, given as (j, position) pairs."""
+    low = high = 0
+    for _, k in children:
+        v = values[k]
+        if v < 0:
+            low += v
+        else:
+            high += v
+    return low, high
+
+
+def _pairs(values: list, children, factor: int = 1) -> tuple:
+    """The (j, value * factor) pairs of the children whose value is
+    nonzero, in ascending j."""
+    # A list first: a tuple built from a generator grows by realloc, and
+    # over many predictions that fragments the heap.
+    pairs = [(j, v * factor) for j, k in children if (v := values[k])]
+    return tuple(pairs)
+
+
+class RelaxationPlan:
+    """What the relaxation needs of one decomposition tree, whatever the
+    prediction; built once per polynomial.
+
+    ``scale`` is L, the lcm of the coefficient denominators: every c_I is
+    a coefficient of the root, so every node value p_I(xhat) is an
+    integer over L.  The nodes are numbered child-first, the reverse of
+    the tree's sorted order, so that every child (I, j) comes before I and
+    the root is last.  ``constants[k]`` is c_I * L for node k, and
+    ``children`` holds (k, pairs) for every node k that has children, in
+    that order, its pairs (j, position of (I, j)) in ascending j; ``top``
+    is the root's pairs.  ``rows`` holds one (key, position, widening,
+    pairs) per component row, every I with 1 <= |I| <= d - 1 in sorted
+    order, and the rows of one depth share one widening, ((d, |I|, 1),).
+    ``offset`` is the top-level constant c.  Immutable by convention, like
+    :class:`~smoothip.poly.ScoreTable`; compares by value and pickles.
+    """
+
+    def __init__(self, tree: DecompositionTree):
+        d = tree.root.degree
+        scale = math.lcm(*(c.denominator for c in tree.root.coeffs.values()))
+        # decompose inserts the nodes in preorder with ascending children,
+        # which is sorted order; reversed, every child precedes its parent.
+        keys = list(reversed(tree.nodes))
+        position = {key: k for k, key in enumerate(keys)}
+        constants = []
+        pairs = {}
+        for k, key in enumerate(keys):
+            node = tree.nodes[key]
+            c = node.constant
+            constants.append(c.numerator * (scale // c.denominator))
+            if node.children:
+                # Lists first, as in _pairs.
+                pairs[k] = tuple(
+                    [(j, position[key + (j,)]) for j in node.children]
+                )
+        widening = {depth: ((d, depth, 1),) for depth in range(1, d)}
+        rows = []
+        for key in tree.nodes:
+            if 1 <= len(key) <= d - 1:
+                k = position[key]
+                rows.append((key, k, widening[len(key)], pairs.get(k, ())))
+        self.n = tree.root.n
+        self.degree = d
+        self.scale = scale
+        self.offset = tree.constant
+        self.constants = tuple(constants)
+        self.children = tuple(pairs.items())
+        self.top = pairs.get(len(keys) - 1, ())
+        self.rows = tuple(rows)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    __hash__ = None
+
+    def values(self, point) -> list:
+        """p_I(xhat) * L of every node, in the plan's order, by the
+        reconstruction identity p_I(xhat) = c_I + sum over j with xhat_j
+        = 1 of p_(I,j)(xhat), from values already known."""
+        values = list(self.constants)
+        for k, children in self.children:
+            total = values[k]
+            for j, child in children:
+                if point[j]:
+                    total += values[child]
+            values[k] = total
+        return values
+
+    def component_rows(self, values: list) -> list:
+        """The component rows at the prediction whose node values are
+        ``values``: row I has centre (p_I(xhat) - c_I) * L."""
+        rows = []
+        for key, k, widening, children in self.rows:
+            center = values[k] - self.constants[k]
+            rows.append(
+                _row(
+                    key, _pairs(values, children), self.scale, center,
+                    center, widening, center,
+                )
+            )
+        return rows
+
+    def fold_needs(self, values: list, needs: dict) -> None:
+        """Raise needs[(widening, L)] to the need of every component row
+        at these node values, without building the rows."""
+        constants = self.constants
+        largest: dict = {}
+        for _, k, widening, children in self.rows:
+            # _span and max, inlined: this loop runs for every prediction.
+            low = high = 0
+            for _, child in children:
+                v = values[child]
+                if v < 0:
+                    low += v
+                else:
+                    high += v
+            center = values[k] - constants[k]
+            below, above = center - low, high - center
+            need = below if below > above else above
+            if need > largest.get(widening, need - 1):
+                largest[widening] = need
+        for widening, need in largest.items():
+            _fold(needs, (widening, self.scale), need)
+
+
+def _fold(needs: dict, group, need) -> None:
+    if need is not None and (group not in needs or need > needs[group]):
+        needs[group] = need
+
+
+class SidePlan(NamedTuple):
+    """A side constraint's plan and its relaxed top-level window.
+
+    ``lower`` and ``upper`` are the bounds minus the constraint's
+    constant, as integers over ``denom``, the lcm of the plan's L and the
+    bounds' denominators (None for an absent bound), and ``widening`` sums
+    the constraint's component tolerances as (degree, depth, count)
+    triples.
+    """
+
+    plan: RelaxationPlan
+    lower: int | None
+    upper: int | None
+    denom: int
+    widening: tuple
+
+    def top_row(self, values: list) -> Row:
+        """The window's row at the prediction whose node values are
+        ``values``, over denom."""
+        plan = self.plan
+        factor = self.denom // plan.scale
+        return _row(
+            (),
+            _pairs(values, plan.top, factor),
+            self.denom,
+            self.lower,
+            self.upper,
+            self.widening,
+            (values[-1] - plan.constants[-1]) * factor,
+        )
+
+    def fold_needs(self, values: list, needs: dict) -> None:
+        """Raise needs to the window's need and to every component row's,
+        at these node values, without building the rows."""
+        low, high = _span(values, self.plan.top)
+        factor = self.denom // self.plan.scale
+        _fold(
+            needs, (self.widening, self.denom),
+            _need(self.lower, self.upper, low * factor, high * factor),
+        )
+        self.plan.fold_needs(values, needs)
 
 
 @dataclass(frozen=True)
@@ -165,9 +356,14 @@ class Relaxation:
     """The part of the oracle-centered LP that no error budget changes.
 
     Built once per solve around the prediction xhat; the objective's
-    coefficients are integers over ``denom``.  ``model(eps)`` adds the
-    tolerances of one budget, and ``lp()`` prepares the LP that every
-    budget shares, up to ``windows(eps)``.
+    coefficients are integers over ``denom``.  ``needs`` holds, per group
+    of rows that share a widening and a denominator, the largest need
+    (see :class:`Row`), and ``parts`` one (plan, node values, side plan
+    or None) per polynomial, the objective first.  ``rows`` are built
+    from them on first use, so a prediction saturated at every budget it
+    solves never builds them.  ``model(eps)`` adds the tolerances of one
+    budget, and ``lp()`` prepares the LP that every budget shares, up to
+    ``windows(eps)``.
     """
 
     n: int
@@ -175,8 +371,20 @@ class Relaxation:
     objective: tuple
     denom: int
     offset: Fraction
-    rows: tuple
     xhat: tuple
+    needs: tuple
+    parts: tuple
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Every row: the objective's component rows, then per side
+        constraint its window's row and its component rows."""
+        rows = []
+        for plan, values, side in self.parts:
+            if side is not None:
+                rows.append(side.top_row(values))
+            rows.extend(plan.component_rows(values))
+        return tuple(rows)
 
     def _widths(self, eps: int, widenings) -> dict:
         """{widening: w at budget eps} over the given distinct widenings,
@@ -268,19 +476,13 @@ class Relaxation:
         saturated exactly when the one of largest need is, so a budget
         takes one integer comparison per such group.
         """
-        needs: dict = {}
-        for row in self.rows:
-            if row.need is not None:
-                group = (row.widening, row.denom)
-                if group not in needs or row.need > needs[group]:
-                    needs[group] = row.need
 
         def saturated(eps: int) -> bool:
-            width = self._widths(eps, {widening for widening, _ in needs})
+            width = self._widths(eps, {widening for (widening, _), _ in self.needs})
             return all(
                 width[widening].numerator * denom
                 > need * width[widening].denominator
-                for (widening, denom), need in needs.items()
+                for (widening, denom), need in self.needs
             )
 
         i = bisect.bisect_left(grid, True, key=saturated)
@@ -308,58 +510,6 @@ def prediction_point(values: Sequence, n: int | None = None) -> tuple:
     return tuple(point)
 
 
-def _node_values(tree: DecompositionTree, point) -> tuple[int, dict]:
-    """(L, {I: p_I(xhat) * L}) with L the lcm of the coefficient
-    denominators, every node visited once.
-
-    Reverse sorted order puts each node's children (I, j) before I, so
-    the reconstruction identity p_I(xhat) = c_I + sum over j with
-    xhat_j = 1 of p_(I,j)(xhat) gives each value from values already
-    known.  Every c_I is a coefficient of the root, so every value is an
-    integer over L.
-    """
-    scale = math.lcm(*(c.denominator for c in tree.root.coeffs.values()))
-    values: dict = {}
-    for key in sorted(tree.nodes, reverse=True):
-        node = tree.nodes[key]
-        total = node.constant.numerator * (scale // node.constant.denominator)
-        for j in node.children:
-            if point[j]:
-                total += values[key + (j,)]
-        values[key] = total
-    return scale, values
-
-
-def _linearization(tree: DecompositionTree, key, point, values) -> tuple:
-    """(the pairs (j, p_(I,j)(xhat) * L) over the children j of I, in
-    ascending j, whose value is nonzero, and their sum over the ones of
-    xhat, (p_I(xhat) - c_I) * L)."""
-    # A list first: a tuple built from a generator grows by realloc, and
-    # over many predictions that fragments the heap.
-    pairs = [
-        (j, v) for j in tree.nodes[key].children if (v := values[key + (j,)])
-    ]
-    return tuple(pairs), sum(v for j, v in pairs if point[j])
-
-
-def _component_rows(tree: DecompositionTree, point, scale, values) -> list:
-    d = tree.root.degree
-    # One widening object per depth, shared by that depth's rows.
-    widening = {depth: ((d, depth, 1),) for depth in range(1, d)}
-    rows = []
-    for key in tree.component_keys():
-        if len(key) > d - 1:
-            continue
-        coeffs, center = _linearization(tree, key, point, values)
-        rows.append(
-            _row(
-                key, coeffs, scale, center, center, widening[len(key)],
-                center,
-            )
-        )
-    return rows
-
-
 def build_relaxation(
     tree: DecompositionTree,
     xhat: Sequence,
@@ -371,7 +521,7 @@ def build_relaxation(
     The prediction satisfies every row of the output exactly, so the model
     is never genuinely infeasible; growing eps only widens the rows.
     """
-    return prepare_relaxation(tree, xhat, beta).model(eps)
+    return prepare_relaxation(RelaxationPlan(tree), xhat, beta).model(eps)
 
 
 def constraint_degree(poly: Polynomial) -> int:
@@ -381,75 +531,75 @@ def constraint_degree(poly: Polynomial) -> int:
     return max(2, poly.degree)
 
 
-def constraint_trees(constraints) -> tuple:
-    """(tree, lower, upper) per (poly, lower, upper) side constraint, each
-    polynomial decomposed at its :func:`constraint_degree`."""
-    return tuple(
-        (decompose(poly.with_degree(constraint_degree(poly))), lower, upper)
-        for poly, lower, upper in constraints
-    )
-
-
-def prepare_relaxation(
-    tree: DecompositionTree,
-    xhat: Sequence,
-    beta: Fraction | int,
-    constraints: Sequence = (),
-) -> Relaxation:
-    """Objective, offset and component rows of the relaxation around xhat,
-    then relaxed windows for each side constraint.
-
-    ``tree`` decomposes the objective and ``constraints`` holds one
-    (tree, lower, upper) per side constraint, as :func:`constraint_trees`
-    gives them, so nothing is decomposed here.  A constraint's linearized
-    top level q_c must stay within [lower - delta_c, upper + delta_c]
-    where delta_c is the sum of the constraint's component tolerances, and
-    its components obey the same per-tuple rows as the objective's.
-    """
-    n = tree.root.n
-    point = prediction_point(xhat, n)
-    scale, values = _node_values(tree, point)
-    coeffs, _ = _linearization(tree, (), point, values)
-    objective = [0] * n
-    for j, v in coeffs:
-        objective[j] = v
-    rows = _component_rows(tree, point, scale, values)
-    for side, lower, upper in constraints:
-        side_scale, values = _node_values(side, point)
-        components = _component_rows(side, point, side_scale, values)
-        depths = Counter(len(row.key) for row in components)
-        top, activity = _linearization(side, (), point, values)
-        # The window's bounds join the row over one denominator.
+def constraint_plans(constraints) -> tuple:
+    """One :class:`SidePlan` per (poly, lower, upper) side constraint, each
+    polynomial decomposed at its :func:`constraint_degree`.  The window
+    keeps lower - c and upper - c, c the constraint's constant, and widens
+    by the sum of the constraint's component tolerances."""
+    sides = []
+    for poly, lower, upper in constraints:
+        plan = RelaxationPlan(
+            decompose(poly.with_degree(constraint_degree(poly)))
+        )
+        depths = Counter(len(row[0]) for row in plan.rows)
         bounds = [
-            None if b is None else Fraction(b) - side.constant
+            None if b is None else Fraction(b) - plan.offset
             for b in (lower, upper)
         ]
         denom = math.lcm(
-            side_scale, *(b.denominator for b in bounds if b is not None)
+            plan.scale, *(b.denominator for b in bounds if b is not None)
         )
         lower, upper = (
             None if b is None else b.numerator * (denom // b.denominator)
             for b in bounds
         )
-        factor = denom // side_scale
-        rows.append(
-            _row(
-                (),
-                tuple((j, v * factor) for j, v in top),
-                denom,
-                lower,
-                upper,
+        sides.append(
+            SidePlan(
+                plan, lower, upper, denom,
                 tuple(
-                    (side.root.degree, depth, count)
+                    (plan.degree, depth, count)
                     for depth, count in sorted(depths.items())
                 ),
-                activity * factor,
             )
         )
-        rows.extend(components)
+    return tuple(sides)
+
+
+def prepare_relaxation(
+    plan: RelaxationPlan,
+    xhat: Sequence,
+    beta: Fraction | int,
+    sides: Sequence = (),
+) -> Relaxation:
+    """The relaxation around xhat: objective, offset, the node values of
+    every polynomial and each group's largest need.
+
+    ``plan`` is the objective's and ``sides`` holds one
+    :class:`SidePlan` per side constraint, as :func:`constraint_plans`
+    gives them, so nothing is decomposed here.  Per polynomial this
+    computes the node values and folds every row's need; the rows
+    themselves are built only when :attr:`Relaxation.rows` is first read.
+    A constraint's linearized top level q_c must stay within [lower -
+    delta_c, upper + delta_c] where delta_c is the sum of the
+    constraint's component tolerances, and its components obey the same
+    per-tuple rows as the objective's.
+    """
+    n = plan.n
+    point = prediction_point(xhat, n)
+    values = plan.values(point)
+    objective = [0] * n
+    for j, k in plan.top:
+        objective[j] = values[k]
+    needs: dict = {}
+    plan.fold_needs(values, needs)
+    parts = [(plan, values, None)]
+    for side in sides:
+        side_values = side.plan.values(point)
+        side.fold_needs(side_values, needs)
+        parts.append((side.plan, side_values, side))
     return Relaxation(
-        n, Fraction(beta), tuple(objective), scale, tree.constant,
-        tuple(rows), point,
+        n, Fraction(beta), tuple(objective), plan.scale, plan.offset, point,
+        tuple(needs.items()), tuple(parts),
     )
 
 
@@ -462,27 +612,32 @@ def build_constrained_relaxation(
     """The constrained LP for one error budget; see
     :func:`prepare_relaxation`."""
     return prepare_relaxation(
-        decompose(prog.objective), xhat, beta,
-        constraint_trees(prog.constraints),
+        RelaxationPlan(decompose(prog.objective)), xhat, beta,
+        constraint_plans(prog.constraints),
     ).model(eps)
+
+
+def gap_factor(beta: Fraction | int, n: int, d: int) -> Fraction:
+    """2 * eta * beta * n^(d - 1), eta = 2e(d - 2) + 1: the part of
+    :func:`gap_bound` that no budget changes."""
+    if d < 2:
+        raise ValueError("gap bound needs degree >= 2")
+    eta = 2 * E_UPPER * (d - 2) + 1
+    return 2 * eta * Fraction(beta) * Fraction(n) ** (d - 1)
 
 
 def gap_bound(
     beta: Fraction | int, n: int, d: int, eps: int
 ) -> Fraction:
     """Additive bound 2 * eta * beta * n^(d - 1/2) * sqrt(eps) on how far
-    the LP optimum can fall below the true optimum, eta = 2e(d - 2) + 1.
+    the LP optimum can fall below the true optimum, eta = 2e(d - 2) + 1:
+    :func:`gap_factor` times sqrt(n * eps).
 
     For d = 2 this is 2 * beta * n^(3/2) * sqrt(eps).  Computed with the
     same upward approximations the tolerances use, so it upper-bounds the
     slack actually granted to the LP.
     """
-    if d < 2:
-        raise ValueError("gap bound needs degree >= 2")
-    if eps == 0:
-        return Fraction(0)
-    eta = 2 * E_UPPER * (d - 2) + 1
-    return 2 * eta * Fraction(beta) * Fraction(n) ** (d - 1) * sqrt_upper(n * eps)
+    return gap_factor(beta, n, d) * sqrt_upper(n * eps)
 
 
 def constraint_violation_bound(
@@ -494,9 +649,8 @@ def constraint_violation_bound(
     deviation."""
     if d < 2:
         raise ValueError("violation bound needs degree >= 2")
-    eta = 2 * E_UPPER * (d - 2) + 1
     slack = (
-        eta * Fraction(beta) * Fraction(n) ** (d - 1) * sqrt_upper(n * eps)
+        gap_factor(beta, n, d) / 2 * sqrt_upper(n * eps)
         if eps > 0
         else Fraction(0)
     )

@@ -27,13 +27,12 @@ The two coincide for d >= 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .poly import Polynomial, is_multilinear
+from .poly import Polynomial, ScoreTable, is_multilinear
 from .rat import E_UPPER, ln_upper, sqrt_upper
 
 
@@ -55,37 +54,31 @@ def randomized_round(y: Sequence, seed: int) -> tuple:
     return tuple(int(u < pi) for u, pi in zip(draws, probs))
 
 
-@dataclass(frozen=True, init=False)
-class GreedyTables:
+class GreedyTables(ScoreTable):
     """What greedy rounding needs of a multilinear objective, built once.
 
-    The coefficients are put over one denominator L, c_m = C_m / L, and
-    each monomial m is kept as its integer C_m and its degree gap d - |m|,
-    with d the largest monomial length.  ``touching[i]`` lists, for each
-    monomial m that holds x_i, the other variables of m as a tuple, C_m
-    and the gap.  Building the tables raises ValueError on an objective
-    that is not multilinear.
+    A :class:`~smoothip.poly.ScoreTable` of the objective, so the same
+    tables also score Boolean points, plus per variable the monomials that
+    touch it.  Each monomial m is kept as its integer C_m = c_m * L and
+    its degree gap d - |m|, with d the largest monomial length:
+    ``touching[i]`` lists, for each monomial m that holds x_i, the other
+    variables of m as a tuple, C_m and the gap.  Building the tables
+    raises ValueError on an objective that is not multilinear.
     """
-
-    n: int
-    degree: int
-    touching: tuple
 
     def __init__(self, p: Polynomial):
         if not is_multilinear(p):
             raise ValueError("greedy rounding needs a multilinear objective")
-        ratios = [c.as_integer_ratio() for c in p.coeffs.values()]
-        scale = math.lcm(*(b for _, b in ratios))
-        d = max(map(len, p.coeffs), default=0)
+        super().__init__(p)
+        d = max(map(len, self.monomials), default=0)
         touching: list = [[] for _ in range(p.n)]
-        for mono, (a, b) in zip(p.coeffs, ratios):
-            coeff, gap = a * (scale // b), d - len(mono)
+        for mono, coeff in zip(self.monomials, self.coeffs):
+            gap = d - len(mono)
             for i in mono:
                 others = tuple(j for j in mono if j != i)
                 touching[i].append((others, coeff, gap))
-        object.__setattr__(self, "n", p.n)
-        object.__setattr__(self, "degree", d)
-        object.__setattr__(self, "touching", tuple(map(tuple, touching)))
+        self.degree = d
+        self.touching = tuple(map(tuple, touching))
 
 
 def greedy_round(p: Polynomial | GreedyTables, y: Sequence) -> tuple:

@@ -93,5 +93,5 @@ def pipeline_relaxation(objective, xhat, constraints=()):
     """The relaxation a solve builds at xhat, from the prepared instance."""
     prepared = prepare(Instance(objective, constraints))
     return prepare_relaxation(
-        prepared.tree, xhat, prepared.beta, prepared.constraint_trees
+        prepared.plan, xhat, prepared.beta, prepared.constraint_plans
     )

@@ -352,6 +352,22 @@ def test_sweep_builds_the_rounding_tables_once_per_file(
     assert report.per_eps
 
 
+def test_sweep_builds_the_relaxation_plans_once_per_file(
+    two_instances, tmp_path, capsys, monkeypatch
+):
+    """A two-file sweep builds two relaxation plans, one per objective,
+    not one per cell; every cell's relaxation reads its file's plan."""
+    plans = counted_calls(monkeypatch, pipeline, "RelaxationPlan")
+    relaxations = counted_calls(monkeypatch, pipeline, "prepare_relaxation")
+    rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
+                      "--eps", "0,2,3", "--trials", "2")
+    assert len(rows) == 12
+    assert len(plans) == 2
+    assert len(relaxations) == 12
+    built = {id(args[0]) for args in relaxations}
+    assert len(built) == 2
+
+
 def test_sweep_cells_solve_their_own_file(
     two_instances, tmp_path, capsys, monkeypatch
 ):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import butterfly_masks_to_values
-from helpers import random_bool_vector, random_multilinear
+from exact_reference import butterfly_masks_to_values, fraction_value
+from helpers import at_most, random_bool_vector, random_multilinear
 from test_golden import corpus
 from smoothip import lpsolve, pipeline, relax
 from smoothip.pipeline import (
@@ -40,6 +40,7 @@ from smoothip.problems import (
     maxkcsp_objective,
     maxksat_objective,
 )
+from smoothip.rat import E_UPPER, sqrt_upper
 from smoothip.relax import ConstrainedProgram, gap_bound
 from smoothip.rounding import greedy_round, rounding_deviation_term
 
@@ -694,6 +695,140 @@ def test_guarantee_floor_is_guarantee_bound_given_opt():
                 )
                 assert floor == guarantee_bound(inst, eps, config)
     assert guarantee_floor(0, 0, 4, 2, 3, "randomized", 2) == 0
+
+
+def test_guarantee_bound_accepts_a_prepared_instance(monkeypatch):
+    """guarantee_bound(prepare(inst), eps) is guarantee_bound(inst, eps),
+    and the prepared instance is not normalized again."""
+    sat = maxksat_objective(gen_ksat(8, 30, 3, 2))
+    cases = (
+        Instance(TRIANGLE),
+        Instance(sat),
+        Instance(maxcut_objective(gen_gnp(7, 0.5, 3)), (at_most(7, 3),)),
+    )
+    configs = (SolveConfig(), SolveConfig(strategy="randomized", k=2))
+    for inst in cases:
+        prepared = prepare(inst)
+        expected = [
+            guarantee_bound(inst, eps, config)
+            for config in configs
+            for eps in range(inst.objective.n + 1)
+        ]
+        normalized = []
+        original = pipeline._normalized
+        monkeypatch.setattr(
+            pipeline, "_normalized",
+            lambda *args: normalized.append(args) or original(*args),
+        )
+        assert expected == [
+            guarantee_bound(prepared, eps, config)
+            for config in configs
+            for eps in range(inst.objective.n + 1)
+        ]
+        assert normalized == []
+        monkeypatch.undo()
+
+
+def test_solve_takes_the_gap_factor_once_and_keeps_every_gap(monkeypatch):
+    """One gap_factor call per solve; each record's gap is still
+    2 * eta * beta * n^(d - 1) * sqrt_upper(n * eps), as gap_bound
+    gives it, on the optimal and on the failed budgets."""
+    cases = (
+        (Instance(maxksat_objective(gen_ksat(9, 36, 3, 4))), (0, 1) * 4 + (1,)),
+        (Instance(PATH3.with_degree(4)), (1, 0, 1)),
+        (
+            Instance(maxcut_objective(gen_gnp(8, 0.5, 1)), (at_most(8, 2),)),
+            (0, 1) * 4,
+        ),
+    )
+    for inst, xhat in cases:
+        prepared = prepare(inst)
+        calls = []
+        original = pipeline.gap_factor
+        monkeypatch.setattr(
+            pipeline, "gap_factor",
+            lambda *args: calls.append(args) or original(*args),
+        )
+        report = solve(prepared, xhat, SolveConfig())
+        monkeypatch.undo()
+        assert len(calls) == 1
+        n, d, beta = report.n, report.degree, report.beta
+        eta = 2 * E_UPPER * (d - 2) + 1
+        for record in report.per_eps:
+            eps = record.eps
+            assert record.gap == gap_bound(beta, n, d, eps)
+            assert record.gap == (
+                2 * eta * beta * Fraction(n) ** (d - 1) * sqrt_upper(n * eps)
+            )
+    assert {r.status for r in report.per_eps} == {"optimal", "infeasible"}
+
+
+def test_boolean_points_are_scored_from_integer_tables():
+    """The prepared objective's tables and every side constraint's score
+    table give the Fraction values and violations, constant-only
+    polynomials included."""
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        p = random_multilinear(rng, n, rng.randint(1, min(3, n)))
+        if rng.random() < 0.2:
+            p = Polynomial(n, {(): Fraction(rng.randrange(-9, 10), 7)})
+        constraints = []
+        for _ in range(rng.randint(0, 3)):
+            q = random_multilinear(rng, n, rng.randint(1, min(3, n)))
+            if rng.random() < 0.2:
+                q = Polynomial(n, {(): Fraction(rng.randrange(-9, 10), 5)})
+            lower = Fraction(rng.randrange(-20, 5), rng.randrange(1, 7))
+            upper = lower + Fraction(rng.randrange(0, 20), rng.randrange(1, 7))
+            constraints.append(
+                (q, None if rng.random() < 0.3 else lower,
+                 None if rng.random() < 0.3 else upper)
+            )
+        prepared = prepare(Instance(p, tuple(constraints)))
+        assert len(prepared.constraint_scores) == len(constraints)
+        for _ in range(8):
+            z = tuple(random_bool_vector(rng, n))
+            assert prepared.greedy.value(z) == fraction_value(p, z)
+            worst = Fraction(0)
+            for q, lower, upper in constraints:
+                value = fraction_value(q, z)
+                if lower is not None:
+                    worst = max(worst, lower - value)
+                if upper is not None:
+                    worst = max(worst, value - upper)
+            assert pipeline._violation(prepared.constraint_scores, z) == worst
+
+
+def test_solve_of_a_prepared_instance_builds_nothing_per_objective(
+    monkeypatch,
+):
+    """prepare builds one relaxation plan for the objective, one side plan
+    and one score table per side constraint; a solve of the prepared
+    instance builds none of them."""
+    built = {}
+    for name in ("RelaxationPlan", "constraint_plans", "ScoreTable",
+                 "GreedyTables", "decompose"):
+        original = getattr(pipeline, name)
+        built[name] = calls = []
+        monkeypatch.setattr(
+            pipeline, name,
+            lambda *args, calls=calls, original=original: (
+                calls.append(args) or original(*args)
+            ),
+        )
+    cut = maxcut_objective(gen_gnp(9, 0.5, 2))
+    inst = Instance(cut, (at_most(9, 4), at_most(9, Fraction(11, 2))))
+    prepared = prepare(inst)
+    counts = {name: len(calls) for name, calls in built.items()}
+    assert counts == {
+        "RelaxationPlan": 1, "constraint_plans": 1, "ScoreTable": 2,
+        "GreedyTables": 1, "decompose": 1,
+    }
+    assert len(prepared.constraint_plans) == 2
+    for xhat in ((0, 1) * 4 + (0,), (1,) * 9):
+        report = solve(prepared, xhat, SolveConfig())
+        assert report.per_eps
+    assert {name: len(calls) for name, calls in built.items()} == counts
 
 
 def test_ratio_bound_cut_form():

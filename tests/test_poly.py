@@ -2,16 +2,20 @@
 decomposition, magnitude bounds."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exact_reference import fraction_value
 from helpers import random_bool_vector, random_multilinear, random_point
 from smoothip.poly import (
     DecompositionTree,
     Polynomial,
+    ScoreTable,
     component_bound,
     decompose,
     evaluate,
@@ -254,6 +258,56 @@ def test_component_degrees_and_strictly_increasing_keys():
         for key in tree.component_keys():
             assert list(key) == sorted(set(key))
             assert tree.nodes[key].poly.degree <= p.degree - len(key)
+
+
+def test_decompose_lists_the_nodes_in_sorted_order():
+    """The relaxation plan reverses this order to visit every child
+    before its parent, with no sort."""
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        tree = decompose(random_multilinear(rng, n, min(4, n)))
+        assert list(tree.nodes) == sorted(tree.nodes)
+
+
+@st.composite
+def scored_polynomials(draw):
+    """Polynomials with mixed-denominator coefficients, some with
+    repeated indices, some constant-only and some zero, with variables
+    that appear in no monomial."""
+    n = draw(st.integers(1, 8))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=14)
+    shape = draw(st.sampled_from(("general", "constant", "zero")))
+    if shape == "zero":
+        return Polynomial(n, {})
+    coeffs = {(): draw(coeff) or 1}
+    if shape == "general":
+        monos = st.lists(st.integers(0, n - 1), max_size=4)
+        for mono in draw(st.lists(monos, max_size=12)):
+            key = tuple(sorted(mono))
+            coeffs[key] = coeffs.get(key, 0) + draw(coeff)
+    return Polynomial(n, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_score_table_is_evaluate_and_the_fractions(data):
+    p = data.draw(scored_polynomials())
+    table = ScoreTable(p)
+    shipped = pickle.loads(pickle.dumps(table))
+    assert shipped == table
+    assert all(type(c) is int for c in table.coeffs) and table.scale > 0
+    points = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * p.n), min_size=1,
+                 max_size=6)
+    )
+    for z in points:
+        value = table.value(z)
+        assert type(value) is Fraction
+        assert value == evaluate(p, z) == fraction_value(p, z)
+        assert shipped.value(z) == value
+    with pytest.raises(ValueError):
+        table.value((0,) * (p.n + 1))
 
 
 def test_component_bound_examples():

@@ -1,10 +1,14 @@
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from exact_reference import (
     as_fractions,
@@ -20,6 +24,8 @@ from helpers import (
     random_multilinear,
 )
 from smoothip.lpsolve import INFEASIBLE, OPTIMAL, box_optimum, solve
+from smoothip.pipeline import Instance, SolveConfig, prepare
+from smoothip.pipeline import solve as pipeline_solve
 from smoothip.poly import Polynomial, decompose, evaluate, min_smoothness
 from smoothip.problems import (
     gen_gnp,
@@ -30,10 +36,11 @@ from smoothip.problems import (
 from smoothip.rat import E_UPPER
 from smoothip.relax import (
     ConstrainedProgram,
+    RelaxationPlan,
     build_constrained_relaxation,
     build_relaxation,
     constraint_degree,
-    constraint_trees,
+    constraint_plans,
     constraint_violation_bound,
     gap_bound,
     prepare_relaxation,
@@ -114,7 +121,9 @@ def test_tolerance_square_is_tight():
 
 def test_relaxation_rows_skip_top_level():
     p = Polynomial(4, {(0, 1, 2): 1, (1, 3): 1, (): 3})
-    relaxation = prepare_relaxation(decompose(p), (1, 1, 0, 1), 1)
+    relaxation = prepare_relaxation(
+        RelaxationPlan(decompose(p)), (1, 1, 0, 1), 1
+    )
     assert [row.key for row in relaxation.rows] == [(0,), (0, 1), (1,), (1, 3)]
     assert [row.widening for row in relaxation.rows] == [
         ((3, 1, 1),), ((3, 2, 1),), ((3, 1, 1),), ((3, 2, 1),)
@@ -245,7 +254,9 @@ def random_relaxation(rng):
     p = random_multilinear(rng, n, rng.randint(2, min(4, n)))
     p = p.with_degree(max(2, p.degree))
     xhat = random_bool_vector(rng, n)
-    return p, xhat, prepare_relaxation(decompose(p), xhat, min_smoothness(p))
+    return p, xhat, prepare_relaxation(
+        RelaxationPlan(decompose(p)), xhat, min_smoothness(p)
+    )
 
 
 def test_saturation_budget_is_exact_and_monotone():
@@ -281,7 +292,9 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
         cases.append((p, xhat))
     saturated = 0
     for p, xhat in cases:
-        relaxation = prepare_relaxation(decompose(p), xhat, min_smoothness(p))
+        relaxation = prepare_relaxation(
+            RelaxationPlan(decompose(p)), xhat, min_smoothness(p)
+        )
         budget = relaxation.saturation_budget(list(range(p.n + 1)))
         if budget is None:
             continue
@@ -296,7 +309,9 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
             saturated += 1
     assert saturated >= 100
     for xhat in ((1, 1, 0), (0, 0, 1)):
-        relaxation = prepare_relaxation(decompose(TRIANGLE), xhat, 2)
+        relaxation = prepare_relaxation(
+            RelaxationPlan(decompose(TRIANGLE)), xhat, 2
+        )
         assert relaxation.objective[0] == 0
         assert box_optimum(
             (relaxation.objective, relaxation.denom), relaxation.offset, xhat
@@ -605,7 +620,7 @@ def test_integer_build_matches_per_child_evaluation():
         tree = decompose(p)
         beta = min_smoothness(p)
         assert_same_relaxation(
-            prepare_relaxation(tree, xhat, beta),
+            prepare_relaxation(RelaxationPlan(tree), xhat, beta),
             evaluate_relaxation(tree, xhat, beta),
         )
 
@@ -641,8 +656,8 @@ def test_integer_constrained_build_matches_per_child_evaluation():
         beta = Fraction(rng.randrange(1, 30), rng.randrange(1, 9))
         assert_same_relaxation(
             prepare_relaxation(
-                decompose(prog.objective), xhat, beta,
-                constraint_trees(prog.constraints),
+                RelaxationPlan(decompose(prog.objective)), xhat, beta,
+                constraint_plans(prog.constraints),
             ),
             evaluate_constrained_relaxation(prog, xhat, beta),
         )
@@ -657,3 +672,115 @@ def test_saturated_agrees_with_the_windows_on_pipeline_relaxations():
             assert saturated == window_saturated(relaxation, eps)
             seen.add(saturated)
     assert seen == {False, True}
+
+
+# -- the per-objective plan against the reference -----------------------
+
+
+@st.composite
+def plan_cases(draw):
+    """(objective, side constraints, xhat): mixed-denominator coefficients,
+    at least one variable in no monomial of the objective, and zero to
+    two side constraints of degree 1-3 whose windows hold or break the
+    prediction, one-sided or unbounded."""
+    n = draw(st.integers(3, 8))
+    live = sorted(
+        draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1))
+    )
+    coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+    def polynomial(d):
+        coeffs = {(): draw(coeff), tuple(live[:d]): draw(coeff) or 1}
+        monos = st.sets(st.sampled_from(live), max_size=d)
+        for mono in draw(st.lists(monos, max_size=12)):
+            key = tuple(sorted(mono))
+            coeffs[key] = coeffs.get(key, 0) + draw(coeff)
+        return Polynomial(n, coeffs)
+
+    objective = polynomial(draw(st.integers(2, min(4, len(live)))))
+    xhat = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    shift = st.none() | st.fractions(-2, 6, max_denominator=5)
+    constraints = []
+    for _ in range(draw(st.integers(0, 2))):
+        q = polynomial(draw(st.integers(1, min(3, len(live)))))
+        at = evaluate(q, xhat)
+        below, above = draw(shift), draw(shift)
+        lower = None if below is None else at - below
+        upper = None if above is None else max(at + above, lower or at)
+        constraints.append((q, lower, upper))
+    return objective, tuple(constraints), xhat
+
+
+def solve_outcome(instance, xhat, config):
+    """The timing-free report of a solve, or the message of the error
+    it raises when no candidate is usable."""
+    try:
+        report = pipeline_solve(instance, xhat, config)
+    except RuntimeError as exc:
+        return str(exc)
+    return dataclasses.replace(
+        report,
+        per_eps=tuple(
+            dataclasses.replace(r, wall_ms=0.0) for r in report.per_eps
+        ),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(plan_cases())
+def test_plan_relaxation_matches_the_reference(case):
+    """The relaxation built from the prepared plans is the reference's,
+    number for number; its saturation, read from the needs before any
+    row is built, is what the exact model says; a budget saturated at
+    first sight builds no rows, and a solve there or at an LP budget is
+    the solve of the unprepared instance.  The prepared instance holding
+    the plans pickles and compares equal."""
+    objective, constraints, xhat = case
+    instance = Instance(objective, constraints)
+    prepared = prepare(instance)
+    shipped = pickle.loads(pickle.dumps(prepared))
+    assert shipped == prepared
+    relaxation = prepare_relaxation(
+        shipped.plan, xhat, shipped.beta, shipped.constraint_plans
+    )
+    grid = list(range(objective.n + 1))
+    budget = relaxation.saturation_budget(grid)
+    if budget is not None:
+        # A sweep cell at this budget is saturated at its first budget.
+        assert relaxation.saturation_budget((budget,)) == budget
+    assert "rows" not in vars(relaxation)
+    assert_same_relaxation(
+        relaxation,
+        evaluate_constrained_relaxation(
+            ConstrainedProgram(prepared.p, prepared.constraints), xhat,
+            prepared.beta,
+        ),
+    )
+    # The needs folded without rows are the largest needs of the rows.
+    largest = {}
+    for row in relaxation.rows:
+        group = (row.widening, row.denom)
+        if row.need is not None:
+            largest[group] = max(largest.get(group, row.need), row.need)
+    assert dict(relaxation.needs) == largest
+    for eps in grid:
+        assert (budget is not None and eps >= budget) == window_saturated(
+            relaxation, eps
+        )
+    event("saturates" if budget is not None else "never saturates")
+    event(f"{len(constraints)} side constraints")
+    # eps = 0 reaches an LP: the objective's rows of depth 1 cannot be
+    # inside a zero-width window.
+    assert budget != 0
+    for eps in (0, budget):
+        if eps is None:
+            continue
+        config = SolveConfig(grid=(eps,))
+        report = solve_outcome(shipped, xhat, config)
+        assert report == solve_outcome(instance, xhat, config)
+        if isinstance(report, str):
+            continue
+        (record,) = report.per_eps
+        if eps == 0 and record.status == OPTIMAL:
+            lp = solve(relaxation.model(0), warm_start=xhat)
+            assert record.lp_value == float(lp.objective_value)
