@@ -9,10 +9,11 @@ into a reported bound.
 
 The algorithm is a bounded-variable revised simplex.  Every row gets a slack
 variable (a_i^T x - s_i = 0 with s_i carrying the row bounds) and an
-artificial for the two-phase start; pricing is Dantzig with a permanent
-switch to Bland's rule after a long degenerate stretch.  A basis inverse is
-kept explicitly and refreshed periodically.  The solver is deterministic:
-fixed pivot rules, no randomization.
+artificial for the two-phase start; pricing is Dantzig throughout, and a
+solve that has not ended after 50 pivots per row and per variable returns
+numerical-failure.  A basis inverse is kept explicitly and refreshed
+periodically.  The solver is deterministic: fixed pivot rules, no
+randomization.
 
 Everything but the row windows is prepared once in a :class:`PreparedLp`:
 the float matrix, the cost, the row split and a warm start with its exact
@@ -39,7 +40,6 @@ import numpy as np
 FEAS_TOL = 1e-7  # row feasibility, matches the reported certificate
 DUAL_TOL = 1e-9  # reduced-cost threshold for entering candidates
 PIVOT_TOL = 1e-10  # smallest usable pivot magnitude
-DEGENERATE_LIMIT = 1000  # pivots with no progress before Bland's rule
 REFRESH_EVERY = 200  # iterations between basis-inverse rebuilds
 
 OPTIMAL = "optimal"
@@ -106,8 +106,6 @@ class _Simplex:
         self.at_upper = np.zeros(total, dtype=bool)
         self.Binv = np.zeros((m, m))
         self.iterations = 0
-        self.degenerate = 0
-        self.bland = False
 
     # -- state helpers ----------------------------------------------------
 
@@ -167,12 +165,6 @@ class _Simplex:
             best, leave_pos, leave_to_upper = self._ratio_test(j, sigma, w)
             if math.isinf(best):
                 return UNBOUNDED
-            if best > 1e-11:
-                self.degenerate = 0
-            else:
-                self.degenerate += 1
-                if self.degenerate > DEGENERATE_LIMIT:
-                    self.bland = True
 
             delta = best
             if self.basis.size:
@@ -196,14 +188,12 @@ class _Simplex:
             self._update_inverse(leave_pos, w)
 
     def _pick_entering(self, reduced):
-        """Dantzig: the first column of largest score; under Bland's rule
-        the first column whose score passes DUAL_TOL.  Basic and fixed
-        columns never enter."""
+        """Dantzig, the only pricing rule: the first column of largest
+        score, if that score passes DUAL_TOL.  Basic and fixed columns
+        never enter.  Nothing else guards against cycling; a solve ends at
+        the pivot cap of :meth:`PreparedLp.solve`."""
         score = np.where(self.at_upper, reduced, -reduced)
         score[self.basic | (self.lb == self.ub)] = -math.inf
-        if self.bland:
-            eligible = np.flatnonzero(score > DUAL_TOL)
-            return int(eligible[0]) if eligible.size else None
         j = int(np.argmax(score))  # first maximum
         return j if score[j] > DUAL_TOL else None
 
@@ -214,8 +204,7 @@ class _Simplex:
         The rows with a usable pivot and their ratios are found at once;
         they are then scanned in position order.  A ratio more than 1e-12
         below the best so far replaces it; one within 1e-12 replaces it if
-        its key is smaller: under Bland's rule the smaller basic column,
-        otherwise the larger |pivot|, then the smaller column.
+        its key is smaller: the larger |pivot|, then the smaller column.
         """
         piv = sigma * w
         rows = np.flatnonzero(np.abs(piv) > PIVOT_TOL)
@@ -227,10 +216,7 @@ class _Simplex:
         ) / piv
         # max(ratio, 0.0) as Python takes it: a ratio of -0.0 stays -0.0.
         ratios = np.where(ratios < 0.0, 0.0, ratios)
-        keys = (
-            cols.tolist() if self.bland
-            else list(zip((-np.abs(piv)).tolist(), cols.tolist()))
-        )
+        keys = list(zip((-np.abs(piv)).tolist(), cols.tolist()))
         best = self.ub[j] - self.lb[j]
         leave = -1
         for k, ratio in enumerate(ratios.tolist()):

@@ -40,12 +40,11 @@ reads.
 
 A :class:`Relaxation` holds, per prediction, the objective, offset, node
 values and needs, and builds its rows only when an LP reads them: per
-row its nonzero coefficients as (index, value) pairs, centre, depths,
-exact range over the box, the prediction's exact activity and the
-widening past which the row cannot cut the box.  Every number of a row
-is an integer over one positive denominator, L for a component row and
-the lcm of L and the bound denominators for a side constraint's window,
-and the objective is integers over L.  No Fraction is made per
+row its nonzero coefficients as (index, value) pairs, centre, depths
+and the prediction's exact activity.  Every number of a row is an
+integer over one positive denominator, L for a component row and the lcm
+of L and the bound denominators for a side constraint's window, and the
+objective is integers over L.  No Fraction is made per
 coefficient.  ``windows(eps)`` gives one budget's bounds as integers
 over a denominator too, ``model(eps)`` turns them and the rows into the
 exact Fraction LP of one budget, its rows dense, and ``lp()`` prepares
@@ -133,12 +132,8 @@ class Row(NamedTuple):
     component row of p_I has key I, lower = upper = p_I(xhat) - c_I and
     widening ((d, |I|, 1),); a side constraint's top-level window has key
     (), its bounds minus the constraint's constant, and widens by the sum
-    of that constraint's component tolerances.  [low, high] is the exact
-    range of coeffs . x over [0,1]^n, and activity is coeffs . xhat, the
-    prediction's value (a component row's centre).  need is max(lower -
-    low, high - upper) over the bounds present, or None when both are
-    absent: [low, high] lies strictly inside the row's window exactly when
-    w > need / denom.
+    of that constraint's component tolerances.  activity is coeffs . xhat,
+    the prediction's value (a component row's centre).
     """
 
     key: tuple
@@ -147,32 +142,17 @@ class Row(NamedTuple):
     lower: int | None
     upper: int | None
     widening: tuple
-    low: int
-    high: int
     activity: int
-    need: int | None
 
 
 def _need(lower, upper, low: int, high: int) -> int | None:
-    """max(lower - low, high - upper) over the bounds present, or None."""
+    """max(lower - low, high - upper) over the bounds present, or None
+    when both are absent: with [low, high] the exact range of a row's
+    coeffs . x over [0,1]^n, that range lies strictly inside the row's
+    window exactly when its widening w > need / denom."""
     if lower is None:
         return None if upper is None else high - upper
     return lower - low if upper is None else max(lower - low, high - upper)
-
-
-def _row(key, coeffs, denom, lower, upper, widening, activity) -> Row:
-    """The row of the nonzero (j, c) pairs ``coeffs``; every number is an
-    integer over denom."""
-    low = high = 0
-    for _, v in coeffs:
-        if v < 0:
-            low += v
-        else:
-            high += v
-    return Row(
-        key, coeffs, denom, lower, upper, widening, low, high, activity,
-        _need(lower, upper, low, high),
-    )
 
 
 def _span(values: list, children) -> tuple[int, int]:
@@ -273,7 +253,7 @@ class RelaxationPlan:
         for key, k, widening, children in self.rows:
             center = values[k] - self.constants[k]
             rows.append(
-                _row(
+                Row(
                     key, _pairs(values, children), self.scale, center,
                     center, widening, center,
                 )
@@ -329,7 +309,7 @@ class SidePlan(NamedTuple):
         ``values``, over denom."""
         plan = self.plan
         factor = self.denom // plan.scale
-        return _row(
+        return Row(
             (),
             _pairs(values, plan.top, factor),
             self.denom,
@@ -358,7 +338,7 @@ class Relaxation:
     Built once per solve around the prediction xhat; the objective's
     coefficients are integers over ``denom``.  ``needs`` holds, per group
     of rows that share a widening and a denominator, the largest need
-    (see :class:`Row`), and ``parts`` one (plan, node values, side plan
+    (see :func:`_need`), and ``parts`` one (plan, node values, side plan
     or None) per polynomial, the objective first.  ``rows`` are built
     from them on first use, so a prediction saturated at every budget it
     solves never builds them.  ``model(eps)`` adds the tolerances of one

@@ -95,7 +95,8 @@ class ExactRelaxation:
 def as_fractions(relaxation) -> ExactRelaxation:
     """A relax.Relaxation read as exact rationals: every integer over its
     row's (or the objective's) denominator, each row's (index, value)
-    pairs spread into a dense tuple."""
+    pairs spread into a dense tuple, and its range and need computed
+    from those coefficients and its bounds."""
 
     def over(value, denom):
         return None if value is None else Fraction(value, denom)
@@ -107,16 +108,13 @@ def as_fractions(relaxation) -> ExactRelaxation:
         return tuple(coeffs)
 
     rows = tuple(
-        ExactRow(
+        _row(
             row.key,
             dense(row),
             over(row.lower, row.denom),
             over(row.upper, row.denom),
             row.widening,
-            Fraction(row.low, row.denom),
-            Fraction(row.high, row.denom),
             Fraction(row.activity, row.denom),
-            over(row.need, row.denom),
         )
         for row in relaxation.rows
     )

@@ -191,10 +191,8 @@ def test_reference_agreement():
     assert_reference_agreement()
 
 
-def test_bland_rule_and_refresh_agree_with_reference(monkeypatch):
-    # Bland's rule from the first degenerate pivot on, and a basis-inverse
-    # refresh every third iteration.
-    monkeypatch.setattr(lpsolve, "DEGENERATE_LIMIT", 0)
+def test_refresh_agrees_with_reference(monkeypatch):
+    # A basis-inverse refresh every third iteration.
     monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
     assert_reference_agreement()
 
@@ -290,6 +288,43 @@ def test_pipeline_lps_agree_with_highs(pipeline_lps):
         assert agrees(ours, theirs), (name, ours.status, theirs.status)
 
 
+# -- a long degenerate stretch ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def degenerate_cut1000():
+    """The eps = 0 LP of MAX-CUT G(1000, 0.05, seed 1) around the
+    alternating prediction, as the pipeline solves it, and its solution.
+
+    Every window is an equality at the prediction's activity, so every
+    vertex the simplex visits is degenerate; the longest run of pivots
+    that make no progress is 1262.  A solver that switched to Bland's rule
+    after 1000 such pivots ran into its 100,000-pivot cap here and
+    returned numerical-failure after 443 s; Dantzig pricing alone ends
+    after 1451 pivots."""
+    relaxation = pipeline_relaxation(
+        maxcut_objective(gen_gnp(1000, 0.05, 1)), alternating(1000)
+    )
+    return relaxation, relaxation.lp().solve(relaxation.windows(0))
+
+
+def test_degenerate_lp_at_n_1000_is_optimal(degenerate_cut1000):
+    _, sol = degenerate_cut1000
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(12274, rel=1e-9, abs=0)
+    assert sol.iterations < 3000
+
+
+def test_degenerate_lp_at_n_1000_agrees_with_highs(degenerate_cut1000):
+    pytest.importorskip("scipy")
+    relaxation, sol = degenerate_cut1000
+    theirs = highs_solve(relaxation.model(0))
+    assert theirs.status == "optimal"
+    assert sol.objective_value == pytest.approx(
+        theirs.objective_value, rel=1e-9, abs=0
+    )
+
+
 # -- vectorized pivoting against plain loops --------------------------------
 
 
@@ -306,8 +341,6 @@ class LoopSimplex(lpsolve._Simplex):
             score = -reduced[j] if not self.at_upper[j] else reduced[j]
             if score <= best_score:
                 continue
-            if self.bland:
-                return j  # ascending scan: first eligible is the smallest
             best = j
             best_score = score
         return best
@@ -338,8 +371,6 @@ class LoopSimplex(lpsolve._Simplex):
         return best, leave_pos, leave_to_upper
 
     def _prefer_leaving(self, pos, incumbent, w) -> bool:
-        if self.bland:
-            return self.basis[pos] < self.basis[incumbent]
         if abs(w[pos]) != abs(w[incumbent]):
             return abs(w[pos]) > abs(w[incumbent])
         return self.basis[pos] < self.basis[incumbent]
@@ -351,14 +382,13 @@ class LoopSimplex(lpsolve._Simplex):
                 self.Binv[i, :] -= w[i] * self.Binv[leave_pos, :]
 
 
-@pytest.mark.parametrize("rules", ["dantzig", "bland-and-refresh"])
+@pytest.mark.parametrize("rules", ["dantzig", "refresh"])
 def test_vectorized_pivoting_matches_the_loops(
     rules, pipeline_lps, monkeypatch
 ):
     """Same status, y, value and iterations, to the last bit, on the
     reference models (cold) and on pipeline LPs (warm and cold)."""
-    if rules == "bland-and-refresh":
-        monkeypatch.setattr(lpsolve, "DEGENERATE_LIMIT", 0)
+    if rules == "refresh":
         monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
     cases = [(model, None) for model in reference_models()]
     for name, model in pipeline_lps:

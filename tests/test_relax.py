@@ -131,13 +131,13 @@ def test_relaxation_rows_skip_top_level():
     assert relaxation.n == 4 and relaxation.beta == 1
     # Row (0,) linearizes p_0 = x1 x2 around xhat: coefficient of x1 is
     # p_(0,1)(xhat) = x2 = 0, so the row keeps no (index, value) pair;
-    # centre p_0(xhat) - c_0 = 0; range [0, 0].
-    first = relaxation.rows[0]
-    assert first.coeffs == ()
+    # centre p_0(xhat) - c_0 = 0; range [0, 0].  L = 1, so the exact
+    # rows, ranges computed from the pairs, have the same numbers.
+    first, _, third, _ = as_fractions(relaxation).rows
+    assert relaxation.rows[0].coeffs == ()
     assert (first.lower, first.upper, first.low, first.high) == (0, 0, 0, 0)
     # Row (1,): p_1 = x3 gives coefficient 1 on x3, centre 1, range [0, 1].
-    third = relaxation.rows[2]
-    assert third.coeffs == ((3, 1),)
+    assert relaxation.rows[2].coeffs == ((3, 1),)
     assert (third.lower, third.upper, third.low, third.high) == (1, 1, 0, 1)
 
 
@@ -756,12 +756,14 @@ def test_plan_relaxation_matches_the_reference(case):
             prepared.beta,
         ),
     )
-    # The needs folded without rows are the largest needs of the rows.
+    # The needs folded without rows are the largest needs of the rows,
+    # each computed from the row's pairs and bounds.
     largest = {}
-    for row in relaxation.rows:
+    for row, exact in zip(relaxation.rows, as_fractions(relaxation).rows):
         group = (row.widening, row.denom)
-        if row.need is not None:
-            largest[group] = max(largest.get(group, row.need), row.need)
+        if exact.need is not None:
+            need = exact.need * row.denom
+            largest[group] = max(largest.get(group, need), need)
     assert dict(relaxation.needs) == largest
     for eps in grid:
         assert (budget is not None and eps >= budget) == window_saturated(
