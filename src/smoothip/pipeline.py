@@ -2,10 +2,11 @@
 
 A solve has two parts.  :func:`prepare` does the work that no prediction
 changes, once per instance: it multilinearizes the objective and the side
-constraints, takes the smoothness certificate beta, decomposes every
-polynomial into its relaxation plan, builds the objective's
-greedy-rounding tables, which also score Boolean points, and a score
-table per side constraint, and greedily rounds the all-halves baseline.
+constraints and puts each polynomial's coefficients over one denominator
+once, as the objective's greedy-rounding tables (which also score Boolean
+points) and a score table per side constraint.  The smoothness
+certificate beta and every polynomial's relaxation plan are read off
+those integer tables, and the all-halves baseline is greedily rounded.
 :func:`solve` accepts an instance, which it prepares on entry, or a
 prepared one, so that a sweep or an empirical-risk selection solves many
 predictions on one instance without repeating that work.
@@ -49,10 +50,11 @@ from fractions import Fraction
 import numpy as np
 
 from .lpsolve import OPTIMAL, PreparedLp, box_optimum
-# evaluate and the per-budget builders are not called here, since Boolean
-# points are scored from integer tables and a solve prepares its
-# relaxation once; they stay in this module's namespace, where the
-# benchmark's traced run (perfbench/layers.py) looks them up.
+# decompose, evaluate and the per-budget builders are not called here,
+# since plans are read off the monomials, Boolean points are scored from
+# integer tables and a solve prepares its relaxation once; they stay in
+# this module's namespace, where the benchmark's traced run
+# (perfbench/layers.py) looks them up.
 from .poly import (  # noqa: F401
     Polynomial,
     ScoreTable,
@@ -221,24 +223,20 @@ def _round_and_score(
 
 
 def _normalized(objective: Polynomial, constraints):
-    """Multilinearize, pad the degree to at least 2, take the shared
-    smoothness certificate over objective and constraints."""
+    """Multilinearize, pad the objective's degree to at least 2 and each
+    side constraint's to its constraint degree, bounds as Fractions."""
     p = multilinearize(objective)
-    p = p.with_degree(max(2, p.degree))
     normal = []
-    beta = min_smoothness(p)
     for poly, lower, upper in constraints:
         q = multilinearize(poly)
-        q = q.with_degree(constraint_degree(q))
-        beta = max(beta, min_smoothness(q))
         normal.append(
             (
-                q,
+                q.with_degree(constraint_degree(q)),
                 None if lower is None else Fraction(lower),
                 None if upper is None else Fraction(upper),
             )
         )
-    return p, tuple(normal), beta
+    return p.with_degree(max(2, p.degree)), tuple(normal)
 
 
 @dataclass(frozen=True)
@@ -267,19 +265,23 @@ class PreparedInstance:
 
 
 def prepare(instance: Instance) -> PreparedInstance:
-    """Normalize and decompose an instance, build its relaxation plans,
-    greedy-rounding and scoring tables and round its baseline, once; pass
-    the result to :func:`solve` in place of the instance to solve it for
-    many predictions."""
-    p, constraints, beta = _normalized(instance.objective, instance.constraints)
+    """Normalize an instance, build its greedy-rounding and scoring
+    tables, read its smoothness certificate and relaxation plans off
+    them and round its baseline, once; pass the result to :func:`solve`
+    in place of the instance to solve it for many predictions."""
+    p, constraints = _normalized(instance.objective, instance.constraints)
     greedy = GreedyTables(p)
     scores = tuple(
         (ScoreTable(poly), lower, upper) for poly, lower, upper in constraints
     )
+    beta = max(
+        min_smoothness(table)
+        for table in (greedy, *(table for table, _, _ in scores))
+    )
     z = greedy_round(greedy, (Fraction(1, 2),) * p.n)
     return PreparedInstance(
-        p, constraints, beta, RelaxationPlan(decompose(p)),
-        constraint_plans(constraints), greedy, scores,
+        p, constraints, beta, RelaxationPlan(greedy),
+        constraint_plans(scores), greedy, scores,
         Candidate("baseline", z, greedy.value(z), _violation(scores, z)),
         instance.label,
     )
@@ -390,9 +392,15 @@ def solve(
         if best is None or cand.value > best.value:
             best = cand
     if best is None:
+        # Only side constraints or disabled fallbacks leave no candidate.
         raise RuntimeError(
-            "no usable candidate: every relaxation failed and no fallback "
-            "was enabled"
+            "no usable candidate: no budget's LP was optimal, and "
+            + (
+                "every enabled fallback violates a side constraint"
+                if config.include_prediction_candidate
+                or config.include_baseline_candidate
+                else "the prediction and baseline fallbacks are disabled"
+            )
         )
     return SolveReport(
         n, d, beta, config.strategy, best.z, best.value,
@@ -514,22 +522,15 @@ def _feasible(constraints, n: int):
     return feasible
 
 
-def _normal_form(instance: Instance | PreparedInstance) -> tuple:
-    """(p, constraints, beta) of an instance, normalized, or read from a
-    prepared one."""
-    if isinstance(instance, Instance):
-        return _normalized(instance.objective, instance.constraints)
-    return instance.p, instance.constraints, instance.beta
-
-
 def exact_solve(instance: Instance | PreparedInstance) -> tuple:
     """Exhaustive maximization honoring constraints, n <= EXACT_CAP; a
     prepared instance is not normalized again.
 
     Returns (z, value) with z the lexicographically smallest optimum.
     """
-    p, constraints, _ = _normal_form(instance)
-    return _exact(p, constraints)
+    if isinstance(instance, Instance):
+        return _exact(*_normalized(instance.objective, instance.constraints))
+    return _exact(instance.p, instance.constraints)
 
 
 # -- theoretical floors -------------------------------------------------
@@ -562,10 +563,12 @@ def guarantee_bound(
 ) -> Fraction:
     """:func:`guarantee_floor` with opt brute-forced from the instance; a
     prepared instance is not normalized again."""
-    p, constraints, beta = _normal_form(instance)
-    _, opt = _exact(p, constraints)
+    if isinstance(instance, Instance):
+        instance = prepare(instance)
+    p = instance.p
+    _, opt = _exact(p, instance.constraints)
     return guarantee_floor(
-        opt, beta, p.n, p.degree, eps, config.strategy, config.k
+        opt, instance.beta, p.n, p.degree, eps, config.strategy, config.k
     )
 
 

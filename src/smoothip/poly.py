@@ -181,17 +181,21 @@ class ScoreTable:
 
     The coefficients are put over the lcm L of their denominators, c_m =
     C_m / L; ``scale`` is L, and ``monomials`` and ``coeffs`` hold each
-    monomial and its integer C_m, in the polynomial's order.  At a
-    Boolean point z, p(z) is the sum of the c_m whose variables are all
-    1, so :meth:`value` sums those C_m and builds one Fraction.
-    Immutable by convention, like :class:`Polynomial`; compares by value
-    and pickles.  A plain class, because a dataclass's generated methods
-    cost every import of the package.
+    monomial and its integer C_m, in the polynomial's order, and
+    ``degree`` is the polynomial's declared degree.  This is the one
+    integer form of a polynomial that smoothness
+    (:func:`min_smoothness`), greedy rounding and the relaxation plan
+    read.  At a Boolean point z, p(z) is the sum of the c_m whose
+    variables are all 1, so :meth:`value` sums those C_m and builds one
+    Fraction.  Immutable by convention, like :class:`Polynomial`;
+    compares by value and pickles.  A plain class, because a
+    dataclass's generated methods cost every import of the package.
     """
 
     def __init__(self, p: Polynomial):
         ratios = [c.as_integer_ratio() for c in p.coeffs.values()]
         self.n = p.n
+        self.degree = p.degree
         self.scale = math.lcm(*(b for _, b in ratios))
         self.monomials = tuple(p.coeffs)
         self.coeffs = tuple([a * (self.scale // b) for a, b in ratios])
@@ -220,8 +224,11 @@ def multilinearize(p: Polynomial) -> Polynomial:
     """Collapse repeated variables via x_i^2 = x_i and merge monomials.
 
     The result agrees with p on every Boolean point; its declared degree is
-    the collapsed actual degree.
+    the collapsed actual degree.  A p that is already multilinear keeps
+    its coefficients, shared, not copied.
     """
+    if is_multilinear(p):
+        return Polynomial._trusted(p.n, p.coeffs)
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.coeffs.items():
         key = tuple(sorted(set(mono)))
@@ -229,22 +236,26 @@ def multilinearize(p: Polynomial) -> Polynomial:
     return Polynomial._trusted(p.n, {k: v for k, v in out.items() if v})
 
 
-def min_smoothness(p: Polynomial) -> Fraction:
-    """Smallest beta such that p is beta-smooth at its declared degree.
+def min_smoothness(p: Polynomial | ScoreTable) -> Fraction:
+    """Smallest beta such that p is beta-smooth at its declared degree;
+    p is a polynomial or its :class:`ScoreTable`.
 
     beta-smooth means every monomial of degree l has |coefficient| at most
-    beta * n^(degree - l); the constant term counts as degree 0.
+    beta * n^(degree - l); the constant term counts as degree 0.  With c_m
+    = C_m / L, that is the largest |C_m| of each length l over L *
+    n^(degree - l), so only one Fraction is made per length.
     """
-    if not p.coeffs:
-        return Fraction(0)
-    # The largest magnitude of each degree, then one division per degree.
-    largest: dict[int, Fraction] = {}
-    for mono, coeff in p.coeffs.items():
+    table = p if isinstance(p, ScoreTable) else ScoreTable(p)
+    largest: dict[int, int] = {}
+    for mono, coeff in zip(table.monomials, table.coeffs):
         size = abs(coeff)
         if size > largest.get(len(mono), 0):
             largest[len(mono)] = size
-    n = Fraction(p.n)
-    return max(size / n ** (p.degree - l) for l, size in largest.items())
+    scale, n, d = table.scale, table.n, table.degree
+    return max(
+        (Fraction(size, scale * n ** (d - l)) for l, size in largest.items()),
+        default=Fraction(0),
+    )
 
 
 @dataclass(frozen=True)

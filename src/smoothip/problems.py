@@ -165,8 +165,10 @@ def maxksat_objective(f: CnfFormula) -> Polynomial:
         falsified = ((var, not positive) for var, positive in clause)
         for mono, coeff in _indicator(falsified).items():
             coeffs[mono] = coeffs.get(mono, 0) - coeff
-    # Declare the clause width as the degree even if top monomials cancel;
-    # smoothness is judged against the width.
+    # Declare the clause width as the degree even if top monomials cancel.
+    # min_smoothness of this polynomial is judged against the width, but
+    # prepare multilinearizes, which resets the degree to the collapsed
+    # one, and takes beta (and the tolerance schedule) at that degree.
     return Polynomial(f.n, coeffs, widths.pop() if widths else None)
 
 

@@ -23,13 +23,13 @@ polynomial side constraint adds the same component rows plus a relaxed
 top-level window widened by the sum of that constraint's tolerances.
 
 Only the tolerances depend on eps, and much of the rest depends on the
-polynomial alone.  A :class:`RelaxationPlan`, built once per polynomial
-from its decomposition tree (by ``prepare`` in the pipeline, once per
-objective and once per side constraint), holds that part: the lcm L of
-the coefficient denominators, the nodes in child-first order with their
-constants c_I as integers over L and their (child, position) lists, and
-per component row its key, node position and widening; a
-:class:`SidePlan` adds a side constraint's window.  No polynomial is
+polynomial alone.  A :class:`RelaxationPlan`, read once per polynomial
+off its :class:`~smoothip.poly.ScoreTable` (by ``prepare`` in the
+pipeline, once per objective and once per side constraint), holds that
+part: the lcm L of the coefficient denominators, the nodes in
+child-first order with their constants c_I as integers over L and their
+(child, position) lists, and per component row its key, node position
+and widening; a :class:`SidePlan` adds a side constraint's window.  No polynomial is
 evaluated per prediction: every node value p_I(xhat) is computed once,
 bottom-up, into one flat list by the reconstruction identity p_I(xhat) =
 c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat), as an integer over L,
@@ -66,12 +66,14 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .lpsolve import LpModel, PreparedLp
-# evaluate is not called here, since rows come from node values; the name
-# stays in this module's namespace, where the benchmark's traced run
-# (perfbench/layers.py) looks it up.
+# decompose and evaluate are not called here, since plans are read off
+# the monomials and rows come from node values; the names stay in this
+# module's namespace, where the benchmark's traced run
+# (perfbench/layers.py) looks them up.
 from .poly import (  # noqa: F401
     DecompositionTree,
     Polynomial,
+    ScoreTable,
     decompose,
     evaluate,
 )
@@ -178,55 +180,67 @@ def _pairs(values: list, children, factor: int = 1) -> tuple:
 
 
 class RelaxationPlan:
-    """What the relaxation needs of one decomposition tree, whatever the
-    prediction; built once per polynomial.
+    """What the relaxation needs of one multilinear polynomial, whatever
+    the prediction, read off its :class:`~smoothip.poly.ScoreTable`.
 
-    ``scale`` is L, the lcm of the coefficient denominators: every c_I is
-    a coefficient of the root, so every node value p_I(xhat) is an
-    integer over L.  The nodes are numbered child-first, the reverse of
-    the tree's sorted order, so that every child (I, j) comes before I and
-    the root is last.  ``constants[k]`` is c_I * L for node k, and
-    ``children`` holds (k, pairs) for every node k that has children, in
-    that order, its pairs (j, position of (I, j)) in ascending j; ``top``
-    is the root's pairs.  ``rows`` holds one (key, position, widening,
-    pairs) per component row, every I with 1 <= |I| <= d - 1 in sorted
-    order, and the rows of one depth share one widening, ((d, |I|, 1),).
-    ``offset`` is the top-level constant c.  Immutable by convention, like
-    :class:`~smoothip.poly.ScoreTable`; compares by value and pickles.
+    The nodes I of the tree :func:`~smoothip.poly.decompose` builds are
+    the root () and every prefix of a monomial; c_I is the coefficient
+    of the monomial I, 0 when I is not one, and the children of I are
+    the j with I + (j,) a node.  ``scale`` is the
+    table's L, so every node value p_I(xhat) is an integer over L.  The
+    nodes are numbered child-first, the reverse of their sorted order, so
+    that every child (I, j) comes before I and the root is last.
+    ``constants[k]`` is c_I * L for node k, and ``children`` holds (k,
+    pairs) for every node k that has children, in that order, its pairs
+    (j, position of (I, j)) in ascending j; ``top`` is the root's pairs.
+    ``rows`` holds one (key, position, widening, pairs) per component
+    row, every I with 1 <= |I| <= d - 1 in sorted order, d the table's
+    declared degree, and the rows of one depth share one widening, ((d,
+    |I|, 1),).  ``offset`` is the top-level constant c.  Raises
+    ValueError on a polynomial that is not multilinear.  Immutable by
+    convention, like :class:`~smoothip.poly.ScoreTable`; compares by
+    value and pickles.
     """
 
-    def __init__(self, tree: DecompositionTree):
-        d = tree.root.degree
-        scale = math.lcm(*(c.denominator for c in tree.root.coeffs.values()))
-        # decompose inserts the nodes in preorder with ascending children,
-        # which is sorted order; reversed, every child precedes its parent.
-        keys = list(reversed(tree.nodes))
-        position = {key: k for k, key in enumerate(keys)}
-        constants = []
-        pairs = {}
-        for k, key in enumerate(keys):
-            node = tree.nodes[key]
-            c = node.constant
-            constants.append(c.numerator * (scale // c.denominator))
-            if node.children:
-                # Lists first, as in _pairs.
-                pairs[k] = tuple(
-                    [(j, position[key + (j,)]) for j in node.children]
-                )
+    def __init__(self, table: ScoreTable):
+        d = table.degree
+        monomials = table.monomials
+        if any(len(set(mono)) < len(mono) for mono in monomials):
+            raise ValueError("the relaxation needs a multilinear polynomial")
+        nodes = {(), *monomials}
+        nodes.update(
+            [mono[:l] for mono in monomials for l in range(1, len(mono))]
+        )
+        # Sorted order is preorder, so a node's parent is the last node
+        # seen one level up; node keys[i] takes child-first position
+        # last - i.
+        keys = sorted(nodes)
+        last = len(keys) - 1
+        seen = [last] * (d + 1)
+        children: list = [[] for _ in keys]
+        for i in range(1, len(keys)):
+            key = keys[i]
+            seen[len(key)] = last - i
+            children[seen[len(key) - 1]].append((key[-1], last - i))
+        pairs = {k: tuple(kids) for k, kids in enumerate(children) if kids}
+        constant = dict(zip(monomials, table.coeffs))
         widening = {depth: ((d, depth, 1),) for depth in range(1, d)}
-        rows = []
-        for key in tree.nodes:
-            if 1 <= len(key) <= d - 1:
-                k = position[key]
-                rows.append((key, k, widening[len(key)], pairs.get(k, ())))
-        self.n = tree.root.n
+        self.n = table.n
         self.degree = d
-        self.scale = scale
-        self.offset = tree.constant
-        self.constants = tuple(constants)
+        self.scale = table.scale
+        self.offset = Fraction(constant.get((), 0), table.scale)
+        self.constants = tuple(
+            [constant.get(key, 0) for key in reversed(keys)]
+        )
         self.children = tuple(pairs.items())
-        self.top = pairs.get(len(keys) - 1, ())
-        self.rows = tuple(rows)
+        self.top = pairs.get(last, ())
+        self.rows = tuple(
+            [
+                (key, last - i, widening[len(key)], pairs.get(last - i, ()))
+                for i, key in enumerate(keys)
+                if 1 <= len(key) <= d - 1
+            ]
+        )
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and vars(other) == vars(self)
@@ -501,7 +515,9 @@ def build_relaxation(
     The prediction satisfies every row of the output exactly, so the model
     is never genuinely infeasible; growing eps only widens the rows.
     """
-    return prepare_relaxation(RelaxationPlan(tree), xhat, beta).model(eps)
+    return prepare_relaxation(
+        RelaxationPlan(ScoreTable(tree.root)), xhat, beta
+    ).model(eps)
 
 
 def constraint_degree(poly: Polynomial) -> int:
@@ -511,16 +527,15 @@ def constraint_degree(poly: Polynomial) -> int:
     return max(2, poly.degree)
 
 
-def constraint_plans(constraints) -> tuple:
-    """One :class:`SidePlan` per (poly, lower, upper) side constraint, each
-    polynomial decomposed at its :func:`constraint_degree`.  The window
-    keeps lower - c and upper - c, c the constraint's constant, and widens
-    by the sum of the constraint's component tolerances."""
+def constraint_plans(scores) -> tuple:
+    """One :class:`SidePlan` per (table, lower, upper) side constraint,
+    table the :class:`~smoothip.poly.ScoreTable` of the constraint's
+    polynomial at its :func:`constraint_degree`.  The window keeps lower -
+    c and upper - c, c the constraint's constant, and widens by the sum
+    of the constraint's component tolerances."""
     sides = []
-    for poly, lower, upper in constraints:
-        plan = RelaxationPlan(
-            decompose(poly.with_degree(constraint_degree(poly)))
-        )
+    for table, lower, upper in scores:
+        plan = RelaxationPlan(table)
         depths = Counter(len(row[0]) for row in plan.rows)
         bounds = [
             None if b is None else Fraction(b) - plan.offset
@@ -556,7 +571,7 @@ def prepare_relaxation(
 
     ``plan`` is the objective's and ``sides`` holds one
     :class:`SidePlan` per side constraint, as :func:`constraint_plans`
-    gives them, so nothing is decomposed here.  Per polynomial this
+    gives them, so no plan is built here.  Per polynomial this
     computes the node values and folds every row's need; the rows
     themselves are built only when :attr:`Relaxation.rows` is first read.
     A constraint's linearized top level q_c must stay within [lower -
@@ -592,8 +607,11 @@ def build_constrained_relaxation(
     """The constrained LP for one error budget; see
     :func:`prepare_relaxation`."""
     return prepare_relaxation(
-        RelaxationPlan(decompose(prog.objective)), xhat, beta,
-        constraint_plans(prog.constraints),
+        RelaxationPlan(ScoreTable(prog.objective)), xhat, beta,
+        constraint_plans(
+            (ScoreTable(q.with_degree(constraint_degree(q))), lower, upper)
+            for q, lower, upper in prog.constraints
+        ),
     ).model(eps)
 
 

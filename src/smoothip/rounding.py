@@ -60,7 +60,7 @@ class GreedyTables(ScoreTable):
     A :class:`~smoothip.poly.ScoreTable` of the objective, so the same
     tables also score Boolean points, plus per variable the monomials that
     touch it.  Each monomial m is kept as its integer C_m = c_m * L and
-    its degree gap d - |m|, with d the largest monomial length:
+    its degree gap d - |m|, with d the declared degree:
     ``touching[i]`` lists, for each monomial m that holds x_i, the other
     variables of m as a tuple, C_m and the gap.  Building the tables
     raises ValueError on an objective that is not multilinear.
@@ -70,14 +70,11 @@ class GreedyTables(ScoreTable):
         if not is_multilinear(p):
             raise ValueError("greedy rounding needs a multilinear objective")
         super().__init__(p)
-        d = max(map(len, self.monomials), default=0)
         touching: list = [[] for _ in range(p.n)]
         for mono, coeff in zip(self.monomials, self.coeffs):
-            gap = d - len(mono)
-            for i in mono:
-                others = tuple(j for j in mono if j != i)
-                touching[i].append((others, coeff, gap))
-        self.degree = d
+            gap = self.degree - len(mono)
+            for at, i in enumerate(mono):
+                touching[i].append((mono[:at] + mono[at + 1:], coeff, gap))
         self.touching = tuple(map(tuple, touching))
 
 

@@ -1,11 +1,16 @@
 import json
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from test_golden import timing_free
+import smoothip
 from smoothip import cli, pipeline, rounding
 from smoothip.cli import load_instance, main
 from smoothip.pipeline import (
@@ -26,6 +31,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_optional_comparator():
+    """The package and its CLI import on numpy alone: scipy (the HiGHS
+    cross-check) and hypothesis (the property tests) stay out of the
+    import path, in a fresh interpreter."""
+    src = str(Path(smoothip.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ, PYTHONPATH=src if not path else src + os.pathsep + path
+    )
+    code = (
+        "import sys, smoothip, smoothip.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'scipy', 'hypothesis'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # -- gen ----------------------------------------------------------------
@@ -319,7 +345,7 @@ def test_sweep_brute_forces_once_per_file(
 def test_sweep_prepares_once_per_file(
     two_instances, tmp_path, capsys, monkeypatch
 ):
-    trees = counted_calls(monkeypatch, pipeline, "decompose")
+    plans = counted_calls(monkeypatch, pipeline, "RelaxationPlan")
     baselines = counted_calls(
         monkeypatch, pipeline, "greedy_round",
         lambda p, y: all(v == Fraction(1, 2) for v in y),
@@ -327,7 +353,7 @@ def test_sweep_prepares_once_per_file(
     rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
                       "--eps", "0,2,3", "--trials", "2")
     assert len(rows) == 12
-    assert len(trees) == 2
+    assert len(plans) == 2
     assert len(baselines) == 2
 
 

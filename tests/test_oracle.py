@@ -132,18 +132,18 @@ def test_erm_tie_goes_to_lowest_id():
 
 
 def test_erm_prepares_each_training_instance_once(monkeypatch):
-    trees = []
-    decompose = pipeline.decompose
+    plans = []
+    plan = pipeline.RelaxationPlan
 
-    def counted(p):
-        trees.append(p)
-        return decompose(p)
+    def counted(table):
+        plans.append(table)
+        return plan(table)
 
-    monkeypatch.setattr(pipeline, "decompose", counted)
+    monkeypatch.setattr(pipeline, "RelaxationPlan", counted)
     training = (clique_instance(5, "a"), clique_instance(6, "b"))
     candidates = (complement, exact_prediction, complement)
     chosen, cost = erm_select(ErmProblem(candidates, training), STRICT)
-    assert [p.n for p in trees] == [5, 6]
+    assert [table.n for table in plans] == [5, 6]
     # The same selection as solving each pair from scratch.
     costs = [
         sum(

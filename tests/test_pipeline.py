@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from exact_reference import butterfly_masks_to_values, fraction_value
 from helpers import at_most, random_bool_vector, random_multilinear
 from test_golden import corpus
-from smoothip import lpsolve, pipeline, relax
+from smoothip import lpsolve, pipeline, poly, relax
 from smoothip.pipeline import (
     EXACT_CAP,
     _masks_to_values,
@@ -32,6 +32,7 @@ from smoothip.pipeline import (
 )
 from smoothip.poly import Polynomial, evaluate, min_smoothness, multilinearize
 from smoothip.problems import (
+    CnfFormula,
     Graph,
     gen_gnp,
     gen_kcsp,
@@ -807,7 +808,7 @@ def test_solve_of_a_prepared_instance_builds_nothing_per_objective(
     instance builds none of them."""
     built = {}
     for name in ("RelaxationPlan", "constraint_plans", "ScoreTable",
-                 "GreedyTables", "decompose"):
+                 "GreedyTables"):
         original = getattr(pipeline, name)
         built[name] = calls = []
         monkeypatch.setattr(
@@ -822,13 +823,80 @@ def test_solve_of_a_prepared_instance_builds_nothing_per_objective(
     counts = {name: len(calls) for name, calls in built.items()}
     assert counts == {
         "RelaxationPlan": 1, "constraint_plans": 1, "ScoreTable": 2,
-        "GreedyTables": 1, "decompose": 1,
+        "GreedyTables": 1,
     }
     assert len(prepared.constraint_plans) == 2
     for xhat in ((0, 1) * 4 + (0,), (1,) * 9):
         report = solve(prepared, xhat, SolveConfig())
         assert report.per_eps
     assert {name: len(calls) for name, calls in built.items()} == counts
+
+
+def test_prepare_builds_no_decomposition_tree(monkeypatch):
+    """prepare reads every relaxation plan off the monomials: neither it
+    nor a solve of what it returns calls decompose, under any module's
+    name for it."""
+    calls = []
+    original = poly.decompose
+    for module in (poly, relax, pipeline):
+        monkeypatch.setattr(
+            module, "decompose",
+            lambda *args: calls.append(args) or original(*args),
+        )
+    cut = maxcut_objective(gen_gnp(9, 0.5, 2))
+    sat = maxksat_objective(gen_ksat(9, 30, 3, 1))
+    for inst in (
+        Instance(cut, (at_most(9, 4), (sat, 20, None))),
+        Instance(sat),
+    ):
+        report = solve(prepare(inst), (0, 1) * 4 + (0,), SolveConfig())
+        assert report.per_eps
+    assert calls == []
+
+
+def test_prepare_takes_maxksat_smoothness_at_the_collapsed_degree():
+    """A MAX-k-SAT objective declares its clause width as its degree, and
+    min_smoothness judges it there; prepare multilinearizes, which
+    resets the degree to the collapsed one, and takes beta at that
+    degree.  (x0 | x1 | x2) + (~x0 | x1 | x2) is 1 + x1 + x2 - x1 x2."""
+    p = maxksat_objective(
+        CnfFormula(3, (((0, 1), (1, 1), (2, 1)), ((0, 0), (1, 1), (2, 1))))
+    )
+    assert p == Polynomial(3, {(): 1, (1,): 1, (2,): 1, (1, 2): -1})
+    assert p.degree == 3 and min_smoothness(p) == Fraction(1, 3)
+    prepared = prepare(Instance(p))
+    assert prepared.p.degree == 2 and prepared.beta == 1
+    report = solve(prepared, (0, 0, 0))
+    assert (report.degree, report.beta) == (2, 1)
+
+
+def test_unmeetable_side_window_names_the_real_cause():
+    """No point meets 2 >= 5, so every budget's LP is infeasible; the
+    error says so, and whether the fallbacks were disabled or violate
+    the window."""
+    cut = maxcut_objective(gen_gnp(6, 0.5, 1))
+    prog = ConstrainedProgram(cut, ((Polynomial.constant(6, 2), 5, None),))
+    xhat = (0, 1) * 3
+    for config in (
+        SolveConfig(),
+        SolveConfig(include_baseline_candidate=False),
+        SolveConfig(include_prediction_candidate=False),
+    ):
+        with pytest.raises(
+            RuntimeError,
+            match="no budget's LP was optimal, and every enabled fallback "
+            "violates a side constraint",
+        ):
+            solve_constrained(prog, xhat, config)
+    disabled = SolveConfig(
+        include_prediction_candidate=False, include_baseline_candidate=False
+    )
+    with pytest.raises(
+        RuntimeError,
+        match="no budget's LP was optimal, and the prediction and baseline "
+        "fallbacks are disabled",
+    ):
+        solve_constrained(prog, xhat, disabled)
 
 
 def test_ratio_bound_cut_form():

@@ -271,11 +271,11 @@ def test_decompose_lists_the_nodes_in_sorted_order():
 
 
 @st.composite
-def scored_polynomials(draw):
+def scored_polynomials(draw, n=None):
     """Polynomials with mixed-denominator coefficients, some with
     repeated indices, some constant-only and some zero, with variables
-    that appear in no monomial."""
-    n = draw(st.integers(1, 8))
+    that appear in no monomial; n variables, or a drawn count."""
+    n = draw(st.integers(1, 8)) if n is None else n
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=14)
     shape = draw(st.sampled_from(("general", "constant", "zero")))
     if shape == "zero":
@@ -308,6 +308,37 @@ def test_score_table_is_evaluate_and_the_fractions(data):
         assert shipped.value(z) == value
     with pytest.raises(ValueError):
         table.value((0,) * (p.n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multilinearize_keeps_a_multilinear_input(data):
+    """A multilinear input comes back with equal coefficients and its
+    actual degree, whatever degree it declared."""
+    p = multilinearize(data.draw(scored_polynomials()))
+    declared = p.with_degree(p.degree + data.draw(st.integers(0, 2)))
+    q = multilinearize(declared)
+    assert q.coeffs == p.coeffs
+    assert q.degree == max(map(len, p.coeffs), default=0)
+    assert_canonical(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_smoothness_is_the_fraction_definition(data):
+    """min_smoothness on integers over L, from the polynomial or its
+    score table, is the largest |c_m| / n^(degree - |m|)."""
+    p = data.draw(scored_polynomials())
+    p = p.with_degree(p.degree + data.draw(st.integers(0, 2)))
+    expected = max(
+        (
+            abs(c) / Fraction(p.n) ** (p.degree - len(mono))
+            for mono, c in p.coeffs.items()
+        ),
+        default=Fraction(0),
+    )
+    assert min_smoothness(p) == expected
+    assert min_smoothness(ScoreTable(p)) == expected
 
 
 def test_component_bound_examples():

@@ -23,10 +23,18 @@ from helpers import (
     random_bool_vector,
     random_multilinear,
 )
+from test_poly import scored_polynomials
 from smoothip.lpsolve import INFEASIBLE, OPTIMAL, box_optimum, solve
 from smoothip.pipeline import Instance, SolveConfig, prepare
 from smoothip.pipeline import solve as pipeline_solve
-from smoothip.poly import Polynomial, decompose, evaluate, min_smoothness
+from smoothip.poly import (
+    Polynomial,
+    ScoreTable,
+    decompose,
+    evaluate,
+    min_smoothness,
+    multilinearize,
+)
 from smoothip.problems import (
     gen_gnp,
     gen_ksat,
@@ -119,10 +127,79 @@ def test_tolerance_square_is_tight():
         assert delta**2 <= beta**2 * n * eps * (1 + Fraction(1, 10**9))
 
 
+def tree_plan(tree) -> dict:
+    """A plan's fields as the decomposition tree gives them: the tree's
+    nodes numbered child-first, their constants over L, and children,
+    top and rows by those numbers."""
+    root = tree.root
+    d = root.degree
+    scale = math.lcm(*(c.denominator for c in root.coeffs.values()))
+    keys = sorted(tree.nodes, reverse=True)
+    position = {key: k for k, key in enumerate(keys)}
+    children = {
+        position[key]: tuple(
+            (j, position[key + (j,)]) for j in tree.nodes[key].children
+        )
+        for key in keys
+        if tree.nodes[key].children
+    }
+    return {
+        "n": root.n,
+        "degree": d,
+        "scale": scale,
+        "offset": tree.constant,
+        "constants": tuple(tree.nodes[key].constant * scale for key in keys),
+        "children": tuple(sorted(children.items())),
+        "top": children.get(len(keys) - 1, ()),
+        "rows": tuple(
+            (key, position[key], ((d, len(key), 1),),
+             children.get(position[key], ()))
+            for key in sorted(tree.nodes)
+            if 1 <= len(key) <= d - 1
+        ),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plan_off_the_monomials_is_the_decomposition(data):
+    """The plan read off a polynomial's score table holds what its
+    decomposition tree says, node for node: with mixed denominators,
+    zero and constant-only polynomials, unused variables, a declared
+    degree above the actual one, and for side constraints at their
+    constraint degree; a prepared instance of such plans pickles."""
+    raw = data.draw(scored_polynomials())
+    p = multilinearize(raw)
+    raised = p.with_degree(p.degree + data.draw(st.integers(0, 2)))
+    assert vars(RelaxationPlan(ScoreTable(raised))) == tree_plan(
+        decompose(raised)
+    )
+    bound = st.none() | st.fractions(-9, 9, max_denominator=7)
+    lower, upper = data.draw(bound), data.draw(bound)
+    if lower is not None and upper is not None and lower > upper:
+        lower, upper = upper, lower
+    side_raw = data.draw(scored_polynomials(raw.n))
+    prepared = prepare(Instance(raw, ((side_raw, lower, upper),)))
+    assert pickle.loads(pickle.dumps(prepared)) == prepared
+    assert vars(prepared.plan) == tree_plan(decompose(prepared.p))
+    ((side, _, _),) = prepared.constraints
+    assert side.degree == constraint_degree(side)
+    ((side_plan, *_),) = prepared.constraint_plans
+    assert vars(side_plan) == tree_plan(decompose(side))
+
+
+def test_plan_rejects_what_decompose_rejects():
+    square = Polynomial(2, {(0, 0): 1, (1,): 2})
+    with pytest.raises(ValueError):
+        decompose(square)
+    with pytest.raises(ValueError):
+        RelaxationPlan(ScoreTable(square))
+
+
 def test_relaxation_rows_skip_top_level():
     p = Polynomial(4, {(0, 1, 2): 1, (1, 3): 1, (): 3})
     relaxation = prepare_relaxation(
-        RelaxationPlan(decompose(p)), (1, 1, 0, 1), 1
+        RelaxationPlan(ScoreTable(p)), (1, 1, 0, 1), 1
     )
     assert [row.key for row in relaxation.rows] == [(0,), (0, 1), (1,), (1, 3)]
     assert [row.widening for row in relaxation.rows] == [
@@ -255,7 +332,7 @@ def random_relaxation(rng):
     p = p.with_degree(max(2, p.degree))
     xhat = random_bool_vector(rng, n)
     return p, xhat, prepare_relaxation(
-        RelaxationPlan(decompose(p)), xhat, min_smoothness(p)
+        RelaxationPlan(ScoreTable(p)), xhat, min_smoothness(p)
     )
 
 
@@ -293,7 +370,7 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
     saturated = 0
     for p, xhat in cases:
         relaxation = prepare_relaxation(
-            RelaxationPlan(decompose(p)), xhat, min_smoothness(p)
+            RelaxationPlan(ScoreTable(p)), xhat, min_smoothness(p)
         )
         budget = relaxation.saturation_budget(list(range(p.n + 1)))
         if budget is None:
@@ -310,7 +387,7 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
     assert saturated >= 100
     for xhat in ((1, 1, 0), (0, 0, 1)):
         relaxation = prepare_relaxation(
-            RelaxationPlan(decompose(TRIANGLE)), xhat, 2
+            RelaxationPlan(ScoreTable(TRIANGLE)), xhat, 2
         )
         assert relaxation.objective[0] == 0
         assert box_optimum(
@@ -620,7 +697,7 @@ def test_integer_build_matches_per_child_evaluation():
         tree = decompose(p)
         beta = min_smoothness(p)
         assert_same_relaxation(
-            prepare_relaxation(RelaxationPlan(tree), xhat, beta),
+            prepare_relaxation(RelaxationPlan(ScoreTable(p)), xhat, beta),
             evaluate_relaxation(tree, xhat, beta),
         )
 
@@ -656,8 +733,11 @@ def test_integer_constrained_build_matches_per_child_evaluation():
         beta = Fraction(rng.randrange(1, 30), rng.randrange(1, 9))
         assert_same_relaxation(
             prepare_relaxation(
-                RelaxationPlan(decompose(prog.objective)), xhat, beta,
-                constraint_plans(prog.constraints),
+                RelaxationPlan(ScoreTable(prog.objective)), xhat, beta,
+                constraint_plans(
+                    (ScoreTable(q.with_degree(constraint_degree(q))), lo, hi)
+                    for q, lo, hi in prog.constraints
+                ),
             ),
             evaluate_constrained_relaxation(prog, xhat, beta),
         )
