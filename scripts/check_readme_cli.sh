@@ -3,13 +3,22 @@
 # temporary directory, and check that `smoothip solve` prints exactly the
 # sample summary the README shows.  Then run the README's `sweep` line again
 # with SMOOTHIP_WORKERS=2 and check that the worker pool writes the same CSV
-# as the serial run.  Needs `smoothip` on PATH.
+# as the serial run.  Uses the `smoothip` on PATH; without one, it runs
+# `python3 -m smoothip.cli` from this checkout's src/.
 #
 #   sh scripts/check_readme_cli.sh
 set -eu
-readme="$(cd "$(dirname "$0")/.." && pwd)/README.md"
+root="$(cd "$(dirname "$0")/.." && pwd)"
+readme="$root/README.md"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
+if ! command -v smoothip > /dev/null 2>&1; then
+    mkdir "$work/bin"
+    printf '#!/bin/sh\nPYTHONPATH="%s/src" exec python3 -m smoothip.cli "$@"\n' \
+        "$root" > "$work/bin/smoothip"
+    chmod +x "$work/bin/smoothip"
+    PATH="$work/bin:$PATH"
+fi
 cd "$work"
 grep '^smoothip ' "$readme" > commands
 while IFS= read -r cmd; do

@@ -12,10 +12,11 @@ cell per (file, eps, trial).  With ``SMOOTHIP_WORKERS`` above 1 the cells
 run in a process pool; each worker receives the prepared files once,
 through the pool's initializer, and each cell names its file by index.
 
-Exit codes: 0 success, 2 parse or parameter failure, 3 when every
-relaxation in a solve failed.  All output is deterministic for fixed
-flags and seed except solve's wall_ms, a --csv column and a per-eps
---json field; the sweep table has no timing column.
+Exit codes: 0 success, 2 parse or parameter failure, 3 when a solve
+has no usable candidate or every relaxation in it failed.  All output
+is deterministic for fixed flags and seed except solve's wall_ms, a
+--csv column and a per-eps --json field; the sweep table has no timing
+column.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _prediction_for(flag: str, prepared: PreparedInstance, seed: int):
             f"prediction source {flag!r} is not exact, perturb:EPS, "
             "or file:PATH"
         )
-    n = prepared.p.n
+    n = prepared.greedy.n
     if n > EXACT_CAP:
         raise ValueError(
             f"--prediction {flag} brute-forces the optimum, but "
@@ -288,12 +289,12 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     prepared = prepare(instance)
-    p, beta = prepared.p, prepared.beta
-    n, d = p.n, p.degree
+    objective, beta = prepared.greedy, prepared.beta
+    n, d = objective.n, objective.degree
     print(f"instance: {instance.label} (kind={instance.kind})")
     print(f"n: {n}")
     print(f"degree: {d}")
-    print(f"monomials: {len(p.coeffs)}")
+    print(f"monomials: {len(objective.monomials)}")
     print(f"beta: {float(beta):.6g} ({beta})")
     print(f"decomposition nodes: {len(prepared.plan.constants)}")
     dense_at = DENSE_FRACTION * Fraction(n) ** d

@@ -247,11 +247,13 @@ class PreparedLp:
     row: the row's nonzero coefficients only, as (j, c) pairs, and its
     bounds, all integers over a positive integer denominator, a bound None
     when absent.
-    ``var_bounds`` holds an exact (lo, hi) per variable.  Prepared here:
-    the float matrix of the rows that can bind (it seeds each solve's
-    working matrix and serves its final row check), the cost, the
-    variable box, which rows are empty or vacuous, and an optional warm
-    start with its exact activity on every row that can bind.
+    ``var_bounds`` holds an exact (lo, hi) per variable.  ``warm_start``
+    is None or (x, activities): a point x at a bound of every variable
+    and, per row, its exact activity a_i . x as (numerator, positive
+    denominator).  Prepared here: the float matrix of the rows that can
+    bind (it seeds each solve's working matrix and serves its final row
+    check), the cost, the variable box, which rows are empty or vacuous,
+    and the warm start with the activities of the rows that can bind.
     :meth:`solve` then takes one set of row windows in the same integer
     form, whose absent bounds must be those of ``rows``.
     """
@@ -271,24 +273,6 @@ class PreparedLp:
         self.offset = float(offset)
         self.num_rows = len(rows)
         self.absent = tuple((lo is None, hi is None) for _, lo, hi, _ in rows)
-        # A warm start must sit at a variable bound in every coordinate;
-        # whether its activities lie in the windows is checked per solve.
-        warm = None
-        if warm_start is not None:
-            if len(warm_start) != n:
-                raise ValueError(
-                    f"warm start length {len(warm_start)}, expected {n}"
-                )
-            exact = [Fraction(v) for v in warm_start]
-            if all(x in bounds for x, bounds in zip(exact, var_bounds)):
-                # The start as integers over one denominator.
-                scale = math.lcm(*(x.denominator for x in exact))
-                warm = [x.numerator * (scale // x.denominator) for x in exact]
-                self.warm_x = np.array([float(x) for x in exact])
-                self.warm_at_upper = np.array(
-                    [x == hi for x, (_, hi) in zip(exact, var_bounds)]
-                )
-        self.warm_activity = None if warm is None else []
         self.kept: list[int] = []
         self.empty: list[int] = []
         # The float matrix is filled from each row's nonzero pairs, at
@@ -306,18 +290,20 @@ class PreparedLp:
             for j, c in coeffs:
                 offsets.append(base + j)
                 values.append(c / denom)
-            if warm is not None:
-                # (numerator, denominator) of the exact activity.
-                self.warm_activity.append(
-                    (sum(c * warm[j] for j, c in coeffs), denom * scale)
-                )
         flat = np.zeros(len(self.kept) * n)
         flat[offsets] = values
         self.matrix = flat.reshape(len(self.kept), n)
         self.var_lb = np.array([float(lo) for lo, _ in var_bounds])
         self.var_ub = np.array([float(hi) for _, hi in var_bounds])
         self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
-        if warm is not None:
+        self.warm_activity = None
+        if warm_start is not None:
+            x, activities = warm_start
+            self.warm_x = np.array([float(v) for v in x])
+            self.warm_at_upper = np.array(
+                [v == hi for v, (_, hi) in zip(x, var_bounds)]
+            )
+            self.warm_activity = [activities[i] for i in self.kept]
             self.warm_activity_float = np.array(
                 [a / d for a, d in self.warm_activity]
             )
@@ -485,8 +471,22 @@ def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
     model's own windows.
     """
     objective, rows = integer_form(model)
+    warm = None
+    if warm_start is not None:
+        n = model.num_vars
+        if len(warm_start) != n:
+            raise ValueError(
+                f"warm start length {len(warm_start)}, expected {n}"
+            )
+        x = [Fraction(v) for v in warm_start]
+        if all(v in bounds for v, bounds in zip(x, model.var_bounds)):
+            warm = x, [
+                Fraction(sum(c * x[j] for j, c in coeffs), denom)
+                .as_integer_ratio()
+                for coeffs, _, _, denom in rows
+            ]
     return PreparedLp(
-        objective, model.offset, rows, model.var_bounds, warm_start
+        objective, model.offset, rows, model.var_bounds, warm
     ).solve([(lo, hi, denom) for _, lo, hi, denom in rows])
 
 

@@ -1,48 +1,39 @@
 """End-to-end solve loop: enumerate error budgets, relax, solve, round.
 
-A solve has two parts.  :func:`prepare` does the work that no prediction
-changes, once per instance: it multilinearizes the objective and the side
-constraints and puts each polynomial's coefficients over one denominator
-once, as the objective's greedy-rounding tables (which also score Boolean
-points) and a score table per side constraint.  The smoothness
-certificate beta and every polynomial's relaxation plan are read off
-those integer tables, and the all-halves baseline is greedily rounded.
-:func:`solve` accepts an instance, which it prepares on entry, or a
-prepared one, so that a sweep or an empirical-risk selection solves many
-predictions on one instance without repeating that work.
+:func:`prepare` does, once per instance, the work that no prediction
+changes.  It multilinearizes the objective and the side constraints and
+keeps each polynomial once, as integers over one denominator: the
+objective as its greedy-rounding tables, each side constraint as a score
+table.  The smoothness certificate beta and the relaxation plans are
+read off those tables, the brute force reads them too, and the
+all-halves baseline is rounded.  :func:`solve` takes an instance, which
+it prepares on entry, or a prepared one, so that a sweep or an
+empirical-risk selection does that work once for many predictions.
 
-Per prediction, the relaxation computes only its node values and each
-row's need; its rows and its float LP, warm-started at the prediction,
-are built once, and only when some budget lies below the saturation
-budget.  For each eps in a grid over [0, n] the pipeline derives that
-budget's row windows, solves the LP, rounds the fractional optimum to a
-Boolean point, and scores that point against the true objective in
-exact arithmetic.  From the saturation budget on (the first grid eps at
-which no row can cut the box) the embedded simplex is skipped: the box
-LP's optimum is written down in closed form, and those budgets share one
-rounded point.  Every Boolean point (the prediction, the baseline and
+Per prediction, the relaxation computes its node values and each row's
+need; its rows and its float LP, warm-started at the prediction, are
+built only when some budget lies below the saturation budget, the first
+grid eps at which no row can cut the box.  Below it, each eps gets its
+row windows, one LP solve and a rounding of the optimum to a Boolean
+point; from it on, the box LP's optimum is taken in closed form and
+rounded once.  Every Boolean point (the prediction, the baseline and
 each rounding) is scored, and its violation of the side constraints
-measured, on integers over one denominator.
-
-The prediction itself and a cheap baseline (greedy rounding of the
-all-halves vector) enter the candidate pool as well, so the returned
-solution is never worse than either; the best candidate by exact value
+measured, on integers.  The prediction and the baseline are candidates
+too, so the result is never worse than either; the best exact value
 wins, earliest tag on ties.
 
-A failed LP solve skips that eps and is recorded as such; it never aborts
-the run.  Tiny instances (n <= declared degree) bypass the LP machinery
-entirely and are brute-forced, since the relaxation's bounds are vacuous
-there.
-
-Reports carry, per eps, the additive slack granted to the LP and the
-concentration radius of randomized rounding, so downstream consumers can
-check the advertised guarantees without re-deriving constants.
+A failed LP solve is recorded and skipped; it never aborts the run.  An
+instance with n <= its degree, where the relaxation's bounds are
+vacuous, is brute-forced instead.  Reports carry, per eps, the additive
+slack granted to the LP and the concentration radius of randomized
+rounding.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,6 +167,10 @@ class SolveReport:
 def _grid(config: SolveConfig, n: int) -> list[int]:
     if config.grid is None:
         return list(range(n + 1))
+    for e in config.grid:
+        # 2.0 and np.int64(2) are 2; 2.9 or "3" raises, not truncated.
+        if not isinstance(e, numbers.Real) or e % 1:
+            raise ValueError(f"grid values must be integers, got {e!r}")
     values = sorted(set(int(e) for e in config.grid))
     for e in values:
         if not 0 <= e <= n:
@@ -239,22 +234,31 @@ def _normalized(objective: Polynomial, constraints):
     return p.with_degree(max(2, p.degree)), tuple(normal)
 
 
+def _tables(objective: Polynomial, constraints) -> tuple:
+    """(greedy, scores) of the normalized instance: the objective's
+    greedy-rounding tables, which also score its Boolean points, and one
+    (score table, lower, upper) per side constraint."""
+    p, constraints = _normalized(objective, constraints)
+    return GreedyTables(p), tuple(
+        (ScoreTable(poly), lower, upper) for poly, lower, upper in constraints
+    )
+
+
 @dataclass(frozen=True)
 class PreparedInstance:
     """What every solve of one instance shares, whatever the prediction.
 
-    The normalized objective p and side constraints (poly, lower, upper),
-    the smoothness certificate beta, the relaxation plan of p and one
-    side plan per side constraint (:mod:`smoothip.relax`), the
-    greedy-rounding tables of p, which also score its Boolean points, one
-    (score table, lower, upper) per side constraint, the baseline
-    candidate (greedy rounding of the all-halves point, which depends on
-    p alone) and the instance's label.  Built by :func:`prepare`; compares
-    by value and pickles.
+    The smoothness certificate beta, the relaxation plan of the
+    normalized objective and one side plan per side constraint
+    (:mod:`smoothip.relax`), the objective's greedy-rounding tables, which
+    also score its Boolean points and give its n and degree, one (score
+    table, lower, upper) per side constraint, the baseline candidate
+    (greedy rounding of the all-halves point, which depends on the
+    objective alone) and the instance's label.  Each polynomial is held
+    once, as its integer score table, plus the plan read off it.  Built
+    by :func:`prepare`; compares by value and pickles.
     """
 
-    p: Polynomial
-    constraints: tuple
     beta: Fraction
     plan: RelaxationPlan
     constraint_plans: tuple
@@ -269,18 +273,14 @@ def prepare(instance: Instance) -> PreparedInstance:
     tables, read its smoothness certificate and relaxation plans off
     them and round its baseline, once; pass the result to :func:`solve`
     in place of the instance to solve it for many predictions."""
-    p, constraints = _normalized(instance.objective, instance.constraints)
-    greedy = GreedyTables(p)
-    scores = tuple(
-        (ScoreTable(poly), lower, upper) for poly, lower, upper in constraints
-    )
+    greedy, scores = _tables(instance.objective, instance.constraints)
     beta = max(
         min_smoothness(table)
         for table in (greedy, *(table for table, _, _ in scores))
     )
-    z = greedy_round(greedy, (Fraction(1, 2),) * p.n)
+    z = greedy_round(greedy, (Fraction(1, 2),) * greedy.n)
     return PreparedInstance(
-        p, constraints, beta, RelaxationPlan(greedy),
+        beta, RelaxationPlan(greedy),
         constraint_plans(scores), greedy, scores,
         Candidate("baseline", z, greedy.value(z), _violation(scores, z)),
         instance.label,
@@ -296,17 +296,17 @@ def solve(
     of one; see the module docstring."""
     if isinstance(instance, Instance):
         instance = prepare(instance)
-    p, constraints, beta = instance.p, instance.constraints, instance.beta
-    n, d = p.n, p.degree
+    greedy, scores = instance.greedy, instance.constraint_scores
+    n, d, beta = greedy.n, greedy.degree, instance.beta
     xhat = prediction_point(getattr(prediction, "x_hat", prediction), n)
-    constrained = bool(constraints)
+    constrained = bool(scores)
 
     candidates: list[Candidate] = []
     if config.include_prediction_candidate:
         candidates.append(
             Candidate(
-                "prediction", xhat, instance.greedy.value(xhat),
-                _violation(instance.constraint_scores, xhat),
+                "prediction", xhat, greedy.value(xhat),
+                _violation(scores, xhat),
             )
         )
     if config.include_baseline_candidate:
@@ -315,7 +315,7 @@ def solve(
     records: list[EpsRecord] = []
     if n <= d:
         # The relaxation's analysis needs n > d; brute force instead.
-        z, value = _exact(p, constraints)
+        z, value = _exact(greedy, scores)
         candidates.append(Candidate("exact", z, value, Fraction(0)))
     else:
         relaxation = prepare_relaxation(
@@ -418,26 +418,23 @@ def solve_constrained(
 # -- exact reference ----------------------------------------------------
 
 
-def _masks_to_values(poly: Polynomial, n: int):
-    """Objective value of every Boolean point as integers over a common
-    denominator, indexed so that bit (n - 1 - i) holds z_i; ascending
-    index order is then lexicographic order on z.
+def _masks_to_values(table: ScoreTable):
+    """(values, L): the value of the score table's polynomial at every
+    Boolean point, as integers over its denominator L, indexed so that
+    bit (n - 1 - i) holds z_i; ascending index order is then
+    lexicographic order on z.
 
-    Every entry is the sum of the scaled coefficients of the monomials
-    that the point satisfies, a subset sum, so none exceeds the total
-    of their magnitudes in size; the table is the narrowest of int16,
-    int32 and int64 that holds that total, and Python ints (object)
-    past int64.  The sums are Yates' subset-sum transform, one pass per
-    bit, split in two: the low k = n // 2 bits are transformed on a
-    table with one row per distinct high part among the monomials, and
-    after the rows are scattered into the full table the n - k high
-    passes each add whole contiguous blocks.
+    Every entry is a subset sum of the table's integer coefficients, so
+    none exceeds the total of their magnitudes in size; the array is the
+    narrowest of int16, int32 and int64 that holds that total, and
+    Python ints (object) past int64.  The sums are Yates' subset-sum
+    transform, one pass per bit, split in two: the low k = n // 2 bits
+    are transformed on a table with one row per distinct high part among
+    the monomials, and after the rows are scattered into the full table
+    the n - k high passes each add whole contiguous blocks.
     """
-    denom = math.lcm(
-        *(c.denominator for c in poly.coeffs.values()), 1
-    )
-    scaled = {mono: int(c * denom) for mono, c in poly.coeffs.items()}
-    total = sum(map(abs, scaled.values()))
+    n = table.n
+    total = sum(map(abs, table.coeffs))
     dtype = next(
         (t for t in (np.int16, np.int32, np.int64) if np.iinfo(t).max >= total),
         object,
@@ -445,7 +442,7 @@ def _masks_to_values(poly: Polynomial, n: int):
     k = n // 2
     rows: dict = {}
     cells = []
-    for mono, value in scaled.items():
+    for mono, value in zip(table.monomials, table.coeffs):
         mask = 0
         for i in mono:
             mask |= 1 << (n - 1 - i)
@@ -457,25 +454,27 @@ def _masks_to_values(poly: Polynomial, n: int):
     for b in range(k):
         view = low.reshape(len(rows), 1 << (k - b - 1), 2, 1 << b)
         view[:, :, 1, :] += view[:, :, 0, :]
-    table = np.zeros((1 << (n - k), 1 << k), dtype=dtype)
-    table[list(rows)] = low
-    table = table.reshape(-1)
+    values = np.zeros((1 << (n - k), 1 << k), dtype=dtype)
+    values[list(rows)] = low
+    values = values.reshape(-1)
     for b in range(k, n):
-        view = table.reshape(-1, 2, 1 << b)
+        view = values.reshape(-1, 2, 1 << b)
         view[:, 1, :] += view[:, 0, :]
-    return table, denom
+    return values, table.scale
 
 
-def _exact(p: Polynomial, constraints) -> tuple:
-    n = p.n
+def _exact(table: ScoreTable, scores) -> tuple:
+    """(z, value) maximizing the objective's score table over the points
+    inside every (score table, lower, upper) side window."""
+    n = table.n
     if n > EXACT_CAP:
         raise ValueError(
             f"{n} variables exceeds the brute-force cap {EXACT_CAP}"
         )
-    values, denom = _masks_to_values(p, n)
+    values, denom = _masks_to_values(table)
     # The feasibility mask and the masked copy of the values cost two more
     # 2^n arrays, so they are built only when there are side constraints.
-    feasible = _feasible(constraints, n) if constraints else None
+    feasible = _feasible(scores, n) if scores else None
     # Both branches take the first maximum, the lexicographically smallest.
     if values.dtype == object:
         masks = range(1 << n) if feasible is None else np.flatnonzero(feasible)
@@ -490,33 +489,31 @@ def _exact(p: Polynomial, constraints) -> tuple:
 
 
 def _clamp(bound: int, dtype) -> int:
-    """bound clamped to the dtype's range as a Python int, so that a
-    table of that dtype is compared with a value it holds, whatever
+    """bound clamped to the dtype's range as a Python int, so that an
+    array of that dtype is compared with a value it holds, whatever
     NumPy's promotion rules; the entries lie strictly above the minimum,
-    so ``table > _clamp(lo - 1)`` and ``table <= _clamp(hi)`` answer as
-    the unclamped comparisons do."""
+    so ``values > _clamp(lo - 1)`` and ``values <= _clamp(hi)`` answer
+    as the unclamped comparisons do."""
     if dtype == object:
         return bound
     info = np.iinfo(dtype)
     return min(max(bound, int(info.min)), int(info.max))
 
 
-def _feasible(constraints, n: int):
-    """Boolean mask of the points that satisfy every constraint window."""
+def _feasible(scores, n: int):
+    """Boolean mask of the points inside every (score table, lower,
+    upper) side window: with V / L a point's value, V an integer, V / L
+    >= lower exactly when V >= ceil(lower * L), and V / L <= upper
+    exactly when V <= floor(upper * L)."""
     feasible = np.ones(1 << n, dtype=bool)
-    for poly, lower, upper in constraints:
-        bounds_denom = math.lcm(
-            1 if lower is None else Fraction(lower).denominator,
-            1 if upper is None else Fraction(upper).denominator,
-        )
-        scaled = poly * bounds_denom
-        table, qd = _masks_to_values(scaled, n)
+    for table, lower, upper in scores:
+        values, scale = _masks_to_values(table)
         if lower is not None:
-            lo = int(Fraction(lower) * bounds_denom * qd)
-            feasible &= table > _clamp(lo - 1, table.dtype)
+            lo = math.ceil(lower * scale)
+            feasible &= values > _clamp(lo - 1, values.dtype)
         if upper is not None:
-            hi = int(Fraction(upper) * bounds_denom * qd)
-            feasible &= table <= _clamp(hi, table.dtype)
+            hi = math.floor(upper * scale)
+            feasible &= values <= _clamp(hi, values.dtype)
     if not feasible.any():
         raise ValueError("no Boolean point satisfies the constraints")
     return feasible
@@ -529,8 +526,8 @@ def exact_solve(instance: Instance | PreparedInstance) -> tuple:
     Returns (z, value) with z the lexicographically smallest optimum.
     """
     if isinstance(instance, Instance):
-        return _exact(*_normalized(instance.objective, instance.constraints))
-    return _exact(instance.p, instance.constraints)
+        return _exact(*_tables(instance.objective, instance.constraints))
+    return _exact(instance.greedy, instance.constraint_scores)
 
 
 # -- theoretical floors -------------------------------------------------
@@ -565,10 +562,11 @@ def guarantee_bound(
     prepared instance is not normalized again."""
     if isinstance(instance, Instance):
         instance = prepare(instance)
-    p = instance.p
-    _, opt = _exact(p, instance.constraints)
+    greedy = instance.greedy
+    _, opt = _exact(greedy, instance.constraint_scores)
     return guarantee_floor(
-        opt, instance.beta, p.n, p.degree, eps, config.strategy, config.k
+        opt, instance.beta, greedy.n, greedy.degree, eps, config.strategy,
+        config.k,
     )
 
 

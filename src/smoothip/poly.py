@@ -183,13 +183,13 @@ class ScoreTable:
     C_m / L; ``scale`` is L, and ``monomials`` and ``coeffs`` hold each
     monomial and its integer C_m, in the polynomial's order, and
     ``degree`` is the polynomial's declared degree.  This is the one
-    integer form of a polynomial that smoothness
-    (:func:`min_smoothness`), greedy rounding and the relaxation plan
-    read.  At a Boolean point z, p(z) is the sum of the c_m whose
-    variables are all 1, so :meth:`value` sums those C_m and builds one
-    Fraction.  Immutable by convention, like :class:`Polynomial`;
-    compares by value and pickles.  A plain class, because a
-    dataclass's generated methods cost every import of the package.
+    integer form of a polynomial that smoothness, greedy rounding, the
+    relaxation plan and the brute force read.  At a Boolean point z, p(z)
+    is the sum of the c_m whose variables are all 1, so :meth:`value`
+    sums those C_m and builds one Fraction.  Immutable by convention,
+    like :class:`Polynomial`; compares by value and pickles.  A plain
+    class, because a dataclass's generated methods cost every import of
+    the package.
     """
 
     def __init__(self, p: Polynomial):

@@ -372,6 +372,9 @@ def write_csp_json(inst: CspInstance) -> str:
 
 
 def parse_csp_json(text: str) -> CspInstance:
+    """The CSP JSON shape: integers n and k, and a list of constraints,
+    each an object with a "scope" list of integers and a "table" string
+    of 0s and 1s.  Anything else raises ValueError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -381,12 +384,15 @@ def parse_csp_json(text: str) -> CspInstance:
         raw = payload["constraints"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing field {exc}") from exc
+    if type(n) is not int or type(k) is not int or type(raw) is not list:
+        raise ValueError("n and k must be integers and constraints a list")
     constraints = []
     for entry in raw:
-        table = entry["table"]
-        if set(table) - {"0", "1"}:
-            raise ValueError(f"bad table bitstring {table!r}")
-        constraints.append(
-            (tuple(entry["scope"]), tuple(int(ch) for ch in table))
-        )
+        fields = entry if type(entry) is dict else {}
+        scope, table = fields.get("scope"), fields.get("table")
+        if type(scope) is not list or any(type(v) is not int for v in scope):
+            raise ValueError(f"bad scope in constraint {entry!r}")
+        if type(table) is not str or set(table) - {"0", "1"}:
+            raise ValueError(f"bad table bitstring in constraint {entry!r}")
+        constraints.append((tuple(scope), tuple(int(ch) for ch in table)))
     return CspInstance(n, k, tuple(constraints))

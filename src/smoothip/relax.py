@@ -22,37 +22,23 @@ feasibility of x* survives the passage to concrete numbers.  Each
 polynomial side constraint adds the same component rows plus a relaxed
 top-level window widened by the sum of that constraint's tolerances.
 
-Only the tolerances depend on eps, and much of the rest depends on the
-polynomial alone.  A :class:`RelaxationPlan`, read once per polynomial
-off its :class:`~smoothip.poly.ScoreTable` (by ``prepare`` in the
-pipeline, once per objective and once per side constraint), holds that
-part: the lcm L of the coefficient denominators, the nodes in
-child-first order with their constants c_I as integers over L and their
-(child, position) lists, and per component row its key, node position
-and widening; a :class:`SidePlan` adds a side constraint's window.  No polynomial is
-evaluated per prediction: every node value p_I(xhat) is computed once,
-bottom-up, into one flat list by the reconstruction identity p_I(xhat) =
-c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat), as an integer over L,
-and a row's centre is p_I(xhat) - c_I.  In the same pass each row's need
-(how wide its window must grow before it cannot cut the box) is folded
-into the largest need of its group, which is all the saturation test
-reads.
-
-A :class:`Relaxation` holds, per prediction, the objective, offset, node
-values and needs, and builds its rows only when an LP reads them: per
-row its nonzero coefficients as (index, value) pairs, centre, depths
-and the prediction's exact activity.  Every number of a row is an
-integer over one positive denominator, L for a component row and the lcm
-of L and the bound denominators for a side constraint's window, and the
-objective is integers over L.  No Fraction is made per
-coefficient.  ``windows(eps)`` gives one budget's bounds as integers
-over a denominator too, ``model(eps)`` turns them and the rows into the
-exact Fraction LP of one budget, its rows dense, and ``lp()`` prepares
-the float LP that every budget shares, warm-started at the prediction.
-Once every row's range over [0,1]^n lies strictly inside its window, no
-row can cut the box: the first grid budget where that holds is the
-saturation budget, and it holds for every larger budget since the
-windows nest.
+Only the tolerances depend on eps.  What depends on the polynomial
+alone is a :class:`RelaxationPlan`, read once off its
+:class:`~smoothip.poly.ScoreTable` (a :class:`SidePlan` adds a side
+constraint's window).  Per prediction, every node value p_I(xhat) is
+computed once, bottom-up, as an integer over the table's L by the
+reconstruction identity p_I(xhat) = c_I + sum over j with xhat_j = 1 of
+p_(I,j)(xhat), and each row's need (how wide its window must grow
+before it cannot cut the box) is folded into the largest need of its
+group.  A :class:`Relaxation` holds those; it builds its rows, all
+integers over one denominator, only when an LP reads them, and
+``windows(eps)``, ``model(eps)`` and ``lp()`` give one budget's bounds,
+its exact Fraction LP and the float LP that every budget shares,
+warm-started at the prediction with each row's activity.  Once every
+row's range over [0,1]^n lies strictly inside its window, no row can
+cut the box: the first grid budget where that holds is the saturation
+budget, and every larger budget is saturated too, since the windows
+nest.
 """
 
 from __future__ import annotations
@@ -205,8 +191,6 @@ class RelaxationPlan:
     def __init__(self, table: ScoreTable):
         d = table.degree
         monomials = table.monomials
-        if any(len(set(mono)) < len(mono) for mono in monomials):
-            raise ValueError("the relaxation needs a multilinear polynomial")
         nodes = {(), *monomials}
         nodes.update(
             [mono[:l] for mono in monomials for l in range(1, len(mono))]
@@ -220,8 +204,15 @@ class RelaxationPlan:
         children: list = [[] for _ in keys]
         for i in range(1, len(keys)):
             key = keys[i]
-            seen[len(key)] = last - i
-            children[seen[len(key) - 1]].append((key[-1], last - i))
+            depth = len(key)
+            # A sorted monomial that repeats a variable has a prefix, a
+            # node, that ends in two equal indices.
+            if depth > 1 and key[-1] == key[-2]:
+                raise ValueError(
+                    "the relaxation needs a multilinear polynomial"
+                )
+            seen[depth] = last - i
+            children[seen[depth - 1]].append((key[-1], last - i))
         pairs = {k: tuple(kids) for k, kids in enumerate(children) if kids}
         constant = dict(zip(monomials, table.coeffs))
         widening = {depth: ((d, depth, 1),) for depth in range(1, d)}
@@ -442,17 +433,15 @@ class Relaxation:
         )
 
     def lp(self) -> PreparedLp:
-        """The LP of every budget, warm-started at the prediction; solve
-        one budget with ``lp().solve(self.windows(eps))``."""
+        """The LP of every budget, warm-started at the prediction and the
+        rows' activities; solve a budget with ``lp().solve(windows(eps))``."""
+        rows = self.rows
         return PreparedLp(
             (self.objective, self.denom),
             self.offset,
-            [
-                (row.coeffs, row.lower, row.upper, row.denom)
-                for row in self.rows
-            ],
+            [(row.coeffs, row.lower, row.upper, row.denom) for row in rows],
             ((0, 1),) * self.n,
-            self.xhat,
+            (self.xhat, [(row.activity, row.denom) for row in rows]),
         )
 
     def saturated(self, eps: int) -> bool:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import Polynomial, ScoreTable, is_multilinear
+from .poly import Polynomial, ScoreTable
 from .rat import E_UPPER, ln_upper, sqrt_upper
 
 
@@ -63,17 +63,22 @@ class GreedyTables(ScoreTable):
     its degree gap d - |m|, with d the declared degree:
     ``touching[i]`` lists, for each monomial m that holds x_i, the other
     variables of m as a tuple, C_m and the gap.  Building the tables
-    raises ValueError on an objective that is not multilinear.
+    raises ValueError on an objective that is not multilinear, seen as
+    two equal neighbours in a (sorted) monomial.
     """
 
     def __init__(self, p: Polynomial):
-        if not is_multilinear(p):
-            raise ValueError("greedy rounding needs a multilinear objective")
         super().__init__(p)
         touching: list = [[] for _ in range(p.n)]
         for mono, coeff in zip(self.monomials, self.coeffs):
             gap = self.degree - len(mono)
+            previous = -1
             for at, i in enumerate(mono):
+                if i == previous:
+                    raise ValueError(
+                        "greedy rounding needs a multilinear objective"
+                    )
+                previous = i
                 touching[i].append((mono[:at] + mono[at + 1:], coeff, gap))
         self.touching = tuple(map(tuple, touching))
 

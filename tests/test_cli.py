@@ -11,10 +11,11 @@ import pytest
 
 from test_golden import timing_free
 import smoothip
-from smoothip import cli, pipeline, rounding
+from smoothip import cli, pipeline, poly, relax, rounding
 from smoothip.cli import load_instance, main
 from smoothip.pipeline import (
     EXACT_CAP,
+    Instance,
     PreparedInstance,
     SolveConfig,
     exact_solve,
@@ -22,6 +23,7 @@ from smoothip.pipeline import (
     prepare,
     solve,
 )
+from smoothip.poly import Polynomial
 from smoothip.problems import parse_dimacs_graph
 
 TRIANGLE_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -362,7 +364,7 @@ def test_sweep_builds_the_rounding_tables_once_per_file(
 ):
     """Greedy rounding's tables are built by prepare, once per file; a
     solve of the prepared instance rounds every budget with them."""
-    tables = counted_calls(monkeypatch, rounding, "is_multilinear")
+    tables = counted_calls(monkeypatch, rounding.GreedyTables, "__init__")
     rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
                       "--eps", "0,2,3", "--trials", "2")
     assert len(rows) == 12
@@ -376,6 +378,26 @@ def test_sweep_builds_the_rounding_tables_once_per_file(
         args[0] is prepared.greedy for args in rounded
     )
     assert report.per_eps
+
+
+def test_prepare_scans_each_polynomial_once_for_multilinearity(
+    monkeypatch,
+):
+    """prepare looks for a repeated index once per polynomial, in
+    multilinearize; greedy rounding's tables and the relaxation plans
+    see a repeat inside loops they run anyway, without a scan of their
+    own."""
+    scans = [
+        counted_calls(monkeypatch, module, "is_multilinear")
+        for module in (poly, rounding, relax, pipeline)
+        if hasattr(module, "is_multilinear")
+    ]
+    square = Polynomial(4, {(0, 0): 1, (0, 1): -2, (2, 3): 3})
+    count = Polynomial(4, {(i,): 1 for i in range(4)})
+    cube = Polynomial(4, {(1, 1, 2): 1, (3,): Fraction(1, 2)})
+    prepare(Instance(square, ((count, None, 2), (cube, 0, None))))
+    scanned = [args[0] for calls in scans for args in calls]
+    assert scanned == [square, count, cube]
 
 
 def test_sweep_builds_the_relaxation_plans_once_per_file(
@@ -611,3 +633,38 @@ def test_load_instance_detects_kinds(tmp_path, capsys):
     inst = load_instance(csp)
     assert inst.kind == "maxkcsp"
     assert inst.h == 4
+
+
+GOOD_CSP = {"n": 3, "k": 2, "constraints": [{"scope": [0, 1], "table": "0110"}]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        GOOD_CSP | {"constraints": [[[0, 1], 5]]},
+        GOOD_CSP | {"constraints": [{"scope": [0, 1]}]},
+        GOOD_CSP | {"constraints": [{"scope": [0, 1], "table": 5}]},
+        GOOD_CSP | {"n": "3"},
+        GOOD_CSP | {"constraints": 7},
+        GOOD_CSP | {"k": 2.0},
+        GOOD_CSP | {"constraints": [{"scope": 5, "table": "0110"}]},
+        GOOD_CSP | {"constraints": [{"scope": [0, 1.0], "table": "0110"}]},
+        GOOD_CSP | {"constraints": [{"scope": [0, 1], "table": ["0110"]}]},
+    ],
+    ids=[
+        "entry-not-object", "no-table", "table-int", "n-string",
+        "constraints-int", "k-float", "scope-int", "scope-float",
+        "table-list",
+    ],
+)
+def test_malformed_csp_json_is_a_parse_error(tmp_path, capsys, payload):
+    """A CSP file of the wrong shape exits 2 with an error line, not a
+    traceback."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_CSP))
+    assert run(capsys, "verify", str(good))[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

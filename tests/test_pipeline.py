@@ -30,7 +30,13 @@ from smoothip.pipeline import (
     solve,
     solve_constrained,
 )
-from smoothip.poly import Polynomial, evaluate, min_smoothness, multilinearize
+from smoothip.poly import (
+    Polynomial,
+    ScoreTable,
+    evaluate,
+    min_smoothness,
+    multilinearize,
+)
 from smoothip.problems import (
     CnfFormula,
     Graph,
@@ -201,6 +207,16 @@ def test_stride_and_explicit_grids():
     assert [r.eps for r in by_stride.per_eps] == [0, 3, 6, 9]
     explicit = solve(inst, xhat, SolveConfig(grid=(10, 0, 5, 5)))
     assert [r.eps for r in explicit.per_eps] == [0, 5, 10]
+
+
+def test_grid_values_that_are_not_integers_are_rejected_not_truncated():
+    inst = Instance(PATH3)
+    for grid in ((0.5, 2.9), ("3",), (1, 2.5), (math.nan,), (math.inf,)):
+        with pytest.raises(ValueError, match="grid values must be integers"):
+            solve(inst, (0, 1, 0), SolveConfig(grid=grid))
+    report = solve(inst, (0, 1, 0), SolveConfig(grid=(2.0, np.int64(3), 1)))
+    assert [r.eps for r in report.per_eps] == [1, 2, 3]
+    assert all(type(r.eps) is int for r in report.per_eps)
 
 
 # -- degenerate sizes ---------------------------------------------------
@@ -514,7 +530,7 @@ def test_exact_agrees_with_enumeration():
 
 
 def assert_table_matches_reference(p, dtype=None):
-    table, denom = _masks_to_values(p, p.n)
+    table, denom = _masks_to_values(ScoreTable(p))
     want, want_denom = butterfly_masks_to_values(p, p.n)
     assert denom == want_denom
     assert [int(v) for v in table] == [int(v) for v in want]
@@ -528,10 +544,11 @@ SCALES = (1, 2**13, 2**29, 2**58, 2**70)
 
 
 @st.composite
-def table_polynomials(draw):
-    """Polynomials on 1-10 variables of degree 1-4 with negative and
-    fractional coefficients, scaled onto any of the table dtypes."""
-    n = draw(st.integers(1, 10))
+def table_polynomials(draw, n=None):
+    """Polynomials on 1-10 variables (n when given) of degree 1-4 with
+    negative and fractional coefficients, scaled onto any of the table
+    dtypes."""
+    n = draw(st.integers(1, 10)) if n is None else n
     d = draw(st.integers(1, min(4, n)))
     coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
     monos = draw(
@@ -573,7 +590,7 @@ def test_value_table_dtype_is_the_narrowest_that_holds_the_total(
 
 def test_value_table_of_the_zero_polynomial():
     for n in (1, 2, 5):
-        table, denom = _masks_to_values(Polynomial(n, {}), n)
+        table, denom = _masks_to_values(ScoreTable(Polynomial(n, {})))
         assert denom == 1 and table.shape == (1 << n,) and not table.any()
 
 
@@ -606,7 +623,7 @@ def test_infeasible_points_lose_on_every_table_dtype(scale, dtype):
     # Every feasible value is negative, and the infeasible all-zeros
     # point has the largest value; it must not win.
     p = Polynomial(3, {(): -scale, (0,): -scale, (1,): -scale, (2,): -scale})
-    assert _masks_to_values(p, 3)[0].dtype == np.dtype(dtype)
+    assert _masks_to_values(ScoreTable(p))[0].dtype == np.dtype(dtype)
     at_least_one = Polynomial(3, {(0,): 1, (1,): 1, (2,): 1})
     z, value = exact_solve(Instance(p, ((at_least_one, 1, None),)))
     assert z == (0, 0, 1) and value == -2 * scale
@@ -615,7 +632,7 @@ def test_infeasible_points_lose_on_every_table_dtype(scale, dtype):
 def test_windows_far_outside_a_narrow_table():
     p = Polynomial(3, {(0,): 3, (1,): -2, (0, 2): 1})
     count = Polynomial(3, {(0,): 1, (1,): 1, (2,): 1})
-    assert _masks_to_values(count, 3)[0].dtype == np.int16
+    assert _masks_to_values(ScoreTable(count))[0].dtype == np.int16
     plain = exact_solve(Instance(p))
     for window in ((None, 10**30), (-(10**30), None), (-(10**30), 10**30)):
         assert exact_solve(Instance(p, ((count, *window),))) == plain
@@ -629,7 +646,7 @@ def test_windows_at_the_edge_of_a_full_int16_table():
     # does not fit the table's dtype.
     p = Polynomial(2, {(0,): -1, (1,): 1})
     heavy = Polynomial(2, {(0,): 2**15 - 1})
-    assert _masks_to_values(heavy, 2)[0].dtype == np.int16
+    assert _masks_to_values(ScoreTable(heavy))[0].dtype == np.int16
     assert exact_solve(Instance(p, ((heavy, 2**15 - 1, None),))) == (
         (1, 1), 0
     )
@@ -637,6 +654,68 @@ def test_windows_at_the_edge_of_a_full_int16_table():
     for window in ((2**15, None), (None, -1)):
         with pytest.raises(ValueError, match="no Boolean point satisfies"):
             exact_solve(Instance(p, ((heavy, *window),)))
+
+
+@st.composite
+def windowed_instances(draw):
+    """An objective on 1-6 variables with one or two side windows, each
+    bound None, far beyond every table dtype (either sign), or a value
+    the constraint takes, possibly negative, moved by a fraction of
+    1 / L, so that its denominator need not divide the table's L."""
+    n = draw(st.integers(1, 6))
+    points = list(itertools.product((0, 1), repeat=n))
+    constraints = []
+    for _ in range(draw(st.integers(1, 2))):
+        q = draw(table_polynomials(n))
+        scale = ScoreTable(q).scale
+        bounds = []
+        for _ in range(2):
+            kind = draw(st.sampled_from(("none", "far", "near")))
+            if kind == "none":
+                bounds.append(None)
+            elif kind == "far":
+                bounds.append(
+                    draw(st.sampled_from((-1, 1))) * Fraction(2**80 + 1, 3)
+                )
+            else:
+                value = evaluate(q, draw(st.sampled_from(points)))
+                shift = draw(st.fractions(-1, 1, max_denominator=7))
+                bounds.append(value + shift / scale)
+        lower, upper = bounds
+        if lower is not None and upper is not None and lower > upper:
+            lower, upper = upper, lower
+        constraints.append((q, lower, upper))
+    return draw(table_polynomials(n)), tuple(constraints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windowed_instances())
+def test_exact_with_side_windows_agrees_with_enumeration(case):
+    """The brute force tests each side window on the constraint's own
+    integer values V over L, V >= ceil(lower * L) and V <= floor(upper
+    * L); that is the window on the exact values at every point, for
+    bounds between two values, negative ones, absent ones and ones past
+    the table's dtype."""
+    p, constraints = case
+    points = list(itertools.product((0, 1), repeat=p.n))  # ascending z
+    feasible = [
+        z for z in points
+        if all(
+            (lower is None or evaluate(q, z) >= lower)
+            and (upper is None or evaluate(q, z) <= upper)
+            for q, lower, upper in constraints
+        )
+    ]
+    instance = Instance(p, constraints)
+    if not feasible:
+        for given_instance in (instance, prepare(instance)):
+            with pytest.raises(ValueError, match="no Boolean point satisfies"):
+                exact_solve(given_instance)
+        return
+    best = max(evaluate(p, z) for z in feasible)
+    want = (next(z for z in feasible if evaluate(p, z) == best), best)
+    assert exact_solve(instance) == want
+    assert exact_solve(prepare(instance)) == want
 
 
 def test_exact_at_the_cap():
@@ -865,7 +944,7 @@ def test_prepare_takes_maxksat_smoothness_at_the_collapsed_degree():
     assert p == Polynomial(3, {(): 1, (1,): 1, (2,): 1, (1, 2): -1})
     assert p.degree == 3 and min_smoothness(p) == Fraction(1, 3)
     prepared = prepare(Instance(p))
-    assert prepared.p.degree == 2 and prepared.beta == 1
+    assert prepared.greedy.degree == 2 and prepared.beta == 1
     report = solve(prepared, (0, 0, 0))
     assert (report.degree, report.beta) == (2, 1)
 

@@ -25,7 +25,7 @@ from helpers import (
 )
 from test_poly import scored_polynomials
 from smoothip.lpsolve import INFEASIBLE, OPTIMAL, box_optimum, solve
-from smoothip.pipeline import Instance, SolveConfig, prepare
+from smoothip.pipeline import Instance, SolveConfig, _normalized, prepare
 from smoothip.pipeline import solve as pipeline_solve
 from smoothip.poly import (
     Polynomial,
@@ -54,7 +54,11 @@ from smoothip.relax import (
     prepare_relaxation,
     tolerance,
 )
-from smoothip.rounding import rounding_deviation_term
+from smoothip.rounding import (
+    GreedyTables,
+    greedy_round,
+    rounding_deviation_term,
+)
 
 TRIANGLE = Polynomial(
     3,
@@ -179,10 +183,11 @@ def test_plan_off_the_monomials_is_the_decomposition(data):
     if lower is not None and upper is not None and lower > upper:
         lower, upper = upper, lower
     side_raw = data.draw(scored_polynomials(raw.n))
-    prepared = prepare(Instance(raw, ((side_raw, lower, upper),)))
+    constraints = ((side_raw, lower, upper),)
+    prepared = prepare(Instance(raw, constraints))
     assert pickle.loads(pickle.dumps(prepared)) == prepared
-    assert vars(prepared.plan) == tree_plan(decompose(prepared.p))
-    ((side, _, _),) = prepared.constraints
+    p, ((side, _, _),) = _normalized(raw, constraints)
+    assert vars(prepared.plan) == tree_plan(decompose(p))
     assert side.degree == constraint_degree(side)
     ((side_plan, *_),) = prepared.constraint_plans
     assert vars(side_plan) == tree_plan(decompose(side))
@@ -194,6 +199,26 @@ def test_plan_rejects_what_decompose_rejects():
         decompose(square)
     with pytest.raises(ValueError):
         RelaxationPlan(ScoreTable(square))
+
+
+@pytest.mark.parametrize("repeat", [(0, 0), (0, 0, 1), (0, 1, 1), (1, 2, 2)])
+def test_unchecked_polynomials_with_a_repeat_are_rejected(repeat):
+    """The plan sees a repeated index, at the start, the middle or the end
+    of a monomial, without a scan of its own, so the constrained build,
+    which takes its polynomials unchecked, raises on a repeat in the
+    objective or in a side constraint; so do greedy rounding's tables."""
+    clean = Polynomial(3, {(0, 1): 1, (2,): 1})
+    repeated = Polynomial(3, {repeat: 1, (2,): 1})
+    for prog in (
+        ConstrainedProgram(repeated),
+        ConstrainedProgram(clean, ((repeated, 0, None),)),
+    ):
+        with pytest.raises(ValueError, match="multilinear"):
+            build_constrained_relaxation(prog, (0, 1, 0), 1, 1)
+    with pytest.raises(ValueError, match="multilinear"):
+        GreedyTables(repeated)
+    with pytest.raises(ValueError, match="multilinear"):
+        greedy_round(repeated, (0.5, 0.5, 0.5))
 
 
 def test_relaxation_rows_skip_top_level():
@@ -832,7 +857,7 @@ def test_plan_relaxation_matches_the_reference(case):
     assert_same_relaxation(
         relaxation,
         evaluate_constrained_relaxation(
-            ConstrainedProgram(prepared.p, prepared.constraints), xhat,
+            ConstrainedProgram(*_normalized(objective, constraints)), xhat,
             prepared.beta,
         ),
     )
