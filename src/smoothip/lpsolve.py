@@ -1,11 +1,11 @@
 """Self-contained LP solver for the relaxations built by this package.
 
 Models are boxes plus two-sided linear rows: maximize c^T x + offset over
-x in [0,1]^n subject to lo_i <= a_i^T x <= hi_i.  An :class:`LpModel`
-records one exactly, in Fractions; the solver takes its rows as integers
-over one positive denominator per row, works in floats and the caller
-re-evaluates objectives exactly after rounding, so float error never leaks
-into a reported bound.
+x in [0,1]^n subject to lo_i <= a_i^T x <= hi_i.  The solver takes every
+row as integers over one positive denominator per row, works in floats
+and the caller re-evaluates objectives exactly after rounding, so float
+error never leaks into a reported bound.  An :class:`LpModel`, an LP in
+Fractions, is a record for reference; the solver does not read it.
 
 The algorithm is a bounded-variable revised simplex.  Every row gets a slack
 variable (a_i^T x - s_i = 0 with s_i carrying the row bounds) and an
@@ -15,17 +15,16 @@ numerical-failure.  A basis inverse is kept explicitly and refreshed
 periodically.  The solver is deterministic: fixed pivot rules, no
 randomization.
 
-Everything but the row windows is prepared once in a :class:`PreparedLp`:
-the float matrix, the cost, the row split and a warm start with its exact
-row activities.  Every float in it is an integer over an integer, divided
-once with Python's correctly rounded ``int / int``, so it has the bits of
-the float of the exact Fraction.  Its ``solve(windows)`` then does one LP,
-so a caller that solves the same rows under many windows (the pipeline,
-one per error budget) converts and checks them once.  :func:`solve` puts
-an :class:`LpModel` over integers with :func:`integer_form` and solves it
-once.  The simplex accepts the warm start only when its exact activities
-lie in the exact windows, an integer comparison, and otherwise starts cold
-with a phase 1.
+:class:`PreparedLp` is the one way in.  Everything but the row windows is
+prepared once in it: the float matrix, the cost, the row split and a warm
+start with its exact row activities.  Every float in it is an integer
+over an integer, divided once with Python's correctly rounded
+``int / int``, so it has the bits of the float of the exact Fraction.
+Its ``solve(windows)`` then does one LP, so a caller that solves the same
+rows under many windows (the pipeline, one per error budget) converts
+and checks them once.  The simplex accepts the warm start only when its
+exact activities lie in the exact windows, an integer comparison, and
+otherwise starts cold with a phase 1.
 """
 
 from __future__ import annotations
@@ -250,7 +249,8 @@ class PreparedLp:
     ``var_bounds`` holds an exact (lo, hi) per variable.  ``warm_start``
     is None or (x, activities): a point x at a bound of every variable
     and, per row, its exact activity a_i . x as (numerator, positive
-    denominator).  Prepared here: the float matrix of the rows that can
+    denominator); an x or an activity list of the wrong length raises
+    ValueError.  Prepared here: the float matrix of the rows that can
     bind (it seeds each solve's working matrix and serves its final row
     check), the cost, the variable box, which rows are empty or vacuous,
     and the warm start with the activities of the rows that can bind.
@@ -299,6 +299,11 @@ class PreparedLp:
         self.warm_activity = None
         if warm_start is not None:
             x, activities = warm_start
+            if len(x) != n or len(activities) != len(rows):
+                raise ValueError(
+                    f"warm start length {len(x)} with {len(activities)} "
+                    f"activities, expected {n} with {len(rows)}"
+                )
             self.warm_x = np.array([float(v) for v in x])
             self.warm_at_upper = np.array(
                 [v == hi for v, (_, hi) in zip(x, var_bounds)]
@@ -338,7 +343,13 @@ class PreparedLp:
 
     def solve(self, windows: Sequence) -> LpSolution:
         """Solve with rows lo_i <= a_i . x <= hi_i for the given (lower,
-        upper, denom) windows, one per row; see :func:`solve`."""
+        upper, denom) windows, one per row.
+
+        Returns status optimal / infeasible / unbounded /
+        numerical-failure.  The optimal y is clamped into the variable box
+        and satisfies every row within FEAS_TOL; otherwise the status says
+        numerical-failure.
+        """
         if len(windows) != self.num_rows or any(
             (lo is None, hi is None) != absent
             for (lo, hi, _), absent in zip(windows, self.absent)
@@ -432,68 +443,10 @@ class PreparedLp:
         )
 
 
-def integer_form(model: LpModel) -> tuple:
-    """(objective, rows) of the model as :class:`PreparedLp` takes them:
-    the objective as (coeffs, denom) and each row as (coeffs, lower,
-    upper, denom), with the row's nonzero coefficients as (j, c) pairs;
-    every Fraction is an integer over the lcm of the denominators of its
-    row (or of the objective)."""
-    rows = []
-    for coeffs, lo, hi in model.rows:
-        (*scaled, lower, upper), denom = _over_lcm((*coeffs, lo, hi))
-        pairs = tuple((j, c) for j, c in enumerate(scaled) if c)
-        rows.append((pairs, lower, upper, denom))
-    return _over_lcm(model.objective), rows
-
-
-def _over_lcm(values) -> tuple:
-    """(integers, d) with values[i] = integers[i] / d, d the lcm of the
-    denominators; None stays None."""
-    exact = [None if v is None else Fraction(v) for v in values]
-    denom = math.lcm(*(f.denominator for f in exact if f is not None))
-    return tuple(
-        None if f is None else f.numerator * (denom // f.denominator)
-        for f in exact
-    ), denom
-
-
-def solve(model: LpModel, warm_start: Sequence | None = None) -> LpSolution:
-    """Solve the model, optionally warm-started at a point with each
-    coordinate at one of its variable bounds.
-
-    A warm start of the wrong length raises ValueError.  The warm start is
-    used only when it sits at a bound in every coordinate and satisfies
-    every row exactly; otherwise the solve starts cold with a phase 1.
-    Returns status optimal / infeasible / unbounded / numerical-failure.
-    The optimal y is clamped into the variable box and satisfies every row
-    within FEAS_TOL; otherwise the status says numerical-failure.  This is
-    :class:`PreparedLp` of the model's :func:`integer_form`, used for the
-    model's own windows.
-    """
-    objective, rows = integer_form(model)
-    warm = None
-    if warm_start is not None:
-        n = model.num_vars
-        if len(warm_start) != n:
-            raise ValueError(
-                f"warm start length {len(warm_start)}, expected {n}"
-            )
-        x = [Fraction(v) for v in warm_start]
-        if all(v in bounds for v, bounds in zip(x, model.var_bounds)):
-            warm = x, [
-                Fraction(sum(c * x[j] for j, c in coeffs), denom)
-                .as_integer_ratio()
-                for coeffs, _, _, denom in rows
-            ]
-    return PreparedLp(
-        objective, model.offset, rows, model.var_bounds, warm
-    ).solve([(lo, hi, denom) for _, lo, hi, denom in rows])
-
-
 def box_optimum(objective: tuple, offset, warm_start: Sequence) -> LpSolution:
-    """The optimum :func:`solve` returns from ``warm_start`` when no row
-    can cut the box [0,1]^n; ``objective`` is (coeffs, denom) as
-    :class:`PreparedLp` takes it.
+    """The optimum :meth:`PreparedLp.solve` returns from ``warm_start``
+    when no row can cut the box [0,1]^n; ``objective`` is (coeffs, denom)
+    as :class:`PreparedLp` takes it.
 
     With only slacks basic the duals are zero and no row limits a ratio
     test, so every pivot is a bound flip: y_j becomes 1 where the cost

@@ -234,16 +234,6 @@ def _normalized(objective: Polynomial, constraints):
     return p.with_degree(max(2, p.degree)), tuple(normal)
 
 
-def _tables(objective: Polynomial, constraints) -> tuple:
-    """(greedy, scores) of the normalized instance: the objective's
-    greedy-rounding tables, which also score its Boolean points, and one
-    (score table, lower, upper) per side constraint."""
-    p, constraints = _normalized(objective, constraints)
-    return GreedyTables(p), tuple(
-        (ScoreTable(poly), lower, upper) for poly, lower, upper in constraints
-    )
-
-
 @dataclass(frozen=True)
 class PreparedInstance:
     """What every solve of one instance shares, whatever the prediction.
@@ -273,7 +263,11 @@ def prepare(instance: Instance) -> PreparedInstance:
     tables, read its smoothness certificate and relaxation plans off
     them and round its baseline, once; pass the result to :func:`solve`
     in place of the instance to solve it for many predictions."""
-    greedy, scores = _tables(instance.objective, instance.constraints)
+    p, constraints = _normalized(instance.objective, instance.constraints)
+    greedy = GreedyTables(p)
+    scores = tuple(
+        (ScoreTable(poly), lower, upper) for poly, lower, upper in constraints
+    )
     beta = max(
         min_smoothness(table)
         for table in (greedy, *(table for table, _, _ in scores))
@@ -526,7 +520,12 @@ def exact_solve(instance: Instance | PreparedInstance) -> tuple:
     Returns (z, value) with z the lexicographically smallest optimum.
     """
     if isinstance(instance, Instance):
-        return _exact(*_tables(instance.objective, instance.constraints))
+        # The brute force only scores: no greedy-rounding tables.
+        p, constraints = _normalized(instance.objective, instance.constraints)
+        return _exact(
+            ScoreTable(p),
+            tuple((ScoreTable(q), lo, hi) for q, lo, hi in constraints),
+        )
     return _exact(instance.greedy, instance.constraint_scores)
 
 
@@ -546,7 +545,9 @@ def guarantee_floor(
     on a normalized instance (n variables, degree d, smoothness beta)
     whose optimum is opt: opt minus the relaxation gap, minus the rounding
     deviation when the strategy is randomized (greedy rounding never loses
-    value)."""
+    value).  With n <= d, where :func:`solve` brute-forces, that is opt."""
+    if n <= d:
+        return Fraction(opt)
     floor = Fraction(opt) - gap_bound(beta, n, d, eps)
     if strategy == RANDOMIZED and beta > 0:
         floor -= rounding_deviation_term(beta, n, d, k)

@@ -308,11 +308,8 @@ def write_dimacs_cnf(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs_cnf(text: str, width: int | None = None) -> CnfFormula:
-    """Read DIMACS CNF; clauses end at 0 and may span lines.
-
-    With width given, every clause must have exactly that many literals.
-    """
+def parse_dimacs_cnf(text: str) -> CnfFormula:
+    """Read DIMACS CNF; clauses end at 0 and may span lines."""
     n = None
     declared = 0
     clauses = []
@@ -347,12 +344,6 @@ def parse_dimacs_cnf(text: str, width: int | None = None) -> CnfFormula:
         raise ValueError(
             f"header declares {declared} clauses, found {len(clauses)}"
         )
-    if width is not None:
-        for clause in clauses:
-            if len(clause) != width:
-                raise ValueError(
-                    f"clause width {len(clause)}, expected {width}"
-                )
     return CnfFormula(n, tuple(clauses))
 
 

@@ -444,11 +444,6 @@ class Relaxation:
             (self.xhat, [(row.activity, row.denom) for row in rows]),
         )
 
-    def saturated(self, eps: int) -> bool:
-        """Whether every row's range over the box lies strictly inside its
-        window at budget eps, so that no row can cut [0,1]^n."""
-        return self.saturation_budget((eps,)) is not None
-
     def saturation_budget(self, grid: Sequence[int]) -> int | None:
         """First eps of the ascending grid at which the relaxation is
         saturated, or None.  Windows only widen as eps grows, so every

@@ -1,8 +1,10 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators for the test suite, and the way a Fraction
+LpModel reaches the simplex."""
 
+import math
 from fractions import Fraction
 
-from smoothip.lpsolve import LpModel
+from smoothip.lpsolve import LpModel, PreparedLp
 from smoothip.pipeline import Instance, prepare
 from smoothip.poly import Polynomial
 from smoothip.relax import prepare_relaxation
@@ -95,3 +97,50 @@ def pipeline_relaxation(objective, xhat, constraints=()):
     return prepare_relaxation(
         prepared.plan, xhat, prepared.beta, prepared.constraint_plans
     )
+
+
+def _over_lcm(values) -> tuple:
+    """(integers, d) with values[i] = integers[i] / d, d the lcm of the
+    denominators; None stays None."""
+    exact = [None if v is None else Fraction(v) for v in values]
+    denom = math.lcm(*(f.denominator for f in exact if f is not None))
+    return tuple(
+        None if f is None else f.numerator * (denom // f.denominator)
+        for f in exact
+    ), denom
+
+
+def prepared_model(model: LpModel, warm_start=None) -> tuple:
+    """(lp, windows): the model as a PreparedLp and its own row windows.
+
+    Every Fraction of a row (or of the objective) is put over the lcm of
+    the denominators of that row, with the row's nonzero coefficients as
+    (j, c) pairs.  The warm start, a point, is passed with its exact row
+    activities when it sits at a bound in every coordinate, and dropped
+    otherwise, so that the solve starts cold.
+    """
+    rows = []
+    for coeffs, lo, hi in model.rows:
+        (*scaled, lower, upper), denom = _over_lcm((*coeffs, lo, hi))
+        pairs = tuple((j, c) for j, c in enumerate(scaled) if c)
+        rows.append((pairs, lower, upper, denom))
+    warm = None
+    if warm_start is not None:
+        x = [Fraction(v) for v in warm_start]
+        if all(v in bounds for v, bounds in zip(x, model.var_bounds)):
+            warm = x, [
+                Fraction(sum(c * x[j] for j, c in coeffs), denom)
+                .as_integer_ratio()
+                for coeffs, _, _, denom in rows
+            ]
+    lp = PreparedLp(
+        _over_lcm(model.objective), model.offset, rows, model.var_bounds,
+        warm,
+    )
+    return lp, [(lo, hi, denom) for _, lo, hi, denom in rows]
+
+
+def solve_model(model: LpModel, warm_start=None):
+    """The LpSolution of the model, optionally warm-started at a point."""
+    lp, windows = prepared_model(model, warm_start)
+    return lp.solve(windows)

@@ -18,9 +18,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_lp_model, random_multilinear, random_point
+from helpers import (
+    random_lp_model,
+    random_multilinear,
+    random_point,
+    solve_model,
+)
 from lp_reference import reference_solve
-from smoothip import lpsolve
 from smoothip.oracle import ErmProblem, erm_select, exact_prediction, perturb
 from smoothip.pipeline import (
     Instance,
@@ -305,7 +309,7 @@ def test_c11_lp_reference_agreement():
     optimal = 0
     for _ in range(200):
         model = random_lp_model(rng)
-        ours = lpsolve.solve(model)
+        ours = solve_model(model)
         ref = reference_solve(model)
         if ours.status != ref.status:
             ok = False

@@ -315,6 +315,27 @@ def test_sweep_bound_is_the_brute_forced_guarantee(
         assert row[6] == repr(float(bound))
 
 
+@pytest.mark.parametrize("strategy", ["greedy", "randomized"])
+def test_sweep_of_an_instance_with_n_at_most_d_keeps_opt(
+    tmp_path, capsys, strategy
+):
+    """With n <= d, solve brute-forces and rounds nothing, so the floor is
+    opt: a one-variable CNF and a two-variable graph sweep with exit 0
+    and bound == opt in every row, under either strategy."""
+    one = tmp_path / "one.cnf"
+    one.write_text("p cnf 1 1\n1 0\n")
+    edge = tmp_path / "edge.gr"
+    edge.write_text("p edge 2 1\ne 1 2\n")
+    rows = sweep_rows(
+        capsys, tmp_path / "sweep.csv", str(one), str(edge),
+        "--eps", "0,1", "--trials", "2", "--strategy", strategy,
+    )
+    assert len(rows) == 8
+    for row in rows:
+        assert row[6] == row[4]
+        assert row[3] == row[4]
+
+
 def counted_calls(monkeypatch, module, name, keep=lambda *args: True):
     """Replace module.name by a wrapper that records the arguments of
     every call that keep accepts."""

@@ -9,18 +9,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import alternating, at_most, pipeline_relaxation, random_lp_model
+from helpers import (
+    alternating,
+    at_most,
+    pipeline_relaxation,
+    prepared_model,
+    random_lp_model,
+    solve_model,
+)
 from lp_reference import reference_solve
 from smoothip import lpsolve
-from smoothip.lpsolve import FEAS_TOL, LpModel, solve
-from smoothip.poly import Polynomial, decompose
+from smoothip.lpsolve import FEAS_TOL, LpModel, PreparedLp
+from smoothip.poly import Polynomial, ScoreTable, decompose
 from smoothip.problems import (
     gen_gnp,
     gen_ksat,
     maxcut_objective,
     maxksat_objective,
 )
-from smoothip.relax import build_relaxation
+from smoothip.relax import (
+    RelaxationPlan,
+    build_relaxation,
+    prepare_relaxation,
+)
 
 # MAX-CUT objective of the triangle graph, expanded by hand.
 TRIANGLE = Polynomial(
@@ -32,14 +43,6 @@ def box(n):
     return tuple((Fraction(0), Fraction(1)) for _ in range(n))
 
 
-def prepared(model, warm_start=None):
-    """The PreparedLp that lpsolve.solve makes of the model."""
-    objective, rows = lpsolve.integer_form(model)
-    return lpsolve.PreparedLp(
-        objective, model.offset, rows, model.var_bounds, warm_start
-    )
-
-
 def test_single_binding_row():
     model = LpModel(
         num_vars=2,
@@ -47,7 +50,7 @@ def test_single_binding_row():
         rows=((tuple(map(Fraction, (1, 1))), None, Fraction(1)),),
         objective=tuple(map(Fraction, (1, 1))),
     )
-    sol = solve(model)
+    sol = solve_model(model)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - 1.0) < 1e-9
     assert abs(sum(sol.y) - 1.0) < 1e-9
@@ -61,7 +64,7 @@ def test_null_objective_returns_offset():
         objective=(Fraction(0), Fraction(0)),
         offset=Fraction(7),
     )
-    sol = solve(model)
+    sol = solve_model(model)
     assert sol.status == "optimal"
     assert sol.objective_value == 7.0
 
@@ -70,7 +73,7 @@ def test_triangle_relaxation_full_budget():
     # At eps = n the feasible region contains every Boolean point, so the
     # LP value is at least the brute-force optimum 2.
     model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), 3, 2)
-    sol = solve(model)
+    sol = solve_model(model)
     assert sol.status == "optimal"
     assert sol.objective_value >= 2 - 1e-7
 
@@ -82,7 +85,7 @@ def test_infeasible_row_detected():
         rows=(((Fraction(1),), Fraction(2), None),),
         objective=(Fraction(1),),
     )
-    assert solve(model).status == "infeasible"
+    assert solve_model(model).status == "infeasible"
 
 
 def test_empty_row_presolve():
@@ -92,21 +95,21 @@ def test_empty_row_presolve():
         rows=(((Fraction(0),), Fraction(0), Fraction(0)),),
         objective=(Fraction(1),),
     )
-    assert solve(feasible).status == "optimal"
+    assert solve_model(feasible).status == "optimal"
     impossible = LpModel(
         num_vars=1,
         var_bounds=box(1),
         rows=(((Fraction(0),), Fraction(1), Fraction(2)),),
         objective=(Fraction(1),),
     )
-    assert solve(impossible).status == "infeasible"
+    assert solve_model(impossible).status == "infeasible"
 
 
 def test_optimal_solutions_satisfy_certificate():
     rng = random.Random(101)
     for _ in range(60):
         model = random_lp_model(rng, max_vars=12, max_rows=24)
-        sol = solve(model)
+        sol = solve_model(model)
         if sol.status != "optimal":
             continue
         for yj, (lo, hi) in zip(sol.y, model.var_bounds):
@@ -123,8 +126,8 @@ def test_determinism_bit_exact():
     rng = random.Random(131)
     for _ in range(10):
         model = random_lp_model(rng, max_vars=10, max_rows=20)
-        first = solve(model)
-        second = solve(model)
+        first = solve_model(model)
+        second = solve_model(model)
         assert first.status == second.status
         assert first.y == second.y
         assert first.objective_value == second.objective_value
@@ -135,9 +138,9 @@ def test_warm_start_agrees_with_cold_start():
     # eps = 0, and a start that breaks a row must fall back to a cold start.
     for eps in (0, 1, 2, 3):
         model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), eps, 2)
-        cold = solve(model)
+        cold = solve_model(model)
         for start in ((1, 0, 0), (0, 1, 1)):
-            warm = solve(model, warm_start=start)
+            warm = solve_model(model, warm_start=start)
             assert cold.status == warm.status == "optimal"
             assert abs(cold.objective_value - warm.objective_value) < 1e-6
     one_row = LpModel(
@@ -146,17 +149,39 @@ def test_warm_start_agrees_with_cold_start():
         rows=((tuple(map(Fraction, (1, 1))), None, Fraction(1)),),
         objective=tuple(map(Fraction, (1, 2))),
     )
-    assert solve(one_row, warm_start=(1, 1)).y == solve(one_row).y == (0, 1)
+    assert (
+        solve_model(one_row, warm_start=(1, 1)).y
+        == solve_model(one_row).y
+        == (0, 1)
+    )
 
 
 def test_warm_start_of_the_wrong_length_is_rejected():
-    model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), 1, 2)
-    for start in ((1, 0), (1, 0, 0, 1), ()):
+    relaxation = prepare_relaxation(
+        RelaxationPlan(ScoreTable(TRIANGLE)), (1, 0, 0), 2
+    )
+    unwarmed = (
+        (relaxation.objective, relaxation.denom),
+        relaxation.offset,
+        [(row.coeffs, row.lower, row.upper, row.denom)
+         for row in relaxation.rows],
+        ((0, 1),) * 3,
+    )
+    activities = [(row.activity, row.denom) for row in relaxation.rows]
+    PreparedLp(*unwarmed, ((1, 0, 0), activities))
+    for start in (
+        ((1, 0), activities),
+        ((1, 0, 0, 1), activities),
+        ((), activities),
+        ((1, 0, 0), activities[:1]),
+        ((1, 0, 0), activities + [(0, 1)]),
+    ):
         with pytest.raises(ValueError, match="warm start length"):
-            solve(model, warm_start=start)
+            PreparedLp(*unwarmed, start)
     # A start off the variable bounds keeps its cold start.
-    half = solve(model, warm_start=(Fraction(1, 2), 0, 0))
-    assert repr(half) == repr(solve(model))
+    model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), 1, 2)
+    half = solve_model(model, warm_start=(Fraction(1, 2), 0, 0))
+    assert repr(half) == repr(solve_model(model))
 
 
 def agrees(ours, ref) -> bool:
@@ -178,7 +203,7 @@ def assert_reference_agreement():
     optimal_seen = 0
     infeasible_seen = 0
     for model in reference_models():
-        ours = solve(model)
+        ours = solve_model(model)
         ref = reference_solve(model)
         assert agrees(ours, ref), (ours, ref)
         optimal_seen += ours.status == "optimal"
@@ -202,10 +227,13 @@ def test_refresh_agrees_with_reference(monkeypatch):
 
 @pytest.fixture(scope="module")
 def pipeline_lps():
-    """(name, model) of every budget below saturation, each relaxation
-    around the alternating prediction: MAX-CUT G(40, 0.3) and G(60, 0.3),
-    3-SAT n=24 m=96, and G(40, 0.3) under sum x <= 10, which the
-    prediction breaks, so that eps = 0 is infeasible."""
+    """(name, lp, windows, model) of every budget below saturation, each
+    relaxation around the alternating prediction: MAX-CUT G(40, 0.3) and
+    G(60, 0.3), 3-SAT n=24 m=96, and G(40, 0.3) under sum x <= 10, which
+    the prediction breaks, so that eps = 0 is infeasible.  lp is the
+    relaxation's one PreparedLp and windows the budget's, which a solve
+    passes it; model is the budget's exact Fraction LP, for the
+    references."""
     lps = []
     for seed in (5, 7):
         cut40 = maxcut_objective(gen_gnp(40, 0.3, seed))
@@ -219,8 +247,14 @@ def pipeline_lps():
             relaxation = pipeline_relaxation(
                 objective, alternating(n), constraints
             )
+            lp = relaxation.lp()
             for eps in range(relaxation.saturation_budget(range(n + 1))):
-                lps.append((f"{name}/{seed}/eps={eps}", relaxation.model(eps)))
+                lps.append(
+                    (
+                        f"{name}/{seed}/eps={eps}", lp,
+                        relaxation.windows(eps), relaxation.model(eps),
+                    )
+                )
     return lps
 
 
@@ -228,9 +262,9 @@ def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
     """The matrix is filled from nonzero entries only; it must be the
     float of every entry of every row that has a bound and a nonzero
     entry, each Fraction put over its row's denominator first."""
-    models = reference_models() + [model for _, model in pipeline_lps]
-    for model in models:
-        lp = prepared(model)
+    cases = [(prepared_model(model)[0], model) for model in reference_models()]
+    cases += [(lp, model) for _, lp, _, model in pipeline_lps]
+    for lp, model in cases:
         bounded = [
             i for i, (_, lo, hi) in enumerate(model.rows)
             if lo is not None or hi is not None
@@ -246,8 +280,8 @@ def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
 
 def test_pipeline_lps_agree_with_reference(pipeline_lps):
     statuses = set()
-    for name, model in pipeline_lps:
-        ours = solve(model, warm_start=alternating(model.num_vars))
+    for name, lp, windows, model in pipeline_lps:
+        ours = lp.solve(windows)
         ref = reference_solve(model)
         assert agrees(ours, ref), (name, ours.status, ref.status)
         statuses.add(ours.status)
@@ -282,8 +316,8 @@ def highs_solve(model):
 
 def test_pipeline_lps_agree_with_highs(pipeline_lps):
     pytest.importorskip("scipy")
-    for name, model in pipeline_lps:
-        ours = solve(model, warm_start=alternating(model.num_vars))
+    for name, lp, windows, model in pipeline_lps:
+        ours = lp.solve(windows)
         theirs = highs_solve(model)
         assert agrees(ours, theirs), (name, ours.status, theirs.status)
 
@@ -390,13 +424,13 @@ def test_vectorized_pivoting_matches_the_loops(
     reference models (cold) and on pipeline LPs (warm and cold)."""
     if rules == "refresh":
         monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
-    cases = [(model, None) for model in reference_models()]
-    for name, model in pipeline_lps:
+    cases = [prepared_model(model) for model in reference_models()]
+    for name, lp, windows, _ in pipeline_lps:
         if name.startswith(("cut40/5/", "card40/5/", "sat24/5/")):
-            cases.append((model, alternating(model.num_vars)))
-    vectorized = [repr(solve(m, warm_start=x)) for m, x in cases]
+            cases.append((lp, windows))
+    vectorized = [repr(lp.solve(windows)) for lp, windows in cases]
     monkeypatch.setattr(lpsolve, "_Simplex", LoopSimplex)
-    assert [repr(solve(m, warm_start=x)) for m, x in cases] == vectorized
+    assert [repr(lp.solve(windows)) for lp, windows in cases] == vectorized
 
 
 # -- the starting basis inverse -------------------------------------------
@@ -415,7 +449,7 @@ def test_diagonal_start_inverse_is_lapacks_to_the_bit(m):
         objective=(Fraction(1),),
     )
     sx = lpsolve._Simplex(
-        prepared(model), np.zeros(m), np.ones(m)
+        prepared_model(model)[0], np.zeros(m), np.ones(m)
     )
     slacks = range(1, 1 + m)
     artificials = range(1 + m, 1 + 2 * m)

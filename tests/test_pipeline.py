@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from exact_reference import butterfly_masks_to_values, fraction_value
 from helpers import at_most, random_bool_vector, random_multilinear
 from test_golden import corpus
-from smoothip import lpsolve, pipeline, poly, relax
+from smoothip import lpsolve, pipeline, poly, relax, rounding
 from smoothip.pipeline import (
     EXACT_CAP,
     _masks_to_values,
@@ -491,6 +491,28 @@ def test_exact_honors_constraints():
         exact_solve(Instance(p, ((budget, 5, None),)))
 
 
+def test_exact_solve_of_an_instance_builds_no_greedy_tables(monkeypatch):
+    """The brute force only scores, so exact_solve of a plain instance
+    builds no greedy-rounding tables, and returns what it returns for
+    the prepared instance."""
+    cases = (
+        Instance(TRIANGLE),
+        Instance(maxksat_objective(gen_ksat(8, 30, 3, 2))),
+        Instance(maxcut_objective(gen_gnp(7, 0.5, 3)), (at_most(7, 3),)),
+    )
+    for inst in cases:
+        expected = exact_solve(prepare(inst))
+        calls = []
+        original = rounding.GreedyTables.__init__
+        monkeypatch.setattr(
+            rounding.GreedyTables, "__init__",
+            lambda self, *args: calls.append(args) or original(self, *args),
+        )
+        assert exact_solve(inst) == expected
+        assert calls == []
+        monkeypatch.undo()
+
+
 def test_exact_cap():
     with pytest.raises(ValueError):
         exact_solve(Instance(Polynomial(EXACT_CAP + 1, {(0,): 1})))
@@ -750,6 +772,31 @@ def test_guarantee_bound_formula_quadratic():
     assert randomized == opt - gap_bound(beta, 3, 2, 2) - (
         rounding_deviation_term(beta, 3, 2, 2)
     )
+
+
+def test_guarantee_bound_with_n_at_most_d_is_opt():
+    """solve brute-forces when n <= d and rounds nothing, so the floor
+    is opt at every budget, under either strategy, and solve reaches
+    it."""
+    clause = CnfFormula(3, (((0, 1), (1, 1), (2, 0)),))
+    cases = (
+        Instance(Polynomial(1, {(0,): 1})),
+        Instance(Polynomial(2, {(0, 1): 3, (1,): -1})),
+        Instance(maxksat_objective(clause)),
+    )
+    configs = (SolveConfig(), SolveConfig(strategy="randomized", k=2))
+    for inst in cases:
+        prepared = prepare(inst)
+        assert prepared.greedy.n <= prepared.greedy.degree
+        _, opt = exact_solve(inst)
+        for config in configs:
+            for eps in range(inst.objective.n + 1):
+                assert guarantee_bound(inst, eps, config) == opt
+                report = solve(
+                    prepared, (0,) * inst.objective.n,
+                    dataclasses.replace(config, grid=(eps,)),
+                )
+                assert report.best_value == opt
 
 
 def test_guarantee_floor_is_guarantee_bound_given_opt():

@@ -345,8 +345,6 @@ def test_cnf_parse_errors():
         parse_dimacs_cnf("p cnf 2 2\n1 0\n")
     with pytest.raises(ValueError):
         parse_dimacs_cnf("p cnf 2 1\n3 0\n")
-    with pytest.raises(ValueError):
-        parse_dimacs_cnf("p cnf 3 1\n1 2 0\n", width=3)
 
 
 def test_csp_json_round_trip():

@@ -22,9 +22,10 @@ from helpers import (
     pipeline_relaxation,
     random_bool_vector,
     random_multilinear,
+    solve_model,
 )
 from test_poly import scored_polynomials
-from smoothip.lpsolve import INFEASIBLE, OPTIMAL, box_optimum, solve
+from smoothip.lpsolve import INFEASIBLE, OPTIMAL, box_optimum
 from smoothip.pipeline import Instance, SolveConfig, _normalized, prepare
 from smoothip.pipeline import solve as pipeline_solve
 from smoothip.poly import (
@@ -261,7 +262,10 @@ def test_triangle_model_structure():
 
 
 def test_triangle_zero_budget_pins_the_prediction_side():
-    sol = solve(build_relaxation(decompose(TRIANGLE), (1, 0, 0), 0, 2))
+    relaxation = prepare_relaxation(
+        RelaxationPlan(ScoreTable(TRIANGLE)), (1, 0, 0), 2
+    )
+    sol = relaxation.lp().solve(relaxation.windows(0))
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(2.0, abs=1e-7)
 
@@ -305,7 +309,6 @@ def test_lp_value_dominates_reachable_points():
         p = random_multilinear(rng, n, rng.randint(2, 3))
         if p.degree < 2:
             continue
-        tree = decompose(p)
         best_z, best_v = None, None
         for z in itertools.product((0, 1), repeat=n):
             v = evaluate(p, z)
@@ -314,9 +317,11 @@ def test_lp_value_dominates_reachable_points():
         xhat = best_z if trial % 5 == 0 else random_bool_vector(rng, n)
         eps = hamming(xhat, best_z)
         beta = min_smoothness(p)
-        model = build_relaxation(tree, xhat, eps, beta)
-        assert feasible(model, best_z)
-        sol = solve(model, warm_start=xhat)
+        relaxation = prepare_relaxation(
+            RelaxationPlan(ScoreTable(p)), xhat, beta
+        )
+        assert feasible(relaxation.model(eps), best_z)
+        sol = relaxation.lp().solve(relaxation.windows(eps))
         assert sol.status == OPTIMAL
         assert sol.objective_value >= float(evaluate(p, xhat)) - 1e-6
         floor = best_v - gap_bound(beta, n, p.degree, eps)
@@ -403,8 +408,9 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
         box = box_optimum(
             (relaxation.objective, relaxation.denom), relaxation.offset, xhat
         )
+        lp = relaxation.lp()
         for eps in range(budget, p.n + 1):
-            sol = solve(relaxation.model(eps), warm_start=xhat)
+            sol = lp.solve(relaxation.windows(eps))
             assert sol.status == OPTIMAL
             assert box.y == sol.y
             assert box.objective_value == sol.objective_value
@@ -449,8 +455,9 @@ def test_rows_carry_the_predictions_activity():
 
 def test_prepared_lp_is_solve_at_every_budget():
     """The LP prepared once per solve, given one budget's windows, returns
-    what lpsolve.solve returns on that budget's model from the
-    prediction, cold starts included."""
+    what the budget's Fraction model, put over integers on its own
+    (helpers.solve_model), returns from the prediction, cold starts
+    included."""
     cold = infeasible = 0
     for xhat, relaxation in seeded_relaxations():
         lp = relaxation.lp()
@@ -459,11 +466,11 @@ def test_prepared_lp_is_solve_at_every_budget():
         for eps in grid[: grid.index(relaxation.saturation_budget(grid)) + 1]:
             windows = relaxation.windows(eps)
             model = relaxation.model(eps)
-            once = solve(model, warm_start=xhat)
+            once = solve_model(model, warm_start=xhat)
             assert repr(lp.solve(windows)) == repr(once)
             if not feasible(model, xhat):
                 cold += 1
-                infeasible += solve(model).status == INFEASIBLE
+                infeasible += solve_model(model).status == INFEASIBLE
     assert cold > infeasible > 0
 
 
@@ -508,7 +515,7 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
     """The prepared LP's matrix, cost and warm activities, every budget's
     float window bounds and its warm-start decision are what float() and
     exact comparison give on the Fraction model of that budget, and
-    saturated(eps) is what the model's windows say."""
+    saturation_budget((eps,)) is what the model's windows say."""
     warm = set()
     saturated = set()
     huge = naive_misses = tiny = 0
@@ -551,10 +558,9 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
             )
             assert lp.warm_fits(windows) == fits
             warm.add(fits)
-            assert relaxation.saturated(eps) == window_saturated(
-                relaxation, eps
-            )
-            saturated.add(relaxation.saturated(eps))
+            at = relaxation.saturation_budget((eps,)) is not None
+            assert at == window_saturated(relaxation, eps)
+            saturated.add(at)
         for row in relaxation.rows:
             for _, c in row.coeffs:
                 if abs(c) > 2**53:
@@ -710,7 +716,9 @@ def assert_same_relaxation(built, reference):
     assert all(type(c) is int for c in built.objective)
     assert exact == reference
     for eps in range(built.n + 1):
-        assert built.saturated(eps) == window_saturated(built, eps)
+        assert (built.saturation_budget((eps,)) is not None) == (
+            window_saturated(built, eps)
+        )
 
 
 def test_integer_build_matches_per_child_evaluation():
@@ -773,7 +781,7 @@ def test_saturated_agrees_with_the_windows_on_pipeline_relaxations():
     seen = set()
     for xhat, relaxation in seeded_relaxations():
         for eps in range(relaxation.n + 1):
-            saturated = relaxation.saturated(eps)
+            saturated = relaxation.saturation_budget((eps,)) is not None
             assert saturated == window_saturated(relaxation, eps)
             seen.add(saturated)
     assert seen == {False, True}
@@ -889,5 +897,5 @@ def test_plan_relaxation_matches_the_reference(case):
             continue
         (record,) = report.per_eps
         if eps == 0 and record.status == OPTIMAL:
-            lp = solve(relaxation.model(0), warm_start=xhat)
+            lp = relaxation.lp().solve(relaxation.windows(0))
             assert record.lp_value == float(lp.objective_value)
