@@ -8,9 +8,8 @@ detected from file content (DIMACS edge, DIMACS CNF, or the CSP JSON
 shape).
 
 A sweep loads, prepares and brute-forces each file once, then solves one
-cell per (file, eps, trial).  With ``SMOOTHIP_WORKERS`` above 1 the cells
-run in a process pool; each worker receives the prepared files once,
-through the pool's initializer, and each cell names its file by index.
+cell per (file, eps, trial), in turn; every cell of a file carries that
+file's one prepared instance.
 
 Exit codes: 0 success, 2 parse or parameter failure, 3 when a solve
 has no usable candidate or every relaxation in it failed.  All output
@@ -23,13 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .oracle import exact_prediction, perturb, read_prediction
 # A sweep cell takes its floor from guarantee_floor and the opt it is
@@ -41,6 +36,7 @@ from .pipeline import (  # noqa: F401
     Instance,
     PreparedInstance,
     SolveConfig,
+    _round_seed,
     exact_solve,
     guarantee_bound,
     guarantee_floor,
@@ -123,6 +119,14 @@ def _parse_grid(flag: str, n: int):
     return grid
 
 
+def _parse_opt(flag: str | None):
+    """--opt as an exact rational, or None when the flag is absent."""
+    try:
+        return None if flag is None else Fraction(flag)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--opt {flag!r} is not a rational number") from None
+
+
 def _prediction_for(flag: str, prepared: PreparedInstance, seed: int):
     if flag.startswith("file:"):
         return read_prediction(flag.split(":", 1)[1])
@@ -200,24 +204,12 @@ def cmd_solve(args) -> int:
 # -- sweep --------------------------------------------------------------
 
 
-# The prepared files of the running sweep, by index: a cell names its file
-# by index, so that a worker receives each prepared file once, through the
-# pool's initializer, and not with every cell.
-_prepared: tuple = ()
-
-
-def _share(prepared: tuple) -> None:
-    global _prepared
-    _prepared = prepared
-
-
 def _sweep_cell(payload):
-    index, star, opt, eps, trial, strategy, seed, k = payload
-    stream = np.random.SeedSequence((seed % 2**64, eps, trial))
-    cell_seed = int(stream.generate_state(1, np.uint64)[0])
+    prepared, star, opt, eps, trial, strategy, seed, k = payload
+    cell_seed = _round_seed(seed, eps, trial)
     prediction = perturb(star, eps, cell_seed)
     config = SolveConfig(strategy=strategy, seed=cell_seed, grid=(eps,), k=k)
-    report = solve(_prepared[index], prediction, config)
+    report = solve(prepared, prediction, config)
     achieved = report.best_value
     bound = guarantee_floor(
         opt, report.beta, report.n, report.degree, eps, strategy, k
@@ -230,11 +222,10 @@ def _sweep_cell(payload):
 
 
 def cmd_sweep(args) -> int:
-    workers = int(os.environ.get("SMOOTHIP_WORKERS", "1"))
     eps_values = sorted(set(int(part) for part in args.eps.split(",")))
     if args.opt is not None and len(args.instances) != 1:
         raise ValueError("--opt applies to a single instance")
-    given_opt = None if args.opt is None else Fraction(args.opt)
+    given_opt = _parse_opt(args.opt)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     # The checks every cell's SolveConfig makes, made once up front.
@@ -250,30 +241,16 @@ def cmd_sweep(args) -> int:
             )
         if eps_values[0] < 0 or eps_values[-1] > n:
             raise ValueError(f"eps values must lie in [0, {n}] for {path}")
-    prepared = tuple(prepare(instance) for instance in instances)
     cells = []
-    for index, instance in enumerate(prepared):
-        star, brute_opt = exact_solve(instance)
+    for prepared in [prepare(instance) for instance in instances]:
+        star, brute_opt = exact_solve(prepared)
         opt = brute_opt if given_opt is None else given_opt
-        for eps in eps_values:
-            for trial in range(args.trials):
-                cells.append(
-                    (
-                        index, star, opt, eps, trial,
-                        args.strategy, args.seed, args.k,
-                    )
-                )
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_share, initargs=(prepared,)
-        ) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        _share(prepared)
-        try:
-            rows = [_sweep_cell(cell) for cell in cells]
-        finally:
-            _share(())
+        cells.extend(
+            (prepared, star, opt, eps, trial, args.strategy, args.seed, args.k)
+            for eps in eps_values
+            for trial in range(args.trials)
+        )
+    rows = [_sweep_cell(cell) for cell in cells]
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     lines = ["instance,eps,trial,achieved,opt,ratio,bound"]
     lines.extend(
@@ -287,6 +264,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    opt = _parse_opt(args.opt)
     instance = load_instance(args.instance)
     prepared = prepare(instance)
     objective, beta = prepared.greedy, prepared.beta
@@ -299,12 +277,8 @@ def cmd_verify(args) -> int:
     print(f"decomposition nodes: {len(prepared.plan.constants)}")
     dense_at = DENSE_FRACTION * Fraction(n) ** d
     near_at = n ** (d - 0.5 + (0.5 - NEAR_DENSE_EXPONENT_DROP))
-    if args.opt is not None:
-        opt = Fraction(args.opt)
-    elif n <= EXACT_CAP:
+    if opt is None and n <= EXACT_CAP:
         _, opt = exact_solve(prepared)
-    else:
-        opt = None
     print(
         f"density thresholds: dense >= {float(dense_at):.6g} (n^d/8), "
         f"near-dense >= {near_at:.6g} (n^(d-1/4))"

@@ -1,9 +1,7 @@
 import json
 import os
-import pickle
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,25 +33,35 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_loads_no_optional_comparator():
-    """The package and its CLI import on numpy alone: scipy (the HiGHS
-    cross-check) and hypothesis (the property tests) stay out of the
-    import path, in a fresh interpreter."""
+def modules_after(statement: str) -> set:
+    """The names in sys.modules once statement has run in a fresh
+    interpreter with this checkout's src/ on PYTHONPATH."""
     src = str(Path(smoothip.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(
         os.environ, PYTHONPATH=src if not path else src + os.pathsep + path
     )
-    code = (
-        "import sys, smoothip, smoothip.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} "
-        "& {'scipy', 'hypothesis'}))"
-    )
+    code = f"import json, sys; {statement}; print(json.dumps([*sys.modules]))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return set(json.loads(done.stdout))
+
+
+def test_import_loads_no_optional_comparator():
+    """The package and its CLI import on numpy alone: scipy (the HiGHS
+    cross-check) and hypothesis (the property tests) stay out of the
+    import path, in a fresh interpreter."""
+    top = {name.split(".")[0] for name in modules_after("import smoothip.cli")}
+    assert not top & {"scipy", "hypothesis"}
+
+
+def test_cli_import_starts_no_process_machinery():
+    """A sweep runs its cells in turn, in one process: importing the CLI
+    loads neither multiprocessing nor concurrent.futures."""
+    loaded = modules_after("import smoothip.cli")
+    assert not loaded & {"multiprocessing", "concurrent.futures"}
 
 
 # -- gen ----------------------------------------------------------------
@@ -271,18 +279,6 @@ def test_sweep_deterministic(two_instances, tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_sweep_parallel_matches_serial(two_instances, tmp_path, capsys,
-                                       monkeypatch):
-    cut, _ = two_instances
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    run(capsys, "sweep", str(cut), "--eps", "0,2", "--trials", "2",
-        "--out", str(serial))
-    monkeypatch.setenv("SMOOTHIP_WORKERS", "2")
-    run(capsys, "sweep", str(cut), "--eps", "0,2", "--trials", "2",
-        "--out", str(parallel))
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_sweep_opt_flag_single_instance_only(two_instances, capsys):
     cut, sat = two_instances
     code, _, err = run(capsys, "sweep", str(cut), str(sat), "--eps", "0",
@@ -440,10 +436,11 @@ def test_sweep_builds_the_relaxation_plans_once_per_file(
 def test_sweep_cells_solve_their_own_file(
     two_instances, tmp_path, capsys, monkeypatch
 ):
-    """Each cell's report is the solve of the file its payload names,
+    """Each cell's report is the solve of the file its payload carries,
     from scratch, with the cell's prediction and config; both files have
     7 variables, so a tree or baseline taken from the other file would
-    not fail on its size."""
+    not fail on its size.  The cells of one file share its one prepared
+    instance."""
     cells = counted_calls(monkeypatch, cli, "_sweep_cell")
     solves = []
     original = cli.solve
@@ -457,47 +454,17 @@ def test_sweep_cells_solve_their_own_file(
     sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
                "--eps", "1,3", "--trials", "2", "--seed", "9")
     assert len(cells) == len(solves) == 8
+    paths = {path.stem: path for path in two_instances}
+    shared = {}
     for (payload,), (prediction, config, report) in zip(cells, solves):
-        path = two_instances[payload[0]]
+        prepared = payload[0]
+        assert isinstance(prepared, PreparedInstance)
+        assert shared.setdefault(prepared.label, prepared) is prepared
+        path = paths[prepared.label]
         assert report.label == path.stem
         direct = solve(load_instance(path), prediction, config)
         assert timing_free(report) == timing_free(direct)
-
-
-def test_sweep_workers_receive_each_prepared_file_once(
-    two_instances, tmp_path, capsys, monkeypatch
-):
-    pools, cells = [], []
-
-    class Recorded(ProcessPoolExecutor):
-        def __init__(self, **kwargs):
-            pools.append(kwargs)
-            super().__init__(**kwargs)
-
-        def map(self, fn, payloads):
-            payloads = list(payloads)
-            cells.extend(payloads)
-            return super().map(fn, payloads)
-
-    argv = (*map(str, two_instances), "--eps", "0,2", "--trials", "2")
-    serial = tmp_path / "serial.csv"
-    sweep_rows(capsys, serial, *argv)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
-    monkeypatch.setenv("SMOOTHIP_WORKERS", "2")
-    parallel = tmp_path / "parallel.csv"
-    sweep_rows(capsys, parallel, *argv)
-    assert parallel.read_bytes() == serial.read_bytes()
-    assert len(pools) == 1
-    assert pools[0]["initializer"] is cli._share
-    (prepared,) = pools[0]["initargs"]
-    assert all(isinstance(p, PreparedInstance) for p in prepared)
-    assert [p.label for p in prepared] == [path.stem for path in two_instances]
-    # A cell names its file by index and carries nothing prepared.
-    assert len(cells) == 8
-    for payload in cells:
-        assert payload[0] in (0, 1)
-        assert not any(isinstance(f, PreparedInstance) for f in payload)
-        assert len(pickle.dumps(payload)) < len(pickle.dumps(prepared)) // 20
+    assert sorted(shared) == sorted(paths)
 
 
 def test_sweep_opt_sets_the_opt_ratio_and_bound_columns(
@@ -548,7 +515,7 @@ def test_large_instance_needs_a_prediction_file(large_file, tmp_path, capsys):
 
 
 def test_rejects_bad_input_before_any_brute_force(
-    large_file, two_instances, brute_force_calls, capsys, monkeypatch
+    large_file, two_instances, brute_force_calls, capsys
 ):
     cut, _ = two_instances
     code, _, err = run(capsys, "sweep", str(cut), str(large_file),
@@ -560,10 +527,21 @@ def test_rejects_bad_input_before_any_brute_force(
     assert code == 2
     assert "[0, 7]" in err
     assert run(capsys, "sweep", str(cut), "--eps", "0", "--opt", "x")[0] == 2
-    monkeypatch.setenv("SMOOTHIP_WORKERS", "x")
-    assert run(capsys, "sweep", str(cut), "--eps", "0")[0] == 2
-    monkeypatch.delenv("SMOOTHIP_WORKERS")
     assert run(capsys, "solve", str(cut), "--prediction", "perturb:8")[0] == 2
+    assert brute_force_calls == []
+
+
+@pytest.mark.parametrize("opt", ["1/0", "inf", "x"])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_bad_opt_is_rejected_before_any_output_or_brute_force(
+    two_instances, brute_force_calls, capsys, command, opt
+):
+    cut, _ = two_instances
+    eps = ("--eps", "0") if command == "sweep" else ()
+    code, out, err = run(capsys, command, str(cut), *eps, "--opt", opt)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --opt {opt!r} is not a rational number\n"
     assert brute_force_calls == []
 
 
