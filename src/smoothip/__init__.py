@@ -23,7 +23,7 @@ from .pipeline import (
     solve,
     solve_constrained,
 )
-from .poly import Polynomial, decompose, evaluate, min_smoothness
+from .poly import Polynomial, evaluate, min_smoothness
 from .relax import ConstrainedProgram, gap_bound
 from .rounding import greedy_round, randomized_round, rounding_error_bound
 
@@ -35,7 +35,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "approx_ratio_bound",
-    "decompose",
     "evaluate",
     "exact_solve",
     "gap_bound",

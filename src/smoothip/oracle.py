@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
-
 from .pipeline import (
     Instance,
     PreparedInstance,
@@ -105,22 +103,6 @@ def erm_select(
         if best_cost is None or cost < best_cost:
             best_id, best_cost = i, cost
     return best_id, best_cost
-
-
-def empirical_prediction_error(candidate: Callable, instances) -> Fraction:
-    """Mean Hamming distance from the candidate's predictions to the
-    canonical brute-force optima."""
-    instances = tuple(instances)
-    if not instances:
-        raise ValueError("need at least one instance")
-    total = 0
-    for instance in instances:
-        star, _ = exact_solve(instance)
-        guess = _vector(candidate(instance))
-        if len(guess) != len(star):
-            raise ValueError("prediction length mismatch")
-        total += sum(1 for a, b in zip(guess, star) if a != b)
-    return Fraction(total, len(instances))
 
 
 # -- files --------------------------------------------------------------

@@ -123,6 +123,12 @@ class SolveConfig:
     def __post_init__(self):
         if self.strategy not in (GREEDY, RANDOMIZED):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        for name in ("seed", "randomized_rounds"):
+            # np.int64(3) is 3; 2.5 or "3" raises here, not inside solve.
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.randomized_rounds < 1:
             raise ValueError("need at least one randomized round")
         if self.k <= 0:

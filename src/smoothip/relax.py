@@ -22,8 +22,10 @@ feasibility of x* survives the passage to concrete numbers.  Each
 polynomial side constraint adds the same component rows plus a relaxed
 top-level window widened by the sum of that constraint's tolerances.
 
-Only the tolerances depend on eps.  What depends on the polynomial
-alone is a :class:`RelaxationPlan`, read once off its
+Only the tolerances depend on eps, each as beta * sqrt(n * eps) times a
+level factor, so every row carries its eps-free width, the sum of the
+level factors of the tolerances that widen it.  What depends on the
+polynomial alone is a :class:`RelaxationPlan`, read once off its
 :class:`~smoothip.poly.ScoreTable` (a :class:`SidePlan` adds a side
 constraint's window).  Per prediction, every node value p_I(xhat) is
 computed once, bottom-up, as an integer over the table's L by the
@@ -38,14 +40,13 @@ warm-started at the prediction with each row's activity.  Once every
 row's range over [0,1]^n lies strictly inside its window, no row can
 cut the box: the first grid budget where that holds is the saturation
 budget, and every larger budget is saturated too, since the windows
-nest.
+nest.  Per prediction, that test is one exact bound on sqrt(n * eps).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -86,6 +87,15 @@ class ConstrainedProgram:
                 raise ValueError("constraint bounds crossed")
 
 
+def _level_factor(n: int, d: int, tuple_len: int) -> Fraction:
+    """delta_I / (beta * sqrt(n * eps)) at depth tuple_len = |I|: 1 at the
+    deepest constrained level (|I| = d - 1), 2 * e * n^(d - |I| - 1)
+    above it."""
+    if tuple_len == d - 1:
+        return Fraction(1)
+    return 2 * E_UPPER * Fraction(n) ** (d - tuple_len - 1)
+
+
 def tolerance(
     beta: Fraction | int, n: int, d: int, tuple_len: int, eps: int
 ) -> Fraction:
@@ -93,18 +103,14 @@ def tolerance(
 
     beta * sqrt(n * eps) at the deepest constrained level (|I| = d - 1),
     2 * beta * e * n^(d - |I| - 1/2) * sqrt(eps) above it; both via upward
-    square roots, written as n^(d - |I| - 1) * sqrt(n * eps).
+    square roots, written as :func:`_level_factor` times beta * sqrt(n *
+    eps).
     """
     if not 1 <= tuple_len <= d - 1:
         raise ValueError(f"tuple length {tuple_len} outside [1, {d - 1}]")
     if not 0 <= eps <= n:
         raise ValueError(f"error budget {eps} outside [0, {n}]")
-    if eps == 0:
-        return Fraction(0)
-    root = sqrt_upper(n * eps)
-    if tuple_len == d - 1:
-        return Fraction(beta) * root
-    return 2 * Fraction(beta) * E_UPPER * Fraction(n) ** (d - tuple_len - 1) * root
+    return Fraction(beta) * _level_factor(n, d, tuple_len) * sqrt_upper(n * eps)
 
 
 class Row(NamedTuple):
@@ -114,13 +120,13 @@ class Row(NamedTuple):
     in ascending j.  Every number of the row is an integer over the
     positive ``denom``: the coefficient of x_j is c / denom for its pair
     (j, c) and 0 for a j without one, the lower bound lower / denom, and
-    so on.  At budget eps the row reads lower - w <= coeffs . x
-    <= upper + w, where w sums count * tolerance(beta, n, degree, depth,
-    eps) over the (degree, depth, count) triples in ``widening``.  A
-    component row of p_I has key I, lower = upper = p_I(xhat) - c_I and
-    widening ((d, |I|, 1),); a side constraint's top-level window has key
-    (), its bounds minus the constraint's constant, and widens by the sum
-    of that constraint's component tolerances.  activity is coeffs . xhat,
+    so on.  ``width`` is the row's eps-free width a / b as the integer
+    pair (a, b), b > 0: at budget eps the row reads lower - w <= coeffs .
+    x <= upper + w with w = a / b * beta * sqrt(n * eps).  A component row
+    of p_I has key I, lower = upper = p_I(xhat) - c_I and the level factor
+    of depth |I| as its width; a side constraint's top-level window has
+    key (), its bounds minus the constraint's constant, and the sum of
+    that constraint's component rows' widths.  activity is coeffs . xhat,
     the prediction's value (a component row's centre).
     """
 
@@ -129,7 +135,7 @@ class Row(NamedTuple):
     denom: int
     lower: int | None
     upper: int | None
-    widening: tuple
+    width: tuple
     activity: int
 
 
@@ -137,7 +143,7 @@ def _need(lower, upper, low: int, high: int) -> int | None:
     """max(lower - low, high - upper) over the bounds present, or None
     when both are absent: with [low, high] the exact range of a row's
     coeffs . x over [0,1]^n, that range lies strictly inside the row's
-    window exactly when its widening w > need / denom."""
+    window exactly when the row's w at that budget exceeds need / denom."""
     if lower is None:
         return None if upper is None else high - upper
     return lower - low if upper is None else max(lower - low, high - upper)
@@ -179,11 +185,10 @@ class RelaxationPlan:
     ``constants[k]`` is c_I * L for node k, and ``children`` holds (k,
     pairs) for every node k that has children, in that order, its pairs
     (j, position of (I, j)) in ascending j; ``top`` is the root's pairs.
-    ``rows`` holds one (key, position, widening, pairs) per component
-    row, every I with 1 <= |I| <= d - 1 in sorted order, d the table's
-    declared degree, and the rows of one depth share one widening, ((d,
-    |I|, 1),).  ``offset`` is the top-level constant c.  Raises
-    ValueError on a polynomial that is not multilinear.  Immutable by
+    ``rows`` holds one (key, position, width, pairs) per component row,
+    every I with 1 <= |I| <= d - 1 in sorted order, d the table's declared
+    degree, and width the level factor of depth |I| as an integer pair
+    (a, b).  ``offset`` is the top-level constant c.  Raises ValueError on a polynomial that is not multilinear.  Immutable by
     convention, like :class:`~smoothip.poly.ScoreTable`; compares by
     value and pickles.
     """
@@ -215,7 +220,10 @@ class RelaxationPlan:
             children[seen[depth - 1]].append((key[-1], last - i))
         pairs = {k: tuple(kids) for k, kids in enumerate(children) if kids}
         constant = dict(zip(monomials, table.coeffs))
-        widening = {depth: ((d, depth, 1),) for depth in range(1, d)}
+        width = {
+            depth: _level_factor(table.n, d, depth).as_integer_ratio()
+            for depth in range(1, d)
+        }
         self.n = table.n
         self.degree = d
         self.scale = table.scale
@@ -227,7 +235,7 @@ class RelaxationPlan:
         self.top = pairs.get(last, ())
         self.rows = tuple(
             [
-                (key, last - i, widening[len(key)], pairs.get(last - i, ()))
+                (key, last - i, width[len(key)], pairs.get(last - i, ()))
                 for i, key in enumerate(keys)
                 if 1 <= len(key) <= d - 1
             ]
@@ -255,22 +263,22 @@ class RelaxationPlan:
         """The component rows at the prediction whose node values are
         ``values``: row I has centre (p_I(xhat) - c_I) * L."""
         rows = []
-        for key, k, widening, children in self.rows:
+        for key, k, width, children in self.rows:
             center = values[k] - self.constants[k]
             rows.append(
                 Row(
                     key, _pairs(values, children), self.scale, center,
-                    center, widening, center,
+                    center, width, center,
                 )
             )
         return rows
 
     def fold_needs(self, values: list, needs: dict) -> None:
-        """Raise needs[(widening, L)] to the need of every component row
-        at these node values, without building the rows."""
+        """Raise needs[(width, L)] to the need of every component row at
+        these node values, without building the rows."""
         constants = self.constants
         largest: dict = {}
-        for _, k, widening, children in self.rows:
+        for _, k, width, children in self.rows:
             # _span and max, inlined: this loop runs for every prediction.
             low = high = 0
             for _, child in children:
@@ -282,10 +290,10 @@ class RelaxationPlan:
             center = values[k] - constants[k]
             below, above = center - low, high - center
             need = below if below > above else above
-            if need > largest.get(widening, need - 1):
-                largest[widening] = need
-        for widening, need in largest.items():
-            _fold(needs, (widening, self.scale), need)
+            if need > largest.get(width, need - 1):
+                largest[width] = need
+        for width, need in largest.items():
+            _fold(needs, (width, self.scale), need)
 
 
 def _fold(needs: dict, group, need) -> None:
@@ -298,16 +306,16 @@ class SidePlan(NamedTuple):
 
     ``lower`` and ``upper`` are the bounds minus the constraint's
     constant, as integers over ``denom``, the lcm of the plan's L and the
-    bounds' denominators (None for an absent bound), and ``widening`` sums
-    the constraint's component tolerances as (degree, depth, count)
-    triples.
+    bounds' denominators (None for an absent bound), and ``width``, an
+    integer pair (a, b) like a :class:`Row`'s, is the sum of the widths of
+    the constraint's component rows: (0, 1) when it has none.
     """
 
     plan: RelaxationPlan
     lower: int | None
     upper: int | None
     denom: int
-    widening: tuple
+    width: tuple
 
     def top_row(self, values: list) -> Row:
         """The window's row at the prediction whose node values are
@@ -320,7 +328,7 @@ class SidePlan(NamedTuple):
             self.denom,
             self.lower,
             self.upper,
-            self.widening,
+            self.width,
             (values[-1] - plan.constants[-1]) * factor,
         )
 
@@ -330,7 +338,7 @@ class SidePlan(NamedTuple):
         low, high = _span(values, self.plan.top)
         factor = self.denom // self.plan.scale
         _fold(
-            needs, (self.widening, self.denom),
+            needs, (self.width, self.denom),
             _need(self.lower, self.upper, low * factor, high * factor),
         )
         self.plan.fold_needs(values, needs)
@@ -342,13 +350,14 @@ class Relaxation:
 
     Built once per solve around the prediction xhat; the objective's
     coefficients are integers over ``denom``.  ``needs`` holds, per group
-    of rows that share a widening and a denominator, the largest need
-    (see :func:`_need`), and ``parts`` one (plan, node values, side plan
-    or None) per polynomial, the objective first.  ``rows`` are built
-    from them on first use, so a prediction saturated at every budget it
-    solves never builds them.  ``model(eps)`` adds the tolerances of one
-    budget, and ``lp()`` prepares the LP that every budget shares, up to
-    ``windows(eps)``.
+    of rows that share a width and a denominator, ((a, b), denom), the
+    largest need (see :func:`_need`), and ``parts`` one (plan, node
+    values, side plan or None) per polynomial, the objective first.
+    ``rows`` are built from them on first use, so a prediction saturated
+    at every budget it solves never builds them.  ``windows(eps)`` scales
+    every row's width by beta * sqrt(n * eps), ``model(eps)`` is that
+    budget's exact LP, and ``lp()`` prepares the LP that every budget
+    shares, up to ``windows(eps)``.
     """
 
     n: int
@@ -371,31 +380,18 @@ class Relaxation:
             rows.extend(plan.component_rows(values))
         return tuple(rows)
 
-    def _widths(self, eps: int, widenings) -> dict:
-        """{widening: w at budget eps} over the given distinct widenings,
-        each w a Fraction; one tolerance call per distinct (degree,
-        depth)."""
-        radius: dict = {}
-        width: dict = {}
-        for widening in widenings:
-            total = Fraction(0)
-            for degree, depth, count in widening:
-                if (degree, depth) not in radius:
-                    radius[degree, depth] = tolerance(
-                        self.beta, self.n, degree, depth, eps
-                    )
-                total += count * radius[degree, depth]
-            width[widening] = total
-        return width
-
     def windows(self, eps: int) -> list:
         """(lower, upper, denom) of every row at budget eps: its bounds
-        widened by w = a / b, as integers over denom = row.denom * b, with
-        None where the row has no bound."""
-        width = self._widths(eps, {row.widening for row in self.rows})
+        widened by w = a / b, its width times beta * sqrt(n * eps) in
+        lowest terms, as integers over denom = row.denom * b, with None
+        where the row has no bound."""
+        scale = self.beta * sqrt_upper(self.n * eps)
+        width = {
+            w: Fraction(*w) * scale for w in {row.width for row in self.rows}
+        }
         out = []
         for row in self.rows:
-            w = width[row.widening]
+            w = width[row.width]
             b = w.denominator
             slack = w.numerator * row.denom
             out.append(
@@ -449,21 +445,24 @@ class Relaxation:
         saturated, or None.  Windows only widen as eps grows, so every
         later budget is saturated too and a bisection finds the first.
 
-        A row is saturated when its widening a / b exceeds its need /
-        denom.  The rows that share a widening and a denominator are all
-        saturated exactly when the one of largest need is, so a budget
-        takes one integer comparison per such group.
+        A row of width a / b is saturated when a / b * beta * sqrt(n * eps)
+        exceeds its need / denom: for beta * a > 0 when sqrt(n * eps) >
+        need * b / (beta * a * denom), for beta * a = 0 when need < 0, at
+        every budget or none.  Checking the largest need of each group of
+        rows that share a width and a denominator, a budget is saturated
+        exactly when sqrt_upper(n * eps) exceeds the largest such bound
+        (-1 with none).
         """
-
-        def saturated(eps: int) -> bool:
-            width = self._widths(eps, {widening for (widening, _), _ in self.needs})
-            return all(
-                width[widening].numerator * denom
-                > need * width[widening].denominator
-                for (widening, denom), need in self.needs
-            )
-
-        i = bisect.bisect_left(grid, True, key=saturated)
+        top = Fraction(-1)
+        for ((a, b), denom), need in self.needs:
+            scaled = self.beta * a * denom
+            if scaled:
+                top = max(top, need * b / scaled)
+            elif need >= 0:
+                return None
+        i = bisect.bisect_left(
+            grid, True, key=lambda eps: sqrt_upper(self.n * eps) > top
+        )
         return grid[i] if i < len(grid) else None
 
 
@@ -520,7 +519,7 @@ def constraint_plans(scores) -> tuple:
     sides = []
     for table, lower, upper in scores:
         plan = RelaxationPlan(table)
-        depths = Counter(len(row[0]) for row in plan.rows)
+        width = sum((Fraction(*row[2]) for row in plan.rows), Fraction(0))
         bounds = [
             None if b is None else Fraction(b) - plan.offset
             for b in (lower, upper)
@@ -533,13 +532,7 @@ def constraint_plans(scores) -> tuple:
             for b in bounds
         )
         sides.append(
-            SidePlan(
-                plan, lower, upper, denom,
-                tuple(
-                    (plan.degree, depth, count)
-                    for depth, count in sorted(depths.items())
-                ),
-            )
+            SidePlan(plan, lower, upper, denom, width.as_integer_ratio())
         )
     return tuple(sides)
 
@@ -561,8 +554,10 @@ def prepare_relaxation(
     A constraint's linearized top level q_c must stay within [lower -
     delta_c, upper + delta_c] where delta_c is the sum of the
     constraint's component tolerances, and its components obey the same
-    per-tuple rows as the objective's.
+    per-tuple rows as the objective's.  A negative beta raises ValueError.
     """
+    if beta < 0:
+        raise ValueError(f"beta {beta} is negative")
     n = plan.n
     point = prediction_point(xhat, n)
     values = plan.values(point)
@@ -631,10 +626,6 @@ def constraint_violation_bound(
     deviation."""
     if d < 2:
         raise ValueError("violation bound needs degree >= 2")
-    slack = (
-        gap_factor(beta, n, d) / 2 * sqrt_upper(n * eps)
-        if eps > 0
-        else Fraction(0)
-    )
+    slack = gap_factor(beta, n, d) / 2 * sqrt_upper(n * eps)
     return slack + rounding_deviation_term(beta, n, d, k)
 

@@ -15,12 +15,13 @@ Tests require the package to agree with them field for field.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from smoothip.poly import Polynomial, decompose
+from smoothip.rat import E_UPPER
 from smoothip.relax import constraint_degree, prediction_point
 
 
@@ -65,19 +66,41 @@ def fraction_value(poly, point) -> Fraction:
     )
 
 
+def schedule_width(n, widening) -> Fraction:
+    """The sum of count * delta_I / (beta * sqrt(n * eps)) over the
+    (degree d, depth |I|, count) triples of widening, by the paper's
+    schedule: delta_I is beta * sqrt(n * eps) at |I| = d - 1 and 2 * beta
+    * e * n^(d - |I| - 1/2) * sqrt(eps) above."""
+    return sum(
+        (
+            count * (
+                1 if depth == d - 1
+                else 2 * E_UPPER * Fraction(n) ** (d - depth - 1)
+            )
+            for d, depth, count in widening
+        ),
+        Fraction(0),
+    )
+
+
 @dataclass(frozen=True)
 class ExactRow:
-    """relax.Row with every number a Fraction and dense coefficients."""
+    """relax.Row with every number a Fraction and dense coefficients.
+
+    A reference row also keeps, outside comparisons, the (degree, depth,
+    count) triples of the tolerances that widen it, from which its width
+    is computed; a built row has none."""
 
     key: tuple
     coeffs: tuple
     lower: Fraction | None
     upper: Fraction | None
-    widening: tuple
+    width: Fraction
     low: Fraction
     high: Fraction
     activity: Fraction
     need: Fraction | None
+    widening: tuple = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -113,7 +136,7 @@ def as_fractions(relaxation) -> ExactRelaxation:
             dense(row),
             over(row.lower, row.denom),
             over(row.upper, row.denom),
-            row.widening,
+            Fraction(*row.width),
             Fraction(row.activity, row.denom),
         )
         for row in relaxation.rows
@@ -125,7 +148,7 @@ def as_fractions(relaxation) -> ExactRelaxation:
     )
 
 
-def _row(key, coeffs, lower, upper, widening, activity) -> ExactRow:
+def _row(key, coeffs, lower, upper, width, activity, widening=()) -> ExactRow:
     low = sum((c for c in coeffs if c < 0), Fraction(0))
     high = sum((c for c in coeffs if c > 0), Fraction(0))
     needs = []
@@ -134,8 +157,16 @@ def _row(key, coeffs, lower, upper, widening, activity) -> ExactRow:
     if upper is not None:
         needs.append(high - upper)
     return ExactRow(
-        key, tuple(coeffs), lower, upper, widening, low, high, activity,
-        max(needs, default=None),
+        key, tuple(coeffs), lower, upper, width, low, high, activity,
+        max(needs, default=None), widening,
+    )
+
+
+def _reference_row(key, coeffs, lower, upper, widening, activity) -> ExactRow:
+    """A reference row, its width computed from its triples."""
+    return _row(
+        key, coeffs, lower, upper, schedule_width(len(coeffs), widening),
+        activity, widening,
     )
 
 
@@ -162,7 +193,9 @@ def _component_rows(tree, point) -> list:
         coeffs, _ = _linearization(tree, key, point)
         center = _activity(coeffs, point)
         rows.append(
-            _row(key, coeffs, center, center, ((d, len(key), 1),), center)
+            _reference_row(
+                key, coeffs, center, center, ((d, len(key), 1),), center
+            )
         )
     return rows
 
@@ -188,7 +221,7 @@ def evaluate_constrained_relaxation(prog, xhat, beta) -> ExactRelaxation:
         depths = Counter(len(row.key) for row in components)
         top, top_const = _linearization(tree, (), point)
         rows.append(
-            _row(
+            _reference_row(
                 (),
                 top,
                 None if lower is None else lower - top_const,

@@ -5,7 +5,6 @@ import pytest
 from smoothip.oracle import (
     ErmProblem,
     Prediction,
-    empirical_prediction_error,
     erm_select,
     exact_prediction,
     perturb,
@@ -163,29 +162,6 @@ def test_erm_validation():
         ErmProblem((exact_prediction,), ())
     with pytest.raises(ValueError):
         ErmProblem((exact_prediction,), (Instance(inst.objective),))
-
-
-# -- empirical prediction error -----------------------------------------
-
-
-def test_prediction_error_extremes():
-    instances = [clique_instance(4), clique_instance(6)]
-    assert empirical_prediction_error(exact_prediction, instances) == 0
-    assert empirical_prediction_error(complement, instances) == 5
-
-
-def test_prediction_error_of_fixed_perturbation():
-    instances = [clique_instance(6), clique_instance(8)]
-
-    def noisy(instance):
-        return perturb(exact_prediction(instance), 2, seed=5)
-
-    assert empirical_prediction_error(noisy, instances) == 2
-
-
-def test_prediction_error_needs_instances():
-    with pytest.raises(ValueError):
-        empirical_prediction_error(exact_prediction, ())
 
 
 # -- files --------------------------------------------------------------

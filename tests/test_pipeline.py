@@ -198,6 +198,25 @@ def test_config_validation():
         solve(Instance(PATH3), (0, 1, 0), SolveConfig(grid=(0, 4)))
 
 
+@pytest.mark.parametrize("field", ["seed", "randomized_rounds"])
+def test_config_takes_only_integer_seeds_and_rounds(field):
+    """A seed or a round count that is not an integer raises when the
+    config is made, not deep inside solve; a NumPy integer is the same
+    int."""
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=field):
+            SolveConfig(strategy="randomized", **{field: bad})
+    numpy, plain = (
+        SolveConfig(strategy="randomized", grid=(0, 2), **{field: value})
+        for value in (np.int64(3), 3)
+    )
+    assert numpy == plain and type(getattr(numpy, field)) is int
+    inst = Instance(maxcut_objective(gen_gnp(8, 0.5, seed=1)))
+    assert strip_wall(solve(inst, (0, 1) * 4, numpy)) == strip_wall(
+        solve(inst, (0, 1) * 4, plain)
+    )
+
+
 def test_stride_and_explicit_grids():
     g = gen_gnp(10, 0.4, 9)
     inst = Instance(maxcut_objective(g))

@@ -14,6 +14,7 @@ from exact_reference import (
     as_fractions,
     evaluate_constrained_relaxation,
     evaluate_relaxation,
+    schedule_width,
     window_saturated,
 )
 from helpers import (
@@ -135,7 +136,8 @@ def test_tolerance_square_is_tight():
 def tree_plan(tree) -> dict:
     """A plan's fields as the decomposition tree gives them: the tree's
     nodes numbered child-first, their constants over L, and children,
-    top and rows by those numbers."""
+    top and rows by those numbers, each row's width by the paper's
+    schedule."""
     root = tree.root
     d = root.degree
     scale = math.lcm(*(c.denominator for c in root.coeffs.values()))
@@ -157,8 +159,11 @@ def tree_plan(tree) -> dict:
         "children": tuple(sorted(children.items())),
         "top": children.get(len(keys) - 1, ()),
         "rows": tuple(
-            (key, position[key], ((d, len(key), 1),),
-             children.get(position[key], ()))
+            (
+                key, position[key],
+                schedule_width(root.n, ((d, len(key), 1),)).as_integer_ratio(),
+                children.get(position[key], ()),
+            )
             for key in sorted(tree.nodes)
             if 1 <= len(key) <= d - 1
         ),
@@ -228,8 +233,10 @@ def test_relaxation_rows_skip_top_level():
         RelaxationPlan(ScoreTable(p)), (1, 1, 0, 1), 1
     )
     assert [row.key for row in relaxation.rows] == [(0,), (0, 1), (1,), (1, 3)]
-    assert [row.widening for row in relaxation.rows] == [
-        ((3, 1, 1),), ((3, 2, 1),), ((3, 1, 1),), ((3, 2, 1),)
+    # Depth 1 is widened by 2e * n^(3 - 1 - 1) = 8e, depth 2 by 1.
+    wide = (8 * E_UPPER).as_integer_ratio()
+    assert [row.width for row in relaxation.rows] == [
+        wide, (1, 1), wide, (1, 1)
     ]
     assert relaxation.n == 4 and relaxation.beta == 1
     # Row (0,) linearizes p_0 = x1 x2 around xhat: coefficient of x1 is
@@ -573,6 +580,13 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
     assert huge > 100 and naive_misses > 10 and tiny > 10
 
 
+def test_negative_beta_is_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        prepare_relaxation(
+            RelaxationPlan(ScoreTable(TRIANGLE)), (1, 0, 0), Fraction(-1, 2)
+        )
+
+
 def test_prediction_rejected_when_malformed():
     tree = decompose(TRIANGLE)
     with pytest.raises(ValueError):
@@ -698,7 +712,10 @@ def fractional_multilinear(rng, n, d):
 
 def assert_same_relaxation(built, reference):
     """Every number of the built relaxation, read as an exact rational over
-    its denominator, equals the reference's Fraction."""
+    its denominator, equals the reference's Fraction; at every budget,
+    each row's window is the reference row's bounds widened by the sum of
+    count * tolerance over the reference's (degree, depth, count) triples,
+    and the saturation test is what the windows say."""
     exact = as_fractions(built)
     assert exact.objective == reference.objective
     assert exact.offset == reference.offset
@@ -706,7 +723,7 @@ def assert_same_relaxation(built, reference):
     for built_row, row, ref in zip(built.rows, exact.rows, reference.rows):
         for field in (
             "key", "coeffs", "lower", "upper", "low", "high", "activity",
-            "widening", "need",
+            "width", "need",
         ):
             assert getattr(row, field) == getattr(ref, field), field
         # The integer form: no Fraction per coefficient.
@@ -716,9 +733,60 @@ def assert_same_relaxation(built, reference):
     assert all(type(c) is int for c in built.objective)
     assert exact == reference
     for eps in range(built.n + 1):
+        model = built.model(eps)
+        for (_, lo, hi), ref in zip(model.rows, reference.rows):
+            slack = sum(
+                (
+                    count * tolerance(built.beta, built.n, d, depth, eps)
+                    for d, depth, count in ref.widening
+                ),
+                Fraction(0),
+            )
+            assert lo == (None if ref.lower is None else ref.lower - slack)
+            assert hi == (None if ref.upper is None else ref.upper + slack)
         assert (built.saturation_budget((eps,)) is not None) == (
             window_saturated(built, eps)
         )
+
+
+def test_windows_follow_the_schedule_where_it_degenerates():
+    """The windows and the saturation budget, checked against the
+    reference, where the schedule degenerates: beta = 0 (a zero objective
+    with a side constraint), a constant side constraint (width 0) whose
+    window holds on the box and one whose window does not, and a degree-3
+    side constraint whose rows sit at depths 1 and 2."""
+    n = 4
+    square = Polynomial(n, {(0, 1): 1, (2,): -1})
+    constant = Polynomial(n, {(): 2})
+    cubic = Polynomial(
+        n, {(0, 1, 2): 1, (1, 3): Fraction(1, 2), (2,): 1, (): 1}
+    )
+    xhat = (1, 0, 1, 1)
+    cases = (
+        # No window widens, and the side rows' needs are >= 0.
+        (Polynomial(n, {}), ((square, 0, 1),), 0, None),
+        # The constant 2 lies strictly inside [1, 3]: only the objective's
+        # rows, of need 1 and width 1, are left, and sqrt(4 * 1) > 1.
+        (square, ((constant, 1, 3),), 1, 1),
+        # 2 lies outside [3, 5], and no budget widens the window.
+        (square, ((constant, 3, 5),), 1, None),
+        # At beta * sqrt(4 * 1) = 3 every window holds its row on the box.
+        (square, ((cubic, None, 2),), Fraction(3, 2), 1),
+    )
+    for objective, constraints, beta, budget in cases:
+        prepared = prepare(Instance(objective, constraints))
+        built = prepare_relaxation(
+            prepared.plan, xhat, beta, prepared.constraint_plans
+        )
+        reference = evaluate_constrained_relaxation(
+            ConstrainedProgram(*_normalized(objective, constraints)), xhat,
+            beta,
+        )
+        assert_same_relaxation(built, reference)
+        assert built.saturation_budget(range(n + 1)) == budget
+    cubic_rows = [row for row in reference.rows if len(row.widening) > 1]
+    assert [row.widening for row in cubic_rows] == [((3, 1, 3), (3, 2, 2))]
+    assert cubic_rows[0].width == 3 * 8 * E_UPPER + 2
 
 
 def test_integer_build_matches_per_child_evaluation():
@@ -873,7 +941,7 @@ def test_plan_relaxation_matches_the_reference(case):
     # each computed from the row's pairs and bounds.
     largest = {}
     for row, exact in zip(relaxation.rows, as_fractions(relaxation).rows):
-        group = (row.widening, row.denom)
+        group = (row.width, row.denom)
         if exact.need is not None:
             need = exact.need * row.denom
             largest[group] = max(largest.get(group, need), need)
