@@ -26,6 +26,12 @@ from dataclasses import dataclass
 
 from .poly import Polynomial
 
+# Most variables an instance file may declare.  The parsers check the
+# header against it before anything is sized by n, so that the work and
+# memory of reading a file are bounded by the file, not by one number in
+# its header.
+MAX_VARIABLES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -270,6 +276,15 @@ def write_dimacs_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _declared(n: int) -> int:
+    """A header's variable count, rejected when above MAX_VARIABLES."""
+    if n > MAX_VARIABLES:
+        raise ValueError(
+            f"{n} variables exceeds the limit of {MAX_VARIABLES} per instance"
+        )
+    return n
+
+
 def parse_dimacs_graph(text: str) -> Graph:
     n = None
     declared = 0
@@ -282,7 +297,7 @@ def parse_dimacs_graph(text: str) -> Graph:
         if fields[0] == "p":
             if n is not None or len(fields) != 4 or fields[1] != "edge":
                 raise ValueError(f"bad header {line!r}")
-            n, declared = int(fields[2]), int(fields[3])
+            n, declared = _declared(int(fields[2])), int(fields[3])
         elif fields[0] == "e":
             if n is None:
                 raise ValueError("edge before header")
@@ -322,7 +337,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
         if fields[0] == "p":
             if n is not None or len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"bad header {line!r}")
-            n, declared = int(fields[2]), int(fields[3])
+            n, declared = _declared(int(fields[2])), int(fields[3])
             continue
         if n is None:
             raise ValueError("clause before header")
@@ -377,6 +392,7 @@ def parse_csp_json(text: str) -> CspInstance:
         raise ValueError(f"missing field {exc}") from exc
     if type(n) is not int or type(k) is not int or type(raw) is not list:
         raise ValueError("n and k must be integers and constraints a list")
+    _declared(n)
     constraints = []
     for entry in raw:
         fields = entry if type(entry) is dict else {}

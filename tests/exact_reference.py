@@ -287,7 +287,8 @@ def additive_maxkcsp_objective(inst) -> Polynomial:
 
 
 def butterfly_masks_to_values(poly, n: int):
-    """pipeline._masks_to_values with n full-table passes of Yates'
+    """The values at all 2^n points that pipeline._value_tiles yields a
+    tile at a time, as one table with n full-table passes of Yates'
     subset-sum transform, on int64 when the coefficient total is below
     2^62 and on Python ints (object) otherwise."""
     denom = math.lcm(

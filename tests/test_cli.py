@@ -22,7 +22,7 @@ from smoothip.pipeline import (
     solve,
 )
 from smoothip.poly import Polynomial
-from smoothip.problems import parse_dimacs_graph
+from smoothip.problems import MAX_VARIABLES, parse_dimacs_graph
 
 TRIANGLE_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
@@ -33,19 +33,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def modules_after(statement: str) -> set:
-    """The names in sys.modules once statement has run in a fresh
-    interpreter with this checkout's src/ on PYTHONPATH."""
+def run_python(code: str, *args: str, **env) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter with this checkout's src/ on
+    PYTHONPATH and env added to the environment."""
     src = str(Path(smoothip.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(
-        os.environ, PYTHONPATH=src if not path else src + os.pathsep + path
+        os.environ, **env,
+        PYTHONPATH=src if not path else src + os.pathsep + path,
     )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+
+
+def modules_after(statement: str) -> set:
+    """The names in sys.modules once statement has run in a fresh
+    interpreter with this checkout's src/ on PYTHONPATH."""
     code = f"import json, sys; {statement}; print(json.dumps([*sys.modules]))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
-        text=True, timeout=60, check=True,
-    )
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout))
 
 
@@ -62,6 +70,37 @@ def test_cli_import_starts_no_process_machinery():
     loads neither multiprocessing nor concurrent.futures."""
     loaded = modules_after("import smoothip.cli")
     assert not loaded & {"multiprocessing", "concurrent.futures"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p edge 100000000 0\n",
+        "p cnf 100000000 0\n",
+        '{"n": 100000000, "k": 1, "constraints": []}',
+    ],
+)
+def test_a_huge_header_is_refused_before_anything_is_sized_by_it(
+    tmp_path, text
+):
+    """A file that declares 10^8 variables and no terms is one error line
+    and exit 2 in a process whose address space is capped at 1 GiB; per-
+    variable tables for 10^8 variables would not fit in it."""
+    path = tmp_path / "huge"
+    path.write_text(text)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from smoothip.cli import main\n"
+        "sys.exit(main(['verify', sys.argv[1]]))\n"
+    )
+    done = run_python(code, str(path), OPENBLAS_NUM_THREADS="1")
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: 100000000 variables exceeds the limit of {MAX_VARIABLES}"
+        " per instance\n"
+    )
 
 
 # -- gen ----------------------------------------------------------------

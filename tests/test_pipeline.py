@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from test_golden import corpus
 from smoothip import lpsolve, pipeline, poly, relax, rounding
 from smoothip.pipeline import (
     EXACT_CAP,
-    _masks_to_values,
+    _value_tiles,
     Instance,
     SolveConfig,
     approx_ratio_bound,
@@ -40,6 +41,7 @@ from smoothip.poly import (
 from smoothip.problems import (
     CnfFormula,
     Graph,
+    cut_size,
     gen_gnp,
     gen_kcsp,
     gen_ksat,
@@ -570,8 +572,20 @@ def test_exact_agrees_with_enumeration():
         assert z == min(pt for pt, v in values.items() if v == value)
 
 
+def value_table(table: ScoreTable):
+    """(values, L): the values at all 2^n points, in index order,
+    assembled from the brute force's tiles."""
+    n, k = table.n, table.n // 2
+    values = None
+    for c0, tile in _value_tiles(table):
+        if values is None:
+            values = np.empty((1 << (n - k), 1 << k), dtype=tile.dtype)
+        values[:, c0:c0 + tile.shape[1]] = tile
+    return values.reshape(-1), table.scale
+
+
 def assert_table_matches_reference(p, dtype=None):
-    table, denom = _masks_to_values(ScoreTable(p))
+    table, denom = value_table(ScoreTable(p))
     want, want_denom = butterfly_masks_to_values(p, p.n)
     assert denom == want_denom
     assert [int(v) for v in table] == [int(v) for v in want]
@@ -631,7 +645,7 @@ def test_value_table_dtype_is_the_narrowest_that_holds_the_total(
 
 def test_value_table_of_the_zero_polynomial():
     for n in (1, 2, 5):
-        table, denom = _masks_to_values(ScoreTable(Polynomial(n, {})))
+        table, denom = value_table(ScoreTable(Polynomial(n, {})))
         assert denom == 1 and table.shape == (1 << n,) and not table.any()
 
 
@@ -664,7 +678,7 @@ def test_infeasible_points_lose_on_every_table_dtype(scale, dtype):
     # Every feasible value is negative, and the infeasible all-zeros
     # point has the largest value; it must not win.
     p = Polynomial(3, {(): -scale, (0,): -scale, (1,): -scale, (2,): -scale})
-    assert _masks_to_values(ScoreTable(p))[0].dtype == np.dtype(dtype)
+    assert value_table(ScoreTable(p))[0].dtype == np.dtype(dtype)
     at_least_one = Polynomial(3, {(0,): 1, (1,): 1, (2,): 1})
     z, value = exact_solve(Instance(p, ((at_least_one, 1, None),)))
     assert z == (0, 0, 1) and value == -2 * scale
@@ -673,7 +687,7 @@ def test_infeasible_points_lose_on_every_table_dtype(scale, dtype):
 def test_windows_far_outside_a_narrow_table():
     p = Polynomial(3, {(0,): 3, (1,): -2, (0, 2): 1})
     count = Polynomial(3, {(0,): 1, (1,): 1, (2,): 1})
-    assert _masks_to_values(ScoreTable(count))[0].dtype == np.int16
+    assert value_table(ScoreTable(count))[0].dtype == np.int16
     plain = exact_solve(Instance(p))
     for window in ((None, 10**30), (-(10**30), None), (-(10**30), 10**30)):
         assert exact_solve(Instance(p, ((count, *window),))) == plain
@@ -687,7 +701,7 @@ def test_windows_at_the_edge_of_a_full_int16_table():
     # does not fit the table's dtype.
     p = Polynomial(2, {(0,): -1, (1,): 1})
     heavy = Polynomial(2, {(0,): 2**15 - 1})
-    assert _masks_to_values(ScoreTable(heavy))[0].dtype == np.int16
+    assert value_table(ScoreTable(heavy))[0].dtype == np.int16
     assert exact_solve(Instance(p, ((heavy, 2**15 - 1, None),))) == (
         (1, 1), 0
     )
@@ -757,6 +771,135 @@ def test_exact_with_side_windows_agrees_with_enumeration(case):
     want = (next(z for z in feasible if evaluate(p, z) == best), best)
     assert exact_solve(instance) == want
     assert exact_solve(prepare(instance)) == want
+
+
+@st.composite
+def tiled_cases(draw):
+    """A tile of 1, 2 or 8 entries, an objective on 1-10 variables on any
+    table dtype and zero to two side windows.  A window sits at a value
+    the constraint takes ([v, v], [v, None] or [None, v]), so that some
+    tiles hold feasible points and others none, or past every value the
+    constraint takes, so that no point meets it."""
+    tile = draw(st.sampled_from((1, 2, 8)))
+    p = draw(table_polynomials())
+    constraints = []
+    for _ in range(draw(st.integers(0, 2))):
+        q = draw(table_polynomials(p.n))
+        z = draw(st.tuples(*[st.integers(0, 1)] * p.n))
+        v = evaluate(q, z)
+        beyond = Fraction(2**90)
+        constraints.append(
+            (q, *draw(st.sampled_from(
+                ((v, v), (v, None), (None, v), (beyond, None))
+            )))
+        )
+    return tile, p, tuple(constraints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiled_cases())
+def test_tiled_brute_force_agrees_with_the_butterfly_and_enumeration(case):
+    """With tiles of 1 to 8 entries, so that many tiles run, the tiles
+    make up the full butterfly's table, and the brute force returns the
+    first point of the full enumeration that is feasible and maximal."""
+    tile, p, constraints = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "TILE", tile)
+        assert_table_matches_reference(p)
+        try:
+            got = exact_solve(Instance(p, constraints))
+        except ValueError as exc:
+            assert "no Boolean point satisfies" in str(exc)
+            got = None
+    values, denom = butterfly_masks_to_values(p, p.n)
+    sides = [
+        (butterfly_masks_to_values(q, p.n), lower, upper)
+        for q, lower, upper in constraints
+    ]
+    want = None
+    for mask in range(1 << p.n):  # ascending z
+        value = Fraction(int(values[mask]), denom)
+        if (want is None or value > want[1]) and all(
+            (lower is None or Fraction(int(v[mask]), d) >= lower)
+            and (upper is None or Fraction(int(v[mask]), d) <= upper)
+            for (v, d), lower, upper in sides
+        ):
+            want = (
+                tuple((mask >> (p.n - 1 - i)) & 1 for i in range(p.n)),
+                value,
+            )
+    assert got == want
+    if got is not None:
+        assert evaluate(p, got[0]) == got[1]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_a_tie_goes_to_the_smaller_index_in_a_later_tile(
+    monkeypatch, scale
+):
+    # n = 2 splits into one high variable z_0 and one low one z_1, and a
+    # tile of 2 entries is one column: the first tile holds z = (0, 0)
+    # and (1, 0), the second (0, 1) and (1, 1).  The cut of one edge
+    # takes its maximum at (1, 0), in the first tile, and at (0, 1), the
+    # smaller index, in the second; (0, 1) must win.
+    monkeypatch.setattr(pipeline, "TILE", 2)
+    p = Polynomial(2, {(0,): scale, (1,): scale, (0, 1): -2 * scale})
+    tiles = [
+        (c0, tile.reshape(-1).tolist())
+        for c0, tile in _value_tiles(ScoreTable(p))
+    ]
+    assert tiles == [(0, [0, scale]), (1, [scale, 0])]
+    count = Polynomial(2, {(0,): 1, (1,): 1})
+    for constraints in ((), ((count, None, 2),), ((count, 1, 1),)):
+        assert exact_solve(Instance(p, constraints)) == ((0, 1), scale)
+
+
+def traced_peak(call):
+    """(result, peak bytes that tracemalloc saw while call ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brute_force_holds_a_tile_not_the_table():
+    # A table of all 2^n values on int16, the narrowest dtype, takes
+    # 2 MiB at n = 20 and 32 MiB at n = 24.  The brute force holds one
+    # tile of TILE entries (1 MiB on int16) and the low half's table.
+    assert pipeline.TILE == 1 << 19
+    for n, opt in ((20, 69), (24, 94)):
+        graph = gen_gnp(n, 0.5, 7)
+        prepared = prepare(Instance(maxcut_objective(graph)))
+        assert next(_value_tiles(prepared.greedy))[1].dtype == np.int16
+        (z, value), peak = traced_peak(lambda: exact_solve(prepared))
+        assert value == cut_size(graph, z) == opt
+        assert peak < 3 << 19
+
+
+@pytest.mark.parametrize(
+    "scale, n, dtype",
+    [(1, 18, np.int16), (2**13, 18, np.int32), (2**29, 18, np.int64),
+     (2**70, 16, object)],
+)
+def test_brute_force_memory_is_a_fraction_of_the_table_on_every_dtype(
+    monkeypatch, scale, n, dtype
+):
+    """With tiles of 2^10 entries, the brute force's traced peak, under a
+    side window too, is below a quarter of the peak of assembling the
+    table of all 2^n values on the same dtype (Python ints included)."""
+    monkeypatch.setattr(pipeline, "TILE", 1 << 10)
+    cut = maxcut_objective(gen_gnp(n, 0.5, 7))
+    p = Polynomial(n, {m: c * scale for m, c in cut.coeffs.items()})
+    count = Polynomial(n, {(i,): 1 for i in range(n)})
+    table = ScoreTable(p)
+    (values, _), full = traced_peak(lambda: value_table(table))
+    assert values.dtype == np.dtype(dtype)
+    for constraints in ((), ((count, None, n // 2),)):
+        prepared = prepare(Instance(p, constraints))
+        _, peak = traced_peak(lambda: exact_solve(prepared))
+        assert peak < full / 4
 
 
 def test_exact_at_the_cap():

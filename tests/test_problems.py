@@ -15,6 +15,7 @@ from smoothip.poly import (
     min_smoothness,
 )
 from smoothip.problems import (
+    MAX_VARIABLES,
     CnfFormula,
     CspInstance,
     Graph,
@@ -345,6 +346,19 @@ def test_cnf_parse_errors():
         parse_dimacs_cnf("p cnf 2 2\n1 0\n")
     with pytest.raises(ValueError):
         parse_dimacs_cnf("p cnf 2 1\n3 0\n")
+
+
+def test_parsers_reject_a_variable_count_above_the_limit():
+    headers = (
+        (parse_dimacs_graph, "p edge {} 0\n"),
+        (parse_dimacs_cnf, "p cnf {} 0\n"),
+        (parse_csp_json, '{{"n": {}, "k": 1, "constraints": []}}'),
+    )
+    for parse, header in headers:
+        assert parse(header.format(MAX_VARIABLES)).n == MAX_VARIABLES
+        for n in (MAX_VARIABLES + 1, 10**8):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                parse(header.format(n))
 
 
 def test_csp_json_round_trip():
