@@ -21,7 +21,6 @@ column.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -223,9 +222,6 @@ def _sweep_cell(payload):
 
 def cmd_sweep(args) -> int:
     eps_values = sorted(set(int(part) for part in args.eps.split(",")))
-    if args.opt is not None and len(args.instances) != 1:
-        raise ValueError("--opt applies to a single instance")
-    given_opt = _parse_opt(args.opt)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     # The checks every cell's SolveConfig makes, made once up front.
@@ -243,8 +239,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"eps values must lie in [0, {n}] for {path}")
     cells = []
     for prepared in [prepare(instance) for instance in instances]:
-        star, brute_opt = exact_solve(prepared)
-        opt = brute_opt if given_opt is None else given_opt
+        star, opt = exact_solve(prepared)
         cells.extend(
             (prepared, star, opt, eps, trial, args.strategy, args.seed, args.k)
             for eps in eps_values
@@ -351,11 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("greedy", "randomized"), default="greedy"
     )
     sweep.add_argument("--k", type=int, default=1)
-    sweep.add_argument(
-        "--opt",
-        help="known optimum for the opt, ratio and bound columns (single "
-        "instance only; the predictions still come from brute force)",
-    )
     sweep.add_argument("--out", help="output CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -126,8 +126,6 @@ class _Simplex:
         return True
 
     def recompute_basic_values(self):
-        if not self.basis.size:
-            return
         v = self.val.copy()
         v[self.basis] = 0.0
         rhs = -(self.M @ v)
@@ -150,11 +148,7 @@ class _Simplex:
             if self.iterations % REFRESH_EVERY == 0 and not self.refresh():
                 return NUMERICAL_FAILURE
 
-            duals = (
-                self.cost[self.basis] @ self.Binv
-                if self.basis.size
-                else np.zeros(self.m)
-            )
+            duals = self.cost[self.basis] @ self.Binv
             reduced = self.cost - duals @ self.M
             j = self._pick_entering(reduced)
             if j is None:
@@ -166,8 +160,7 @@ class _Simplex:
                 return UNBOUNDED
 
             delta = best
-            if self.basis.size:
-                self.val[self.basis] -= sigma * delta * w
+            self.val[self.basis] -= sigma * delta * w
             self.val[j] += sigma * delta
 
             if leave_pos < 0:

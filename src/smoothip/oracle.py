@@ -1,12 +1,12 @@
 """Prediction sources: exact optima, controlled noise, files, and
 empirical-risk selection over a finite candidate family.
 
-A prediction is just a Boolean vector with a provenance tag.  Candidates
-for selection are callables from an instance to such a vector (or to a
-Prediction); selection prepares every training instance once, runs the
-pipeline on it for every candidate's prediction and keeps the candidate
-with the smallest mean cost, where the cost of achieving value v on an
-instance with ceiling h is h - v.
+A prediction is a plain tuple of 0s and 1s.  Candidates for selection
+are callables from an instance to such a vector; selection prepares
+every training instance once, runs the pipeline on it for every
+candidate's prediction and keeps the candidate with the smallest mean
+cost, where the cost of achieving value v on an instance with ceiling h
+is h - v.
 """
 
 from __future__ import annotations
@@ -24,18 +24,6 @@ from .pipeline import (
     solve,
 )
 from .relax import prediction_point
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Boolean vector plus where it came from: "exact", "perturbed(e)",
-    "file", or "erm(i)"."""
-
-    x_hat: tuple
-    provenance: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_hat", prediction_point(self.x_hat))
 
 
 @dataclass(frozen=True)
@@ -61,29 +49,25 @@ class ErmProblem:
                 )
 
 
-def _vector(prediction) -> tuple:
-    return prediction_point(getattr(prediction, "x_hat", prediction))
-
-
-def exact_prediction(instance: Instance | PreparedInstance) -> Prediction:
-    """The canonical optimum itself (lexicographically smallest); a
-    prepared instance is not normalized again."""
+def exact_prediction(instance: Instance | PreparedInstance) -> tuple:
+    """The canonical optimum itself (lexicographically smallest), as a
+    0/1 tuple; a prepared instance is not normalized again."""
     z, _ = exact_solve(instance)
-    return Prediction(z, "exact")
+    return z
 
 
-def perturb(x_star, eps: int, seed: int) -> Prediction:
+def perturb(x_star, eps: int, seed: int) -> tuple:
     """Flip exactly eps coordinates, chosen uniformly by the seed.
 
-    The result is always at Hamming distance eps from the input.
+    The result is a 0/1 tuple at Hamming distance eps from the input.
     """
-    base = list(_vector(x_star))
+    base = list(prediction_point(x_star))
     if not 0 <= eps <= len(base):
         raise ValueError(f"flip count {eps} outside [0, {len(base)}]")
     rng = random.Random(seed)
     for i in rng.sample(range(len(base)), eps):
         base[i] = 1 - base[i]
-    return Prediction(tuple(base), f"perturbed({eps})")
+    return tuple(base)
 
 
 def erm_select(
@@ -97,7 +81,7 @@ def erm_select(
     for i, candidate in enumerate(prob.candidates):
         total = Fraction(0)
         for instance, ready in zip(prob.training, prepared):
-            report = solve(ready, _vector(candidate(instance)), config)
+            report = solve(ready, candidate(instance), config)
             total += Fraction(instance.h) - report.best_value
         cost = total / len(prob.training)
         if best_cost is None or cost < best_cost:
@@ -110,13 +94,13 @@ def erm_select(
 
 def write_prediction(path, prediction) -> None:
     Path(path).write_text(
-        "".join(str(v) for v in _vector(prediction)) + "\n"
+        "".join(str(v) for v in prediction_point(prediction)) + "\n"
     )
 
 
-def read_prediction(path) -> Prediction:
+def read_prediction(path) -> tuple:
     text = Path(path).read_text().strip()
     if not text or set(text) - {"0", "1"}:
         raise ValueError(f"prediction file {path} is not a 0/1 line")
-    return Prediction(tuple(int(ch) for ch in text), "file")
+    return tuple(int(ch) for ch in text)
 

@@ -113,15 +113,16 @@ class Instance:
 class SolveConfig:
     """Knobs for one pipeline run.
 
-    grid = None walks every eps 0, 1, ..., n; an explicit grid is used as
-    given (sorted, deduplicated).  k is the tail exponent in the reported
-    concentration radii.
+    grid = None walks every eps 0, 1, ..., n; an explicit grid, any
+    nonempty iterable of integers, is read once and kept as a sorted
+    tuple without repeats.  The prediction is always a candidate; the
+    baseline is one unless include_baseline_candidate is False.  k is
+    the tail exponent in the reported concentration radii.
     """
 
     strategy: str = GREEDY
     seed: int = 0
     grid: tuple | None = None
-    include_prediction_candidate: bool = True
     include_baseline_candidate: bool = True
     k: int = 1
     randomized_rounds: int = 16
@@ -129,6 +130,16 @@ class SolveConfig:
     def __post_init__(self):
         if self.strategy not in (GREEDY, RANDOMIZED):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.grid is not None:
+            grid = tuple(self.grid)  # a generator is read once, here
+            if not grid:
+                raise ValueError("grid is empty")
+            for e in grid:
+                # 2.0 and np.int64(2) are 2; 2.9 or "3" raises.
+                if not isinstance(e, numbers.Real) or e % 1:
+                    raise ValueError(f"grid values must be integers, got {e!r}")
+            grid = sorted(set(map(int, grid)))
+            object.__setattr__(self, "grid", tuple(grid))
         for name in ("seed", "randomized_rounds"):
             # np.int64(3) is 3; 2.5 or "3" raises here, not inside solve.
             value = getattr(self, name)
@@ -176,18 +187,13 @@ class SolveReport:
     label: str = ""
 
 
-def _grid(config: SolveConfig, n: int) -> list[int]:
+def _grid(config: SolveConfig, n: int) -> tuple:
     if config.grid is None:
-        return list(range(n + 1))
+        return tuple(range(n + 1))
     for e in config.grid:
-        # 2.0 and np.int64(2) are 2; 2.9 or "3" raises, not truncated.
-        if not isinstance(e, numbers.Real) or e % 1:
-            raise ValueError(f"grid values must be integers, got {e!r}")
-    values = sorted(set(int(e) for e in config.grid))
-    for e in values:
         if not 0 <= e <= n:
             raise ValueError(f"grid value {e} outside [0, {n}]")
-    return values
+    return config.grid
 
 
 def _violation(scores, z) -> Fraction:
@@ -284,7 +290,7 @@ def prepare(instance: Instance) -> PreparedInstance:
         min_smoothness(table)
         for table in (greedy, *(table for table, _, _ in scores))
     )
-    z = greedy_round(greedy, (Fraction(1, 2),) * greedy.n)
+    z = greedy_round(greedy, (0.5,) * greedy.n)
     return PreparedInstance(
         beta, RelaxationPlan(greedy),
         constraint_plans(scores), greedy, scores,
@@ -304,17 +310,14 @@ def solve(
         instance = prepare(instance)
     greedy, scores = instance.greedy, instance.constraint_scores
     n, d, beta = greedy.n, greedy.degree, instance.beta
-    xhat = prediction_point(getattr(prediction, "x_hat", prediction), n)
+    xhat = prediction_point(prediction, n)
     constrained = bool(scores)
 
-    candidates: list[Candidate] = []
-    if config.include_prediction_candidate:
-        candidates.append(
-            Candidate(
-                "prediction", xhat, greedy.value(xhat),
-                _violation(scores, xhat),
-            )
+    candidates = [
+        Candidate(
+            "prediction", xhat, greedy.value(xhat), _violation(scores, xhat)
         )
+    ]
     if config.include_baseline_candidate:
         candidates.append(instance.baseline)
 
@@ -398,15 +401,10 @@ def solve(
         if best is None or cand.value > best.value:
             best = cand
     if best is None:
-        # Only side constraints or disabled fallbacks leave no candidate.
+        # Only side constraints can leave no candidate.
         raise RuntimeError(
-            "no usable candidate: no budget's LP was optimal, and "
-            + (
-                "every enabled fallback violates a side constraint"
-                if config.include_prediction_candidate
-                or config.include_baseline_candidate
-                else "the prediction and baseline fallbacks are disabled"
-            )
+            "no usable candidate: no budget's LP was optimal, and every "
+            "enabled fallback violates a side constraint"
         )
     return SolveReport(
         n, d, beta, config.strategy, best.z, best.value,

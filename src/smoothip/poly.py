@@ -155,16 +155,12 @@ class Polynomial:
 
 
 def evaluate(p: Polynomial, x: Sequence) -> Fraction:
-    """Exact value of p at the point x (entries coerced to Fraction).
-
-    At a Boolean point this is the sum of the coefficients of the monomials
-    whose variables are all 1, taken without any products, as
-    :class:`ScoreTable` takes it.
+    """Exact value of p at the point x (entries coerced to Fraction), by
+    products of Fractions at every point; :class:`ScoreTable` scores
+    Boolean points without them.
     """
     if len(x) != p.n:
         raise ValueError(f"point has {len(x)} entries, expected {p.n}")
-    if all(v == 0 or v == 1 for v in x):
-        return ScoreTable(p).value(x)
     point = [Fraction(v) for v in x]
     total = Fraction(0)
     for mono, coeff in p.coeffs.items():

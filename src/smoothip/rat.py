@@ -31,8 +31,6 @@ def sqrt_upper(value: Fraction | int) -> Fraction:
     q = Fraction(value)
     if q < 0:
         raise ValueError("sqrt_upper of a negative value")
-    if q == 0:
-        return Fraction(0)
     # sqrt(a/b) = sqrt(a*b)/b; isqrt floors, so bump unless exact.
     a, b = q.numerator, q.denominator
     target = a * b * _SCALE * _SCALE
@@ -51,7 +49,5 @@ def ln_upper(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("ln_upper requires n >= 1")
-    if n == 1:
-        return Fraction(0)
     bumped = math.log(n) * (1.0 + 1e-12)
     return Fraction(math.ceil(bumped * _SCALE), _SCALE)

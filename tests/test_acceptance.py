@@ -364,7 +364,7 @@ def test_c12_erm_selects_the_exact_oracle():
         )
 
     def complemented(inst):
-        return tuple(1 - v for v in exact_prediction(inst).x_hat)
+        return tuple(1 - v for v in exact_prediction(inst))
 
     ok = True
     for run_seed in (0, 1, 2):

@@ -16,7 +16,6 @@ from smoothip.pipeline import (
     Instance,
     PreparedInstance,
     SolveConfig,
-    exact_solve,
     guarantee_bound,
     prepare,
     solve,
@@ -318,14 +317,6 @@ def test_sweep_deterministic(two_instances, tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_sweep_opt_flag_single_instance_only(two_instances, capsys):
-    cut, sat = two_instances
-    code, _, err = run(capsys, "sweep", str(cut), str(sat), "--eps", "0",
-                       "--opt", "5")
-    assert code == 2
-    assert "single instance" in err
-
-
 def sweep_rows(capsys, out, *argv):
     code, _, _ = run(capsys, "sweep", *argv, "--out", str(out))
     assert code == 0
@@ -506,25 +497,15 @@ def test_sweep_cells_solve_their_own_file(
     assert sorted(shared) == sorted(paths)
 
 
-def test_sweep_opt_sets_the_opt_ratio_and_bound_columns(
-    two_instances, tmp_path, capsys
-):
+def test_sweep_takes_no_opt(two_instances, brute_force_calls, capsys):
+    """A sweep's opt column is always its brute-forced optimum: --opt is
+    no sweep flag, and passing it exits 2 before any brute force."""
     cut, _ = two_instances
-    _, opt = exact_solve(load_instance(cut))
-    argv = (str(cut), "--eps", "0,3", "--trials", "2", "--seed", "4")
-    plain, given = tmp_path / "plain.csv", tmp_path / "given.csv"
-    base = sweep_rows(capsys, plain, *argv)
-    sweep_rows(capsys, given, *argv, "--opt", str(opt))
-    assert given.read_bytes() == plain.read_bytes()
-    moved = sweep_rows(capsys, tmp_path / "moved.csv", *argv,
-                       "--opt", str(opt + 1))
-    assert len(moved) == len(base) == 4
-    for a, b in zip(base, moved):
-        assert a[:4] == b[:4]
-        assert float(b[4]) == pytest.approx(float(a[4]) + 1, abs=1e-9)
-        assert float(b[6]) == pytest.approx(float(a[6]) + 1, abs=1e-9)
-        achieved = Fraction(float(a[3]))
-        assert float(b[5]) == pytest.approx(float(achieved / (opt + 1)))
+    code, out, err = run(capsys, "sweep", str(cut), "--eps", "0",
+                         "--opt", "5")
+    assert code == 2
+    assert out == "" and "--opt" in err
+    assert brute_force_calls == []
 
 
 @pytest.fixture
@@ -571,13 +552,12 @@ def test_rejects_bad_input_before_any_brute_force(
 
 
 @pytest.mark.parametrize("opt", ["1/0", "inf", "x"])
-@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_bad_opt_is_rejected_before_any_output_or_brute_force(
     two_instances, brute_force_calls, capsys, command, opt
 ):
     cut, _ = two_instances
-    eps = ("--eps", "0") if command == "sweep" else ()
-    code, out, err = run(capsys, command, str(cut), *eps, "--opt", opt)
+    code, out, err = run(capsys, command, str(cut), "--opt", opt)
     assert code == 2
     assert out == ""
     assert err == f"error: --opt {opt!r} is not a rational number\n"

@@ -105,6 +105,25 @@ def test_empty_row_presolve():
     assert solve_model(impossible).status == "infeasible"
 
 
+def test_no_kept_row_gives_the_box_optimum():
+    """With every row empty or vacuous the simplex runs with no basis
+    (m = 0) and returns the y that box_optimum takes in closed form, warm
+    (zero costs stay at the warm start) or cold (at the lower bound)."""
+    objective, offset = ((3, 0, -2, 0, 5), 4), Fraction(1, 2)
+    rows = [((), -1, 1, 1), ((), None, None, 1), ((), 0, None, 3)]
+    windows = [(lo, hi, d) for _, lo, hi, d in rows]
+    x = (0, 1, 1, 0, 0)
+    for warm, start in (((x, [(0, 1)] * 3), x), (None, (0,) * 5)):
+        lp = PreparedLp(objective, offset, rows, box(5), warm)
+        assert lp.kept == []
+        sol = lp.solve(windows)
+        closed = lpsolve.box_optimum(objective, offset, start)
+        assert sol.status == "optimal"
+        assert (sol.y, sol.objective_value) == (
+            closed.y, closed.objective_value
+        )
+
+
 def test_optimal_solutions_satisfy_certificate():
     rng = random.Random(101)
     for _ in range(60):

@@ -4,7 +4,6 @@ import pytest
 
 from smoothip.oracle import (
     ErmProblem,
-    Prediction,
     erm_select,
     exact_prediction,
     perturb,
@@ -38,32 +37,27 @@ STRICT = SolveConfig(grid=(0,), include_baseline_candidate=False)
 
 
 def test_prediction_validation():
-    p = Prediction((1, 0, True), "file")
-    assert p.x_hat == (1, 0, 1)
+    assert perturb((1, 0, True), 0, 0) == (1, 0, 1)
     with pytest.raises(ValueError):
-        Prediction((0, 2), "file")
+        perturb((0, 2), 0, 0)
 
 
 def test_exact_prediction_is_the_canonical_optimum():
     inst = Instance(maxcut_objective(Graph(3, ((0, 1), (0, 2), (1, 2)))))
-    pred = exact_prediction(inst)
-    assert pred.x_hat == (0, 0, 1)
-    assert pred.provenance == "exact"
+    assert exact_prediction(inst) == (0, 0, 1)
 
 
 def test_perturb_identity_and_complement():
     base = (1, 0, 1, 1, 0)
-    assert perturb(base, 0, 3).x_hat == base
-    assert perturb(base, 5, 3).x_hat == (0, 1, 0, 0, 1)
+    assert perturb(base, 0, 3) == base
+    assert perturb(base, 5, 3) == (0, 1, 0, 0, 1)
 
 
 def test_perturb_flips_exactly_eps():
     base = (0,) * 10
     for seed in range(30):
-        pred = perturb(base, 3, seed)
-        assert sum(pred.x_hat) == 3
-        assert pred.provenance == "perturbed(3)"
-    assert perturb(base, 3, 7).x_hat == perturb(base, 3, 7).x_hat
+        assert sum(perturb(base, 3, seed)) == 3
+    assert perturb(base, 3, 7) == perturb(base, 3, 7)
 
 
 def test_perturb_range_check():
@@ -73,17 +67,10 @@ def test_perturb_range_check():
         perturb((0, 1), -1, 0)
 
 
-def test_perturb_accepts_prediction_objects():
-    pred = Prediction((1, 1, 1), "exact")
-    assert perturb(pred, 0, 0).x_hat == (1, 1, 1)
-
-
 @pytest.mark.parametrize(
     "entry", (0.5, 1.7, -0.4, "1", "0", Fraction(1, 2), 2), ids=repr
 )
 def test_non_boolean_entries_are_rejected_not_truncated(entry):
-    with pytest.raises(ValueError, match="entries must be 0 or 1"):
-        Prediction((1, entry, 0), "file")
     for eps in (0, 1):
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             perturb((1, entry, 0), eps, 0)
@@ -97,9 +84,8 @@ def test_boolean_entries_of_any_type_become_ints():
         np.array([1, 0, 1], dtype=np.int64),
         (Fraction(1), np.uint8(0), 1),
     ):
-        assert Prediction(spelling, "file").x_hat == (1, 0, 1)
-        assert all(type(v) is int for v in Prediction(spelling, "f").x_hat)
-        assert perturb(spelling, 0, 0).x_hat == (1, 0, 1)
+        assert perturb(spelling, 0, 0) == (1, 0, 1)
+        assert all(type(v) is int for v in perturb(spelling, 0, 0))
 
 
 # -- empirical risk selection -------------------------------------------
@@ -169,10 +155,8 @@ def test_erm_validation():
 
 def test_prediction_file_round_trip(tmp_path):
     path = tmp_path / "pred.txt"
-    write_prediction(path, Prediction((1, 0, 1), "exact"))
-    loaded = read_prediction(path)
-    assert loaded.x_hat == (1, 0, 1)
-    assert loaded.provenance == "file"
+    write_prediction(path, (1, 0, 1))
+    assert read_prediction(path) == (1, 0, 1)
 
 
 def test_prediction_file_rejects_garbage(tmp_path):

@@ -5,7 +5,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +80,13 @@ def test_full_grid_records_every_budget():
     assert all(r.status == "optimal" for r in report.per_eps)
 
 
+def test_the_prediction_is_every_report_s_first_candidate():
+    for name, (instance, xhat, config) in corpus().items():
+        report = solve(instance, xhat, config)
+        first = report.candidates[0]
+        assert (first.tag, first.z) == ("prediction", tuple(xhat)), name
+
+
 def test_best_never_below_prediction_or_baseline():
     rng = random.Random(77)
     for _ in range(20):
@@ -93,20 +99,6 @@ def test_best_never_below_prediction_or_baseline():
         assert report.best_value >= tags["baseline"].value
         assert tags["prediction"].value == evaluate(p, xhat)
         assert report.best_value == evaluate(p, report.best_z)
-
-
-def test_candidate_flags_drop_the_fallbacks():
-    report = solve(
-        Instance(TRIANGLE),
-        (1, 1, 1),
-        SolveConfig(
-            include_prediction_candidate=False,
-            include_baseline_candidate=False,
-        ),
-    )
-    assert {c.tag for c in report.candidates} == {
-        f"eps={e}" for e in range(4)
-    }
 
 
 def test_lp_values_monotone_in_eps():
@@ -144,11 +136,6 @@ def test_smoothness_floor_with_injected_error():
         report = solve(inst, tuple(xhat), SolveConfig(grid=(flips,)))
         beta = min_smoothness(inst.objective)
         assert report.best_value >= opt - gap_bound(beta, n, 2, flips)
-
-
-def test_prediction_object_is_unwrapped():
-    wrapped = SimpleNamespace(x_hat=(0, 1, 0), provenance="exact")
-    assert solve(Instance(PATH3), wrapped).best_value == 2
 
 
 def test_bad_predictions_rejected():
@@ -238,6 +225,20 @@ def test_grid_values_that_are_not_integers_are_rejected_not_truncated():
     report = solve(inst, (0, 1, 0), SolveConfig(grid=(2.0, np.int64(3), 1)))
     assert [r.eps for r in report.per_eps] == [1, 2, 3]
     assert all(type(r.eps) is int for r in report.per_eps)
+
+
+def test_a_grid_is_read_once_into_a_sorted_tuple():
+    """A generator grid solves what the same values in a list or a tuple
+    solve; an empty grid raises."""
+    inst = Instance(PATH3)
+    generator = SolveConfig(grid=(e for e in (3, 0, 2, 0)))
+    listed = SolveConfig(grid=[3, 0, 2, 0])
+    assert generator.grid == listed.grid == (0, 2, 3)
+    report = solve(inst, (0, 1, 0), generator)
+    assert [r.eps for r in report.per_eps] == [0, 2, 3]
+    assert strip_wall(report) == strip_wall(solve(inst, (0, 1, 0), listed))
+    with pytest.raises(ValueError, match="grid is empty"):
+        SolveConfig(grid=())
 
 
 # -- degenerate sizes ---------------------------------------------------
@@ -371,23 +372,6 @@ def test_failed_eps_is_skipped_not_fatal(monkeypatch):
     assert report.best_value == 2
 
 
-def test_no_candidates_at_all_raises(monkeypatch):
-    force_the_simplex(monkeypatch)
-    monkeypatch.setattr(
-        pipeline, "lp_solve",
-        lambda lp, windows: lpsolve.LpSolution("numerical-failure", (), None),
-    )
-    with pytest.raises(RuntimeError):
-        solve(
-            Instance(TRIANGLE),
-            (1, 0, 0),
-            SolveConfig(
-                include_prediction_candidate=False,
-                include_baseline_candidate=False,
-            ),
-        )
-
-
 # -- prepared instances -------------------------------------------------
 
 
@@ -423,6 +407,22 @@ def test_the_baseline_rounds_the_halves_of_its_own_objective(name):
             Fraction(0) if upper is None else value - upper,
         )
     assert baseline.violation == worst
+
+
+def test_the_baseline_makes_no_fraction_per_variable(monkeypatch):
+    """prepare rounds the all-halves point as floats, whose ratios greedy
+    rounding reads without a Fraction per variable."""
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(rounding, "Fraction", Counting)
+    prepared = prepare(Instance(maxcut_objective(Graph(1000, ()))))
+    assert made == []
+    assert prepared.baseline.z == (0,) * 1000
 
 
 # -- constrained programs -----------------------------------------------
@@ -1160,15 +1160,13 @@ def test_prepare_takes_maxksat_smoothness_at_the_collapsed_degree():
 
 def test_unmeetable_side_window_names_the_real_cause():
     """No point meets 2 >= 5, so every budget's LP is infeasible; the
-    error says so, and whether the fallbacks were disabled or violate
-    the window."""
+    error says so, and that the fallbacks violate the window."""
     cut = maxcut_objective(gen_gnp(6, 0.5, 1))
     prog = ConstrainedProgram(cut, ((Polynomial.constant(6, 2), 5, None),))
     xhat = (0, 1) * 3
     for config in (
         SolveConfig(),
         SolveConfig(include_baseline_candidate=False),
-        SolveConfig(include_prediction_candidate=False),
     ):
         with pytest.raises(
             RuntimeError,
@@ -1176,15 +1174,6 @@ def test_unmeetable_side_window_names_the_real_cause():
             "violates a side constraint",
         ):
             solve_constrained(prog, xhat, config)
-    disabled = SolveConfig(
-        include_prediction_candidate=False, include_baseline_candidate=False
-    )
-    with pytest.raises(
-        RuntimeError,
-        match="no budget's LP was optimal, and the prediction and baseline "
-        "fallbacks are disabled",
-    ):
-        solve_constrained(prog, xhat, disabled)
 
 
 def test_ratio_bound_cut_form():

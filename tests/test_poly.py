@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from exact_reference import fraction_value
 from helpers import random_bool_vector, random_multilinear, random_point
+from smoothip import poly
 from smoothip.poly import (
     DecompositionTree,
     Polynomial,
@@ -72,6 +73,23 @@ def test_evaluate_at_boolean_points_is_the_fraction_sum():
                        (0, 1): Fraction(5, 12), (): Fraction(-1, 9)})
     assert evaluate(p, (1, 1)) == Fraction(5, 6) - Fraction(1, 9)
     assert evaluate(p, (True, False)) == Fraction(1, 4) - Fraction(1, 9)
+
+
+def test_evaluate_builds_no_score_table(monkeypatch):
+    """evaluate scores Boolean points by its own products, so the tests
+    that check a ScoreTable against it check an independent computation."""
+
+    def refuse(p):
+        raise AssertionError("evaluate built a ScoreTable")
+
+    monkeypatch.setattr(poly, "ScoreTable", refuse)
+    rng = random.Random(72)
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        p = random_multilinear(rng, n, rng.randint(1, min(4, n)))
+        p = p * Fraction(rng.randrange(1, 20), rng.randrange(1, 20))
+        x = random_bool_vector(rng, n)
+        assert evaluate(p, x) == fraction_value(p, x)
 
 
 def test_evaluate_dimension_mismatch():
