@@ -3,9 +3,9 @@
 Four subcommands: ``gen`` writes instance files, ``solve`` runs the
 pipeline on one instance, ``sweep`` produces the ratio-versus-error CSV
 across instances and trials, and ``verify`` prints an instance's
-smoothness diagnostics, read from the prepared instance.  Instance kind is
-detected from file content (DIMACS edge, DIMACS CNF, or the CSP JSON
-shape).
+smoothness diagnostics, read from its score tables and relaxation plan
+without rounding a baseline.  Instance kind is detected from file
+content (DIMACS edge, DIMACS CNF, or the CSP JSON shape).
 
 A sweep loads, prepares and brute-forces each file once, then solves one
 cell per (file, eps, trial), in turn; every cell of a file carries that
@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import pipeline
 from .oracle import exact_prediction, perturb, read_prediction
 # A sweep cell takes its floor from guarantee_floor and the opt it is
 # given; guarantee_bound, which brute-forces opt again, is not called here.
@@ -58,6 +59,7 @@ from .problems import (
     write_dimacs_cnf,
     write_dimacs_graph,
 )
+from .relax import RelaxationPlan
 
 # Advisory density thresholds printed by verify: "dense" wants the
 # optimum around n^d, "near-dense" around n^(d - 1/2 + xi); we display
@@ -261,19 +263,21 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     opt = _parse_opt(args.opt)
     instance = load_instance(args.instance)
-    prepared = prepare(instance)
-    objective, beta = prepared.greedy, prepared.beta
+    # Only what is printed: no greedy-rounding tables, no baseline.
+    objective, scores = pipeline._scored(instance)
+    beta = pipeline._beta(objective, scores)
+    nodes = len(RelaxationPlan(objective).constants)
     n, d = objective.n, objective.degree
     print(f"instance: {instance.label} (kind={instance.kind})")
     print(f"n: {n}")
     print(f"degree: {d}")
     print(f"monomials: {len(objective.monomials)}")
     print(f"beta: {float(beta):.6g} ({beta})")
-    print(f"decomposition nodes: {len(prepared.plan.constants)}")
+    print(f"decomposition nodes: {nodes}")
     dense_at = DENSE_FRACTION * Fraction(n) ** d
     near_at = n ** (d - 0.5 + (0.5 - NEAR_DENSE_EXPONENT_DROP))
     if opt is None and n <= EXACT_CAP:
-        _, opt = exact_solve(prepared)
+        _, opt = pipeline._exact(objective, scores)
     print(
         f"density thresholds: dense >= {float(dense_at):.6g} (n^d/8), "
         f"near-dense >= {near_at:.6g} (n^(d-1/4))"

@@ -16,8 +16,11 @@ built only when some budget lies below the saturation budget, the first
 grid eps at which no row can cut the box.  Below it, each eps gets its
 row windows, one LP solve and a rounding of the optimum to a Boolean
 point; from it on, the box LP's optimum is taken in closed form and
-rounded once.  Every Boolean point (the prediction, the baseline and
-each rounding) is scored, and its violation of the side constraints
+rounded once.  Randomized rounding draws its rounds only for an optimum
+with a coordinate strictly between 0 and 1: a Boolean optimum, such as
+the box LP's, rounds to itself under every seed, so it is taken as is.
+Every Boolean point (the prediction, the baseline and each distinct
+rounding) is scored once, and its violation of the side constraints
 measured, on integers.  The prediction and the baseline are candidates
 too, so the result is never worse than either; the best exact value
 wins, earliest tag on ties.
@@ -219,20 +222,32 @@ def _round_and_score(
     instance: PreparedInstance, y, config: SolveConfig, eps: int
 ):
     """(z, exact value, violation, values of the randomized rounds) for
-    the rounding of the LP optimum y, a point of [0,1]^n."""
+    the rounding of the LP optimum y, a point of [0,1]^n.
+
+    Randomized rounding keeps the first round with the largest value.  A
+    Boolean y rounds to itself under every seed, so it is not drawn on:
+    z is y and every round has its value.  Otherwise each distinct z
+    among the rounds is scored once."""
     tables, scores = instance.greedy, instance.constraint_scores
     if config.strategy == GREEDY:
         z = greedy_round(tables, y)
         return z, tables.value(z), _violation(scores, z), ()
-    outcomes = []
+    if set(y) <= {0, 1}:
+        z = tuple(map(int, y))
+        value = tables.value(z)
+        return (
+            z, value, _violation(scores, z),
+            (value,) * config.randomized_rounds,
+        )
+    values: dict = {}  # z -> value, in order of the first round giving z
+    seed_values = []
     for r in range(config.randomized_rounds):
-        zr = randomized_round(y, _round_seed(config.seed, eps, r))
-        outcomes.append((zr, tables.value(zr)))
-    z, value = max(outcomes, key=lambda zv: zv[1])
-    return (
-        z, value, _violation(scores, z),
-        tuple(v for _, v in outcomes),
-    )
+        z = randomized_round(y, _round_seed(config.seed, eps, r))
+        if z not in values:
+            values[z] = tables.value(z)
+        seed_values.append(values[z])
+    z, value = max(values.items(), key=lambda zv: zv[1])
+    return z, value, _violation(scores, z), tuple(seed_values)
 
 
 def _normalized(objective: Polynomial, constraints):
@@ -250,6 +265,25 @@ def _normalized(objective: Polynomial, constraints):
             )
         )
     return p.with_degree(max(2, p.degree)), tuple(normal)
+
+
+def _scored(instance: Instance, objective_table=ScoreTable) -> tuple:
+    """(objective, scores): the objective_table of the normalized
+    objective, and each normalized side constraint as (score table,
+    lower, upper)."""
+    p, constraints = _normalized(instance.objective, instance.constraints)
+    return objective_table(p), tuple(
+        (ScoreTable(q), lower, upper) for q, lower, upper in constraints
+    )
+
+
+def _beta(objective: ScoreTable, scores) -> Fraction:
+    """The smoothness certificate: the largest min_smoothness among the
+    objective's and the side constraints' score tables."""
+    return max(
+        min_smoothness(table)
+        for table in (objective, *(table for table, _, _ in scores))
+    )
 
 
 @dataclass(frozen=True)
@@ -281,15 +315,8 @@ def prepare(instance: Instance) -> PreparedInstance:
     tables, read its smoothness certificate and relaxation plans off
     them and round its baseline, once; pass the result to :func:`solve`
     in place of the instance to solve it for many predictions."""
-    p, constraints = _normalized(instance.objective, instance.constraints)
-    greedy = GreedyTables(p)
-    scores = tuple(
-        (ScoreTable(poly), lower, upper) for poly, lower, upper in constraints
-    )
-    beta = max(
-        min_smoothness(table)
-        for table in (greedy, *(table for table, _, _ in scores))
-    )
+    greedy, scores = _scored(instance, GreedyTables)
+    beta = _beta(greedy, scores)
     z = greedy_round(greedy, (0.5,) * greedy.n)
     return PreparedInstance(
         beta, RelaxationPlan(greedy),
@@ -341,8 +368,9 @@ def solve(
         # From the saturation budget on, no row cuts the box, so the
         # embedded simplex would only flip bounds from its warm start: its
         # result is taken in closed form.  Greedy rounding of that one y
-        # gives one z, and since y is Boolean, randomized rounding returns
-        # y under every seed; so the point is rounded and scored once.
+        # gives one z, and since y is Boolean, randomized rounding takes
+        # it as is, drawing nothing; so the point is rounded and scored
+        # once, at the first saturated budget.
         saturation = relaxation.saturation_budget(grid)
         box = (
             None if saturation is None
@@ -560,11 +588,7 @@ def exact_solve(instance: Instance | PreparedInstance) -> tuple:
     """
     if isinstance(instance, Instance):
         # The brute force only scores: no greedy-rounding tables.
-        p, constraints = _normalized(instance.objective, instance.constraints)
-        return _exact(
-            ScoreTable(p),
-            tuple((ScoreTable(q), lo, hi) for q, lo, hi in constraints),
-        )
+        return _exact(*_scored(instance))
     return _exact(instance.greedy, instance.constraint_scores)
 
 

@@ -41,17 +41,18 @@ def randomized_round(y: Sequence, seed: int) -> tuple:
 
     Draw i comes from a Philox stream keyed by the seed at counter
     position i, so z_i depends only on (seed, y_i, i): the same seed and
-    vector reproduce z bit-exactly, and coordinates are independent.
+    vector reproduce z bit-exactly, and coordinates are independent.  A
+    draw u lies in [0, 1), so z_i = [u < y_i] is 1 at y_i = 1 and 0 at
+    y_i = 0 whatever the seed.  The entries are Python ints.
     """
-    probs = []
-    for v in y:
-        f = float(v)
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"probability {v} outside [0, 1]")
-        probs.append(f)
+    probs = np.array([float(v) for v in y])
+    inside = (probs >= 0.0) & (probs <= 1.0)  # False at NaN
+    if not inside.all():
+        v = y[int(np.argmin(inside))]
+        raise ValueError(f"probability {v} outside [0, 1]")
     rng = np.random.Generator(np.random.Philox(key=seed % 2**64))
     draws = rng.random(len(probs))
-    return tuple(int(u < pi) for u, pi in zip(draws, probs))
+    return tuple((draws < probs).astype(int).tolist())
 
 
 class GreedyTables(ScoreTable):

@@ -10,7 +10,10 @@ and CSP encoders accumulate one coefficient map; their references add
 Polynomials clause by clause.  The brute force's value table is built on
 the narrowest integer type, with the low bits transformed once per
 distinct high part; its reference runs all n passes over the full table.
-Tests require the package to agree with them field for field.
+Randomized rounding compares one coordinate at a time; the randomized
+rounding of an LP optimum draws every round and scores every round's
+point, however many repeat.  Tests require the package to agree with
+them field for field.
 """
 
 import math
@@ -20,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from smoothip.pipeline import _round_seed, _violation
 from smoothip.poly import Polynomial, decompose
 from smoothip.rat import E_UPPER
 from smoothip.relax import constraint_degree, prediction_point
@@ -55,6 +59,35 @@ def fraction_greedy_round(p, y) -> tuple:
         current[i] = Fraction(choice)
         z.append(choice)
     return tuple(z)
+
+
+def loop_randomized_round(y, seed) -> tuple:
+    """Randomized rounding with the range check and the comparison made
+    per coordinate, on Python floats."""
+    probs = []
+    for v in y:
+        f = float(v)
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"probability {v} outside [0, 1]")
+        probs.append(f)
+    rng = np.random.Generator(np.random.Philox(key=seed % 2**64))
+    draws = rng.random(len(probs))
+    return tuple(int(u < p) for u, p in zip(draws, probs))
+
+
+def every_round_scored(instance, y, config, eps) -> tuple:
+    """The randomized rounding of the LP optimum y as (z, value,
+    violation, values of the rounds), every round drawn and its point
+    scored, the first round with the largest value kept."""
+    outcomes = []
+    for r in range(config.randomized_rounds):
+        z = loop_randomized_round(y, _round_seed(config.seed, eps, r))
+        outcomes.append((z, instance.greedy.value(z)))
+    z, value = max(outcomes, key=lambda zv: zv[1])
+    return (
+        z, value, _violation(instance.constraint_scores, z),
+        tuple(v for _, v in outcomes),
+    )
 
 
 def fraction_value(poly, point) -> Fraction:

@@ -11,13 +11,10 @@ check uses a failure ceiling of twice rounding_failure_probability (theory
 0.08 at n = 50, so 0.16).
 """
 
-import itertools
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from helpers import (
     random_lp_model,

@@ -635,6 +635,59 @@ def test_verify_with_supplied_opt(triangle_file, capsys):
     assert "density: dense" in out
 
 
+VERIFY_OUTPUT = {
+    "triangle.graph": """\
+instance: triangle (kind=maxcut)
+n: 3
+degree: 2
+monomials: 6
+beta: 2 (2)
+decomposition nodes: 7
+density thresholds: dense >= 1.125 (n^d/8), near-dense >= 6.83852 (n^(d-1/4))
+density: dense (optimum 2)
+""",
+    "f.cnf": """\
+instance: f (kind=maxksat)
+n: 9
+degree: 3
+monomials: 56
+beta: 2 (2)
+decomposition nodes: 63
+density thresholds: dense >= 91.125 (n^d/8), near-dense >= 420.888 (n^(d-1/4))
+density: below both thresholds (optimum 30)
+""",
+    "empty.cnf": """\
+instance: empty (kind=maxksat)
+n: 5
+degree: 2
+monomials: 0
+beta: 0 (0)
+decomposition nodes: 1
+density thresholds: dense >= 3.125 (n^d/8), near-dense >= 16.7185 (n^(d-1/4))
+density: below both thresholds (optimum 0)
+""",
+}
+
+
+def test_verify_prints_its_diagnostics_without_rounding(
+    tmp_path, capsys, monkeypatch
+):
+    (tmp_path / "triangle.graph").write_text(TRIANGLE_TEXT)
+    (tmp_path / "empty.cnf").write_text("p cnf 5 0\n")
+    run(capsys, "gen", "maxksat", "--n", "9", "--m", "30", "--k", "3",
+        "--seed", "4", "--out", str(tmp_path / "f.cnf"))
+
+    def no_rounding(*args):
+        raise AssertionError("verify rounded a point")
+
+    monkeypatch.setattr(pipeline, "greedy_round", no_rounding)
+    monkeypatch.setattr(rounding, "greedy_round", no_rounding)
+    for name, expected in VERIFY_OUTPUT.items():
+        assert run(capsys, "verify", str(tmp_path / name)) == (
+            0, expected, ""
+        )
+
+
 # -- loader -------------------------------------------------------------
 
 

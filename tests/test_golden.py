@@ -1,4 +1,4 @@
-"""Golden corpus: the timing-free reports of six small seeded solves.
+"""Golden corpus: the timing-free reports of seven small seeded solves.
 
 The files under ``golden/`` hold ``report_json`` without ``wall_ms``, one
 per instance below.  A change that is meant to keep behaviour must
@@ -59,6 +59,17 @@ def corpus() -> dict:
             Instance(maxcut_objective(gen_gnp(16, 0.6, 5)), label="randomized"),
             random_bool_vector(random.Random(5), 16),
             SolveConfig(strategy="randomized", seed=5, randomized_rounds=4),
+        ),
+        # The eps=0 optimum has a coordinate at 1/2 and two a float ulp
+        # off 0 and 1, so its 16 rounds give two points; from eps=1 on the
+        # optimum is Boolean.
+        "randomized-max3sat": (
+            Instance(
+                maxksat_objective(gen_ksat(14, 56, 3, 2)),
+                label="randomized-max3sat",
+            ),
+            alternating(14),
+            SolveConfig(strategy="randomized", seed=7, randomized_rounds=16),
         ),
         # One 3-clause on 3 variables, n <= d: brute force, no relaxation.
         "n-at-most-degree": (

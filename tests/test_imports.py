@@ -1,9 +1,13 @@
-"""No module of the package imports a name that nothing reads.
+"""No module of the package, and no test file, imports a name that
+nothing reads.
 
-A name a module imports must be used in it, be listed in its
+A name a package module imports must be used in it, be listed in its
 ``__all__``, or be one that ``perfbench/layers.py`` wraps on that module
 (its ``WRAPPED`` table), since the benchmark's traced run looks those
-up there.  Everything is read with ``ast``; nothing is imported.
+up there.  A name a test file imports must be used in it, a function
+parameter of that name counting as a use: pytest hands an imported
+fixture to a test by its parameter name.  Everything is read with
+``ast``; nothing is imported.
 """
 
 import ast
@@ -11,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smoothip"
+TESTS = ROOT / "tests"
 LAYERS = ROOT / "perfbench" / "layers.py"
 
 
@@ -52,15 +57,17 @@ def exported_names(tree) -> set:
     return set()
 
 
+def read_names(tree) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def test_every_imported_name_is_read():
     wrapped = wrapped_names()
     assert wrapped
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        used = {
-            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
-        }
+        used = read_names(tree)
         exported = exported_names(tree)
         for name, line in imported_names(tree).items():
             if (
@@ -68,5 +75,20 @@ def test_every_imported_name_is_read():
                 and name not in exported
                 and (path.stem, name) not in wrapped
             ):
+                unread.append(f"{path.name}:{line} {name}")
+    assert unread == []
+
+
+def test_every_name_a_test_file_imports_is_read():
+    paths = sorted(TESTS.glob("*.py"))
+    assert Path(__file__).resolve() in paths
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used = read_names(tree) | {
+            node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)
+        }
+        for name, line in imported_names(tree).items():
+            if name not in used:
                 unread.append(f"{path.name}:{line} {name}")
     assert unread == []

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import butterfly_masks_to_values, fraction_value
+from exact_reference import (
+    butterfly_masks_to_values,
+    every_round_scored,
+    fraction_value,
+)
 from helpers import at_most, random_bool_vector, random_multilinear
 from test_golden import corpus
 from smoothip import lpsolve, pipeline, poly, relax, rounding
@@ -267,6 +271,75 @@ def test_randomized_runs_are_reproducible():
     for record in a.per_eps:
         assert len(record.seed_values) == 8
         assert record.rounded_value == max(record.seed_values)
+
+
+ROUNDING_POINTS = {
+    "boolean floats": (1.0, 0.0, 1.0, 1.0, 0.0, 0.0),
+    "boolean ints": (1, 0, 1, 1, 0, 1),
+    "boolean fractions": tuple(map(Fraction, (0, 1, 1, 0, 1, 0))),
+    "negative zero": (-0.0, 1.0, -0.0, 1, 0, Fraction(1)),
+    "fractional": (0.5, 0.3, 0.9, 0.1, 0.7, 0.5),
+    # One coordinate at 1/2 and two an ulp off 0 and 1: the rounds can
+    # give only a few distinct points, so most repeat.
+    "repeating": (0.5, 1.0 - 2.0**-53, 0.0, 1.0, 2.0**-1074, 1.0),
+}
+
+
+@pytest.mark.parametrize("rounds", [1, 16])
+@pytest.mark.parametrize("name", sorted(ROUNDING_POINTS))
+def test_randomized_rounding_matches_every_round_scored(name, rounds):
+    """Skipping the draws at a Boolean point and scoring each distinct
+    point once give what drawing and scoring every round gives."""
+    y = ROUNDING_POINTS[name]
+    instance = prepare(
+        Instance(maxcut_objective(gen_gnp(6, 0.6, 2)), (at_most(6, 2),))
+    )
+    for seed, eps in ((3, 0), (2**64 + 5, 4)):
+        config = SolveConfig(
+            strategy="randomized", seed=seed, randomized_rounds=rounds
+        )
+        got = pipeline._round_and_score(instance, y, config, eps)
+        want = every_round_scored(instance, y, config, eps)
+        assert got == want
+        assert all(type(v) is int for v in got[0])
+        assert len(got[3]) == rounds
+    if name == "repeating" and rounds == 16:
+        assert len(set(got[3])) < len(got[3])
+
+
+def test_randomized_round_is_called_only_for_fractional_optima(monkeypatch):
+    """A full-grid randomized solve draws randomized_rounds points for
+    each LP optimum with a coordinate strictly between 0 and 1, and none
+    for a Boolean one (the box optimum, which is never passed to
+    lp_solve, is Boolean)."""
+    draws = recorded_results(monkeypatch, pipeline, "randomized_round")
+    solved = recorded_results(monkeypatch, pipeline, "lp_solve")
+    config = SolveConfig(strategy="randomized", seed=7, randomized_rounds=5)
+    fractional = []
+    for seed in (2, 7):
+        instance = Instance(maxksat_objective(gen_ksat(14, 56, 3, seed)))
+        del draws[:], solved[:]
+        solve(instance, tuple(i % 2 for i in range(14)), config)
+        optima = [
+            sol.y for sol in solved if sol.status == lpsolve.OPTIMAL
+        ]
+        fractional.append(sum(not set(y) <= {0, 1} for y in optima))
+        assert len(draws) == config.randomized_rounds * fractional[-1]
+    assert fractional == [1, 0]
+
+
+def recorded_results(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records what each call
+    returns."""
+    results = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
 
 
 def force_the_simplex(monkeypatch):

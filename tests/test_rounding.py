@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact_reference import fraction_greedy_round
+from exact_reference import fraction_greedy_round, loop_randomized_round
 from helpers import random_multilinear, random_point
 from smoothip.poly import Polynomial, evaluate
 from smoothip.rounding import (
@@ -86,6 +86,38 @@ def test_rejects_bad_probabilities():
 
 def test_empty_vector():
     assert randomized_round((), 5) == ()
+
+
+# Floats in [0, 1] (subnormals included), the float just below 1, -0.0,
+# the ints 0 and 1 and Fractions.
+PROBABILITIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([5e-324, 2.0**-1060, 1.0 - 2.0**-53, -0.0, 0, 1]),
+    st.fractions(0, 1, max_denominator=10**9),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PROBABILITIES, max_size=40), st.integers(0, 2**70))
+@example([0.5] * 8 + [5e-324, 1.0 - 2.0**-53], 2**64 + 3)
+@example([Fraction(1, 3), -0.0, 1, 0], 2**64)
+def test_randomized_round_matches_the_loop_reference(y, seed):
+    z = randomized_round(y, seed)
+    assert z == loop_randomized_round(y, seed)
+    assert all(type(v) is int for v in z)
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, -0.1, 1.5, Fraction(3, 2)], ids=str
+)
+def test_rejects_the_first_bad_probability_as_the_loop_reference(bad):
+    y = (0.5, 1.0, bad, 2.0)
+    with pytest.raises(ValueError) as got:
+        randomized_round(y, 3)
+    with pytest.raises(ValueError) as want:
+        loop_randomized_round(y, 3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"probability {bad} outside [0, 1]"
 
 
 # -- greedy rounding ----------------------------------------------------
