@@ -25,7 +25,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import pipeline
 from .oracle import exact_prediction, perturb, read_prediction
 # A sweep cell takes its floor from guarantee_floor and the opt it is
 # given; guarantee_bound, which brute-forces opt again, is not called here.
@@ -36,7 +35,10 @@ from .pipeline import (  # noqa: F401
     Instance,
     PreparedInstance,
     SolveConfig,
+    _beta,
+    _exact,
     _round_seed,
+    _scored,
     exact_solve,
     guarantee_bound,
     guarantee_floor,
@@ -264,8 +266,8 @@ def cmd_verify(args) -> int:
     opt = _parse_opt(args.opt)
     instance = load_instance(args.instance)
     # Only what is printed: no greedy-rounding tables, no baseline.
-    objective, scores = pipeline._scored(instance)
-    beta = pipeline._beta(objective, scores)
+    objective, scores = _scored(instance)
+    beta = _beta(objective, scores)
     nodes = len(RelaxationPlan(objective).constants)
     n, d = objective.n, objective.degree
     print(f"instance: {instance.label} (kind={instance.kind})")
@@ -277,7 +279,7 @@ def cmd_verify(args) -> int:
     dense_at = DENSE_FRACTION * Fraction(n) ** d
     near_at = n ** (d - 0.5 + (0.5 - NEAR_DENSE_EXPONENT_DROP))
     if opt is None and n <= EXACT_CAP:
-        _, opt = pipeline._exact(objective, scores)
+        _, opt = _exact(objective, scores)
     print(
         f"density thresholds: dense >= {float(dense_at):.6g} (n^d/8), "
         f"near-dense >= {near_at:.6g} (n^(d-1/4))"

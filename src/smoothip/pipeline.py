@@ -367,10 +367,9 @@ def solve(
         grid = _grid(config, n)
         # From the saturation budget on, no row cuts the box, so the
         # embedded simplex would only flip bounds from its warm start: its
-        # result is taken in closed form.  Greedy rounding of that one y
-        # gives one z, and since y is Boolean, randomized rounding takes
-        # it as is, drawing nothing; so the point is rounded and scored
-        # once, at the first saturated budget.
+        # result is taken in closed form.  That y is the same at every
+        # saturated budget and Boolean, so whatever the seed it rounds to
+        # one z: the point is rounded and scored once, at the first of them.
         saturation = relaxation.saturation_budget(grid)
         box = (
             None if saturation is None
