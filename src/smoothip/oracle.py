@@ -2,11 +2,11 @@
 empirical-risk selection over a finite candidate family.
 
 A prediction is a plain tuple of 0s and 1s.  Candidates for selection
-are callables from an instance to such a vector; selection prepares
-every training instance once, runs the pipeline on it for every
-candidate's prediction and keeps the candidate with the smallest mean
-cost, where the cost of achieving value v on an instance with ceiling h
-is h - v.
+are callables from a prepared instance to such a vector; selection
+prepares every training instance once, runs the pipeline on it for
+every candidate's prediction and keeps the candidate with the smallest
+mean cost, where the cost of achieving value v on an instance with
+ceiling h is h - v.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .relax import prediction_point
 class ErmProblem:
     """Finite candidate family plus training instances.
 
+    Each candidate maps a prepared training instance to a prediction.
     Every training instance must carry a cost ceiling h at least its
     maximum achievable objective, so costs stay in [0, h].
     """
@@ -75,13 +76,13 @@ def erm_select(
 ) -> tuple[int, Fraction]:
     """Pick the candidate with the smallest mean cost over the training
     set; ties go to the lowest index.  Each training instance is prepared
-    once and solved for every candidate's prediction."""
+    once, and every candidate is called and solved on the prepared one."""
     prepared = [prepare(instance) for instance in prob.training]
     best_id, best_cost = None, None
     for i, candidate in enumerate(prob.candidates):
         total = Fraction(0)
         for instance, ready in zip(prob.training, prepared):
-            report = solve(ready, candidate(instance), config)
+            report = solve(ready, candidate(ready), config)
             total += Fraction(instance.h) - report.best_value
         cost = total / len(prob.training)
         if best_cost is None or cost < best_cost:

@@ -38,7 +38,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -69,7 +69,7 @@ from .relax import (  # noqa: F401
     prediction_point,
     prepare_relaxation,
 )
-from .rat import sqrt_upper
+from .rat import eta_upper, sqrt_upper
 from .rounding import (
     GreedyTables,
     greedy_round,
@@ -511,25 +511,33 @@ def _exact(table: ScoreTable, scores) -> tuple:
     objective's and every side constraint's at the same columns, so no
     table of all 2^n values is ever held.  With V / L a side
     constraint's value, V an integer, V / L >= lower exactly when V >=
-    ceil(lower * L), and V / L <= upper exactly when V <= floor(upper *
-    L).  Each tile offers its first feasible maximum; the largest value
-    wins, the smallest index on ties, and a later tile can hold a smaller
-    index."""
+    lo = ceil(lower * L), and V / L <= upper exactly when V <= hi =
+    floor(upper * L).  V lies between the sums of the table's negative
+    and of its positive integers, so a bound that every point meets is
+    dropped, a window that none meets raises before any tile, and a side
+    with no bound left is not tiled; the bounds left are in the tiles'
+    dtype.  Each tile offers its first feasible maximum; the largest
+    value wins, the smallest index on ties, and a later tile can hold a
+    smaller index."""
     n = table.n
     if n > EXACT_CAP:
         raise ValueError(
             f"{n} variables exceeds the brute-force cap {EXACT_CAP}"
         )
     k = n // 2
-    windows = [
-        (
-            None if lower is None else math.ceil(lower * q.scale),
-            None if upper is None else math.floor(upper * q.scale),
-        )
-        for q, lower, upper in scores
-    ]
+    kept, windows = [], []  # the sides with a bound left, their (lo, hi)
+    for q, lower, upper in scores:
+        least = sum(c for c in q.coeffs if c < 0)
+        most = sum(c for c in q.coeffs if c > 0)
+        lo = least if lower is None else max(least, math.ceil(lower * q.scale))
+        hi = most if upper is None else min(most, math.floor(upper * q.scale))
+        if lo > hi:
+            raise ValueError("no Boolean point satisfies the constraints")
+        if lo > least or hi < most:
+            kept.append(q)
+            windows.append((lo if lo > least else None, hi if hi < most else None))
     best = []  # per tile, (value, -index) of its first feasible maximum
-    tiles = zip(_value_tiles(table), *(_value_tiles(q) for q, _, _ in scores))
+    tiles = zip(_value_tiles(table), *map(_value_tiles, kept))
     for (c0, values), *sides in tiles:
         j = _first_maximum(values, [side for _, side in sides], windows)
         if j is not None:
@@ -552,9 +560,9 @@ def _first_maximum(values, sides, windows):
     feasible = np.ones(values.shape, dtype=bool)
     for side, (lo, hi) in zip(sides, windows):
         if lo is not None:
-            feasible &= side > _clamp(lo - 1, side.dtype)
+            feasible &= side >= lo
         if hi is not None:
-            feasible &= side <= _clamp(hi, side.dtype)
+            feasible &= side <= hi
     if not feasible.any():
         return None
     # The largest feasible value, then the first feasible entry that has
@@ -562,18 +570,6 @@ def _first_maximum(values, sides, windows):
     hits = values == values[feasible].max()
     hits &= feasible
     return int(np.argmax(hits))
-
-
-def _clamp(bound: int, dtype) -> int:
-    """bound clamped to the dtype's range as a Python int, so that an
-    array of that dtype is compared with a value it holds, whatever
-    NumPy's promotion rules; the entries lie strictly above the minimum,
-    so ``values > _clamp(lo - 1)`` and ``values <= _clamp(hi)`` answer
-    as the unclamped comparisons do."""
-    if dtype == object:
-        return bound
-    info = np.iinfo(dtype)
-    return min(max(bound, int(info.min)), int(info.max))
 
 
 def exact_solve(instance: Instance | PreparedInstance) -> tuple:
@@ -607,7 +603,10 @@ def guarantee_floor(
     on a normalized instance (n variables, degree d, smoothness beta)
     whose optimum is opt: opt minus the relaxation gap, minus the rounding
     deviation when the strategy is randomized (greedy rounding never loses
-    value).  With n <= d, where :func:`solve` brute-forces, that is opt."""
+    value).  With n <= d, where :func:`solve` brute-forces, that is opt.
+    A strategy other than greedy or randomized raises ValueError."""
+    if strategy not in (GREEDY, RANDOMIZED):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if n <= d:
         return Fraction(opt)
     floor = Fraction(opt) - gap_bound(beta, n, d, eps)
@@ -622,13 +621,17 @@ def guarantee_bound(
     config: SolveConfig = SolveConfig(),
 ) -> Fraction:
     """:func:`guarantee_floor` with opt brute-forced from the instance; a
-    prepared instance is not normalized again."""
+    prepared instance is not normalized again, and an unprepared one is
+    only scored and certified, not prepared."""
     if isinstance(instance, Instance):
-        instance = prepare(instance)
-    greedy = instance.greedy
-    _, opt = _exact(greedy, instance.constraint_scores)
+        objective, scores = _scored(instance)
+        beta = _beta(objective, scores)
+    else:
+        objective, scores = instance.greedy, instance.constraint_scores
+        beta = instance.beta
+    _, opt = _exact(objective, scores)
     return guarantee_floor(
-        opt, instance.beta, greedy.n, greedy.degree, eps, config.strategy,
+        opt, beta, objective.n, objective.degree, eps, config.strategy,
         config.k,
     )
 
@@ -651,53 +654,28 @@ def approx_ratio_bound(
         raise ValueError("xi must lie in (0, 1/2]")
     if eps < 0:
         raise ValueError("negative error budget")
-    eta = 2 * math.e * (d - 2) + 1
+    eta = float(eta_upper(d))
     return 1.0 - (2 * eta * float(beta) / kappa) * math.sqrt(eps) / n**xi
 
 
 # -- serialization ------------------------------------------------------
 
 
-def _frac(value) -> str | None:
-    return None if value is None else str(Fraction(value))
+def _plain(value):
+    """json.dumps's default hook: a report dataclass as the dict of its
+    fields, a Fraction as its num/den string; anything else raises."""
+    if isinstance(value, (SolveReport, EpsRecord, Candidate)):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def report_json(report: SolveReport) -> str:
-    """Canonical JSON rendering; rationals appear as num/den strings."""
-    payload = {
-        "label": report.label,
-        "n": report.n,
-        "degree": report.degree,
-        "beta": _frac(report.beta),
-        "strategy": report.strategy,
-        "best_z": list(report.best_z),
-        "best_value": _frac(report.best_value),
-        "candidates": [
-            {
-                "tag": c.tag,
-                "z": list(c.z),
-                "value": _frac(c.value),
-                "violation": _frac(c.violation),
-            }
-            for c in report.candidates
-        ],
-        "per_eps": [
-            {
-                "eps": r.eps,
-                "status": r.status,
-                "lp_value": r.lp_value,
-                "rounded_z": None if r.rounded_z is None else list(r.rounded_z),
-                "rounded_value": _frac(r.rounded_value),
-                "violation_max": _frac(r.violation_max),
-                "gap": _frac(r.gap),
-                "rounding_radius": _frac(r.rounding_radius),
-                "wall_ms": r.wall_ms,
-                "seed_values": [_frac(v) for v in r.seed_values],
-            }
-            for r in report.per_eps
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering: every field of the report, of its
+    records and of its candidates, by name; rationals appear as num/den
+    strings."""
+    return json.dumps(report, default=_plain, sort_keys=True, indent=2) + "\n"
 
 
 def report_csv(report: SolveReport) -> str:

@@ -21,6 +21,12 @@ E_UPPER = Fraction(27182818285, 10**10)
 _SCALE = 10**12
 
 
+def eta_upper(d: int) -> Fraction:
+    """The analysis's eta = 2e(d - 2) + 1 at degree d, with e taken as
+    E_UPPER, so never below the true value for d >= 2."""
+    return 2 * E_UPPER * (d - 2) + 1
+
+
 def sqrt_upper(value: Fraction | int) -> Fraction:
     """Smallest rational on a 1e-12 grid that is >= sqrt(value).
 

@@ -64,7 +64,7 @@ from .poly import (  # noqa: F401
     decompose,
     evaluate,
 )
-from .rat import E_UPPER, sqrt_upper
+from .rat import E_UPPER, eta_upper, sqrt_upper
 from .rounding import rounding_deviation_term
 
 
@@ -599,8 +599,7 @@ def gap_factor(beta: Fraction | int, n: int, d: int) -> Fraction:
     :func:`gap_bound` that no budget changes."""
     if d < 2:
         raise ValueError("gap bound needs degree >= 2")
-    eta = 2 * E_UPPER * (d - 2) + 1
-    return 2 * eta * Fraction(beta) * Fraction(n) ** (d - 1)
+    return 2 * eta_upper(d) * Fraction(beta) * Fraction(n) ** (d - 1)
 
 
 def gap_bound(

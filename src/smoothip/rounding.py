@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .poly import Polynomial, ScoreTable
-from .rat import E_UPPER, ln_upper, sqrt_upper
+from .rat import eta_upper, ln_upper, sqrt_upper
 
 
 def randomized_round(y: Sequence, seed: int) -> tuple:
@@ -165,7 +165,7 @@ def rounding_error_bound(
     degree 2.  Exceeded with probability at most
     :func:`rounding_failure_probability`.
     """
-    lead = Fraction(3) if d == 2 else 1 + 2 * E_UPPER * (d - 2)
+    lead = Fraction(3) if d == 2 else eta_upper(d)
     return _radius(beta, n, d, k, lead)
 
 
@@ -174,7 +174,7 @@ def rounding_deviation_term(
 ) -> Fraction:
     """The eta-form radius appearing in the end-to-end guarantee:
     eta * beta * n^(d-1) * sqrt((k+1)/2) * sqrt(n ln n), eta = 2e(d-2)+1."""
-    return _radius(beta, n, d, k, 1 + 2 * E_UPPER * (d - 2))
+    return _radius(beta, n, d, k, eta_upper(d))
 
 
 def rounding_failure_probability(n: int, d: int, k: Fraction | int) -> float:

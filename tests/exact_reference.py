@@ -12,10 +12,12 @@ the narrowest integer type, with the low bits transformed once per
 distinct high part; its reference runs all n passes over the full table.
 Randomized rounding compares one coordinate at a time; the randomized
 rounding of an LP optimum draws every round and scores every round's
-point, however many repeat.  Tests require the package to agree with
-them field for field.
+point, however many repeat.  The report's JSON is built field by field,
+each rational through its own num/den string.  Tests require the package
+to agree with them field for field.
 """
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -339,3 +341,46 @@ def butterfly_masks_to_values(poly, n: int):
         view = table.reshape(-1, 2, 1 << b)
         view[:, 1, :] += view[:, 0, :]
     return table, denom
+
+
+def _frac(value):
+    return None if value is None else str(Fraction(value))
+
+
+def reference_report_json(report) -> str:
+    """A solve report's canonical JSON with every field written out by
+    hand, rationals as num/den strings."""
+    payload = {
+        "label": report.label,
+        "n": report.n,
+        "degree": report.degree,
+        "beta": _frac(report.beta),
+        "strategy": report.strategy,
+        "best_z": list(report.best_z),
+        "best_value": _frac(report.best_value),
+        "candidates": [
+            {
+                "tag": c.tag,
+                "z": list(c.z),
+                "value": _frac(c.value),
+                "violation": _frac(c.violation),
+            }
+            for c in report.candidates
+        ],
+        "per_eps": [
+            {
+                "eps": r.eps,
+                "status": r.status,
+                "lp_value": r.lp_value,
+                "rounded_z": None if r.rounded_z is None else list(r.rounded_z),
+                "rounded_value": _frac(r.rounded_value),
+                "violation_max": _frac(r.violation_max),
+                "gap": _frac(r.gap),
+                "rounding_radius": _frac(r.rounding_radius),
+                "wall_ms": r.wall_ms,
+                "seed_values": [_frac(v) for v in r.seed_values],
+            }
+            for r in report.per_eps
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -356,9 +356,11 @@ def test_c12_erm_selects_the_exact_oracle():
     config = SolveConfig(grid=(0,), include_baseline_candidate=False)
 
     def quarter_perturbed(seed):
-        return lambda inst: perturb(
-            exact_prediction(inst), inst.objective.n // 4, seed
-        )
+        def candidate(inst):
+            star = exact_prediction(inst)
+            return perturb(star, len(star) // 4, seed)
+
+        return candidate
 
     def complemented(inst):
         return tuple(1 - v for v in exact_prediction(inst))

@@ -24,7 +24,7 @@ def clique_instance(n: int, label: str = "") -> Instance:
     return Instance(p, h=Fraction(n * (n - 1), 2), label=label)
 
 
-def complement(instance: Instance):
+def complement(instance):
     star, _ = exact_solve(instance)
     return tuple(1 - v for v in star)
 
@@ -117,18 +117,26 @@ def test_erm_tie_goes_to_lowest_id():
 
 
 def test_erm_prepares_each_training_instance_once(monkeypatch):
-    plans = []
-    plan = pipeline.RelaxationPlan
+    """One plan and one normalization per training instance: every
+    candidate is called on the prepared instance."""
+    plans, normalized = [], []
+    plan, normalize = pipeline.RelaxationPlan, pipeline._normalized
 
     def counted(table):
         plans.append(table)
         return plan(table)
 
+    def counted_normalize(*args):
+        normalized.append(args)
+        return normalize(*args)
+
     monkeypatch.setattr(pipeline, "RelaxationPlan", counted)
+    monkeypatch.setattr(pipeline, "_normalized", counted_normalize)
     training = (clique_instance(5, "a"), clique_instance(6, "b"))
     candidates = (complement, exact_prediction, complement)
     chosen, cost = erm_select(ErmProblem(candidates, training), STRICT)
     assert [table.n for table in plans] == [5, 6]
+    assert len(normalized) == 2
     # The same selection as solving each pair from scratch.
     costs = [
         sum(

@@ -15,6 +15,7 @@ from exact_reference import (
     butterfly_masks_to_values,
     every_round_scored,
     fraction_value,
+    reference_report_json,
 )
 from helpers import at_most, random_bool_vector, random_multilinear
 from test_golden import corpus
@@ -927,6 +928,59 @@ def test_a_tie_goes_to_the_smaller_index_in_a_later_tile(
         assert exact_solve(Instance(p, constraints)) == ((0, 1), scale)
 
 
+def counted_value_tiles(monkeypatch) -> list:
+    """The tables that pipeline._value_tiles is called on, from now on."""
+    tables = []
+    original = pipeline._value_tiles
+
+    def counted(table):
+        tables.append(table)
+        return original(table)
+
+    monkeypatch.setattr(pipeline, "_value_tiles", counted)
+    return tables
+
+
+def test_a_side_window_every_point_meets_takes_no_tiles(monkeypatch):
+    """sum x takes every value in [0, n] at a Boolean point: a bound at
+    or past that range is dropped, and a side with no bound left is not
+    tiled; a bound inside it still is."""
+    n = 8
+    objective = maxcut_objective(gen_gnp(n, 0.5, 2))
+    count = Polynomial(n, {(j,): 1 for j in range(n)})
+    free = exact_solve(Instance(objective))
+    cases = (
+        (((count, None, Fraction(n)),), 1),
+        (((count, Fraction(-5), Fraction(n + 1, 2) * 3),), 1),
+        (((count, Fraction(0), None), (count, None, Fraction(99))), 1),
+        (((count, Fraction(1, 2), None),), 2),
+        (((count, None, Fraction(3)), (count, Fraction(-1), None)), 2),
+    )
+    for constraints, calls in cases:
+        tables = counted_value_tiles(monkeypatch)
+        got = exact_solve(Instance(objective, constraints))
+        assert len(tables) == calls
+        if calls == 1:
+            assert got == free
+        monkeypatch.undo()
+
+
+def test_a_side_window_no_point_meets_raises_before_any_tile(monkeypatch):
+    n = 8
+    objective = maxcut_objective(gen_gnp(n, 0.5, 2))
+    count = Polynomial(n, {(j,): 1 for j in range(n)})
+    for window in (
+        (None, Fraction(-1)),
+        (Fraction(n + 1), None),
+        (Fraction(1, 3), Fraction(2, 3)),  # no integer between
+    ):
+        tables = counted_value_tiles(monkeypatch)
+        with pytest.raises(ValueError, match="no Boolean point satisfies"):
+            exact_solve(Instance(objective, ((count, *window),)))
+        assert tables == []
+        monkeypatch.undo()
+
+
 def traced_peak(call):
     """(result, peak bytes that tracemalloc saw while call ran)."""
     tracemalloc.start()
@@ -1059,6 +1113,17 @@ def test_guarantee_floor_is_guarantee_bound_given_opt():
     assert guarantee_floor(0, 0, 4, 2, 3, "randomized", 2) == 0
 
 
+def test_guarantee_floor_rejects_an_unknown_strategy():
+    """A misspelt strategy would otherwise drop the rounding deviation
+    and report the greedy floor, which is above the randomized one."""
+    randomized = guarantee_floor(100, 2, 30, 2, 4, "randomized")
+    assert randomized < guarantee_floor(100, 2, 30, 2, 4, "greedy")
+    for strategy in ("randomised", "Greedy", ""):
+        for n in (30, 2):  # n <= d is checked too
+            with pytest.raises(ValueError, match="unknown strategy"):
+                guarantee_floor(100, 2, n, 2, 4, strategy)
+
+
 def test_guarantee_bound_accepts_a_prepared_instance(monkeypatch):
     """guarantee_bound(prepare(inst), eps) is guarantee_bound(inst, eps),
     and the prepared instance is not normalized again."""
@@ -1089,6 +1154,39 @@ def test_guarantee_bound_accepts_a_prepared_instance(monkeypatch):
         ]
         assert normalized == []
         monkeypatch.undo()
+
+
+def test_guarantee_bound_of_an_instance_builds_no_solve_tables(
+    monkeypatch,
+):
+    """An unprepared instance is scored and certified for the brute
+    force, with neither greedy-rounding tables nor relaxation plans, and
+    gives the prepared instance's bound."""
+    cases = (
+        Instance(TRIANGLE),
+        Instance(maxksat_objective(gen_ksat(8, 30, 3, 2))),
+        Instance(maxcut_objective(gen_gnp(7, 0.5, 3)), (at_most(7, 3),)),
+        Instance(Polynomial(2, {(0, 1): 3, (1,): -1})),  # n <= d
+    )
+    configs = (SolveConfig(), SolveConfig(strategy="randomized", k=2))
+    expected = [
+        guarantee_bound(prepare(inst), eps, config)
+        for inst in cases
+        for config in configs
+        for eps in range(inst.objective.n + 1)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a solve table was built")
+
+    monkeypatch.setattr(pipeline, "GreedyTables", refuse)
+    monkeypatch.setattr(pipeline, "RelaxationPlan", refuse)
+    assert expected == [
+        guarantee_bound(inst, eps, config)
+        for inst in cases
+        for config in configs
+        for eps in range(inst.objective.n + 1)
+    ]
 
 
 def test_solve_takes_the_gap_factor_once_and_keeps_every_gap(monkeypatch):
@@ -1261,6 +1359,23 @@ def test_ratio_bound_general_form():
     assert value == pytest.approx(1 - (2 * eta * 3 / 2.0) * 3 / 64**0.25)
 
 
+def test_ratio_bound_takes_e_rounded_up():
+    """eta comes from rat.eta_upper, e rounded up, so the bound is at or
+    below the one taken with math.e, and equal to it at d = 2."""
+    for beta, n, d, eps, kappa, xi in (
+        (3, 64, 3, 9, 2.0, 0.25),
+        (Fraction(1, 2), 100, 4, 5, 1.0, 0.5),
+        (2, 100, 2, 4, 0.5, 0.5),
+    ):
+        eta = 2 * math.e * (d - 2) + 1
+        with_e = 1.0 - (2 * eta * float(beta) / kappa) * math.sqrt(eps) / n**xi
+        value = approx_ratio_bound(beta, n, d, eps, kappa, xi)
+        assert value <= with_e
+        assert value == pytest.approx(with_e, rel=1e-9)
+        if d == 2:
+            assert value == with_e
+
+
 def test_ratio_bound_validation():
     with pytest.raises(ValueError):
         approx_ratio_bound(1, 10, 1, 1, 1.0, 0.5)
@@ -1273,6 +1388,10 @@ def test_ratio_bound_validation():
 # -- serialization ------------------------------------------------------
 
 
+def golden_reports() -> list:
+    return [solve(*case) for case in corpus().values()]
+
+
 def test_report_json_is_canonical_and_complete():
     report = solve(Instance(PATH3, label="p3"), (0, 1, 0))
     payload = json.loads(report_json(report))
@@ -1282,6 +1401,40 @@ def test_report_json_is_canonical_and_complete():
     assert len(payload["per_eps"]) == 4
     assert payload["per_eps"][0]["gap"] == "0"
     assert report_json(report) == report_json(report)
+    # The text of the field-by-field renderer, wall_ms included, on the
+    # golden corpus: an infeasible record with null fields, a report
+    # with no records (n <= d) and randomized seed_values among them.
+    reports = golden_reports()
+    records = [r for report in reports for r in report.per_eps]
+    assert any(r.status != "optimal" for r in records)
+    assert any(not report.per_eps for report in reports)
+    assert any(r.seed_values for r in records)
+    for report in [report, *reports]:
+        assert report_json(report) == reference_report_json(report)
+
+
+def test_every_rational_report_field_is_a_fraction():
+    """report_json writes a Fraction as its num/den string; an int or a
+    float in a rational field would be written as a JSON number."""
+    for report in golden_reports():
+        rationals = [report.beta, report.best_value]
+        for c in report.candidates:
+            rationals += [c.value, c.violation]
+        for r in report.per_eps:
+            rationals += [r.gap, r.rounding_radius, *r.seed_values]
+            if r.status == "optimal":
+                rationals += [r.rounded_value, r.violation_max]
+            else:
+                assert (r.rounded_value, r.violation_max) == (None, None)
+        assert {type(v) for v in rationals} == {Fraction}
+
+
+def test_report_json_rejects_a_numpy_integer():
+    report = solve(Instance(PATH3), (0, 1, 0))
+    bad = dataclasses.replace(report, best_z=(np.int64(0), 1, 0))
+    for render in (report_json, reference_report_json):
+        with pytest.raises(TypeError, match="int64"):
+            render(bad)
 
 
 def test_report_csv_shape_and_determinism():
