@@ -37,6 +37,7 @@ from .pipeline import (  # noqa: F401
     SolveConfig,
     _beta,
     _exact,
+    _grid,
     _round_seed,
     _scored,
     exact_solve,
@@ -78,17 +79,18 @@ def load_instance(path) -> Instance:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p edge"):
-            graph = parse_dimacs_graph(text)
-            return Instance(
-                maxcut_objective(graph), kind="maxcut",
-                h=Fraction(len(graph.edges)), label=label,
-            )
-        if line.startswith("p cnf"):
+        header = line.split()[:2]
+        if header == ["p", "cnf"]:
             formula = parse_dimacs_cnf(text)
             return Instance(
                 maxksat_objective(formula), kind="maxksat",
                 h=Fraction(len(formula.clauses)), label=label,
+            )
+        if header[0] == "p":  # "p edge", or a header the parser rejects
+            graph = parse_dimacs_graph(text)
+            return Instance(
+                maxcut_objective(graph), kind="maxcut",
+                h=Fraction(len(graph.edges)), label=label,
             )
         break
     inst = parse_csp_json(text)
@@ -106,8 +108,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_grid(flag: str, n: int):
-    """Grid flag: full | stride:S (eps 0, S, 2S, ... <= n) | e1,e2,...,
-    each explicit value in [0, n]."""
+    """Grid flag: full | stride:S (eps 0, S, 2S, ... <= n) | e1,e2,...;
+    the pipeline checks that explicit values lie in [0, n]."""
     if flag == "full":
         return None
     if flag.startswith("stride:"):
@@ -115,11 +117,7 @@ def _parse_grid(flag: str, n: int):
         if stride < 1:
             raise ValueError("stride must be at least 1")
         return tuple(range(0, n + 1, stride))
-    grid = tuple(int(part) for part in flag.split(","))
-    for e in grid:
-        if not 0 <= e <= n:
-            raise ValueError(f"grid value {e} outside [0, {n}]")
-    return grid
+    return tuple(int(part) for part in flag.split(","))
 
 
 def _parse_opt(flag: str | None):
@@ -177,6 +175,7 @@ def cmd_solve(args) -> int:
         k=args.k,
         randomized_rounds=args.rounds,
     )
+    _grid(config, instance.objective.n)  # before any brute force
     prepared = prepare(instance)
     prediction = _prediction_for(args.prediction, prepared, args.seed)
     try:

@@ -22,9 +22,11 @@ over an integer, divided once with Python's correctly rounded
 ``int / int``, so it has the bits of the float of the exact Fraction.
 Its ``solve(windows)`` then does one LP, so a caller that solves the same
 rows under many windows (the pipeline, one per error budget) converts
-and checks them once.  The simplex accepts the warm start only when its
-exact activities lie in the exact windows, an integer comparison, and
-otherwise starts cold with a phase 1.
+and checks them once.  The simplex starts warm, at x-hat on the slack
+basis, only when x-hat's exact activities lie in the exact windows, an
+integer comparison.  Otherwise it starts cold with a phase 1: the
+structurals at their lower bounds, each slack at its finite bound nearest
+zero, and the artificials basic, absorbing the residual.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class LpSolution:
 
 class _Simplex:
     """One solve. Column layout: [0, n) structural, [n, n+m) slack,
-    [n+m, n+2m) artificial."""
+    [n+m, n+2m) artificial.  ``basis``, each row's basic column, is the
+    one record of the basis; every start sets it and ``Binv`` first."""
 
     def __init__(self, lp: PreparedLp, slack_lb, slack_ub):
         n, m = lp.num_vars, len(lp.kept)
@@ -100,10 +103,7 @@ class _Simplex:
         self.cost = np.zeros(total)
         self.cost[:n] = lp.cost
         self.val = np.zeros(total)
-        self.basis = np.zeros(0, dtype=np.intp)
-        self.basic = np.zeros(total, dtype=bool)
         self.at_upper = np.zeros(total, dtype=bool)
-        self.Binv = np.zeros((m, m))
         self.iterations = 0
 
     # -- state helpers ----------------------------------------------------
@@ -114,8 +114,6 @@ class _Simplex:
         inverse is written down: dividing each row of the identity by its
         sign gives what LAPACK returns, -0.0 entries included."""
         self.basis = np.array(columns, dtype=np.intp)
-        self.basic[:] = False
-        self.basic[self.basis] = True
         if signs is not None:
             self.Binv = np.eye(self.m) / signs[:, None]
             return True
@@ -174,8 +172,6 @@ class _Simplex:
                 self.ub[leaving] if leave_to_upper else self.lb[leaving]
             )
             self.at_upper[leaving] = leave_to_upper
-            self.basic[leaving] = False
-            self.basic[j] = True
             self.basis[leave_pos] = j
             self._update_inverse(leave_pos, w)
 
@@ -185,7 +181,8 @@ class _Simplex:
         never enter.  Nothing else guards against cycling; a solve ends at
         the pivot cap of :meth:`PreparedLp.solve`."""
         score = np.where(self.at_upper, reduced, -reduced)
-        score[self.basic | (self.lb == self.ub)] = -math.inf
+        score[self.basis] = -math.inf
+        score[self.lb == self.ub] = -math.inf
         j = int(np.argmax(score))  # first maximum
         return j if score[j] > DUAL_TOL else None
 
@@ -358,8 +355,7 @@ class PreparedLp:
         sx = _Simplex(self, *self.slack_bounds(windows))
         max_iterations = 50 * (self.num_rows + n)
 
-        warm_ok = self.warm_fits(windows)
-        if warm_ok:
+        if self.warm_fits(windows):
             sx.val[:n] = self.warm_x
             sx.at_upper[:n] = self.warm_at_upper
             sx.val[n : n + m] = np.clip(
@@ -367,32 +363,20 @@ class PreparedLp:
             )
             sx.ub[n + m :] = 0.0
             sx.set_basis(range(n, n + m), np.full(m, -1.0))
-
-        if not warm_ok:
-            # Cold start: structurals at lower bound, slacks at the finite
-            # bound nearest zero, artificials basic absorbing the residual.
-            sx.ub[n + m :] = math.inf
+        else:
+            # Cold start, as the module docstring says: the lower bound wins
+            # a tie, and __init__ dropped every row with no finite bound.
+            lo, hi = sx.lb[n : n + m], sx.ub[n : n + m]
+            upper = np.isinf(lo) | (np.abs(hi) < np.abs(lo))
+            target = np.where(upper, hi, lo)
             sx.val[:n] = sx.lb[:n]
-            sx.at_upper[:n] = False
-            for i in range(m):
-                lo, hi = sx.lb[n + i], sx.ub[n + i]
-                # A nonbasic variable must sit at a bound; presolve
-                # guarantees at least one of the two is finite.
-                finite = [b for b in (lo, hi) if math.isfinite(b)]
-                target = min(finite, key=lambda b: (abs(b), b))
-                sx.val[n + i] = target
-                sx.at_upper[n + i] = target == hi and target != lo
-                residual = target - float(np.dot(sx.M[i, :n], sx.val[:n]))
-                if residual < 0:
-                    sx.M[i, n + m + i] = -1.0
-                    residual = -residual
-                else:
-                    sx.M[i, n + m + i] = 1.0
-                sx.val[n + m + i] = residual
-            sx.set_basis(
-                range(n + m, n + 2 * m),
-                sx.M[range(m), range(n + m, n + 2 * m)],
-            )
+            sx.val[n : n + m] = target
+            sx.at_upper[n : n + m] = upper
+            residual = target - self.matrix @ sx.lb[:n]
+            signs = np.where(residual < 0, -1.0, 1.0)
+            sx.M[range(m), range(n + m, n + 2 * m)] = signs
+            sx.val[n + m :] = residual * signs  # a -0.0 residual stays -0.0
+            sx.set_basis(range(n + m, n + 2 * m), signs)
             phase1 = np.zeros(n + 2 * m)
             phase1[n + m :] = 1.0
             true_cost = sx.cost

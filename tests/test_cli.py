@@ -704,6 +704,21 @@ def test_load_instance_detects_kinds(tmp_path, capsys):
     inst = load_instance(csp)
     assert inst.kind == "maxkcsp"
     assert inst.h == 4
+    # The header is routed by its words, as the DIMACS parsers read it.
+    for single, spaced in (
+        (graph, TRIANGLE_TEXT.replace("p edge", "p  edge")),
+        (cnf, "p\tcnf 2 1\n1 -2 0\n"),
+    ):
+        other = tmp_path / f"spaced{single.suffix}"
+        other.write_text(spaced)
+        loaded, expected = load_instance(other), load_instance(single)
+        assert loaded.kind == expected.kind
+        assert loaded.objective == expected.objective
+    for header in ("p edges 3 2", "p col 3 2"):
+        misspelt = tmp_path / "misspelt.graph"
+        misspelt.write_text(f"{header}\ne 1 2\ne 2 3\n")
+        with pytest.raises(ValueError, match=f"bad header '{header}'"):
+            load_instance(misspelt)
 
 
 GOOD_CSP = {"n": 3, "k": 2, "constraints": [{"scope": [0, 1], "table": "0110"}]}

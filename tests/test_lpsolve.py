@@ -3,6 +3,7 @@ determinism, warm starts, its vectorized pivoting against plain loops, and
 agreement with the dense-tableau reference (and HiGHS, when scipy is
 installed) on random models and on the relaxations the pipeline solves."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -389,7 +390,7 @@ class LoopSimplex(lpsolve._Simplex):
         best = None
         best_score = lpsolve.DUAL_TOL
         for j in range(len(reduced)):
-            if self.basic[j] or self.lb[j] == self.ub[j]:
+            if j in self.basis or self.lb[j] == self.ub[j]:
                 continue
             score = -reduced[j] if not self.at_upper[j] else reduced[j]
             if score <= best_score:
@@ -450,6 +451,87 @@ def test_vectorized_pivoting_matches_the_loops(
     vectorized = [repr(lp.solve(windows)) for lp, windows in cases]
     monkeypatch.setattr(lpsolve, "_Simplex", LoopSimplex)
     assert [repr(lp.solve(windows)) for lp, windows in cases] == vectorized
+
+
+# -- the cold start ----------------------------------------------------------
+
+
+def start_state(sx) -> tuple:
+    """A simplex's values, at_upper flags, artificial columns, basis and
+    signs of its values, as bytes."""
+    return (
+        sx.val.tobytes(),
+        sx.at_upper.tobytes(),
+        sx.M[:, sx.n + sx.m :].tobytes(),
+        np.asarray(sx.basis, dtype=np.intp).tobytes(),
+        np.signbit(sx.val).tobytes(),
+    )
+
+
+def loop_cold_start(lp, windows) -> tuple:
+    """The start state of a cold solve, built one row at a time: the
+    reference for the solver's array form."""
+    n, m = lp.num_vars, len(lp.kept)
+    sx = lpsolve._Simplex(lp, *lp.slack_bounds(windows))
+    sx.val[:n] = sx.lb[:n]
+    for i in range(m):
+        lo, hi = sx.lb[n + i], sx.ub[n + i]
+        finite = [b for b in (lo, hi) if math.isfinite(b)]
+        target = min(finite, key=lambda b: (abs(b), b))
+        sx.val[n + i] = target
+        sx.at_upper[n + i] = target == hi and target != lo
+        residual = target - float(np.dot(sx.M[i, :n], sx.val[:n]))
+        if residual < 0:
+            sx.M[i, n + m + i] = -1.0
+            residual = -residual
+        else:
+            sx.M[i, n + m + i] = 1.0
+        sx.val[n + m + i] = residual
+    sx.basis = range(n + m, n + 2 * m)
+    return start_state(sx)
+
+
+def test_cold_start_matches_the_per_row_loop(pipeline_lps, monkeypatch):
+    """Every cold solve starts, to the bit, where the per-row loop puts
+    it: on the reference models (sub-box variable bounds, so nonzero
+    residuals), the cold card-40 LPs, one variable under ties, one-sided
+    rows and an equality with a negative coefficient, and no kept row."""
+    one = Fraction(1)
+    bounds = [(-1, 1), (-2, 1), (-1, 3), (None, -1), (2, None)]
+    rows = tuple(((one,), lo, hi) for lo, hi in bounds)
+    rows += (((-one,), Fraction(0), Fraction(0)),)
+    models = reference_models() + [
+        LpModel(1, ((lo, one),), rows, (one,))
+        for lo in (Fraction(0), Fraction(1, 4))
+    ]
+    no_row = prepared_model(
+        LpModel(2, box(2), (((one, one), None, None), ((0, 0), -one, one)),
+                (one, -one))
+    )
+    assert no_row[0].kept == []
+    card = [
+        (lp, windows) for name, lp, windows, _ in pipeline_lps
+        if name.startswith("card40/") and not lp.warm_fits(windows)
+    ]
+    assert card
+    cases = [prepared_model(model) for model in models] + [no_row] + card
+    assert not any(lp.warm_fits(windows) for lp, windows in cases)
+    expected = [loop_cold_start(lp, windows) for lp, windows in cases]
+    states = []
+    set_basis = lpsolve._Simplex.set_basis
+
+    def recording(sx, columns, signs=None):
+        ok = set_basis(sx, columns, signs)
+        states.append(start_state(sx))
+        return ok
+
+    monkeypatch.setattr(lpsolve._Simplex, "set_basis", recording)
+    starts = []
+    for lp, windows in cases:
+        states.clear()
+        lp.solve(windows)
+        starts.append(states[0])
+    assert starts == expected
 
 
 # -- the starting basis inverse -------------------------------------------

@@ -871,11 +871,14 @@ def plan_cases(draw):
     coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
     def polynomial(d):
-        coeffs = {(): draw(coeff), tuple(live[:d]): draw(coeff) or 1}
+        top = tuple(live[:d])
+        coeffs = {(): draw(coeff), top: draw(coeff) or 1}
         monos = st.sets(st.sampled_from(live), max_size=d)
         for mono in draw(st.lists(monos, max_size=12)):
             key = tuple(sorted(mono))
             coeffs[key] = coeffs.get(key, 0) + draw(coeff)
+        # The added terms may cancel the top monomial; keep the degree d.
+        coeffs[top] = coeffs[top] or 1
         return Polynomial(n, coeffs)
 
     objective = polynomial(draw(st.integers(2, min(4, len(live)))))
