@@ -27,12 +27,15 @@ level factor, so every row carries its eps-free width, the sum of the
 level factors of the tolerances that widen it.  What depends on the
 polynomial alone is a :class:`RelaxationPlan`, read once off its
 :class:`~smoothip.poly.ScoreTable` (a :class:`SidePlan` adds a side
-constraint's window).  Per prediction, every node value p_I(xhat) is
-computed once, bottom-up, as an integer over the table's L by the
-reconstruction identity p_I(xhat) = c_I + sum over j with xhat_j = 1 of
-p_(I,j)(xhat), and each row's need (how wide its window must grow
-before it cannot cut the box) is folded into the largest need of its
-group.  A :class:`Relaxation` holds those; it builds its rows, all
+constraint's window).  Rows exist only for the nodes I with children:
+a childless node's row reads 0 in 0 +- delta_I, which no budget breaks,
+though a side window still widens by its tolerance.  Per prediction,
+one child-first pass over those nodes computes every node value
+p_I(xhat), an integer over the table's L, by the reconstruction
+identity p_I(xhat) = c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat),
+and folds each row's need (how wide its window must grow before it
+cannot cut the box) into the largest need of its group.  A
+:class:`Relaxation` holds those; it builds its rows, all
 integers over one denominator, only when an LP reads them, and
 ``windows(eps)``, ``model(eps)`` and ``lp()`` give one budget's bounds,
 its exact Fraction LP and the float LP that every budget shares,
@@ -126,7 +129,8 @@ class Row(NamedTuple):
     of p_I has key I, lower = upper = p_I(xhat) - c_I and the level factor
     of depth |I| as its width; a side constraint's top-level window has
     key (), its bounds minus the constraint's constant, and the sum of
-    that constraint's component rows' widths.  activity is coeffs . xhat,
+    the level factors of that constraint's component nodes (rows or not)
+    as its width.  activity is coeffs . xhat,
     the prediction's value (a component row's centre).
     """
 
@@ -149,19 +153,6 @@ def _need(lower, upper, low: int, high: int) -> int | None:
     return lower - low if upper is None else max(lower - low, high - upper)
 
 
-def _span(values: list, children) -> tuple[int, int]:
-    """(low, high): the sums of the negative and of the positive values of
-    the children, given as (j, position) pairs."""
-    low = high = 0
-    for _, k in children:
-        v = values[k]
-        if v < 0:
-            low += v
-        else:
-            high += v
-    return low, high
-
-
 def _pairs(values: list, children, factor: int = 1) -> tuple:
     """The (j, value * factor) pairs of the children whose value is
     nonzero, in ascending j."""
@@ -178,17 +169,20 @@ class RelaxationPlan:
     The nodes I of the tree :func:`~smoothip.poly.decompose` builds are
     the root () and every prefix of a monomial; c_I is the coefficient
     of the monomial I, 0 when I is not one, and the children of I are
-    the j with I + (j,) a node.  ``scale`` is the
-    table's L, so every node value p_I(xhat) is an integer over L.  The
-    nodes are numbered child-first, the reverse of their sorted order, so
-    that every child (I, j) comes before I and the root is last.
-    ``constants[k]`` is c_I * L for node k, and ``children`` holds (k,
-    pairs) for every node k that has children, in that order, its pairs
-    (j, position of (I, j)) in ascending j; ``top`` is the root's pairs.
-    ``rows`` holds one (key, position, width, pairs) per component row,
-    every I with 1 <= |I| <= d - 1 in sorted order, d the table's declared
-    degree, and width the level factor of depth |I| as an integer pair
-    (a, b).  ``offset`` is the top-level constant c.  Raises ValueError on a polynomial that is not multilinear.  Immutable by
+    the j with I + (j,) a node.  ``scale`` is the table's L, so every
+    node value p_I(xhat) is an integer over L.  The nodes are numbered
+    child-first, the reverse of their sorted order, so that every child
+    (I, j) comes before I and the root is last; ``constants[k]`` is c_I *
+    L for node k.  ``nodes`` holds (key, k, width, pairs) for every node
+    k that has children, in that order, its pairs (j, position of (I,
+    j)) in ascending j; ``top`` is the root's pairs.  Its entries before
+    the root, read in reverse (sorted key order), are the component
+    rows, width the level factor of depth |I| as an integer pair (a, b)
+    (None for the root), d the table's declared degree; a childless
+    node's row could never bind.  ``width`` sums the level factors of
+    every component node, 1 <= |I| <= d - 1, childless ones included,
+    for a side window.  ``offset`` is the top-level constant c.  Raises
+    ValueError on a polynomial that is not multilinear.  Immutable by
     convention, like :class:`~smoothip.poly.ScoreTable`; compares by
     value and pickles.
     """
@@ -206,6 +200,7 @@ class RelaxationPlan:
         keys = sorted(nodes)
         last = len(keys) - 1
         seen = [last] * (d + 1)
+        count = [0] * (d + 1)
         children: list = [[] for _ in keys]
         for i in range(1, len(keys)):
             key = keys[i]
@@ -217,8 +212,8 @@ class RelaxationPlan:
                     "the relaxation needs a multilinear polynomial"
                 )
             seen[depth] = last - i
+            count[depth] += 1
             children[seen[depth - 1]].append((key[-1], last - i))
-        pairs = {k: tuple(kids) for k, kids in enumerate(children) if kids}
         constant = dict(zip(monomials, table.coeffs))
         width = {
             depth: _level_factor(table.n, d, depth).as_integer_ratio()
@@ -231,39 +226,62 @@ class RelaxationPlan:
         self.constants = tuple(
             [constant.get(key, 0) for key in reversed(keys)]
         )
-        self.children = tuple(pairs.items())
-        self.top = pairs.get(last, ())
-        self.rows = tuple(
+        self.nodes = tuple(
             [
-                (key, last - i, width[len(key)], pairs.get(last - i, ()))
-                for i, key in enumerate(keys)
-                if 1 <= len(key) <= d - 1
+                (key, k, width.get(len(key)), tuple(children[k]))
+                for k, key in enumerate(reversed(keys))
+                if children[k]
             ]
         )
+        self.top = tuple(children[last])
+        self.width = sum(
+            [count[depth] * Fraction(*width[depth]) for depth in width],
+            Fraction(0),
+        ).as_integer_ratio()
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and vars(other) == vars(self)
 
     __hash__ = None
 
-    def values(self, point) -> list:
+    def values(self, point, needs: dict) -> list:
         """p_I(xhat) * L of every node, in the plan's order, by the
         reconstruction identity p_I(xhat) = c_I + sum over j with xhat_j
-        = 1 of p_(I,j)(xhat), from values already known."""
+        = 1 of p_(I,j)(xhat), from values already known; on the same
+        pass, raise needs[(width, L)] to the need of every component
+        row, without building the rows."""
         values = list(self.constants)
-        for k, children in self.children:
-            total = values[k]
+        largest: dict = {}
+        for _, k, width, children in self.nodes:
+            # The range [low, high] over the box and _need, inlined:
+            # this runs for every prediction.
+            total = constant = values[k]
+            low = high = 0
             for j, child in children:
+                v = values[child]
                 if point[j]:
-                    total += values[child]
+                    total += v
+                if v < 0:
+                    low += v
+                else:
+                    high += v
             values[k] = total
+            center = total - constant
+            below, above = center - low, high - center
+            need = below if below > above else above
+            if need > largest.get(width, need - 1):
+                largest[width] = need
+        largest.pop(None, None)  # the root's entry is no row
+        for width, need in largest.items():
+            _fold(needs, (width, self.scale), need)
         return values
 
     def component_rows(self, values: list) -> list:
         """The component rows at the prediction whose node values are
         ``values``: row I has centre (p_I(xhat) - c_I) * L."""
         rows = []
-        for key, k, width, children in self.rows:
+        # Every entry but the root, which is last, in sorted key order.
+        for key, k, width, children in self.nodes[-2::-1]:
             center = values[k] - self.constants[k]
             rows.append(
                 Row(
@@ -272,28 +290,6 @@ class RelaxationPlan:
                 )
             )
         return rows
-
-    def fold_needs(self, values: list, needs: dict) -> None:
-        """Raise needs[(width, L)] to the need of every component row at
-        these node values, without building the rows."""
-        constants = self.constants
-        largest: dict = {}
-        for _, k, width, children in self.rows:
-            # _span and max, inlined: this loop runs for every prediction.
-            low = high = 0
-            for _, child in children:
-                v = values[child]
-                if v < 0:
-                    low += v
-                else:
-                    high += v
-            center = values[k] - constants[k]
-            below, above = center - low, high - center
-            need = below if below > above else above
-            if need > largest.get(width, need - 1):
-                largest[width] = need
-        for width, need in largest.items():
-            _fold(needs, (width, self.scale), need)
 
 
 def _fold(needs: dict, group, need) -> None:
@@ -306,16 +302,15 @@ class SidePlan(NamedTuple):
 
     ``lower`` and ``upper`` are the bounds minus the constraint's
     constant, as integers over ``denom``, the lcm of the plan's L and the
-    bounds' denominators (None for an absent bound), and ``width``, an
-    integer pair (a, b) like a :class:`Row`'s, is the sum of the widths of
-    the constraint's component rows: (0, 1) when it has none.
+    bounds' denominators (None for an absent bound).  The window widens
+    by the plan's ``width``, which counts the component nodes without
+    children too, though they give no row: (0, 1) when it has none.
     """
 
     plan: RelaxationPlan
     lower: int | None
     upper: int | None
     denom: int
-    width: tuple
 
     def top_row(self, values: list) -> Row:
         """The window's row at the prediction whose node values are
@@ -328,20 +323,21 @@ class SidePlan(NamedTuple):
             self.denom,
             self.lower,
             self.upper,
-            self.width,
+            plan.width,
             (values[-1] - plan.constants[-1]) * factor,
         )
 
-    def fold_needs(self, values: list, needs: dict) -> None:
-        """Raise needs to the window's need and to every component row's,
-        at these node values, without building the rows."""
-        low, high = _span(values, self.plan.top)
+    def values(self, point, needs: dict) -> list:
+        """The plan's node values at point, its component rows' needs
+        folded into needs on the way, and the window's need folded too."""
+        values = self.plan.values(point, needs)
         factor = self.denom // self.plan.scale
-        _fold(
-            needs, (self.width, self.denom),
-            _need(self.lower, self.upper, low * factor, high * factor),
-        )
-        self.plan.fold_needs(values, needs)
+        top = [values[k] * factor for _, k in self.plan.top]
+        low = sum([v for v in top if v < 0])
+        high = sum([v for v in top if v > 0])
+        need = _need(self.lower, self.upper, low, high)
+        _fold(needs, (self.plan.width, self.denom), need)
+        return values
 
 
 @dataclass(frozen=True)
@@ -352,12 +348,13 @@ class Relaxation:
     coefficients are integers over ``denom``.  ``needs`` holds, per group
     of rows that share a width and a denominator, ((a, b), denom), the
     largest need (see :func:`_need`), and ``parts`` one (plan, node
-    values, side plan or None) per polynomial, the objective first.
-    ``rows`` are built from them on first use, so a prediction saturated
-    at every budget it solves never builds them.  ``windows(eps)`` scales
-    every row's width by beta * sqrt(n * eps), ``model(eps)`` is that
-    budget's exact LP, and ``lp()`` prepares the LP that every budget
-    shares, up to ``windows(eps)``.
+    values, side plan or None) per polynomial, the objective first: one
+    pass over each plan's nodes gave both.  ``rows``, one per node with
+    children and per side window, are built on first use, so a
+    prediction saturated at every budget it solves never builds them.
+    ``windows(eps)`` scales every row's width by beta * sqrt(n * eps),
+    ``model(eps)`` is that budget's exact LP, and ``lp()`` prepares the
+    LP that every budget shares, up to ``windows(eps)``.
     """
 
     n: int
@@ -519,7 +516,6 @@ def constraint_plans(scores) -> tuple:
     sides = []
     for table, lower, upper in scores:
         plan = RelaxationPlan(table)
-        width = sum((Fraction(*row[2]) for row in plan.rows), Fraction(0))
         bounds = [
             None if b is None else Fraction(b) - plan.offset
             for b in (lower, upper)
@@ -531,9 +527,7 @@ def constraint_plans(scores) -> tuple:
             None if b is None else b.numerator * (denom // b.denominator)
             for b in bounds
         )
-        sides.append(
-            SidePlan(plan, lower, upper, denom, width.as_integer_ratio())
-        )
+        sides.append(SidePlan(plan, lower, upper, denom))
     return tuple(sides)
 
 
@@ -548,7 +542,7 @@ def prepare_relaxation(
 
     ``plan`` is the objective's and ``sides`` holds one
     :class:`SidePlan` per side constraint, as :func:`constraint_plans`
-    gives them, so no plan is built here.  Per polynomial this
+    gives them, so no plan is built here.  Per polynomial one pass
     computes the node values and folds every row's need; the rows
     themselves are built only when :attr:`Relaxation.rows` is first read.
     A constraint's linearized top level q_c must stay within [lower -
@@ -560,17 +554,13 @@ def prepare_relaxation(
         raise ValueError(f"beta {beta} is negative")
     n = plan.n
     point = prediction_point(xhat, n)
-    values = plan.values(point)
+    needs: dict = {}
+    values = plan.values(point, needs)
     objective = [0] * n
     for j, k in plan.top:
         objective[j] = values[k]
-    needs: dict = {}
-    plan.fold_needs(values, needs)
     parts = [(plan, values, None)]
-    for side in sides:
-        side_values = side.plan.values(point)
-        side.fold_needs(side_values, needs)
-        parts.append((side.plan, side_values, side))
+    parts += [(side.plan, side.values(point, needs), side) for side in sides]
     return Relaxation(
         n, Fraction(beta), tuple(objective), plan.scale, plan.offset, point,
         tuple(needs.items()), tuple(parts),

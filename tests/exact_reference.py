@@ -219,11 +219,19 @@ def _activity(coeffs, point) -> Fraction:
     return sum((c for c, v in zip(coeffs, point) if v), Fraction(0))
 
 
+def _component_keys(tree) -> list:
+    """The keys I with 1 <= |I| <= d - 1, in sorted order."""
+    d = tree.root.degree
+    return [key for key in tree.component_keys() if len(key) <= d - 1]
+
+
 def _component_rows(tree, point) -> list:
+    """One row per component node that has children: a childless node's
+    row, 0 = 0 +- delta_I, cannot cut the box at any budget."""
     d = tree.root.degree
     rows = []
-    for key in tree.component_keys():
-        if len(key) > d - 1:
+    for key in _component_keys(tree):
+        if not tree.nodes[key].children:
             continue
         coeffs, _ = _linearization(tree, key, point)
         center = _activity(coeffs, point)
@@ -252,8 +260,9 @@ def evaluate_constrained_relaxation(prog, xhat, beta) -> ExactRelaxation:
     rows = list(base.rows)
     for poly, lower, upper in prog.constraints:
         tree = decompose(poly.with_degree(constraint_degree(poly)))
-        components = _component_rows(tree, point)
-        depths = Counter(len(row.key) for row in components)
+        # The window widens by every component node's tolerance, those
+        # without a row included.
+        depths = Counter(len(key) for key in _component_keys(tree))
         top, top_const = _linearization(tree, (), point)
         rows.append(
             _reference_row(
@@ -268,7 +277,7 @@ def evaluate_constrained_relaxation(prog, xhat, beta) -> ExactRelaxation:
                 _activity(top, point),
             )
         )
-        rows.extend(components)
+        rows.extend(_component_rows(tree, point))
     return ExactRelaxation(
         base.n, base.beta, base.objective, base.offset, tuple(rows),
         base.xhat,

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from helpers import (
     random_multilinear,
     solve_model,
 )
+from test_golden import corpus
 from test_poly import scored_polynomials
 from smoothip.lpsolve import INFEASIBLE, OPTIMAL, box_optimum
 from smoothip.pipeline import Instance, SolveConfig, _normalized, prepare
@@ -46,6 +48,7 @@ from smoothip.problems import (
 from smoothip.rat import E_UPPER
 from smoothip.relax import (
     ConstrainedProgram,
+    Relaxation,
     RelaxationPlan,
     build_constrained_relaxation,
     build_relaxation,
@@ -135,9 +138,10 @@ def test_tolerance_square_is_tight():
 
 def tree_plan(tree) -> dict:
     """A plan's fields as the decomposition tree gives them: the tree's
-    nodes numbered child-first, their constants over L, and children,
-    top and rows by those numbers, each row's width by the paper's
-    schedule."""
+    nodes numbered child-first, their constants over L, the nodes with
+    children and top by those numbers, each component node's width by
+    the paper's schedule, and the plan's width summed over every
+    component node, childless ones included."""
     root = tree.root
     d = root.degree
     scale = math.lcm(*(c.denominator for c in root.coeffs.values()))
@@ -150,23 +154,27 @@ def tree_plan(tree) -> dict:
         for key in keys
         if tree.nodes[key].children
     }
+    depths = Counter(len(key) for key in keys if 1 <= len(key) <= d - 1)
     return {
         "n": root.n,
         "degree": d,
         "scale": scale,
         "offset": tree.constant,
         "constants": tuple(tree.nodes[key].constant * scale for key in keys),
-        "children": tuple(sorted(children.items())),
-        "top": children.get(len(keys) - 1, ()),
-        "rows": tuple(
+        "nodes": tuple(
             (
                 key, position[key],
-                schedule_width(root.n, ((d, len(key), 1),)).as_integer_ratio(),
-                children.get(position[key], ()),
+                schedule_width(root.n, ((d, len(key), 1),)).as_integer_ratio()
+                if key else None,
+                children[position[key]],
             )
-            for key in sorted(tree.nodes)
-            if 1 <= len(key) <= d - 1
+            for key in keys
+            if position[key] in children
         ),
+        "top": children.get(len(keys) - 1, ()),
+        "width": schedule_width(
+            root.n, tuple((d, l, c) for l, c in sorted(depths.items()))
+        ).as_integer_ratio(),
     }
 
 
@@ -232,18 +240,17 @@ def test_relaxation_rows_skip_top_level():
     relaxation = prepare_relaxation(
         RelaxationPlan(ScoreTable(p)), (1, 1, 0, 1), 1
     )
-    assert [row.key for row in relaxation.rows] == [(0,), (0, 1), (1,), (1, 3)]
+    # The node (1, 3) has no children: it gives no row.
+    assert [row.key for row in relaxation.rows] == [(0,), (0, 1), (1,)]
     # Depth 1 is widened by 2e * n^(3 - 1 - 1) = 8e, depth 2 by 1.
     wide = (8 * E_UPPER).as_integer_ratio()
-    assert [row.width for row in relaxation.rows] == [
-        wide, (1, 1), wide, (1, 1)
-    ]
+    assert [row.width for row in relaxation.rows] == [wide, (1, 1), wide]
     assert relaxation.n == 4 and relaxation.beta == 1
     # Row (0,) linearizes p_0 = x1 x2 around xhat: coefficient of x1 is
     # p_(0,1)(xhat) = x2 = 0, so the row keeps no (index, value) pair;
     # centre p_0(xhat) - c_0 = 0; range [0, 0].  L = 1, so the exact
     # rows, ranges computed from the pairs, have the same numbers.
-    first, _, third, _ = as_fractions(relaxation).rows
+    first, _, third = as_fractions(relaxation).rows
     assert relaxation.rows[0].coeffs == ()
     assert (first.lower, first.upper, first.low, first.high) == (0, 0, 0, 0)
     # Row (1,): p_1 = x3 gives coefficient 1 on x3, centre 1, range [0, 1].
@@ -259,12 +266,12 @@ def test_triangle_model_structure():
     assert model.objective == (2, 2, 2)
     assert model.offset == 0
     assert model.var_bounds == ((0, 1),) * 3
-    # Component rows in key order: (0,), (1,), (2,); all centered at 0
-    # because the prediction satisfies each linearization exactly.
+    # Component rows in key order: (0,), (1,); both centered at 0
+    # because the prediction satisfies each linearization exactly.  The
+    # node (2,) has no children, so it gives no row.
     assert model.rows == (
         ((0, -2, -2), 0, 0),
         ((0, 0, -2), 0, 0),
-        ((0, 0, 0), 0, 0),
     )
 
 
@@ -970,3 +977,130 @@ def test_plan_relaxation_matches_the_reference(case):
         if eps == 0 and record.status == OPTIMAL:
             lp = relaxation.lp().solve(relaxation.windows(0))
             assert record.lp_value == float(lp.objective_value)
+
+
+# -- rows only for nodes with children ----------------------------------
+
+
+def expected_row_keys(objective, constraints) -> list:
+    """The row keys of the normalized instance, read off decomposition
+    trees: the objective's component nodes that have children, then per
+    side constraint its window () and its own such nodes."""
+
+    def with_children(poly):
+        tree = decompose(poly)
+        keys = tree.component_keys()
+        return [key for key in keys if tree.nodes[key].children]
+
+    p, sides = _normalized(objective, constraints)
+    keys = with_children(p)
+    for side, _, _ in sides:
+        keys += [()] + with_children(side)
+    return keys
+
+
+def assert_rows_only_for_nodes_with_children(objective, constraints, xhat):
+    """Each plan's node list holds only nodes with children, root last, and
+    the relaxation at xhat holds a row for each non-root entry and each
+    side window, and none for a childless node."""
+    prepared = prepare(Instance(objective, constraints))
+    plans = [prepared.plan] + [side.plan for side in prepared.constraint_plans]
+    for plan in plans:
+        assert all(pairs for _, _, _, pairs in plan.nodes)
+        assert [key for key, *_ in plan.nodes if not key] == (
+            [()] if plan.nodes else []
+        )
+        if plan.nodes:
+            assert plan.nodes[-1][2:] == (None, plan.top)
+    relaxation = prepare_relaxation(
+        prepared.plan, xhat, prepared.beta, prepared.constraint_plans
+    )
+    assert [row.key for row in relaxation.rows] == expected_row_keys(
+        objective, constraints
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_cases())
+def test_plans_list_only_nodes_with_children(case):
+    assert_rows_only_for_nodes_with_children(*case)
+
+
+def test_golden_plans_list_only_nodes_with_children():
+    for instance, xhat, _ in corpus().values():
+        assert_rows_only_for_nodes_with_children(
+            instance.objective, instance.constraints, xhat
+        )
+
+
+def test_each_prediction_walks_each_plan_once(monkeypatch):
+    """prepare_relaxation computes every plan's node values and folds its
+    rows' needs in one call per plan; reading the rows walks none again."""
+    walks = []
+    values = RelaxationPlan.values
+
+    def counted(plan, point, needs):
+        walks.append(id(plan))
+        return values(plan, point, needs)
+
+    monkeypatch.setattr(RelaxationPlan, "values", counted)
+    assert not hasattr(RelaxationPlan, "fold_needs")
+    for instance, xhat, _ in corpus().values():
+        prepared = prepare(instance)
+        plans = [prepared.plan] + [s.plan for s in prepared.constraint_plans]
+        walks.clear()
+        relaxation = prepare_relaxation(
+            prepared.plan, xhat, prepared.beta, prepared.constraint_plans
+        )
+        assert walks == [id(plan) for plan in plans]
+        assert relaxation.rows is not None and len(walks) == len(plans)
+
+
+def test_cardinality_window_has_no_component_rows():
+    """card-grid's sum x_j <= 10 over 40 variables: every node of the
+    linear constraint is childless, so it gives its window alone, still
+    widened by all 40 depth-1 tolerances."""
+    objective = maxcut_objective(gen_gnp(40, 0.3, 7))
+    constraints = (at_most(40, 10),)
+    prepared = prepare(Instance(objective, constraints))
+    ((side),) = prepared.constraint_plans
+    assert side.plan.width == (40, 1)
+    assert side.plan.nodes == (((), 40, None, side.plan.top),)
+    relaxation = prepare_relaxation(
+        prepared.plan, alternating(40), prepared.beta, (side,)
+    )
+    objective_rows = len(prepared.plan.nodes) - 1
+    assert [row.key for row in relaxation.rows[objective_rows:]] == [()]
+    assert relaxation.rows[-1].width == (40, 1)
+
+
+@pytest.mark.parametrize("constraints", [(), (at_most(7, 9),)])
+def test_linear_objective_has_no_rows_and_saturates_at_zero(
+    monkeypatch, constraints
+):
+    """A linear objective at declared degree 2 has only childless component
+    nodes: it gets no row, so eps = 0 is saturated (with its childless
+    rows, of need 0, it was first saturated at 1), alone or under a window
+    that holds on the whole box.  The box optimum taken from eps = 0 on
+    gives the greedy and randomized reports that the LP at every budget
+    gives."""
+    n = 7
+    p = Polynomial(n, {(j,): (-1) ** j for j in range(n)}).with_degree(2)
+    xhat = (1, 0, 1, 1, 0, 0, 1)
+    instance = Instance(p, constraints)
+    prepared = prepare(instance)
+    relaxation = prepare_relaxation(
+        prepared.plan, xhat, prepared.beta, prepared.constraint_plans
+    )
+    assert prepared.beta > 0
+    assert [row.key for row in relaxation.rows] == [()] * len(constraints)
+    assert relaxation.saturation_budget(range(n + 1)) == 0
+    configs = (
+        SolveConfig(),
+        SolveConfig(strategy="randomized", seed=3, randomized_rounds=4),
+    )
+    found = [solve_outcome(instance, xhat, config) for config in configs]
+    monkeypatch.setattr(Relaxation, "saturation_budget", lambda *_: None)
+    assert [solve_outcome(instance, xhat, config) for config in configs] == (
+        found
+    )
