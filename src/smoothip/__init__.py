@@ -15,7 +15,6 @@ from .pipeline import (
     PreparedInstance,
     SolveConfig,
     SolveReport,
-    approx_ratio_bound,
     exact_solve,
     guarantee_bound,
     guarantee_floor,
@@ -34,7 +33,6 @@ __all__ = [
     "PreparedInstance",
     "SolveConfig",
     "SolveReport",
-    "approx_ratio_bound",
     "evaluate",
     "exact_solve",
     "gap_bound",

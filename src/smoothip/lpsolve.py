@@ -1,11 +1,12 @@
 """Self-contained LP solver for the relaxations built by this package.
 
 Models are boxes plus two-sided linear rows: maximize c^T x + offset over
-x in [0,1]^n subject to lo_i <= a_i^T x <= hi_i.  The solver takes every
-row as integers over one positive denominator per row, works in floats
-and the caller re-evaluates objectives exactly after rounding, so float
-error never leaks into a reported bound.  An :class:`LpModel`, an LP in
-Fractions, is a record for reference; the solver does not read it.
+a box of per-variable bounds l_j <= x_j <= u_j subject to lo_i <= a_i^T x
+<= hi_i.  The solver takes every row as integers over one positive
+denominator per row, works in floats and the caller re-evaluates
+objectives exactly after rounding, so float error never leaks into a
+reported bound.  An :class:`LpModel`, an LP in Fractions, is a record
+for reference; the solver does not read it.
 
 The algorithm is a bounded-variable revised simplex.  Every row gets a slack
 variable (a_i^T x - s_i = 0 with s_i carrying the row bounds) and an
@@ -22,11 +23,13 @@ over an integer, divided once with Python's correctly rounded
 ``int / int``, so it has the bits of the float of the exact Fraction.
 Its ``solve(windows)`` then does one LP, so a caller that solves the same
 rows under many windows (the pipeline, one per error budget) converts
-and checks them once.  The simplex starts warm, at x-hat on the slack
-basis, only when x-hat's exact activities lie in the exact windows, an
-integer comparison.  Otherwise it starts cold with a phase 1: the
-structurals at their lower bounds, each slack at its finite bound nearest
-zero, and the artificials basic, absorbing the residual.
+and checks them once.  A warm start x-hat must sit at a bound of every
+variable, or the prepared LP raises ValueError.  The simplex starts
+warm, at x-hat on the slack basis, only when x-hat's exact activities
+lie in the exact windows, an integer comparison.  Otherwise it starts
+cold with a phase 1: the structurals at their lower bounds, each slack
+at its finite bound nearest zero, and the artificials basic, absorbing
+the residual.
 """
 
 from __future__ import annotations
@@ -239,11 +242,12 @@ class PreparedLp:
     ``var_bounds`` holds an exact (lo, hi) per variable.  ``warm_start``
     is None or (x, activities): a point x at a bound of every variable
     and, per row, its exact activity a_i . x as (numerator, positive
-    denominator); an x or an activity list of the wrong length raises
-    ValueError.  Prepared here: the float matrix of the rows that can
-    bind (it seeds each solve's working matrix and serves its final row
-    check), the cost, the variable box, which rows are empty or vacuous,
-    and the warm start with the activities of the rows that can bind.
+    denominator); an x or an activity list of the wrong length, or an x
+    off a bound of some variable, raises ValueError.  Prepared here: the
+    float matrix of the rows that can bind (it seeds each solve's working
+    matrix and serves its final row check), the cost, the variable box,
+    which rows are empty or vacuous, and the warm start with the
+    activities of the rows that can bind.
     :meth:`solve` then takes one set of row windows in the same integer
     form, whose absent bounds must be those of ``rows``.
     """
@@ -294,6 +298,8 @@ class PreparedLp:
                     f"warm start length {len(x)} with {len(activities)} "
                     f"activities, expected {n} with {len(rows)}"
                 )
+            if any(v != lo and v != hi for v, (lo, hi) in zip(x, var_bounds)):
+                raise ValueError("warm start off its variable bounds")
             self.warm_x = np.array([float(v) for v in x])
             self.warm_at_upper = np.array(
                 [v == hi for v, (_, hi) in zip(x, var_bounds)]

@@ -69,7 +69,7 @@ from .relax import (  # noqa: F401
     prediction_point,
     prepare_relaxation,
 )
-from .rat import eta_upper, sqrt_upper
+from .rat import sqrt_upper
 from .rounding import (
     GreedyTables,
     greedy_round,
@@ -349,6 +349,7 @@ def solve(
         candidates.append(instance.baseline)
 
     records: list[EpsRecord] = []
+    grid = _grid(config, n)
     if n <= d:
         # The relaxation's analysis needs n > d; brute force instead.
         z, value = _exact(greedy, scores)
@@ -364,7 +365,6 @@ def solve(
             if config.strategy == RANDOMIZED and beta > 0
             else Fraction(0)
         )
-        grid = _grid(config, n)
         # From the saturation budget on, no row cuts the box, so the
         # embedded simplex would only flip bounds from its warm start: its
         # result is taken in closed form.  That y is the same at every
@@ -634,28 +634,6 @@ def guarantee_bound(
         opt, beta, objective.n, objective.degree, eps, config.strategy,
         config.k,
     )
-
-
-def approx_ratio_bound(
-    beta: Fraction | int, n: int, d: int, eps: int,
-    kappa: float, xi: float,
-) -> float:
-    """Multiplicative guarantee 1 - (2 eta beta / kappa) sqrt(eps) / n^xi
-    for instances whose optimum is at least kappa * n^(d - 1/2 + xi).
-
-    For the cut encoding (beta = 2, d = 2) this is 1 - (4/kappa)
-    sqrt(eps)/n^xi.
-    """
-    if d < 2:
-        raise ValueError("ratio bound needs degree >= 2")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if not 0 < xi <= 0.5:
-        raise ValueError("xi must lie in (0, 1/2]")
-    if eps < 0:
-        raise ValueError("negative error budget")
-    eta = float(eta_upper(d))
-    return 1.0 - (2 * eta * float(beta) / kappa) * math.sqrt(eps) / n**xi
 
 
 # -- serialization ------------------------------------------------------

@@ -33,17 +33,17 @@ though a side window still widens by its tolerance.  Per prediction,
 one child-first pass over those nodes computes every node value
 p_I(xhat), an integer over the table's L, by the reconstruction
 identity p_I(xhat) = c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat),
-and folds each row's need (how wide its window must grow before it
-cannot cut the box) into the largest need of its group.  A
-:class:`Relaxation` holds those; it builds its rows, all
-integers over one denominator, only when an LP reads them, and
-``windows(eps)``, ``model(eps)`` and ``lp()`` give one budget's bounds,
-its exact Fraction LP and the float LP that every budget shares,
-warm-started at the prediction with each row's activity.  Once every
-row's range over [0,1]^n lies strictly inside its window, no row can
-cut the box: the first grid budget where that holds is the saturation
-budget, and every larger budget is saturated too, since the windows
-nest.  Per prediction, that test is one exact bound on sqrt(n * eps).
+and each row's need (how wide its window must grow before it cannot
+cut the box), kept as one exact bound per prediction.  A
+:class:`Relaxation` holds those; it builds its rows, all integers over
+one denominator, only when an LP reads them, and ``windows(eps)``,
+``model(eps)`` and ``lp()`` give one budget's bounds, its exact
+Fraction LP and the float LP that every budget shares, warm-started at
+the prediction with each row's activity.  Once every row's range over
+[0,1]^n lies strictly inside its window, no row can cut the box: the
+first grid budget where that holds is the saturation budget, and every
+larger budget is saturated too, since the windows nest.  The test
+reads the stored bound: beta * sqrt_upper(n * eps) must exceed it.
 """
 
 from __future__ import annotations
@@ -244,12 +244,13 @@ class RelaxationPlan:
 
     __hash__ = None
 
-    def values(self, point, needs: dict) -> list:
+    def values(self, point, bounds: list) -> list:
         """p_I(xhat) * L of every node, in the plan's order, by the
         reconstruction identity p_I(xhat) = c_I + sum over j with xhat_j
         = 1 of p_(I,j)(xhat), from values already known; on the same
-        pass, raise needs[(width, L)] to the need of every component
-        row, without building the rows."""
+        pass, keep the largest integer need of the component rows of each
+        width a / b, without building the rows, and append its exact
+        bound need * b / (a * L) to bounds."""
         values = list(self.constants)
         largest: dict = {}
         for _, k, width, children in self.nodes:
@@ -272,8 +273,8 @@ class RelaxationPlan:
             if need > largest.get(width, need - 1):
                 largest[width] = need
         largest.pop(None, None)  # the root's entry is no row
-        for width, need in largest.items():
-            _fold(needs, (width, self.scale), need)
+        for (a, b), need in largest.items():
+            bounds.append(Fraction(need * b, a * self.scale))
         return values
 
     def component_rows(self, values: list) -> list:
@@ -292,11 +293,6 @@ class RelaxationPlan:
         return rows
 
 
-def _fold(needs: dict, group, need) -> None:
-    if need is not None and (group not in needs or need > needs[group]):
-        needs[group] = need
-
-
 class SidePlan(NamedTuple):
     """A side constraint's plan and its relaxed top-level window.
 
@@ -305,6 +301,7 @@ class SidePlan(NamedTuple):
     bounds' denominators (None for an absent bound).  The window widens
     by the plan's ``width``, which counts the component nodes without
     children too, though they give no row: (0, 1) when it has none.
+    :meth:`values` adds the window's exact bound to the saturation test's.
     """
 
     plan: RelaxationPlan
@@ -327,16 +324,21 @@ class SidePlan(NamedTuple):
             (values[-1] - plan.constants[-1]) * factor,
         )
 
-    def values(self, point, needs: dict) -> list:
-        """The plan's node values at point, its component rows' needs
-        folded into needs on the way, and the window's need folded too."""
-        values = self.plan.values(point, needs)
+    def values(self, point, bounds: list) -> list:
+        """The plan's node values at point, its component rows' bounds
+        appended to bounds on the way, and then the window's: need * b /
+        (a * denom) for the plan's width a / b, +inf when a zero width
+        leaves the window cutting the box, none when it never does."""
+        values = self.plan.values(point, bounds)
         factor = self.denom // self.plan.scale
         top = [values[k] * factor for _, k in self.plan.top]
         low = sum([v for v in top if v < 0])
         high = sum([v for v in top if v > 0])
         need = _need(self.lower, self.upper, low, high)
-        _fold(needs, (self.plan.width, self.denom), need)
+        a, b = self.plan.width
+        if need is None or not a and need < 0:
+            return values  # the window never cuts the box
+        bounds.append(Fraction(need * b, a * self.denom) if a else math.inf)
         return values
 
 
@@ -345,12 +347,13 @@ class Relaxation:
     """The part of the oracle-centered LP that no error budget changes.
 
     Built once per solve around the prediction xhat; the objective's
-    coefficients are integers over ``denom``.  ``needs`` holds, per group
-    of rows that share a width and a denominator, ((a, b), denom), the
-    largest need (see :func:`_need`), and ``parts`` one (plan, node
-    values, side plan or None) per polynomial, the objective first: one
-    pass over each plan's nodes gave both.  ``rows``, one per node with
-    children and per side window, are built on first use, so a
+    coefficients are integers over ``denom``.  The saturation test reads
+    one exact ``bound``: the largest need * b / (a * denom) of a row of
+    width a / b (see :func:`_need`), -1 with no row, +inf when a zero
+    width leaves a window cutting the box.  ``parts`` holds one (plan,
+    node values, side plan or None) per polynomial, the objective first:
+    one pass over each plan's nodes gave both.  ``rows``, one per node
+    with children and per side window, are built on first use, so a
     prediction saturated at every budget it solves never builds them.
     ``windows(eps)`` scales every row's width by beta * sqrt(n * eps),
     ``model(eps)`` is that budget's exact LP, and ``lp()`` prepares the
@@ -363,7 +366,7 @@ class Relaxation:
     denom: int
     offset: Fraction
     xhat: tuple
-    needs: tuple
+    bound: Fraction | float
     parts: tuple
 
     @cached_property
@@ -442,23 +445,15 @@ class Relaxation:
         saturated, or None.  Windows only widen as eps grows, so every
         later budget is saturated too and a bisection finds the first.
 
-        A row of width a / b is saturated when a / b * beta * sqrt(n * eps)
-        exceeds its need / denom: for beta * a > 0 when sqrt(n * eps) >
-        need * b / (beta * a * denom), for beta * a = 0 when need < 0, at
-        every budget or none.  Checking the largest need of each group of
-        rows that share a width and a denominator, a budget is saturated
-        exactly when sqrt_upper(n * eps) exceeds the largest such bound
-        (-1 with none).
+        A row of width a / b is saturated when a / b * beta * sqrt(n *
+        eps) exceeds its need / denom, that is when beta * sqrt(n * eps)
+        exceeds need * b / (a * denom), +inf for a = 0 unless need < 0.
+        So a budget is saturated exactly when beta * sqrt_upper(n * eps)
+        exceeds ``bound``.
         """
-        top = Fraction(-1)
-        for ((a, b), denom), need in self.needs:
-            scaled = self.beta * a * denom
-            if scaled:
-                top = max(top, need * b / scaled)
-            elif need >= 0:
-                return None
+        beta, bound = self.beta, self.bound
         i = bisect.bisect_left(
-            grid, True, key=lambda eps: sqrt_upper(self.n * eps) > top
+            grid, True, key=lambda eps: beta * sqrt_upper(self.n * eps) > bound
         )
         return grid[i] if i < len(grid) else None
 
@@ -538,12 +533,12 @@ def prepare_relaxation(
     sides: Sequence = (),
 ) -> Relaxation:
     """The relaxation around xhat: objective, offset, the node values of
-    every polynomial and each group's largest need.
+    every polynomial and the saturation bound.
 
     ``plan`` is the objective's and ``sides`` holds one
     :class:`SidePlan` per side constraint, as :func:`constraint_plans`
     gives them, so no plan is built here.  Per polynomial one pass
-    computes the node values and folds every row's need; the rows
+    computes the node values and its rows' exact bounds; the rows
     themselves are built only when :attr:`Relaxation.rows` is first read.
     A constraint's linearized top level q_c must stay within [lower -
     delta_c, upper + delta_c] where delta_c is the sum of the
@@ -554,16 +549,16 @@ def prepare_relaxation(
         raise ValueError(f"beta {beta} is negative")
     n = plan.n
     point = prediction_point(xhat, n)
-    needs: dict = {}
-    values = plan.values(point, needs)
+    bounds: list = []
+    values = plan.values(point, bounds)
     objective = [0] * n
     for j, k in plan.top:
         objective[j] = values[k]
     parts = [(plan, values, None)]
-    parts += [(side.plan, side.values(point, needs), side) for side in sides]
+    parts += [(side.plan, side.values(point, bounds), side) for side in sides]
     return Relaxation(
         n, Fraction(beta), tuple(objective), plan.scale, plan.offset, point,
-        tuple(needs.items()), tuple(parts),
+        max(bounds, default=-1), tuple(parts),
     )
 
 

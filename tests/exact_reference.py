@@ -5,7 +5,8 @@ work on Python integers over shared denominators, and the relaxation keeps
 its rows in that form.  The functions here compute the same things the
 plain way, with one Fraction per operation: greedy rounding multiplies
 exact Fractions through every monomial, and the relaxation evaluates every
-child polynomial at the prediction and keeps every number a Fraction.  The SAT
+child polynomial at the prediction and keeps every number a Fraction;
+its saturation budget groups the rows and scans the grid.  The SAT
 and CSP encoders accumulate one coefficient map; their references add
 Polynomials clause by clause.  The brute force's value table is built on
 the narrowest integer type, with the low bits transformed once per
@@ -27,7 +28,7 @@ import numpy as np
 
 from smoothip.pipeline import _round_seed, _violation
 from smoothip.poly import Polynomial, decompose
-from smoothip.rat import E_UPPER
+from smoothip.rat import E_UPPER, sqrt_upper
 from smoothip.relax import constraint_degree, prediction_point
 
 
@@ -296,6 +297,30 @@ def window_saturated(relaxation, eps) -> bool:
         ):
             return False
     return True
+
+
+def group_saturation_budget(relaxation, grid):
+    """saturation_budget by the group rule: the rows grouped by width a
+    / b and denominator, each group's largest exact need taken, and a
+    budget saturated when sqrt_upper(n * eps) exceeds need / (beta * a /
+    b) for every group, while a group with beta * a = 0 is saturated at
+    every budget (need < 0) or at none."""
+    largest = {}
+    for row, exact in zip(relaxation.rows, as_fractions(relaxation).rows):
+        if exact.need is not None:
+            group = (exact.width, row.denom)
+            largest[group] = max(largest.get(group, exact.need), exact.need)
+    top = Fraction(-1)
+    for (width, _), need in largest.items():
+        scaled = relaxation.beta * width
+        if scaled:
+            top = max(top, need / scaled)
+        elif need >= 0:
+            return None
+    for eps in grid:
+        if sqrt_upper(relaxation.n * eps) > top:
+            return eps
+    return None
 
 
 def additive_maxksat_objective(f) -> Polynomial:

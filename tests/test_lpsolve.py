@@ -204,6 +204,22 @@ def test_warm_start_of_the_wrong_length_is_rejected():
     assert repr(half) == repr(solve_model(model))
 
 
+def test_warm_start_off_the_variable_bounds_is_rejected():
+    """Maximize x0 - x1 s.t. x0 + x1 <= 1 over [0,1]^2: the simplex
+    started at (1/2, 1/2), at no bound, would stop there at value 0, but
+    the optimum is 1 at (1, 0).  That start raises; one at a vertex
+    gives the optimum."""
+    objective, rows = ((1, -1), 1), [(((0, 1), (1, 1)), None, 1, 1)]
+    half = Fraction(1, 2)
+    for x in ((half, half), (0, half), (1, Fraction(3, 2))):
+        with pytest.raises(ValueError, match="off its variable bounds"):
+            PreparedLp(objective, 0, rows, box(2), (x, [(1, 1)]))
+    lp = PreparedLp(objective, 0, rows, box(2), ((0, 1), [(1, 1)]))
+    sol = lp.solve([(None, 1, 1)])
+    assert (sol.status, sol.objective_value) == ("optimal", 1.0)
+    assert tuple(sol.y) == (1.0, 0.0)
+
+
 def agrees(ours, ref) -> bool:
     """Same status and, when optimal, objectives within 1e-6 relative."""
     if ours.status != ref.status:

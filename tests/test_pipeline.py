@@ -25,7 +25,6 @@ from smoothip.pipeline import (
     _value_tiles,
     Instance,
     SolveConfig,
-    approx_ratio_bound,
     exact_solve,
     guarantee_bound,
     guarantee_floor,
@@ -244,6 +243,18 @@ def test_a_grid_is_read_once_into_a_sorted_tuple():
     assert strip_wall(report) == strip_wall(solve(inst, (0, 1, 0), listed))
     with pytest.raises(ValueError, match="grid is empty"):
         SolveConfig(grid=())
+
+
+def test_grid_range_is_checked_on_the_brute_force_branch_too():
+    """A grid value outside [0, n] raises whether n > d sends the solve
+    to the LPs or not."""
+    for inst, xhat in (
+        (Instance(maxcut_objective(Graph(2, ((0, 1),)))), (0, 1)),
+        (Instance(PATH3), (0, 1, 0)),
+    ):
+        message = rf"grid value 99 outside \[0, {len(xhat)}\]"
+        with pytest.raises(ValueError, match=message):
+            solve(inst, xhat, SolveConfig(grid=(99,)))
 
 
 # -- degenerate sizes ---------------------------------------------------
@@ -1345,44 +1356,6 @@ def test_unmeetable_side_window_names_the_real_cause():
             "violates a side constraint",
         ):
             solve_constrained(prog, xhat, config)
-
-
-def test_ratio_bound_cut_form():
-    value = approx_ratio_bound(2, 100, 2, 4, 0.5, 0.5)
-    assert value == pytest.approx(1 - (4 / 0.5) * 2 / 10.0)
-    assert approx_ratio_bound(2, 50, 2, 0, 1.0, 0.5) == 1.0
-
-
-def test_ratio_bound_general_form():
-    eta = 2 * math.e + 1
-    value = approx_ratio_bound(3, 64, 3, 9, 2.0, 0.25)
-    assert value == pytest.approx(1 - (2 * eta * 3 / 2.0) * 3 / 64**0.25)
-
-
-def test_ratio_bound_takes_e_rounded_up():
-    """eta comes from rat.eta_upper, e rounded up, so the bound is at or
-    below the one taken with math.e, and equal to it at d = 2."""
-    for beta, n, d, eps, kappa, xi in (
-        (3, 64, 3, 9, 2.0, 0.25),
-        (Fraction(1, 2), 100, 4, 5, 1.0, 0.5),
-        (2, 100, 2, 4, 0.5, 0.5),
-    ):
-        eta = 2 * math.e * (d - 2) + 1
-        with_e = 1.0 - (2 * eta * float(beta) / kappa) * math.sqrt(eps) / n**xi
-        value = approx_ratio_bound(beta, n, d, eps, kappa, xi)
-        assert value <= with_e
-        assert value == pytest.approx(with_e, rel=1e-9)
-        if d == 2:
-            assert value == with_e
-
-
-def test_ratio_bound_validation():
-    with pytest.raises(ValueError):
-        approx_ratio_bound(1, 10, 1, 1, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        approx_ratio_bound(1, 10, 2, 1, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        approx_ratio_bound(1, 10, 2, 1, 1.0, 0.7)
 
 
 # -- serialization ------------------------------------------------------

@@ -15,6 +15,7 @@ from exact_reference import (
     as_fractions,
     evaluate_constrained_relaxation,
     evaluate_relaxation,
+    group_saturation_budget,
     schedule_width,
     window_saturated,
 )
@@ -921,7 +922,7 @@ def solve_outcome(instance, xhat, config):
 @given(plan_cases())
 def test_plan_relaxation_matches_the_reference(case):
     """The relaxation built from the prepared plans is the reference's,
-    number for number; its saturation, read from the needs before any
+    number for number; its saturation, read from its bound before any
     row is built, is what the exact model says; a budget saturated at
     first sight builds no rows, and a solve there or at an LP budget is
     the solve of the unprepared instance.  The prepared instance holding
@@ -947,15 +948,17 @@ def test_plan_relaxation_matches_the_reference(case):
             prepared.beta,
         ),
     )
-    # The needs folded without rows are the largest needs of the rows,
-    # each computed from the row's pairs and bounds.
-    largest = {}
-    for row, exact in zip(relaxation.rows, as_fractions(relaxation).rows):
-        group = (row.width, row.denom)
-        if exact.need is not None:
-            need = exact.need * row.denom
-            largest[group] = max(largest.get(group, need), need)
-    assert dict(relaxation.needs) == largest
+    # The bound collected without rows is the largest need * b / (a *
+    # denom) of the rows, each need computed from the row's pairs and
+    # bounds: exact.need is need / denom and exact.width is a / b.
+    assert relaxation.bound == max(
+        (
+            exact.need / exact.width
+            for exact in as_fractions(relaxation).rows
+            if exact.need is not None
+        ),
+        default=-1,
+    )
     for eps in grid:
         assert (budget is not None and eps >= budget) == window_saturated(
             relaxation, eps
@@ -977,6 +980,67 @@ def test_plan_relaxation_matches_the_reference(case):
         if eps == 0 and record.status == OPTIMAL:
             lp = relaxation.lp().solve(relaxation.windows(0))
             assert record.lp_value == float(lp.objective_value)
+
+
+def assert_saturation_follows_the_group_rule(objective, constraints, xhat):
+    """saturation_budget, one comparison with the stored bound, is the
+    group rule's budget at the instance's beta and at 0, 1/3 and 2, on
+    the full grid and on its odd budgets."""
+    prepared = prepare(Instance(objective, constraints))
+    grid = list(range(objective.n + 1))
+    for beta in (prepared.beta, 0, Fraction(1, 3), 2):
+        relaxation = prepare_relaxation(
+            prepared.plan, xhat, beta, prepared.constraint_plans
+        )
+        for budgets in (grid, grid[1::2]):
+            assert relaxation.saturation_budget(budgets) == (
+                group_saturation_budget(relaxation, budgets)
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan_cases())
+def test_saturation_budget_matches_the_group_rule(case):
+    assert_saturation_follows_the_group_rule(*case)
+
+
+def test_golden_saturation_budgets_match_the_group_rule():
+    for instance, xhat, _ in corpus().values():
+        assert_saturation_follows_the_group_rule(
+            instance.objective, instance.constraints, xhat
+        )
+
+
+def test_zero_width_and_unbounded_windows():
+    """A constant side constraint 2 >= 5 has no component node, so its
+    window never widens and its need 3 leaves it cutting the box: the
+    bound is +inf and no budget saturates, whatever beta.  So does 2 >=
+    2, whose range touches its window's edge (need 0).  A linear
+    constraint's window with both bounds absent has no need and its
+    nodes no row, so the objective's bound stands."""
+    n = 6
+    objective = maxcut_objective(gen_gnp(n, 0.5, 3))
+    xhat, grid = alternating(n), range(n + 1)
+    cases = (
+        ((Polynomial.constant(n, 2), 5, None), (0, 1)),
+        ((Polynomial.constant(n, 2), 2, None), (0, 1)),
+        ((Polynomial(n, {(0,): 1, (2,): -1}), None, None), (2, 1)),
+    )
+    for constraint, width in cases:
+        prepared = prepare(Instance(objective, (constraint,)))
+        assert prepared.constraint_plans[0].plan.width == width
+        for beta in (0, 1, 10**6):
+            relaxation = prepare_relaxation(
+                prepared.plan, xhat, beta, prepared.constraint_plans
+            )
+            alone = prepare_relaxation(prepared.plan, xhat, beta)
+            assert (relaxation.bound, relaxation.saturation_budget(grid)) == (
+                (math.inf, None) if width == (0, 1)
+                else (alone.bound, alone.saturation_budget(grid))
+            )
+        assert_saturation_follows_the_group_rule(
+            objective, (constraint,), xhat
+        )
 
 
 # -- rows only for nodes with children ----------------------------------
@@ -1034,14 +1098,15 @@ def test_golden_plans_list_only_nodes_with_children():
 
 
 def test_each_prediction_walks_each_plan_once(monkeypatch):
-    """prepare_relaxation computes every plan's node values and folds its
-    rows' needs in one call per plan; reading the rows walks none again."""
+    """prepare_relaxation computes every plan's node values and its rows'
+    exact bounds in one call per plan; reading the rows walks none
+    again."""
     walks = []
     values = RelaxationPlan.values
 
-    def counted(plan, point, needs):
+    def counted(plan, point, bounds):
         walks.append(id(plan))
-        return values(plan, point, needs)
+        return values(plan, point, bounds)
 
     monkeypatch.setattr(RelaxationPlan, "values", counted)
     assert not hasattr(RelaxationPlan, "fold_needs")
