@@ -1,8 +1,8 @@
 """Print numpy's version and the OpenBLAS kernel set (core) it runs on.
 
-Some canonical digests and golden cases change in their last float bits
-between OpenBLAS kernel sets (Haswell, Sandybridge, ... against SkylakeX),
-so a log that names the core tells which set produced it.  The core is
+A float LP optimum's last bits depend on the OpenBLAS kernel set
+(SkylakeX, Haswell, Prescott, ...); the reports must not, so a log that
+names the core tells which set a check ran on.  The core is
 read through ctypes from the BLAS numpy links; "unknown" when none of the
 OpenBLAS core-name symbols is there.  Not a check: it always exits 0.
 

@@ -20,11 +20,11 @@ while read -r w seed expected; do
         exit 1
     fi
 done <<'DIGESTS'
-cut-grid 7 0cd2d10993d09ae48fd0efbd51b1f00f738afe5419f6fae34c0b7dc44f1545c1
+cut-grid 7 d1c2292107d13dadcc64e34da76bd8e7506b816ba204263b5f8a1b3d189a48b5
 sat-grid 7 dfe2f17ff04a24c3246b2aa54b014ceab7cae42ff63a58a00ce27721efe3d876
 sweep-bf 7 213e50e9c27ca6eea7c58d5aadf0971eaf267fbdde7e695107bbad2ea5662d69
 card-grid 7 d3268a215b7921620244809302045d3f8fe2bb8378a0b58fdad307686bcde34a
-cut-grid 11 8b8c933c1997895e5ad187693ca54607396add07a9182fddf0904ba151574df8
+cut-grid 11 839b4e90a6e5b7e73d5640c47e2995179417af0e1f6470e82b30f6042bebf7b8
 sat-grid 11 2c05201f35e1ee79f065677379337624920abcdd1b2fd0d187307883ebd94204
 sweep-bf 11 a62356b7ec0bba13bcecd8fc45c1390c1d6ad22445313f420058ab876607ac87
 card-grid 11 9fecdd8451aa167f0c61d0d1f7a294798517ab1740a7be9958574dba64563bf6

@@ -23,13 +23,21 @@ over an integer, divided once with Python's correctly rounded
 ``int / int``, so it has the bits of the float of the exact Fraction.
 Its ``solve(windows)`` then does one LP, so a caller that solves the same
 rows under many windows (the pipeline, one per error budget) converts
-and checks them once.  A warm start x-hat must sit at a bound of every
-variable, or the prepared LP raises ValueError.  The simplex starts
+and checks them once.  Crossed variable bounds, and a warm start x-hat
+off a bound of some variable, raise ValueError.  The simplex starts
 warm, at x-hat on the slack basis, only when x-hat's exact activities
 lie in the exact windows, an integer comparison.  Otherwise it starts
 cold with a phase 1: the structurals at their lower bounds, each slack
 at its finite bound nearest zero, and the artificials basic, absorbing
 the residual.
+
+A float optimum's last bits depend on the order in which the BLAS sums.
+So an optimum within SNAP_TOL of a Boolean point z is read exactly: when
+z lies in the box and in every row's window, compared in integers, and
+its exact objective is within relative SNAP_TOL of the float one, the
+solution is z, valued at the correctly rounded float of its exact
+objective, as :func:`box_optimum` values its point.  Otherwise the float
+optimum stands.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import numpy as np
 FEAS_TOL = 1e-7  # row feasibility, matches the reported certificate
 DUAL_TOL = 1e-9  # reduced-cost threshold for entering candidates
 PIVOT_TOL = 1e-10  # smallest usable pivot magnitude
+SNAP_TOL = 1e-9  # an optimum this near a Boolean point is read exactly
 REFRESH_EVERY = 200  # iterations between basis-inverse rebuilds
 
 OPTIMAL = "optimal"
@@ -239,15 +248,17 @@ class PreparedLp:
     row: the row's nonzero coefficients only, as (j, c) pairs, and its
     bounds, all integers over a positive integer denominator, a bound None
     when absent.
-    ``var_bounds`` holds an exact (lo, hi) per variable.  ``warm_start``
+    ``var_bounds`` holds an exact (lo, hi) per variable, lo <= hi or
+    ValueError.  ``warm_start``
     is None or (x, activities): a point x at a bound of every variable
     and, per row, its exact activity a_i . x as (numerator, positive
     denominator); an x or an activity list of the wrong length, or an x
     off a bound of some variable, raises ValueError.  Prepared here: the
     float matrix of the rows that can bind (it seeds each solve's working
-    matrix and serves its final row check), the cost, the variable box,
-    which rows are empty or vacuous, and the warm start with the
-    activities of the rows that can bind.
+    matrix and serves its final row check) and, when its numerators are
+    small, their int64 matrix (it checks a Boolean optimum), the cost,
+    the variable box, which rows are empty or vacuous, and the warm start
+    with the activities of the rows that can bind.
     :meth:`solve` then takes one set of row windows in the same integer
     form, whose absent bounds must be those of ``rows``.
     """
@@ -263,30 +274,32 @@ class PreparedLp:
         costs, cost_denom = objective
         n = len(costs)
         self.num_vars = n
+        self.exact_objective = objective, offset
         self.objective = tuple(c / cost_denom for c in costs)
         self.offset = float(offset)
+        self.rows = rows
         self.num_rows = len(rows)
         self.absent = tuple((lo is None, hi is None) for _, lo, hi, _ in rows)
         self.kept: list[int] = []
         self.empty: list[int] = []
-        # The float matrix is filled from each row's nonzero pairs, at
-        # their offsets in the flattened matrix.
-        offsets: list[int] = []
-        values: list[float] = []
+        # The matrices are filled from the kept rows' nonzero pairs.
+        pairs: list = []
+        counts: list[int] = []
+        denoms: list[int] = []
         for i, (coeffs, lo, hi, denom) in enumerate(rows):
             if lo is None and hi is None:
                 continue  # vacuous row
             if not coeffs:
                 self.empty.append(i)
                 continue
-            base = len(self.kept) * n
             self.kept.append(i)
-            for j, c in coeffs:
-                offsets.append(base + j)
-                values.append(c / denom)
-        flat = np.zeros(len(self.kept) * n)
-        flat[offsets] = values
-        self.matrix = flat.reshape(len(self.kept), n)
+            pairs += coeffs
+            counts.append(len(coeffs))
+            denoms.append(denom)
+        self.matrix, self.integer = _matrices(pairs, counts, denoms, n)
+        self.box = tuple(var_bounds)
+        if any(lo > hi for lo, hi in self.box):
+            raise ValueError("variable bounds crossed")
         self.var_lb = np.array([float(lo) for lo, _ in var_bounds])
         self.var_ub = np.array([float(hi) for _, hi in var_bounds])
         self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
@@ -413,17 +426,54 @@ class PreparedLp:
         y = _clamped(sx)
         # Only the kept rows can be broken: an empty row's window holds
         # zero (checked above) and a vacuous row has none.
-        activity = self.matrix @ np.asarray(y, dtype=float)
+        yv = np.asarray(y)
+        activity = self.matrix @ yv
         worst = max(
             np.max(sx.lb[n : n + m] - activity, initial=0.0),
             np.max(activity - sx.ub[n : n + m], initial=0.0),
         )
         if worst > FEAS_TOL:
             return LpSolution(NUMERICAL_FAILURE, y, None, sx.iterations)
-        return LpSolution(
-            OPTIMAL, y, _objective_value(self.objective, self.offset, y),
-            sx.iterations,
-        )
+        value = _objective_value(self.objective, self.offset, y)
+        snapped = self._snap(yv, value, windows)
+        if snapped is not None:
+            y, value = snapped
+        return LpSolution(OPTIMAL, y, value, sx.iterations)
+
+    def _snap(self, y, value, windows) -> tuple | None:
+        """(z, its value) when the optimum y, an array of float objective
+        value, is a Boolean point z up to float error; None otherwise.
+
+        z is taken when y lies within SNAP_TOL of it in every coordinate,
+        z lies in the box and every kept row's window, both compared
+        exactly, and z's exact objective is within relative SNAP_TOL of
+        value.  Its value is then the correctly rounded float of that
+        exact objective.
+        """
+        z = y >= 0.5
+        if np.max(np.abs(y - z), initial=0.0) > SNAP_TOL:
+            return None
+        zl = z.tolist()
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(zl, self.box)):
+            return None
+        if self.integer is None:
+            activities = [
+                sum(c for j, c in self.rows[i][0] if zl[j]) for i in self.kept
+            ]
+        else:
+            activities = (self.integer @ z).tolist()
+        for i, a in zip(self.kept, activities):
+            lo, hi, d = windows[i]
+            denom = self.rows[i][3]
+            if (lo is not None and a * d < lo * denom) or (
+                hi is not None and a * d > hi * denom
+            ):
+                return None
+        (costs, cost_denom), offset = self.exact_objective
+        exact = _exact_value(costs, cost_denom, offset, zl)
+        if not math.isclose(exact, value, rel_tol=SNAP_TOL):
+            return None
+        return tuple(map(float, zl)), exact
 
 
 def box_optimum(objective: tuple, offset, warm_start: Sequence) -> LpSolution:
@@ -437,16 +487,58 @@ def box_optimum(objective: tuple, offset, warm_start: Sequence) -> LpSolution:
     warm start otherwise.
     """
     coeffs, denom = objective
-    costs = [c / denom for c in coeffs]
-    y = tuple(
-        1.0 if c > DUAL_TOL else 0.0 if c < -DUAL_TOL else float(v)
-        for c, v in zip(costs, warm_start)
+    x = [
+        1 if c / denom > DUAL_TOL else 0 if c / denom < -DUAL_TOL else v
+        for c, v in zip(coeffs, warm_start)
+    ]
+    return LpSolution(
+        OPTIMAL, tuple(map(float, x)), _exact_value(coeffs, denom, offset, x)
     )
-    return LpSolution(OPTIMAL, y, _objective_value(costs, offset, y))
+
+
+def _matrices(pairs: list, counts: list, denoms: list, n: int) -> tuple:
+    """(float matrix, integer matrix) of rows given by their nonzero (j, c)
+    pairs, counts[r] of them and the denominator denoms[r] for row r.
+
+    An entry of the float matrix is c / denom, correctly rounded.  The
+    integer matrix holds the numerators c as int64 when every |c| is below
+    2^53 / n and every denom below 2^53: then each row's sum over any
+    Boolean point is exact in int64, and numpy's float division of the
+    exactly converted c and denom rounds as Python's int / int does.
+    Otherwise it is None, and the entries are divided in Python.
+    """
+    m = len(counts)
+    js, cs = zip(*pairs) if pairs else ((), ())
+    at = np.repeat(np.arange(m), counts), np.array(js, dtype=np.intp)
+    matrix = np.zeros((m, n))
+    limit = 2**53 // max(n, 1)
+    if (
+        max(denoms, default=1) < 2**53
+        and -limit < min(cs, default=0)
+        and max(cs, default=0) < limit
+    ):
+        integer = np.zeros((m, n), dtype=np.int64)
+        integer[at] = cs
+        matrix[at] = integer[at] / np.repeat(denoms, counts)
+        return matrix, integer
+    matrix[at] = [
+        c / d for c, d in zip(cs, np.repeat(np.array(denoms, object), counts))
+    ]
+    return matrix, None
 
 
 def _objective_value(objective, offset, y) -> float:
     return sum(float(c) * v for c, v in zip(objective, y)) + float(offset)
+
+
+def _exact_value(coeffs, denom, offset, x) -> float:
+    """The correctly rounded float of sum(c_j * x_j) / denom + offset,
+    each x_j exact."""
+    num, den = offset.as_integer_ratio()
+    return float(
+        (sum(c * v for c, v in zip(coeffs, x) if v) * den + num * denom)
+        / (denom * den)
+    )
 
 
 def _clamped(sx: _Simplex) -> tuple:

@@ -2,17 +2,27 @@
 
 The files under ``golden/`` hold ``report_json`` without ``wall_ms``, one
 per instance below.  A change that is meant to keep behaviour must
-reproduce them field for field; only ``lp_value``, a float sum that another
-BLAS build may round differently, is compared to a relative 1e-9.  After a
-change that is meant to alter reports, regenerate them with
+reproduce them field for field; only ``lp_value``, a float that another
+numpy or BLAS build may round differently when an optimum is not Boolean,
+is compared to a relative 1e-9.  The reports must also be the same, to
+the bit, under other OpenBLAS kernel sets.  After a change that is meant
+to alter reports, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
+import runpy
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from helpers import alternating, at_most, random_bool_vector
 from smoothip.pipeline import Instance, SolveConfig, report_json, solve
@@ -26,6 +36,8 @@ from smoothip.problems import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_KERNELS = ROOT / "scripts" / "blas_kernels.py"
 
 
 def corpus() -> dict:
@@ -108,6 +120,49 @@ def test_reports_match_the_golden_corpus():
     for name, (instance, xhat, config) in corpus().items():
         expected = json.loads((GOLDEN / f"{name}.json").read_text())
         assert_same(timing_free(solve(instance, xhat, config)), expected, name)
+
+
+def corpus_reports() -> dict:
+    return {
+        name: timing_free(solve(*case)) for name, case in corpus().items()
+    }
+
+
+# Run under another kernel set: the core line of scripts/blas_kernels.py,
+# then the corpus's reports as one JSON line.
+UNDER_KERNELS = """
+import json, runpy, sys
+runpy.run_path(sys.argv[1])
+from test_golden import corpus_reports
+print(json.dumps(corpus_reports()))
+"""
+
+
+@pytest.mark.parametrize("kernels", ["Haswell", "Prescott"])
+def test_reports_are_the_same_under_other_blas_kernels(kernels):
+    """The corpus solved in a fresh interpreter whose OpenBLAS runs the
+    given kernel set (AVX2 Haswell, or SSE3 Prescott) gives this
+    interpreter's reports, every float to the bit.  A kernel set that
+    leaves the core unchanged (a CPU without AVX-512 already runs
+    Haswell's; a BLAS that is not OpenBLAS ignores the variable) skips."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runpy.run_path(str(BLAS_KERNELS))
+    own_core = out.getvalue().strip()
+    path = os.environ.get("PYTHONPATH")
+    here = os.pathsep.join((str(ROOT / "src"), str(Path(__file__).parent)))
+    env = dict(
+        os.environ, OPENBLAS_CORETYPE=kernels,
+        PYTHONPATH=here if not path else here + os.pathsep + path,
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", UNDER_KERNELS, str(BLAS_KERNELS)], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    core, reports = done.stdout.splitlines()
+    if core == own_core:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernels} leaves {core}")
+    assert json.loads(reports) == corpus_reports(), (core, own_core)
 
 
 if __name__ == "__main__":

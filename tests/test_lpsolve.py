@@ -220,6 +220,76 @@ def test_warm_start_off_the_variable_bounds_is_rejected():
     assert tuple(sol.y) == (1.0, 0.0)
 
 
+def test_crossed_variable_bounds_are_rejected():
+    """y_0 in [1, 0] is an empty box; the simplex would clamp y_0 to 0
+    and call the result optimal."""
+    objective, rows = ((1, 1), 1), [(((0, 1), (1, 1)), None, 3, 1)]
+    with pytest.raises(ValueError, match="variable bounds crossed"):
+        PreparedLp(objective, 0, rows, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="variable bounds crossed"):
+        PreparedLp(objective, 0, rows, [(0, 1), (Fraction(1, 2), 0)])
+    lp = PreparedLp(objective, 0, rows, [(1, 1), (0, 1)])
+    assert lp.solve([(None, 3, 1)]).y == (1.0, 1.0)
+
+
+def test_boolean_optimum_value_is_the_exact_value_rounded_once():
+    """Ten costs of 1/10: the float sum of the ten floats at the optimum
+    (1, ..., 1) is 0.9999999999999999, the exact value is 1.  The simplex
+    and box_optimum both report 1.0, and so does an optimum off the unit
+    box's corner with a Fraction offset."""
+    objective = ((1,) * 10, 10)
+    assert sum([0.1] * 10) != 1.0
+    lp = PreparedLp(objective, 0, [], box(10))
+    assert lp.solve([]).objective_value == 1.0
+    assert lpsolve.box_optimum(objective, 0, (0,) * 10).objective_value == 1.0
+    third = Fraction(1, 3)
+    closed = lpsolve.box_optimum(((3, 0, -1), 1), third, (0, 1, 1))
+    assert closed.y == (1.0, 1.0, 0.0)
+    assert closed.objective_value == float(3 + third)
+
+
+def test_a_near_boolean_optimum_that_breaks_a_window_keeps_its_float_y():
+    """Maximize x0 + x1 under x0 <= 1 - 2^-33 (a one-coefficient row), or
+    under x0 + x1 <= 1 - 2^-33: the optimum x0 lies 2^-33 below 1, within
+    SNAP_TOL of a Boolean point, but that point breaks the row, so the
+    float optimum is kept.  With the row's bound at 1 the optimum is
+    Boolean."""
+    objective, d = ((1, 1), 1), 2**33
+    for coeffs, value in ((((0, d),), 2 - 1 / d), (((0, d), (1, d)), 1 - 1 / d)):
+        lp = PreparedLp(objective, 0, [(coeffs, None, d - 1, d)], box(2))
+        sol = lp.solve([(None, d - 1, d)])
+        assert sol.status == "optimal"
+        assert sol.y[0] == 1 - 1 / d and sol.y[1] in (0.0, 1.0)
+        assert sol.objective_value == value
+        assert lp.solve([(None, d, d)]).objective_value == value + 1 / d
+
+
+def test_one_ulp_off_a_boolean_optimum_reads_the_same_point(
+    pipeline_lps, monkeypatch
+):
+    """Each coordinate of the simplex's y moved by one ulp up or down, as
+    another BLAS kernel set's rounding could move it: wherever the optimum
+    is Boolean, the solution (y, which rounding reads, and lp_value) is
+    the same to the bit."""
+    clamped = lpsolve._clamped
+    rng = np.random.default_rng(11)
+
+    def moved(sx):
+        y = np.array(clamped(sx))
+        toward = np.where(rng.random(y.size) < 0.5, -np.inf, np.inf)
+        return tuple(np.nextafter(y, toward).tolist())
+
+    cases = [(lp, windows) for _, lp, windows, _ in pipeline_lps]
+    exact = [lp.solve(windows) for lp, windows in cases]
+    monkeypatch.setattr(lpsolve, "_clamped", moved)
+    boolean = 0
+    for (lp, windows), sol in zip(cases, exact):
+        if sol.status == "optimal" and set(sol.y) <= {0.0, 1.0}:
+            boolean += 1
+            assert repr(lp.solve(windows)) == repr(sol)
+    assert boolean >= 5
+
+
 def agrees(ours, ref) -> bool:
     """Same status and, when optimal, objectives within 1e-6 relative."""
     if ours.status != ref.status:
