@@ -21,27 +21,35 @@ prepared once in it: the float matrix, the cost, the row split and a warm
 start with its exact row activities.  Every float in it is an integer
 over an integer, divided once with Python's correctly rounded
 ``int / int``, so it has the bits of the float of the exact Fraction.
+The row split sets apart the rows with one coefficient: they only bound
+a variable, so a solve turns their windows into exact bounds by integer
+cross-multiplication, intersects them with the box and, when that leaves
+a variable no room, returns infeasible without a pivot.  The simplex
+holds only the other, general, rows (the presolve of Brearley, Mitra &
+Williams, Math. Prog. 8, 1975).
 Its ``solve(windows)`` then does one LP, so a caller that solves the same
 rows under many windows (the pipeline, one per error budget) converts
 and checks them once.  Crossed variable bounds, and a warm start x-hat
 off a bound of some variable, raise ValueError.  The simplex starts
 warm, at x-hat on the slack basis, only when x-hat's exact activities
-lie in the exact windows, an integer comparison.  Otherwise it starts
-cold with a phase 1: the structurals at their lower bounds, each slack
-at its finite bound nearest zero, and the artificials basic, absorbing
-the residual.
+lie in the exact windows of every kept row, an integer comparison; x-hat
+then also sits at a bound of the tightened box.  Otherwise it starts
+cold with a phase 1: the structurals at their (tightened) lower bounds,
+each slack at its finite bound nearest zero, and the artificials basic,
+absorbing the residual.
 
 A float optimum's last bits depend on the order in which the BLAS sums.
 So an optimum within SNAP_TOL of a Boolean point z is read exactly: when
-z lies in the box and in every row's window, compared in integers, and
-its exact objective is within relative SNAP_TOL of the float one, the
-solution is z, valued at the correctly rounded float of its exact
-objective, as :func:`box_optimum` values its point.  Otherwise the float
-optimum stands.
+z lies in the tightened box and in every general row's window, compared
+in integers, and its exact objective is within relative SNAP_TOL of the
+float one, the solution is z, valued at the correctly rounded float of
+its exact objective, as :func:`box_optimum` values its point.  Otherwise
+the float optimum stands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,15 +111,15 @@ class _Simplex:
     [n+m, n+2m) artificial.  ``basis``, each row's basic column, is the
     one record of the basis; every start sets it and ``Binv`` first."""
 
-    def __init__(self, lp: PreparedLp, slack_lb, slack_ub):
-        n, m = lp.num_vars, len(lp.kept)
+    def __init__(self, lp: PreparedLp, var_lb, var_ub, slack_lb, slack_ub):
+        n, m = lp.num_vars, len(lp.general)
         self.n, self.m = n, m
         total = n + 2 * m
         self.M = np.zeros((m, total))
         self.M[:, :n] = lp.matrix
         self.M[range(m), range(n, n + m)] = -1.0
-        self.lb = np.concatenate((lp.var_lb, slack_lb, np.zeros(m)))
-        self.ub = np.concatenate((lp.var_ub, slack_ub, np.full(m, math.inf)))
+        self.lb = np.concatenate((var_lb, slack_lb, np.zeros(m)))
+        self.ub = np.concatenate((var_ub, slack_ub, np.full(m, math.inf)))
         self.cost = np.zeros(total)
         self.cost[:n] = lp.cost
         self.val = np.zeros(total)
@@ -253,12 +261,12 @@ class PreparedLp:
     is None or (x, activities): a point x at a bound of every variable
     and, per row, its exact activity a_i . x as (numerator, positive
     denominator); an x or an activity list of the wrong length, or an x
-    off a bound of some variable, raises ValueError.  Prepared here: the
-    float matrix of the rows that can bind (it seeds each solve's working
-    matrix and serves its final row check) and, when its numerators are
-    small, their int64 matrix (it checks a Boolean optimum), the cost,
-    the variable box, which rows are empty or vacuous, and the warm start
-    with the activities of the rows that can bind.
+    off a bound of some variable, raises ValueError.  Prepared here: which
+    rows are empty or vacuous and which of the others, the kept rows,
+    have one coefficient (``singles``) or more (``general``); the float
+    matrix of the general rows (it seeds each solve's working matrix and
+    serves its final row check), the cost, the variable box, and the warm
+    start with the activities of the kept rows.
     :meth:`solve` then takes one set of row windows in the same integer
     form, whose absent bounds must be those of ``rows``.
     """
@@ -282,10 +290,13 @@ class PreparedLp:
         self.absent = tuple((lo is None, hi is None) for _, lo, hi, _ in rows)
         self.kept: list[int] = []
         self.empty: list[int] = []
-        # The matrices are filled from the kept rows' nonzero pairs.
-        pairs: list = []
-        counts: list[int] = []
-        denoms: list[int] = []
+        self.general: list[int] = []
+        self.singles: list[tuple] = []  # (row, j, c, denom)
+        self.denoms: list[int] = []  # of the general rows
+        # The float matrix is filled from each general row's nonzero pairs,
+        # at their offsets in the flattened matrix.
+        offsets: list[int] = []
+        values: list[float] = []
         for i, (coeffs, lo, hi, denom) in enumerate(rows):
             if lo is None and hi is None:
                 continue  # vacuous row
@@ -293,15 +304,24 @@ class PreparedLp:
                 self.empty.append(i)
                 continue
             self.kept.append(i)
-            pairs += coeffs
-            counts.append(len(coeffs))
-            denoms.append(denom)
-        self.matrix, self.integer = _matrices(pairs, counts, denoms, n)
+            if len(coeffs) == 1:
+                self.singles.append((i, *coeffs[0], denom))
+                continue
+            base = len(self.general) * n
+            self.general.append(i)
+            self.denoms.append(denom)
+            for j, c in coeffs:
+                offsets.append(base + j)
+                values.append(c / denom)
+        flat = np.zeros(len(self.general) * n)
+        flat[offsets] = values
+        self.matrix = flat.reshape(len(self.general), n)
         self.box = tuple(var_bounds)
         if any(lo > hi for lo, hi in self.box):
             raise ValueError("variable bounds crossed")
-        self.var_lb = np.array([float(lo) for lo, _ in var_bounds])
-        self.var_ub = np.array([float(hi) for _, hi in var_bounds])
+        lows, highs = zip(*self.box) if self.box else ((), ())
+        self.var_lb = np.array(lows, dtype=float)
+        self.var_ub = np.array(highs, dtype=float)
         self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
         self.warm_activity = None
         if warm_start is not None:
@@ -313,20 +333,20 @@ class PreparedLp:
                 )
             if any(v != lo and v != hi for v, (lo, hi) in zip(x, var_bounds)):
                 raise ValueError("warm start off its variable bounds")
-            self.warm_x = np.array([float(v) for v in x])
+            self.warm_x = np.array(x, dtype=float)
             self.warm_at_upper = np.array(
                 [v == hi for v, (_, hi) in zip(x, var_bounds)]
             )
             self.warm_activity = [activities[i] for i in self.kept]
             self.warm_activity_float = np.array(
-                [a / d for a, d in self.warm_activity]
+                [a / d for a, d in (activities[i] for i in self.general)]
             )
 
     def slack_bounds(self, windows: Sequence) -> tuple:
-        """Float lower and upper bounds of the kept rows' slacks, each
+        """Float lower and upper bounds of the general rows' slacks, each
         bound an integer divided by its denominator; infinite where
         absent."""
-        kept = [windows[i] for i in self.kept]
+        kept = [windows[i] for i in self.general]
         return (
             np.array(
                 [-math.inf if lo is None else lo / d for lo, _, d in kept]
@@ -335,6 +355,75 @@ class PreparedLp:
                 [math.inf if hi is None else hi / d for _, hi, d in kept]
             ),
         )
+
+    @functools.cached_property
+    def integer(self) -> np.ndarray | None:
+        """The general rows' numerators c as an int64 matrix, or None.
+
+        A float entry is c / denom correctly rounded; times denom, it lies
+        within |c| * 2^-52 of c, so it rounds back to c while |c| < 2^51
+        and denom < 2^53, exact as a float.  The matrix is given when
+        every such product is below 2^50 / n, so that a row's sum over a
+        Boolean point is exact too; otherwise it is None.
+        """
+        n = max(self.num_vars, 1)
+        if max(self.denoms, default=1) >= 2**53:
+            return None
+        scaled = self.matrix * np.array(self.denoms, dtype=float)[:, None]
+        if np.max(np.abs(scaled), initial=0.0) >= 2**50 / n:
+            return None
+        return np.rint(scaled).astype(np.int64)
+
+    def presolve(self, windows: Sequence) -> tuple | None:
+        """The box tightened by the one-coefficient rows' windows, or None
+        when it is empty or an empty row's window excludes zero.
+
+        A row lo / d <= (c / denom) x_j <= hi / d bounds x_j by lo * denom
+        / (c * d) and hi * denom / (c * d), swapped and negated for c < 0.
+        Returns (var_lb, var_ub, lower, upper): lower and upper map each
+        variable to the tightest of those bounds, an exact (num, den) with
+        den > 0, found by cross-multiplying; var_lb and var_ub are the
+        box's floats with each bound tighter than the box put in as num /
+        den.  An empty box is found exactly, in the same integers.
+        """
+        for i in self.empty:
+            lo, hi, _ = windows[i]
+            if (lo is not None and lo > 0) or (hi is not None and hi < 0):
+                return None
+        lower: dict = {}
+        upper: dict = {}
+        for i, j, c, denom in self.singles:
+            lo, hi, d = windows[i]
+            if c < 0:  # c x in [lo, hi] is -c x in [-hi, -lo]
+                lo, hi = (
+                    None if hi is None else -hi, None if lo is None else -lo
+                )
+                c = -c
+            if lo is not None:
+                bound = lower.get(j)
+                if bound is None or lo * denom * bound[1] > bound[0] * c * d:
+                    lower[j] = lo * denom, c * d
+            if hi is not None:
+                bound = upper.get(j)
+                if bound is None or hi * denom * bound[1] < bound[0] * c * d:
+                    upper[j] = hi * denom, c * d
+        var_lb, var_ub = self.var_lb.copy(), self.var_ub.copy()
+        for j, (num, den) in lower.items():
+            lo, hi = self.box[j]
+            bound = upper.get(j)
+            if num > hi * den or (
+                bound is not None and num * bound[1] > bound[0] * den
+            ):
+                return None
+            if num > lo * den:
+                var_lb[j] = num / den
+        for j, (num, den) in upper.items():
+            lo, hi = self.box[j]
+            if num < lo * den:
+                return None
+            if num < hi * den:
+                var_ub[j] = num / den
+        return var_lb, var_ub, lower, upper
 
     def warm_fits(self, windows: Sequence) -> bool:
         """Whether the warm start's exact activity lies in every kept
@@ -364,14 +453,12 @@ class PreparedLp:
             for (lo, hi, _), absent in zip(windows, self.absent)
         ):
             raise ValueError("windows do not match the prepared rows")
-        for i in self.empty:
-            lo, hi, _ = windows[i]
-            if (lo is not None and lo > 0) or (hi is not None and hi < 0):
-                # Empty row whose bounds exclude zero: trivially infeasible.
-                floor = tuple(self.var_lb.tolist())
-                return LpSolution(INFEASIBLE, floor, None)
-        n, m = self.num_vars, len(self.kept)
-        sx = _Simplex(self, *self.slack_bounds(windows))
+        presolved = self.presolve(windows)
+        if presolved is None:
+            return LpSolution(INFEASIBLE, tuple(self.var_lb.tolist()), None)
+        var_lb, var_ub, *exact_bounds = presolved
+        n, m = self.num_vars, len(self.general)
+        sx = _Simplex(self, var_lb, var_ub, *self.slack_bounds(windows))
         max_iterations = 50 * (self.num_rows + n)
 
         if self.warm_fits(windows):
@@ -424,8 +511,9 @@ class PreparedLp:
                 NUMERICAL_FAILURE, _clamped(sx), None, sx.iterations
             )
         y = _clamped(sx)
-        # Only the kept rows can be broken: an empty row's window holds
-        # zero (checked above) and a vacuous row has none.
+        # Only the general rows can be broken: a one-coefficient row holds
+        # through the box, an empty row's window holds zero (presolve
+        # checked it) and a vacuous row has none.
         yv = np.asarray(y)
         activity = self.matrix @ yv
         worst = max(
@@ -435,36 +523,41 @@ class PreparedLp:
         if worst > FEAS_TOL:
             return LpSolution(NUMERICAL_FAILURE, y, None, sx.iterations)
         value = _objective_value(self.objective, self.offset, y)
-        snapped = self._snap(yv, value, windows)
+        snapped = self._snap(yv, value, windows, *exact_bounds)
         if snapped is not None:
             y, value = snapped
         return LpSolution(OPTIMAL, y, value, sx.iterations)
 
-    def _snap(self, y, value, windows) -> tuple | None:
+    def _snap(self, y, value, windows, lower, upper) -> tuple | None:
         """(z, its value) when the optimum y, an array of float objective
         value, is a Boolean point z up to float error; None otherwise.
 
         z is taken when y lies within SNAP_TOL of it in every coordinate,
-        z lies in the box and every kept row's window, both compared
-        exactly, and z's exact objective is within relative SNAP_TOL of
-        value.  Its value is then the correctly rounded float of that
-        exact objective.
+        z lies in the box, in the exact bounds ``lower`` and ``upper``
+        that :meth:`presolve` read off the one-coefficient rows and in
+        every general row's window, all compared exactly, and z's exact
+        objective is within relative SNAP_TOL of value.  Its value is
+        then the correctly rounded float of that exact objective.
         """
         z = y >= 0.5
         if np.max(np.abs(y - z), initial=0.0) > SNAP_TOL:
             return None
         zl = z.tolist()
-        if not all(lo <= v <= hi for v, (lo, hi) in zip(zl, self.box)):
+        if not (
+            all(lo <= v <= hi for v, (lo, hi) in zip(zl, self.box))
+            and all(num <= zl[j] * den for j, (num, den) in lower.items())
+            and all(num >= zl[j] * den for j, (num, den) in upper.items())
+        ):
             return None
         if self.integer is None:
             activities = [
-                sum(c for j, c in self.rows[i][0] if zl[j]) for i in self.kept
+                sum(c for j, c in self.rows[i][0] if zl[j])
+                for i in self.general
             ]
         else:
             activities = (self.integer @ z).tolist()
-        for i, a in zip(self.kept, activities):
+        for i, denom, a in zip(self.general, self.denoms, activities):
             lo, hi, d = windows[i]
-            denom = self.rows[i][3]
             if (lo is not None and a * d < lo * denom) or (
                 hi is not None and a * d > hi * denom
             ):
@@ -496,37 +589,6 @@ def box_optimum(objective: tuple, offset, warm_start: Sequence) -> LpSolution:
     )
 
 
-def _matrices(pairs: list, counts: list, denoms: list, n: int) -> tuple:
-    """(float matrix, integer matrix) of rows given by their nonzero (j, c)
-    pairs, counts[r] of them and the denominator denoms[r] for row r.
-
-    An entry of the float matrix is c / denom, correctly rounded.  The
-    integer matrix holds the numerators c as int64 when every |c| is below
-    2^53 / n and every denom below 2^53: then each row's sum over any
-    Boolean point is exact in int64, and numpy's float division of the
-    exactly converted c and denom rounds as Python's int / int does.
-    Otherwise it is None, and the entries are divided in Python.
-    """
-    m = len(counts)
-    js, cs = zip(*pairs) if pairs else ((), ())
-    at = np.repeat(np.arange(m), counts), np.array(js, dtype=np.intp)
-    matrix = np.zeros((m, n))
-    limit = 2**53 // max(n, 1)
-    if (
-        max(denoms, default=1) < 2**53
-        and -limit < min(cs, default=0)
-        and max(cs, default=0) < limit
-    ):
-        integer = np.zeros((m, n), dtype=np.int64)
-        integer[at] = cs
-        matrix[at] = integer[at] / np.repeat(denoms, counts)
-        return matrix, integer
-    matrix[at] = [
-        c / d for c, d in zip(cs, np.repeat(np.array(denoms, object), counts))
-    ]
-    return matrix, None
-
-
 def _objective_value(objective, offset, y) -> float:
     return sum(float(c) * v for c, v in zip(objective, y)) + float(offset)
 
@@ -534,7 +596,7 @@ def _objective_value(objective, offset, y) -> float:
 def _exact_value(coeffs, denom, offset, x) -> float:
     """The correctly rounded float of sum(c_j * x_j) / denom + offset,
     each x_j exact."""
-    num, den = offset.as_integer_ratio()
+    num, den = Fraction(offset).as_integer_ratio()
     return float(
         (sum(c * v for c, v in zip(coeffs, x) if v) * den + num * denom)
         / (denom * den)

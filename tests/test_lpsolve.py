@@ -255,7 +255,9 @@ def test_a_near_boolean_optimum_that_breaks_a_window_keeps_its_float_y():
     float optimum is kept.  With the row's bound at 1 the optimum is
     Boolean."""
     objective, d = ((1, 1), 1), 2**33
-    for coeffs, value in ((((0, d),), 2 - 1 / d), (((0, d), (1, d)), 1 - 1 / d)):
+    for coeffs, value in (
+        (((0, d),), 2 - 1 / d), (((0, d), (1, d)), 1 - 1 / d)
+    ):
         lp = PreparedLp(objective, 0, [(coeffs, None, d - 1, d)], box(2))
         sol = lp.solve([(None, d - 1, d)])
         assert sol.status == "optimal"
@@ -290,14 +292,140 @@ def test_one_ulp_off_a_boolean_optimum_reads_the_same_point(
     assert boolean >= 5
 
 
-def agrees(ours, ref) -> bool:
-    """Same status and, when optimal, objectives within 1e-6 relative."""
+def test_the_boolean_check_sums_rows_in_python_past_int64(
+    pipeline_lps, monkeypatch
+):
+    """Without the integer matrix, which a numerator of 2^50 / n or more
+    rules out, the exact check of a Boolean optimum sums each general row
+    in Python: on the pipeline's LPs that gives the same solutions to the
+    bit, and a relaxation with a 2^70 coefficient takes that path."""
+    cases = [(lp, windows) for _, lp, windows, _ in pipeline_lps]
+    expected = [repr(lp.solve(windows)) for lp, windows in cases]
+    assert all(lp.integer is not None for lp, _ in cases)
+    for lp, _ in cases:
+        monkeypatch.setattr(lp, "integer", None)
+    assert [repr(lp.solve(windows)) for lp, windows in cases] == expected
+    p = Polynomial(
+        6, {(0, 1, 2): 2**70, (0, 1, 3): 3, (0, 1, 4): -5, (2, 3, 5): 1}
+    )
+    relaxation = pipeline_relaxation(p, alternating(6))
+    lp = relaxation.lp()
+    assert lp.general and lp.integer is None
+    for eps in range(3):
+        sol = lp.solve(relaxation.windows(eps))
+        assert sol.status == "optimal" and set(sol.y) <= {0.0, 1.0}
+        assert agrees(sol, reference_solve(relaxation.model(eps)), 1e-9)
+
+
+# -- one-coefficient rows as bounds ------------------------------------------
+
+
+def test_negative_one_coefficient_rows_give_exact_non_dyadic_bounds():
+    """-3 x0 in [-2, -1] bounds x0 to [1/3, 2/3] and -x1 <= -1/3 bounds x1
+    below by 1/3: a negative coefficient swaps and negates the window.
+    The floats are 1/3 and 2/3 correctly rounded, the exact bounds are
+    kept, and the optimum of 2 x0 - x1 + x2 under x0 + x2 <= 1 agrees
+    with the reference solver on the full model."""
+    third = Fraction(1, 3)
+    model = LpModel(
+        3, box(3),
+        (
+            ((Fraction(-3), 0, 0), Fraction(-2), Fraction(-1)),
+            ((0, Fraction(-1), 0), None, -third),
+            ((Fraction(1), 0, Fraction(1)), None, Fraction(1)),
+        ),
+        (Fraction(2), Fraction(-1), Fraction(1)),
+    )
+    lp, windows = prepared_model(model)
+    assert [i for i, *_ in lp.singles] == [0, 1] and lp.general == [2]
+    var_lb, var_ub, lower, upper = lp.presolve(windows)
+    assert var_lb.tolist() == [1 / 3, 1 / 3, 0]
+    assert var_ub.tolist() == [2 / 3, 1, 1]
+    assert Fraction(*lower[0]) == Fraction(*lower[1]) == third
+    assert Fraction(*upper[0]) == 2 * third
+    sol = lp.solve(windows)
+    assert sol.status == "optimal" and sol.y[:2] == (2 / 3, 1 / 3)
+    assert sol.y[2] == pytest.approx(1 / 3, rel=1e-15)
+    assert agrees(sol, reference_solve(model), 1e-9)
+
+
+def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
+    """x0 >= 3/4 (from 4 x0 >= 3) and 2 x0 <= 1 cannot both hold: the
+    solve is infeasible with no pivot, though a general row is there too.
+    x0 pinned at 1/3 by 3 x0 >= 1 and 6 x0 <= 2 is feasible, and a bound
+    2^-60/3 below 1/3, which has the same float, is found empty exactly."""
+    big = 2**60
+    rows = [
+        (((0, 4),), 3, None, 1),
+        (((0, 2),), None, 1, 1),
+        (((0, 1), (1, 1)), None, 2, 1),
+    ]
+    windows = [(lo, hi, d) for _, lo, hi, d in rows]
+    lp = PreparedLp(((1, 1), 1), 0, rows, box(2))
+    assert lp.presolve(windows) is None
+    sol = lp.solve(windows)
+    assert (sol.status, sol.iterations) == ("infeasible", 0)
+    one = Fraction(1)
+    assert reference_solve(LpModel(
+        2, box(2),
+        (((4 * one, 0), 3, None), ((2 * one, 0), None, 1),
+         ((one, one), None, 2)),
+        (one, one),
+    )).status == "infeasible"
+    pinned = [(((0, 3),), 1, None, 1), (((0, 6),), None, 2, 1)]
+    sol = PreparedLp(((1,), 1), 0, pinned, box(1)).solve(
+        [(1, None, 1), (None, 2, 1)]
+    )
+    assert (sol.status, sol.y) == ("optimal", (1 / 3,))
+    below = [(((0, 3),), 1, None, 1), (((0, 3 * big),), None, big - 1, 1)]
+    assert (big - 1) / (3 * big) == 1 / 3
+    sol = PreparedLp(((1,), 1), 0, below, box(1)).solve(
+        [(1, None, 1), (None, big - 1, 1)]
+    )
+    assert (sol.status, sol.iterations) == ("infeasible", 0)
+
+
+def test_a_side_constraint_on_one_variable_is_a_bound():
+    """MAX-CUT G(30, 0.3) under x1 <= 0, around the alternating
+    prediction, which sets x1 = 1: the side constraint's row has one
+    coefficient, so each budget's LP bounds x1 instead of keeping the
+    row.  At eps = 0 the bound is x1 <= 0, the solve starts cold and y1
+    is 0.  Every budget below saturation agrees with the reference
+    solver, and with HiGHS when scipy is there, on the full model."""
+    n = 30
+    side = (Polynomial(n, {(1,): 1}), None, Fraction(0))
+    relaxation = pipeline_relaxation(
+        maxcut_objective(gen_gnp(n, 0.3, 4)), alternating(n), (side,)
+    )
+    lp = relaxation.lp()
+    side_rows = [i for i, row in enumerate(relaxation.rows)
+                 if row.coeffs == ((1, row.denom),)]
+    assert side_rows and set(side_rows) <= {i for i, *_ in lp.singles}
+    try:
+        import scipy  # noqa: F401
+    except ImportError:
+        scipy = None
+    assert not lp.warm_fits(relaxation.windows(0))
+    assert lp.solve(relaxation.windows(0)).y[1] == 0
+    budgets = range(relaxation.saturation_budget(range(n + 1)))
+    assert len(budgets) > 2
+    for eps in budgets:
+        ours = lp.solve(relaxation.windows(eps))
+        model = relaxation.model(eps)
+        assert ours.status == "optimal"
+        assert agrees(ours, reference_solve(model), 1e-9), eps
+        if scipy is not None:
+            assert agrees(ours, highs_solve(model), 1e-9), eps
+
+
+def agrees(ours, ref, rel=1e-6) -> bool:
+    """Same status and, when optimal, objectives within rel relative."""
     if ours.status != ref.status:
         return False
     if ours.status != "optimal":
         return True
     scale = max(1.0, abs(ours.objective_value), abs(ref.objective_value))
-    return abs(ours.objective_value - ref.objective_value) <= 1e-6 * scale
+    return abs(ours.objective_value - ref.objective_value) <= rel * scale
 
 
 def reference_models():
@@ -366,22 +494,38 @@ def pipeline_lps():
 
 def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
     """The matrix is filled from nonzero entries only; it must be the
-    float of every entry of every row that has a bound and a nonzero
-    entry, each Fraction put over its row's denominator first."""
+    float of every entry of every general row, one that has a bound and
+    two or more nonzero entries, each Fraction put over its row's
+    denominator first.  The one-coefficient rows are the rest of the
+    kept rows, and the integer matrix holds the general rows' numerators
+    over those denominators."""
     cases = [(prepared_model(model)[0], model) for model in reference_models()]
     cases += [(lp, model) for _, lp, _, model in pipeline_lps]
+    singles = 0
     for lp, model in cases:
         bounded = [
             i for i, (_, lo, hi) in enumerate(model.rows)
             if lo is not None or hi is not None
         ]
-        assert lp.kept == [i for i in bounded if any(model.rows[i][0])]
-        assert lp.empty == [i for i in bounded if not any(model.rows[i][0])]
+        nonzeros = [sum(1 for c in model.rows[i][0] if c) for i in bounded]
+        assert lp.kept == [i for i, k in zip(bounded, nonzeros) if k]
+        assert lp.empty == [i for i, k in zip(bounded, nonzeros) if not k]
+        assert lp.general == [i for i, k in zip(bounded, nonzeros) if k > 1]
+        assert [i for i, *_ in lp.singles] == [
+            i for i, k in zip(bounded, nonzeros) if k == 1
+        ]
+        singles += len(lp.singles)
         dense = np.array(
-            [[float(c) for c in model.rows[i][0]] for i in lp.kept],
+            [[float(c) for c in model.rows[i][0]] for i in lp.general],
             dtype=float,
-        ).reshape(len(lp.kept), model.num_vars)
+        ).reshape(len(lp.general), model.num_vars)
         assert lp.matrix.tobytes() == dense.tobytes()
+        numerators = [
+            [int(c * d) for c in model.rows[i][0]]
+            for i, d in zip(lp.general, lp.denoms)
+        ]
+        assert lp.integer.tolist() == numerators
+    assert singles > 100
 
 
 def test_pipeline_lps_agree_with_reference(pipeline_lps):
@@ -389,7 +533,7 @@ def test_pipeline_lps_agree_with_reference(pipeline_lps):
     for name, lp, windows, model in pipeline_lps:
         ours = lp.solve(windows)
         ref = reference_solve(model)
-        assert agrees(ours, ref), (name, ours.status, ref.status)
+        assert agrees(ours, ref, 1e-9), (name, ours, ref)
         statuses.add(ours.status)
     assert statuses == {"optimal", "infeasible"}
 
@@ -425,7 +569,7 @@ def test_pipeline_lps_agree_with_highs(pipeline_lps):
     for name, lp, windows, model in pipeline_lps:
         ours = lp.solve(windows)
         theirs = highs_solve(model)
-        assert agrees(ours, theirs), (name, ours.status, theirs.status)
+        assert agrees(ours, theirs, 1e-9), (name, ours, theirs)
 
 
 # -- a long degenerate stretch ----------------------------------------------
@@ -557,8 +701,9 @@ def start_state(sx) -> tuple:
 def loop_cold_start(lp, windows) -> tuple:
     """The start state of a cold solve, built one row at a time: the
     reference for the solver's array form."""
-    n, m = lp.num_vars, len(lp.kept)
-    sx = lpsolve._Simplex(lp, *lp.slack_bounds(windows))
+    n, m = lp.num_vars, len(lp.general)
+    var_lb, var_ub, *_ = lp.presolve(windows)
+    sx = lpsolve._Simplex(lp, var_lb, var_ub, *lp.slack_bounds(windows))
     sx.val[:n] = sx.lb[:n]
     for i in range(m):
         lo, hi = sx.lb[n + i], sx.ub[n + i]
@@ -580,14 +725,15 @@ def loop_cold_start(lp, windows) -> tuple:
 def test_cold_start_matches_the_per_row_loop(pipeline_lps, monkeypatch):
     """Every cold solve starts, to the bit, where the per-row loop puts
     it: on the reference models (sub-box variable bounds, so nonzero
-    residuals), the cold card-40 LPs, one variable under ties, one-sided
-    rows and an equality with a negative coefficient, and no kept row."""
+    residuals) whose one-coefficient rows leave a box, the cold card-40
+    LPs, rows on two variables under ties, one-sided rows and an equality
+    with negative coefficients, and no kept row."""
     one = Fraction(1)
     bounds = [(-1, 1), (-2, 1), (-1, 3), (None, -1), (2, None)]
-    rows = tuple(((one,), lo, hi) for lo, hi in bounds)
-    rows += (((-one,), Fraction(0), Fraction(0)),)
+    rows = tuple(((one, one), lo, hi) for lo, hi in bounds)
+    rows += (((-one, -one), Fraction(0), Fraction(0)),)
     models = reference_models() + [
-        LpModel(1, ((lo, one),), rows, (one,))
+        LpModel(2, ((lo, one),) * 2, rows, (one, one))
         for lo in (Fraction(0), Fraction(1, 4))
     ]
     no_row = prepared_model(
@@ -601,6 +747,8 @@ def test_cold_start_matches_the_per_row_loop(pipeline_lps, monkeypatch):
     ]
     assert card
     cases = [prepared_model(model) for model in models] + [no_row] + card
+    cases = [(lp, w) for lp, w in cases if lp.presolve(w) is not None]
+    assert len(cases) > 50
     assert not any(lp.warm_fits(windows) for lp, windows in cases)
     expected = [loop_cold_start(lp, windows) for lp, windows in cases]
     states = []
@@ -630,16 +778,15 @@ def test_diagonal_start_inverse_is_lapacks_to_the_bit(m):
     np.linalg.inv of the basis bit for bit, signs of zeros included."""
     rng = np.random.default_rng(m)
     model = LpModel(
-        num_vars=1,
-        var_bounds=box(1),
-        rows=(((Fraction(1),), Fraction(0), Fraction(1)),) * m,
-        objective=(Fraction(1),),
+        num_vars=2,
+        var_bounds=box(2),
+        rows=(((Fraction(1),) * 2, Fraction(0), Fraction(1)),) * m,
+        objective=(Fraction(1),) * 2,
     )
-    sx = lpsolve._Simplex(
-        prepared_model(model)[0], np.zeros(m), np.ones(m)
-    )
-    slacks = range(1, 1 + m)
-    artificials = range(1 + m, 1 + 2 * m)
+    lp = prepared_model(model)[0]
+    sx = lpsolve._Simplex(lp, lp.var_lb, lp.var_ub, np.zeros(m), np.ones(m))
+    slacks = range(2, 2 + m)
+    artificials = range(2 + m, 2 + 2 * m)
     for _ in range(3):
         signs = rng.choice([-1.0, 1.0], size=m)
         sx.M[range(m), artificials] = signs

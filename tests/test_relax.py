@@ -526,13 +526,33 @@ def bit_cases():
             yield xhat, pipeline_relaxation(objective, xhat, constraints)
 
 
+def exact_box(model, kept) -> list | None:
+    """[0, 1]^n cut by the model's kept one-coefficient rows, each
+    bound a Fraction; None when it is empty."""
+    box = [[Fraction(0), Fraction(1)] for _ in range(model.num_vars)]
+    for coeffs, lo, hi in (model.rows[i] for i in kept):
+        nonzero = [j for j, c in enumerate(coeffs) if c]
+        if len(nonzero) != 1:
+            continue
+        j = nonzero[0]
+        c = coeffs[j]
+        at_least, at_most = (lo, hi) if c > 0 else (hi, lo)
+        if at_least is not None:
+            box[j][0] = max(box[j][0], at_least / c)
+        if at_most is not None:
+            box[j][1] = min(box[j][1], at_most / c)
+    return None if any(lo > hi for lo, hi in box) else list(map(tuple, box))
+
+
 def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
     """The prepared LP's matrix, cost and warm activities, every budget's
-    float window bounds and its warm-start decision are what float() and
-    exact comparison give on the Fraction model of that budget, and
-    saturation_budget((eps,)) is what the model's windows say."""
+    float window bounds, its box tightened by the one-coefficient rows and
+    its warm-start decision are what float() and exact comparison give on
+    the Fraction model of that budget, and saturation_budget((eps,)) is
+    what the model's windows say."""
     warm = set()
     saturated = set()
+    tightened = set()
     huge = naive_misses = tiny = 0
     for xhat, relaxation in bit_cases():
         lp = relaxation.lp()
@@ -544,20 +564,32 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
             if (lo is not None or hi is not None) and any(coeffs)
         ]
         assert lp.kept == kept
+        general = [i for i in kept if sum(map(bool, model.rows[i][0])) > 1]
+        assert lp.general == general
         dense = np.array(
-            [[float(c) for c in model.rows[i][0]] for i in kept], dtype=float
-        ).reshape(len(kept), n)
+            [[float(c) for c in model.rows[i][0]] for i in general],
+            dtype=float,
+        ).reshape(len(general), n)
         assert lp.matrix.tobytes() == dense.tobytes()
         activity = [
             sum(c * x for c, x in zip(model.rows[i][0], xhat)) for i in kept
         ]
         assert lp.warm_activity_float.tobytes() == np.array(
-            [float(a) for a in activity], dtype=float
+            [float(a) for i, a in zip(kept, activity) if i in general],
+            dtype=float,
         ).tobytes()
         for eps in range(n + 1):
             windows = relaxation.windows(eps)
             budget = relaxation.model(eps)
-            rows = [budget.rows[i] for i in kept]
+            presolved = lp.presolve(windows)
+            box = exact_box(budget, kept)
+            assert (presolved is None) == (box is None)
+            if box is not None:
+                var_lb, var_ub, *_ = presolved
+                assert var_lb.tolist() == [float(lo) for lo, _ in box]
+                assert var_ub.tolist() == [float(hi) for _, hi in box]
+                tightened.add(box != [(0, 1)] * n)
+            rows = [budget.rows[i] for i in general]
             lower, upper = lp.slack_bounds(windows)
             assert lower.tobytes() == np.array(
                 [-math.inf if lo is None else float(lo) for _, lo, _ in rows],
@@ -569,7 +601,9 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
             ).tobytes()
             fits = all(
                 (lo is None or lo <= a) and (hi is None or a <= hi)
-                for a, (_, lo, hi) in zip(activity, rows)
+                for a, (_, lo, hi) in zip(
+                    activity, (budget.rows[i] for i in kept)
+                )
             )
             assert lp.warm_fits(windows) == fits
             warm.add(fits)
@@ -582,7 +616,7 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
                     huge += 1
                     naive_misses += float(c) / float(row.denom) != c / row.denom
                 tiny += 0 < abs(Fraction(c, row.denom)) < Fraction(1, 10**30)
-    assert warm == saturated == {False, True}
+    assert warm == saturated == tightened == {False, True}
     # The extreme cases bite: dividing the floats of numerator and
     # denominator would round some entries differently.
     assert huge > 100 and naive_misses > 10 and tiny > 10
