@@ -30,13 +30,14 @@ Williams, Math. Prog. 8, 1975).
 Its ``solve(windows)`` then does one LP, so a caller that solves the same
 rows under many windows (the pipeline, one per error budget) converts
 and checks them once.  Crossed variable bounds, and a warm start x-hat
-off a bound of some variable, raise ValueError.  The simplex starts
-warm, at x-hat on the slack basis, only when x-hat's exact activities
-lie in the exact windows of every kept row, an integer comparison; x-hat
-then also sits at a bound of the tightened box.  Otherwise it starts
-cold with a phase 1: the structurals at their (tightened) lower bounds,
-each slack at its finite bound nearest zero, and the artificials basic,
-absorbing the residual.
+off a bound of some variable, raise ValueError.  Every solve starts at
+x-hat clipped into the tightened box, so each structural sits at a
+bound, and each general row's slack at its activity there clipped into
+its window.  A row that x-hat breaks, judged in integers when no
+coordinate moved and in floats otherwise, puts its slack at the bound it
+breaks and its artificial in the basis, holding the residual; phase 1
+prices only those artificials (Wolfe, SIAM Review 7, 1965; Bixby, ORSA
+J. Comput. 4, 1992).  Every other row's slack is basic.
 
 A float optimum's last bits depend on the order in which the BLAS sums.
 So an optimum within SNAP_TOL of a Boolean point z is read exactly: when
@@ -108,8 +109,9 @@ class LpSolution:
 
 class _Simplex:
     """One solve. Column layout: [0, n) structural, [n, n+m) slack,
-    [n+m, n+2m) artificial.  ``basis``, each row's basic column, is the
-    one record of the basis; every start sets it and ``Binv`` first."""
+    [n+m, n+2m) artificial, each artificial fixed at 0 until the start
+    frees it.  ``basis``, each row's basic column, is the one record of
+    the basis; the start sets it and ``Binv`` first."""
 
     def __init__(self, lp: PreparedLp, var_lb, var_ub, slack_lb, slack_ub):
         n, m = lp.num_vars, len(lp.general)
@@ -119,7 +121,7 @@ class _Simplex:
         self.M[:, :n] = lp.matrix
         self.M[range(m), range(n, n + m)] = -1.0
         self.lb = np.concatenate((var_lb, slack_lb, np.zeros(m)))
-        self.ub = np.concatenate((var_ub, slack_ub, np.full(m, math.inf)))
+        self.ub = np.concatenate((var_ub, slack_ub, np.zeros(m)))
         self.cost = np.zeros(total)
         self.cost[:n] = lp.cost
         self.val = np.zeros(total)
@@ -257,16 +259,15 @@ class PreparedLp:
     bounds, all integers over a positive integer denominator, a bound None
     when absent.
     ``var_bounds`` holds an exact (lo, hi) per variable, lo <= hi or
-    ValueError.  ``warm_start``
-    is None or (x, activities): a point x at a bound of every variable
-    and, per row, its exact activity a_i . x as (numerator, positive
-    denominator); an x or an activity list of the wrong length, or an x
-    off a bound of some variable, raises ValueError.  Prepared here: which
-    rows are empty or vacuous and which of the others, the kept rows,
-    have one coefficient (``singles``) or more (``general``); the float
-    matrix of the general rows (it seeds each solve's working matrix and
-    serves its final row check), the cost, the variable box, and the warm
-    start with the activities of the kept rows.
+    ValueError.  ``warm_start`` is (x, activities): a point x at a bound
+    of every variable and, per row, its exact activity a_i . x as
+    (numerator, positive denominator); an x or an activity list of the
+    wrong length, or an x off a bound of some variable, raises
+    ValueError.  Prepared here: which rows are empty or vacuous and which
+    of the others have one coefficient (``singles``) or more
+    (``general``); the float matrix of the general rows (it seeds each
+    solve's working matrix and serves its final row check), the cost, the
+    variable box, and the warm start with the general rows' activities.
     :meth:`solve` then takes one set of row windows in the same integer
     form, whose absent bounds must be those of ``rows``.
     """
@@ -277,7 +278,7 @@ class PreparedLp:
         offset,
         rows: Sequence,
         var_bounds: Sequence,
-        warm_start: Sequence | None = None,
+        warm_start: Sequence,
     ):
         costs, cost_denom = objective
         n = len(costs)
@@ -288,7 +289,6 @@ class PreparedLp:
         self.rows = rows
         self.num_rows = len(rows)
         self.absent = tuple((lo is None, hi is None) for _, lo, hi, _ in rows)
-        self.kept: list[int] = []
         self.empty: list[int] = []
         self.general: list[int] = []
         self.singles: list[tuple] = []  # (row, j, c, denom)
@@ -303,7 +303,6 @@ class PreparedLp:
             if not coeffs:
                 self.empty.append(i)
                 continue
-            self.kept.append(i)
             if len(coeffs) == 1:
                 self.singles.append((i, *coeffs[0], denom))
                 continue
@@ -323,24 +322,19 @@ class PreparedLp:
         self.var_lb = np.array(lows, dtype=float)
         self.var_ub = np.array(highs, dtype=float)
         self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
-        self.warm_activity = None
-        if warm_start is not None:
-            x, activities = warm_start
-            if len(x) != n or len(activities) != len(rows):
-                raise ValueError(
-                    f"warm start length {len(x)} with {len(activities)} "
-                    f"activities, expected {n} with {len(rows)}"
-                )
-            if any(v != lo and v != hi for v, (lo, hi) in zip(x, var_bounds)):
-                raise ValueError("warm start off its variable bounds")
-            self.warm_x = np.array(x, dtype=float)
-            self.warm_at_upper = np.array(
-                [v == hi for v, (_, hi) in zip(x, var_bounds)]
+        x, activities = warm_start
+        if len(x) != n or len(activities) != len(rows):
+            raise ValueError(
+                f"warm start length {len(x)} with {len(activities)} "
+                f"activities, expected {n} with {len(rows)}"
             )
-            self.warm_activity = [activities[i] for i in self.kept]
-            self.warm_activity_float = np.array(
-                [a / d for a, d in (activities[i] for i in self.general)]
-            )
+        if any(v != lo and v != hi for v, (lo, hi) in zip(x, var_bounds)):
+            raise ValueError("warm start off its variable bounds")
+        self.warm_x = np.array(x, dtype=float)
+        self.warm_activity = [activities[i] for i in self.general]
+        self.warm_activity_float = np.array(
+            [a / d for a, d in self.warm_activity]
+        )
 
     def slack_bounds(self, windows: Sequence) -> tuple:
         """Float lower and upper bounds of the general rows' slacks, each
@@ -425,19 +419,17 @@ class PreparedLp:
                 var_ub[j] = num / den
         return var_lb, var_ub, lower, upper
 
-    def warm_fits(self, windows: Sequence) -> bool:
-        """Whether the warm start's exact activity lies in every kept
-        row's window, compared as integers: a / ad >= lo / d exactly when
-        a * d >= lo * ad, both denominators being positive."""
-        if self.warm_activity is None:
-            return False
-        return all(
-            (lo is None or a * d >= lo * ad)
-            and (hi is None or a * d <= hi * ad)
-            for (a, ad), (lo, hi, d) in zip(
-                self.warm_activity, (windows[i] for i in self.kept)
-            )
-        )
+    def broken(self, windows: Sequence) -> tuple:
+        """Two masks over the general rows: whether the warm start's exact
+        activity lies below, and above, the row's window, compared as
+        integers: a / ad < lo / d exactly when a * d < lo * ad, both
+        denominators being positive."""
+        below, above = [], []
+        for (a, ad), i in zip(self.warm_activity, self.general):
+            lo, hi, d = windows[i]
+            below.append(lo is not None and a * d < lo * ad)
+            above.append(hi is not None and a * d > hi * ad)
+        return np.array(below, dtype=bool), np.array(above, dtype=bool)
 
     def solve(self, windows: Sequence) -> LpSolution:
         """Solve with rows lo_i <= a_i . x <= hi_i for the given (lower,
@@ -458,33 +450,36 @@ class PreparedLp:
             return LpSolution(INFEASIBLE, tuple(self.var_lb.tolist()), None)
         var_lb, var_ub, *exact_bounds = presolved
         n, m = self.num_vars, len(self.general)
-        sx = _Simplex(self, var_lb, var_ub, *self.slack_bounds(windows))
+        slack_lb, slack_ub = self.slack_bounds(windows)
+        sx = _Simplex(self, var_lb, var_ub, slack_lb, slack_ub)
         max_iterations = 50 * (self.num_rows + n)
 
-        if self.warm_fits(windows):
-            sx.val[:n] = self.warm_x
-            sx.at_upper[:n] = self.warm_at_upper
-            sx.val[n : n + m] = np.clip(
-                self.warm_activity_float, sx.lb[n : n + m], sx.ub[n : n + m]
-            )
-            sx.ub[n + m :] = 0.0
-            sx.set_basis(range(n, n + m), np.full(m, -1.0))
+        # The start, as the module docstring says.
+        x = np.clip(self.warm_x, var_lb, var_ub)
+        if np.array_equal(x, self.warm_x):
+            activity = self.warm_activity_float
+            below, above = self.broken(windows)
         else:
-            # Cold start, as the module docstring says: the lower bound wins
-            # a tie, and __init__ dropped every row with no finite bound.
-            lo, hi = sx.lb[n : n + m], sx.ub[n : n + m]
-            upper = np.isinf(lo) | (np.abs(hi) < np.abs(lo))
-            target = np.where(upper, hi, lo)
-            sx.val[:n] = sx.lb[:n]
-            sx.val[n : n + m] = target
-            sx.at_upper[n : n + m] = upper
-            residual = target - self.matrix @ sx.lb[:n]
-            signs = np.where(residual < 0, -1.0, 1.0)
-            sx.M[range(m), range(n + m, n + 2 * m)] = signs
-            sx.val[n + m :] = residual * signs  # a -0.0 residual stays -0.0
-            sx.set_basis(range(n + m, n + 2 * m), signs)
+            activity = self.matrix @ x
+            below, above = activity < slack_lb, activity > slack_ub
+        slack = np.clip(activity, slack_lb, slack_ub)
+        rows = np.flatnonzero(below | above)
+        residual = slack[rows] - activity[rows]
+        signs = np.full(m, -1.0)
+        signs[rows] = np.where(residual < 0, -1.0, 1.0)
+        sx.val[:n] = x
+        sx.at_upper[:n] = x == var_ub
+        sx.val[n : n + m] = slack
+        sx.at_upper[n : n + m] = above
+        sx.ub[n + m + rows] = math.inf
+        sx.M[rows, n + m + rows] = signs[rows]
+        sx.val[n + m + rows] = residual * signs[rows]  # -0.0 stays -0.0
+        basis = np.arange(n, n + m)
+        basis[rows] += m
+        sx.set_basis(basis, signs)
+        if rows.size:
             phase1 = np.zeros(n + 2 * m)
-            phase1[n + m :] = 1.0
+            phase1[n + m + rows] = 1.0
             true_cost = sx.cost
             sx.cost = phase1
             status = sx.iterate(max_iterations)
@@ -604,8 +599,8 @@ def _exact_value(coeffs, denom, offset, x) -> float:
 
 
 def _clamped(sx: _Simplex) -> tuple:
-    out = []
-    for j in range(sx.n):
-        lo, hi = sx.lb[j], sx.ub[j]
-        out.append(min(max(sx.val[j], lo), hi))
-    return tuple(out)
+    """The structurals' values put into their bounds as Python's max and
+    min would, a signed zero kept where it ties with its bound."""
+    val, lb, ub = sx.val[: sx.n], sx.lb[: sx.n], sx.ub[: sx.n]
+    val = np.where(lb > val, lb, val)
+    return tuple(np.where(ub < val, ub, val).tolist())

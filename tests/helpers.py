@@ -110,32 +110,36 @@ def _over_lcm(values) -> tuple:
     ), denom
 
 
+def start_at(rows, var_bounds, x=None) -> tuple:
+    """(x, activities), PreparedLp's warm start: the point x, the box's
+    lower corner when x is None or off a bound in some coordinate, with
+    its exact activity over each (pairs, lower, upper, denom) row."""
+    x = None if x is None else [Fraction(v) for v in x]
+    if x is None or not all(v in b for v, b in zip(x, var_bounds)):
+        x = [Fraction(lo) for lo, _ in var_bounds]
+    return x, [
+        Fraction(sum(c * x[j] for j, c in coeffs), denom).as_integer_ratio()
+        for coeffs, _, _, denom in rows
+    ]
+
+
 def prepared_model(model: LpModel, warm_start=None) -> tuple:
     """(lp, windows): the model as a PreparedLp and its own row windows.
 
     Every Fraction of a row (or of the objective) is put over the lcm of
     the denominators of that row, with the row's nonzero coefficients as
-    (j, c) pairs.  The warm start, a point, is passed with its exact row
-    activities when it sits at a bound in every coordinate, and dropped
-    otherwise, so that the solve starts cold.
+    (j, c) pairs.  The solve starts at the warm start, a point, when it
+    sits at a bound in every coordinate, and at the box's lower corner
+    otherwise.
     """
     rows = []
     for coeffs, lo, hi in model.rows:
         (*scaled, lower, upper), denom = _over_lcm((*coeffs, lo, hi))
         pairs = tuple((j, c) for j, c in enumerate(scaled) if c)
         rows.append((pairs, lower, upper, denom))
-    warm = None
-    if warm_start is not None:
-        x = [Fraction(v) for v in warm_start]
-        if all(v in bounds for v, bounds in zip(x, model.var_bounds)):
-            warm = x, [
-                Fraction(sum(c * x[j] for j, c in coeffs), denom)
-                .as_integer_ratio()
-                for coeffs, _, _, denom in rows
-            ]
     lp = PreparedLp(
         _over_lcm(model.objective), model.offset, rows, model.var_bounds,
-        warm,
+        start_at(rows, model.var_bounds, warm_start),
     )
     return lp, [(lo, hi, denom) for _, lo, hi, denom in rows]
 

@@ -58,7 +58,9 @@ def corpus() -> dict:
             random_bool_vector(random.Random(3), 10),
             SolveConfig(),
         ),
-        # The prediction sets 7 > 4, so the low budgets start cold.
+        # The prediction sets 7 > 4 and breaks the side window at eps = 0:
+        # that LP starts with an artificial on the side row and is
+        # infeasible.
         "cardinality": (
             Instance(
                 maxcut_objective(gen_gnp(14, 0.4, 4)), (at_most(14, 4),),

@@ -17,6 +17,7 @@ from helpers import (
     prepared_model,
     random_lp_model,
     solve_model,
+    start_at,
 )
 from lp_reference import reference_solve
 from smoothip import lpsolve
@@ -108,15 +109,15 @@ def test_empty_row_presolve():
 
 def test_no_kept_row_gives_the_box_optimum():
     """With every row empty or vacuous the simplex runs with no basis
-    (m = 0) and returns the y that box_optimum takes in closed form, warm
-    (zero costs stay at the warm start) or cold (at the lower bound)."""
+    (m = 0) and returns the y that box_optimum takes in closed form, from
+    a point (zero costs stay there) or from the box's lower corner."""
     objective, offset = ((3, 0, -2, 0, 5), 4), Fraction(1, 2)
     rows = [((), -1, 1, 1), ((), None, None, 1), ((), 0, None, 3)]
     windows = [(lo, hi, d) for _, lo, hi, d in rows]
-    x = (0, 1, 1, 0, 0)
-    for warm, start in (((x, [(0, 1)] * 3), x), (None, (0,) * 5)):
-        lp = PreparedLp(objective, offset, rows, box(5), warm)
-        assert lp.kept == []
+    for start in ((0, 1, 1, 0, 0), (0,) * 5):
+        lp = PreparedLp(objective, offset, rows, box(5),
+                        start_at(rows, box(5), start))
+        assert lp.general == lp.singles == []
         sol = lp.solve(windows)
         closed = lpsolve.box_optimum(objective, offset, start)
         assert sol.status == "optimal"
@@ -155,14 +156,15 @@ def test_determinism_bit_exact():
 
 def test_warm_start_agrees_with_cold_start():
     # (1, 0, 0) is feasible at every budget; (0, 1, 1) breaks rows at
-    # eps = 0, and a start that breaks a row must fall back to a cold start.
+    # eps = 0, where phase 1 starts from it; both agree with the solve
+    # from the lower corner, which breaks rows too.
     for eps in (0, 1, 2, 3):
         model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), eps, 2)
-        cold = solve_model(model)
+        corner = solve_model(model)
         for start in ((1, 0, 0), (0, 1, 1)):
             warm = solve_model(model, warm_start=start)
-            assert cold.status == warm.status == "optimal"
-            assert abs(cold.objective_value - warm.objective_value) < 1e-6
+            assert corner.status == warm.status == "optimal"
+            assert abs(corner.objective_value - warm.objective_value) < 1e-6
     one_row = LpModel(
         num_vars=2,
         var_bounds=box(2),
@@ -198,7 +200,7 @@ def test_warm_start_of_the_wrong_length_is_rejected():
     ):
         with pytest.raises(ValueError, match="warm start length"):
             PreparedLp(*unwarmed, start)
-    # A start off the variable bounds keeps its cold start.
+    # A start off the variable bounds is the lower corner in the helper.
     model = build_relaxation(decompose(TRIANGLE), (1, 0, 0), 1, 2)
     half = solve_model(model, warm_start=(Fraction(1, 2), 0, 0))
     assert repr(half) == repr(solve_model(model))
@@ -224,11 +226,11 @@ def test_crossed_variable_bounds_are_rejected():
     """y_0 in [1, 0] is an empty box; the simplex would clamp y_0 to 0
     and call the result optimal."""
     objective, rows = ((1, 1), 1), [(((0, 1), (1, 1)), None, 3, 1)]
-    with pytest.raises(ValueError, match="variable bounds crossed"):
-        PreparedLp(objective, 0, rows, [(1, 0), (0, 1)])
-    with pytest.raises(ValueError, match="variable bounds crossed"):
-        PreparedLp(objective, 0, rows, [(0, 1), (Fraction(1, 2), 0)])
-    lp = PreparedLp(objective, 0, rows, [(1, 1), (0, 1)])
+    for bounds in ([(1, 0), (0, 1)], [(0, 1), (Fraction(1, 2), 0)]):
+        with pytest.raises(ValueError, match="variable bounds crossed"):
+            PreparedLp(objective, 0, rows, bounds, start_at(rows, bounds))
+    bounds = [(1, 1), (0, 1)]
+    lp = PreparedLp(objective, 0, rows, bounds, start_at(rows, bounds))
     assert lp.solve([(None, 3, 1)]).y == (1.0, 1.0)
 
 
@@ -239,7 +241,7 @@ def test_boolean_optimum_value_is_the_exact_value_rounded_once():
     box's corner with a Fraction offset."""
     objective = ((1,) * 10, 10)
     assert sum([0.1] * 10) != 1.0
-    lp = PreparedLp(objective, 0, [], box(10))
+    lp = PreparedLp(objective, 0, [], box(10), start_at([], box(10)))
     assert lp.solve([]).objective_value == 1.0
     assert lpsolve.box_optimum(objective, 0, (0,) * 10).objective_value == 1.0
     third = Fraction(1, 3)
@@ -258,12 +260,35 @@ def test_a_near_boolean_optimum_that_breaks_a_window_keeps_its_float_y():
     for coeffs, value in (
         (((0, d),), 2 - 1 / d), (((0, d), (1, d)), 1 - 1 / d)
     ):
-        lp = PreparedLp(objective, 0, [(coeffs, None, d - 1, d)], box(2))
+        rows = [(coeffs, None, d - 1, d)]
+        lp = PreparedLp(objective, 0, rows, box(2), start_at(rows, box(2)))
         sol = lp.solve([(None, d - 1, d)])
         assert sol.status == "optimal"
         assert sol.y[0] == 1 - 1 / d and sol.y[1] in (0.0, 1.0)
         assert sol.objective_value == value
         assert lp.solve([(None, d, d)]).objective_value == value + 1 / d
+
+
+def test_clamped_is_the_per_coordinate_max_and_min_to_the_bit():
+    """_clamped gives, as Python floats, what min(max(v, lo), hi) gives
+    per coordinate, bit for bit: each value of +-0.0, a value between the
+    bounds or outside them against bounds of +-0.0 and others, the slack
+    and artificial columns after the structurals left out."""
+    values = [-0.0, 0.0, -1e-300, 1e-300, 0.25, -0.25, 1.0, 1.5]
+    bounds = [
+        (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, 1.0),
+        (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (0.25, 0.25),
+    ]
+    pairs = [(v, lo, hi) for v in values for lo, hi in bounds]
+    val, lb, ub = (np.array(column + (7.0,)) for column in zip(*pairs))
+    sx = lpsolve._Simplex.__new__(lpsolve._Simplex)
+    sx.n, sx.val, sx.lb, sx.ub = len(pairs), val, lb, ub
+    loop = [min(max(val[j], lb[j]), ub[j]) for j in range(sx.n)]
+    clamped = lpsolve._clamped(sx)
+    assert all(type(v) is float for v in clamped)
+    assert np.array(clamped).tobytes() == np.array(loop).tobytes()
+    assert np.signbit(clamped).tolist() == np.signbit(loop).tolist()
+    assert np.signbit(clamped).any() and not np.signbit(clamped).all()
 
 
 def test_one_ulp_off_a_boolean_optimum_reads_the_same_point(
@@ -361,7 +386,7 @@ def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
         (((0, 1), (1, 1)), None, 2, 1),
     ]
     windows = [(lo, hi, d) for _, lo, hi, d in rows]
-    lp = PreparedLp(((1, 1), 1), 0, rows, box(2))
+    lp = PreparedLp(((1, 1), 1), 0, rows, box(2), start_at(rows, box(2)))
     assert lp.presolve(windows) is None
     sol = lp.solve(windows)
     assert (sol.status, sol.iterations) == ("infeasible", 0)
@@ -373,15 +398,15 @@ def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
         (one, one),
     )).status == "infeasible"
     pinned = [(((0, 3),), 1, None, 1), (((0, 6),), None, 2, 1)]
-    sol = PreparedLp(((1,), 1), 0, pinned, box(1)).solve(
-        [(1, None, 1), (None, 2, 1)]
-    )
+    sol = PreparedLp(
+        ((1,), 1), 0, pinned, box(1), start_at(pinned, box(1))
+    ).solve([(1, None, 1), (None, 2, 1)])
     assert (sol.status, sol.y) == ("optimal", (1 / 3,))
     below = [(((0, 3),), 1, None, 1), (((0, 3 * big),), None, big - 1, 1)]
     assert (big - 1) / (3 * big) == 1 / 3
-    sol = PreparedLp(((1,), 1), 0, below, box(1)).solve(
-        [(1, None, 1), (None, big - 1, 1)]
-    )
+    sol = PreparedLp(
+        ((1,), 1), 0, below, box(1), start_at(below, box(1))
+    ).solve([(1, None, 1), (None, big - 1, 1)])
     assert (sol.status, sol.iterations) == ("infeasible", 0)
 
 
@@ -389,9 +414,10 @@ def test_a_side_constraint_on_one_variable_is_a_bound():
     """MAX-CUT G(30, 0.3) under x1 <= 0, around the alternating
     prediction, which sets x1 = 1: the side constraint's row has one
     coefficient, so each budget's LP bounds x1 instead of keeping the
-    row.  At eps = 0 the bound is x1 <= 0, the solve starts cold and y1
-    is 0.  Every budget below saturation agrees with the reference
-    solver, and with HiGHS when scipy is there, on the full model."""
+    row.  At eps = 0 the bound is x1 <= 0, which cuts the prediction
+    off, so the solve starts from it clipped into that box, and y1 is 0.
+    Every budget below saturation agrees with the reference solver, and
+    with HiGHS when scipy is there, on the full model."""
     n = 30
     side = (Polynomial(n, {(1,): 1}), None, Fraction(0))
     relaxation = pipeline_relaxation(
@@ -405,7 +431,8 @@ def test_a_side_constraint_on_one_variable_is_a_bound():
         import scipy  # noqa: F401
     except ImportError:
         scipy = None
-    assert not lp.warm_fits(relaxation.windows(0))
+    assert lp.warm_x[1] == 1
+    assert lp.presolve(relaxation.windows(0))[1][1] == 0
     assert lp.solve(relaxation.windows(0)).y[1] == 0
     budgets = range(relaxation.saturation_budget(range(n + 1)))
     assert len(budgets) > 2
@@ -496,9 +523,9 @@ def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
     """The matrix is filled from nonzero entries only; it must be the
     float of every entry of every general row, one that has a bound and
     two or more nonzero entries, each Fraction put over its row's
-    denominator first.  The one-coefficient rows are the rest of the
-    kept rows, and the integer matrix holds the general rows' numerators
-    over those denominators."""
+    denominator first.  The one-coefficient rows are the rest of the rows
+    with a bound and a nonzero entry, and the integer matrix holds the
+    general rows' numerators over those denominators."""
     cases = [(prepared_model(model)[0], model) for model in reference_models()]
     cases += [(lp, model) for _, lp, _, model in pipeline_lps]
     singles = 0
@@ -508,7 +535,6 @@ def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
             if lo is not None or hi is not None
         ]
         nonzeros = [sum(1 for c in model.rows[i][0] if c) for i in bounded]
-        assert lp.kept == [i for i, k in zip(bounded, nonzeros) if k]
         assert lp.empty == [i for i, k in zip(bounded, nonzeros) if not k]
         assert lp.general == [i for i, k in zip(bounded, nonzeros) if k > 1]
         assert [i for i, *_ in lp.singles] == [
@@ -671,7 +697,8 @@ def test_vectorized_pivoting_matches_the_loops(
     rules, pipeline_lps, monkeypatch
 ):
     """Same status, y, value and iterations, to the last bit, on the
-    reference models (cold) and on pipeline LPs (warm and cold)."""
+    reference models (from the lower corner) and on pipeline LPs (from
+    the prediction, with and without broken rows)."""
     if rules == "refresh":
         monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
     cases = [prepared_model(model) for model in reference_models()]
@@ -683,74 +710,70 @@ def test_vectorized_pivoting_matches_the_loops(
     assert [repr(lp.solve(windows)) for lp, windows in cases] == vectorized
 
 
-# -- the cold start ----------------------------------------------------------
+# -- the start -----------------------------------------------------------
 
 
 def start_state(sx) -> tuple:
-    """A simplex's values, at_upper flags, artificial columns, basis and
-    signs of its values, as bytes."""
+    """A simplex's values, at_upper flags, upper bounds, artificial
+    columns, basis and signs of its values, as bytes."""
     return (
         sx.val.tobytes(),
         sx.at_upper.tobytes(),
+        sx.ub.tobytes(),
         sx.M[:, sx.n + sx.m :].tobytes(),
         np.asarray(sx.basis, dtype=np.intp).tobytes(),
         np.signbit(sx.val).tobytes(),
     )
 
 
-def loop_cold_start(lp, windows) -> tuple:
-    """The start state of a cold solve, built one row at a time: the
-    reference for the solver's array form."""
+def loop_start(lp, windows) -> tuple:
+    """(start state, broken rows, whether x-hat moved) of a solve, the
+    state built one variable and one row at a time: the reference for the
+    solver's array form.  A row is judged on Fractions when no coordinate
+    moved into the tightened box, on the float activity otherwise."""
     n, m = lp.num_vars, len(lp.general)
     var_lb, var_ub, *_ = lp.presolve(windows)
-    sx = lpsolve._Simplex(lp, var_lb, var_ub, *lp.slack_bounds(windows))
-    sx.val[:n] = sx.lb[:n]
-    for i in range(m):
-        lo, hi = sx.lb[n + i], sx.ub[n + i]
-        finite = [b for b in (lo, hi) if math.isfinite(b)]
-        target = min(finite, key=lambda b: (abs(b), b))
-        sx.val[n + i] = target
-        sx.at_upper[n + i] = target == hi and target != lo
-        residual = target - float(np.dot(sx.M[i, :n], sx.val[:n]))
-        if residual < 0:
-            sx.M[i, n + m + i] = -1.0
-            residual = -residual
+    slack_lb, slack_ub = lp.slack_bounds(windows)
+    sx = lpsolve._Simplex(lp, var_lb, var_ub, slack_lb, slack_ub)
+    xhat = lp.warm_x.tolist()
+    x = [min(max(v, lo), hi) for v, lo, hi in zip(xhat, var_lb, var_ub)]
+    for j, v in enumerate(x):
+        sx.val[j] = v
+        sx.at_upper[j] = v == var_ub[j]
+    moved = x != xhat
+    product = lp.matrix @ np.array(x, dtype=float)
+    basis = []
+    for i, row in enumerate(lp.general):
+        lo, hi = slack_lb[i], slack_ub[i]
+        if moved:
+            activity = product[i]
+            below, above = activity < lo, activity > hi
         else:
-            sx.M[i, n + m + i] = 1.0
-        sx.val[n + m + i] = residual
-    sx.basis = range(n + m, n + 2 * m)
-    return start_state(sx)
+            exact = Fraction(*lp.warm_activity[i])
+            w_lo, w_hi, d = windows[row]
+            activity = float(exact)
+            below = w_lo is not None and exact < Fraction(w_lo, d)
+            above = w_hi is not None and exact > Fraction(w_hi, d)
+        slack = np.clip(activity, lo, hi)
+        sx.val[n + i] = slack
+        sx.at_upper[n + i] = above
+        if below or above:
+            residual = slack - activity
+            sign = -1.0 if residual < 0 else 1.0
+            sx.M[i, n + m + i] = sign
+            sx.val[n + m + i] = residual * sign
+            sx.ub[n + m + i] = math.inf
+            basis.append(n + m + i)
+        else:
+            basis.append(n + i)
+    sx.basis = basis
+    broken = [i for i, col in enumerate(basis) if col >= n + m]
+    return start_state(sx), broken, moved
 
 
-def test_cold_start_matches_the_per_row_loop(pipeline_lps, monkeypatch):
-    """Every cold solve starts, to the bit, where the per-row loop puts
-    it: on the reference models (sub-box variable bounds, so nonzero
-    residuals) whose one-coefficient rows leave a box, the cold card-40
-    LPs, rows on two variables under ties, one-sided rows and an equality
-    with negative coefficients, and no kept row."""
-    one = Fraction(1)
-    bounds = [(-1, 1), (-2, 1), (-1, 3), (None, -1), (2, None)]
-    rows = tuple(((one, one), lo, hi) for lo, hi in bounds)
-    rows += (((-one, -one), Fraction(0), Fraction(0)),)
-    models = reference_models() + [
-        LpModel(2, ((lo, one),) * 2, rows, (one, one))
-        for lo in (Fraction(0), Fraction(1, 4))
-    ]
-    no_row = prepared_model(
-        LpModel(2, box(2), (((one, one), None, None), ((0, 0), -one, one)),
-                (one, -one))
-    )
-    assert no_row[0].kept == []
-    card = [
-        (lp, windows) for name, lp, windows, _ in pipeline_lps
-        if name.startswith("card40/") and not lp.warm_fits(windows)
-    ]
-    assert card
-    cases = [prepared_model(model) for model in models] + [no_row] + card
-    cases = [(lp, w) for lp, w in cases if lp.presolve(w) is not None]
-    assert len(cases) > 50
-    assert not any(lp.warm_fits(windows) for lp, windows in cases)
-    expected = [loop_cold_start(lp, windows) for lp, windows in cases]
+def recorded_starts(cases) -> list:
+    """The state of each case's simplex when its solve first sets a
+    basis, which is its start."""
     states = []
     set_basis = lpsolve._Simplex.set_basis
 
@@ -759,13 +782,85 @@ def test_cold_start_matches_the_per_row_loop(pipeline_lps, monkeypatch):
         states.append(start_state(sx))
         return ok
 
-    monkeypatch.setattr(lpsolve._Simplex, "set_basis", recording)
     starts = []
-    for lp, windows in cases:
-        states.clear()
-        lp.solve(windows)
-        starts.append(states[0])
-    assert starts == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lpsolve._Simplex, "set_basis", recording)
+        for lp, windows in cases:
+            states.clear()
+            lp.solve(windows)
+            starts.append(states[0])
+    return starts
+
+
+def test_a_start_with_a_broken_row_matches_the_per_row_loop(pipeline_lps):
+    """Every solve starts, to the bit, where the per-row loop puts it: on
+    the reference models from their lower corners (sub-box variable
+    bounds, so nonzero residuals), the card-40 LPs, rows on two variables
+    under ties, one-sided rows and an equality with negative
+    coefficients, those started at (1, 1) with x0 <= 1/2 cutting it off,
+    x0 + x1 <= 2 - 2^-60 at (1, 1), broken though its float bound is 2,
+    so that its residual is 0, and no kept row."""
+    one = Fraction(1)
+    bounds = [(-1, 1), (-2, 1), (-1, 3), (None, -1), (2, None)]
+    rows = tuple(((one, one), lo, hi) for lo, hi in bounds)
+    rows += (((-one, -one), Fraction(0), Fraction(0)),)
+    cut = rows + (((2 * one, 0), None, one),)
+    cases = [prepared_model(model) for model in reference_models()]
+    for lo in (Fraction(0), Fraction(1, 4)):
+        cases.append(prepared_model(LpModel(2, ((lo, one),) * 2, rows,
+                                            (one, one))))
+        for start in ((0, 0), (1, 1)):
+            cases.append(prepared_model(
+                LpModel(2, ((lo, one),) * 2, cut, (one, one)), start
+            ))
+    tie = LpModel(2, box(2), (((one, one), None, 2 - one / 2**60),),
+                  (one, one))
+    cases.append(prepared_model(tie, (1, 1)))
+    no_row = prepared_model(
+        LpModel(2, box(2), (((one, one), None, None), ((0, 0), -one, one)),
+                (one, -one))
+    )
+    assert no_row[0].general == no_row[0].singles == []
+    cases.append(no_row)
+    cases += [
+        (lp, windows) for name, lp, windows, _ in pipeline_lps
+        if name.startswith("card40/")
+    ]
+    cases = [(lp, w) for lp, w in cases if lp.presolve(w) is not None]
+    expected = [loop_start(lp, windows) for lp, windows in cases]
+    assert sum(bool(broken) for _, broken, _ in expected) > 50
+    assert any(broken and moved for _, broken, moved in expected)
+    assert recorded_starts(cases) == [state for state, _, _ in expected]
+
+
+def test_a_prediction_that_breaks_a_side_window_of_a_feasible_lp():
+    """MAX-CUT G(16, 0.3) under sum x <= 6 around the alternating
+    prediction, which sets 8: at eps = 0 the side row is the one row the
+    prediction breaks, and the LP is feasible.  The start puts an
+    artificial on that row alone, and the solve ends optimal, in
+    agreement with the reference solver and, when scipy is there, HiGHS."""
+    n = 16
+    relaxation = pipeline_relaxation(
+        maxcut_objective(gen_gnp(n, 0.3, 0)), alternating(n),
+        (at_most(n, 6),),
+    )
+    lp, windows = relaxation.lp(), relaxation.windows(0)
+    side = len(relaxation.rows) - 1
+    below, above = lp.broken(windows)
+    assert not below.any()
+    assert [lp.general[i] for i in np.flatnonzero(above)] == [side]
+    state, broken, moved = loop_start(lp, windows)
+    assert broken == np.flatnonzero(above).tolist() and not moved
+    assert recorded_starts([(lp, windows)]) == [state]
+    ours = lp.solve(windows)
+    assert ours.status == "optimal" and ours.iterations > 0
+    model = relaxation.model(0)
+    assert agrees(ours, reference_solve(model), 1e-9)
+    try:
+        import scipy  # noqa: F401
+    except ImportError:
+        return
+    assert agrees(ours, highs_solve(model), 1e-9)
 
 
 # -- the starting basis inverse -------------------------------------------
@@ -773,9 +868,10 @@ def test_cold_start_matches_the_per_row_loop(pipeline_lps, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 5, 60, 260])
 def test_diagonal_start_inverse_is_lapacks_to_the_bit(m):
-    """The warm start's slack basis and the cold start's artificial basis
-    are +-1 diagonals; the inverse written down from their signs equals
-    np.linalg.inv of the basis bit for bit, signs of zeros included."""
+    """A start's basis, slacks on the rows the start keeps and artificials
+    on those it breaks, is a +-1 diagonal: all slacks, all artificials or
+    a mix.  The inverse written down from its signs equals np.linalg.inv
+    of the basis bit for bit, signs of zeros included."""
     rng = np.random.default_rng(m)
     model = LpModel(
         num_vars=2,
@@ -790,9 +886,14 @@ def test_diagonal_start_inverse_is_lapacks_to_the_bit(m):
     for _ in range(3):
         signs = rng.choice([-1.0, 1.0], size=m)
         sx.M[range(m), artificials] = signs
+        broken = rng.random(m) < 0.5
         for columns, diagonal in (
             (slacks, np.full(m, -1.0)),
             (artificials, signs),
+            (
+                np.where(broken, artificials, slacks),
+                np.where(broken, signs, -1.0),
+            ),
         ):
             lapack = np.linalg.inv(sx.M[:, columns])
             assert sx.set_basis(columns, diagonal)

@@ -444,7 +444,8 @@ def test_box_optimum_is_the_simplex_result_past_saturation():
 def seeded_relaxations():
     """(xhat, relaxation) for seeded MAX-CUT, 3-SAT and MAX-CUT under
     sum x <= 4; the alternating prediction breaks that window, so its LPs
-    start cold below the budget that widens it to 8."""
+    start with an artificial on that row below the budget that widens it
+    to 8."""
     for seed in range(3):
         rng = random.Random(seed)
         cut = maxcut_objective(gen_gnp(20, 0.4, seed))
@@ -471,9 +472,9 @@ def test_rows_carry_the_predictions_activity():
 def test_prepared_lp_is_solve_at_every_budget():
     """The LP prepared once per solve, given one budget's windows, returns
     what the budget's Fraction model, put over integers on its own
-    (helpers.solve_model), returns from the prediction, cold starts
-    included."""
-    cold = infeasible = 0
+    (helpers.solve_model), returns from the prediction, starts that break
+    a row included, not all of them infeasible."""
+    broken = infeasible = 0
     for xhat, relaxation in seeded_relaxations():
         lp = relaxation.lp()
         grid = list(range(relaxation.n + 1))
@@ -484,9 +485,9 @@ def test_prepared_lp_is_solve_at_every_budget():
             once = solve_model(model, warm_start=xhat)
             assert repr(lp.solve(windows)) == repr(once)
             if not feasible(model, xhat):
-                cold += 1
-                infeasible += solve_model(model).status == INFEASIBLE
-    assert cold > infeasible > 0
+                broken += 1
+                infeasible += once.status == INFEASIBLE
+    assert broken > infeasible > 0
 
 
 def extreme_polynomial(rng, n, d):
@@ -545,12 +546,13 @@ def exact_box(model, kept) -> list | None:
 
 
 def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
-    """The prepared LP's matrix, cost and warm activities, every budget's
-    float window bounds, its box tightened by the one-coefficient rows and
-    its warm-start decision are what float() and exact comparison give on
-    the Fraction model of that budget, and saturation_budget((eps,)) is
-    what the model's windows say."""
-    warm = set()
+    """The prepared LP's row split, matrix, cost and warm activities,
+    every budget's float window bounds, its box tightened by the
+    one-coefficient rows and the general rows the prediction breaks are
+    what float() and exact comparison give on the Fraction model of that
+    budget, and saturation_budget((eps,)) is what the model's windows
+    say."""
+    broken = set()
     saturated = set()
     tightened = set()
     huge = naive_misses = tiny = 0
@@ -563,20 +565,22 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
             i for i, (coeffs, lo, hi) in enumerate(model.rows)
             if (lo is not None or hi is not None) and any(coeffs)
         ]
-        assert lp.kept == kept
         general = [i for i in kept if sum(map(bool, model.rows[i][0])) > 1]
         assert lp.general == general
+        assert [i for i, *_ in lp.singles] == [
+            i for i in kept if i not in general
+        ]
         dense = np.array(
             [[float(c) for c in model.rows[i][0]] for i in general],
             dtype=float,
         ).reshape(len(general), n)
         assert lp.matrix.tobytes() == dense.tobytes()
         activity = [
-            sum(c * x for c, x in zip(model.rows[i][0], xhat)) for i in kept
+            sum(c * x for c, x in zip(model.rows[i][0], xhat))
+            for i in general
         ]
         assert lp.warm_activity_float.tobytes() == np.array(
-            [float(a) for i, a in zip(kept, activity) if i in general],
-            dtype=float,
+            [float(a) for a in activity], dtype=float
         ).tobytes()
         for eps in range(n + 1):
             windows = relaxation.windows(eps)
@@ -599,14 +603,16 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
                 [math.inf if hi is None else float(hi) for _, _, hi in rows],
                 dtype=float,
             ).tobytes()
-            fits = all(
-                (lo is None or lo <= a) and (hi is None or a <= hi)
-                for a, (_, lo, hi) in zip(
-                    activity, (budget.rows[i] for i in kept)
-                )
-            )
-            assert lp.warm_fits(windows) == fits
-            warm.add(fits)
+            below, above = lp.broken(windows)
+            assert below.tolist() == [
+                lo is not None and a < lo
+                for a, (_, lo, _) in zip(activity, rows)
+            ]
+            assert above.tolist() == [
+                hi is not None and a > hi
+                for a, (_, _, hi) in zip(activity, rows)
+            ]
+            broken.add(bool(below.any() or above.any()))
             at = relaxation.saturation_budget((eps,)) is not None
             assert at == window_saturated(relaxation, eps)
             saturated.add(at)
@@ -616,7 +622,7 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
                     huge += 1
                     naive_misses += float(c) / float(row.denom) != c / row.denom
                 tiny += 0 < abs(Fraction(c, row.denom)) < Fraction(1, 10**30)
-    assert warm == saturated == tightened == {False, True}
+    assert broken == saturated == tightened == {False, True}
     # The extreme cases bite: dividing the floats of numerator and
     # denominator would round some entries differently.
     assert huge > 100 and naive_misses > 10 and tiny > 10
