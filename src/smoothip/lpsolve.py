@@ -17,10 +17,10 @@ periodically.  The solver is deterministic: fixed pivot rules, no
 randomization.
 
 :class:`PreparedLp` is the one way in.  Everything but the row windows is
-prepared once in it: the float matrix, the cost, the row split and a warm
-start with its exact row activities.  Every float in it is an integer
-over an integer, divided once with Python's correctly rounded
-``int / int``, so it has the bits of the float of the exact Fraction.
+prepared once in it: the row split, the general rows as one integer
+matrix, the float matrix, the cost and the warm start x-hat with its
+exact row activities.  Every float in it is an integer over an integer
+divided once, correctly rounded, so it is the float of the exact Fraction.
 The row split sets apart the rows with one coefficient: they only bound
 a variable, so a solve turns their windows into exact bounds by integer
 cross-multiplication, intersects them with the box and, when that leaves
@@ -41,17 +41,17 @@ J. Comput. 4, 1992).  Every other row's slack is basic.
 
 A float optimum's last bits depend on the order in which the BLAS sums.
 So an optimum within SNAP_TOL of a Boolean point z is read exactly: when
-z lies in the tightened box and in every general row's window, compared
-in integers, and its exact objective is within relative SNAP_TOL of the
-float one, the solution is z, valued at the correctly rounded float of
-its exact objective, as :func:`box_optimum` values its point.  Otherwise
-the float optimum stands.
+z lies in the tightened box and in every general row's window, by the
+integer test that judges x-hat, and its exact objective is within
+relative SNAP_TOL of the float one, the solution is z, valued at the
+correctly rounded float of its exact objective, as :func:`box_optimum`
+values its point.  Otherwise the float optimum stands.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -259,15 +259,15 @@ class PreparedLp:
     bounds, all integers over a positive integer denominator, a bound None
     when absent.
     ``var_bounds`` holds an exact (lo, hi) per variable, lo <= hi or
-    ValueError.  ``warm_start`` is (x, activities): a point x at a bound
-    of every variable and, per row, its exact activity a_i . x as
-    (numerator, positive denominator); an x or an activity list of the
-    wrong length, or an x off a bound of some variable, raises
-    ValueError.  Prepared here: which rows are empty or vacuous and which
-    of the others have one coefficient (``singles``) or more
-    (``general``); the float matrix of the general rows (it seeds each
-    solve's working matrix and serves its final row check), the cost, the
-    variable box, and the warm start with the general rows' activities.
+    ValueError.  The warm start ``x`` is a point at a bound of every
+    variable, or ValueError, as is an x of the wrong length.  Prepared
+    here: which rows are empty or vacuous and which of the others have
+    one coefficient (``singles``) or more (``general``); the general
+    rows' numerators, row i over ``denoms[i]``, as the one exact matrix
+    ``integer`` and the float ``matrix`` read off it (it seeds each
+    solve's working matrix and serves its final row check); the cost,
+    the variable box, and x's exact activities ``integer @ X`` over each
+    row's denom * D, for X x over one denominator D (1 for a 0/1 point).
     :meth:`solve` then takes one set of row windows in the same integer
     form, whose absent bounds must be those of ``rows``.
     """
@@ -278,7 +278,7 @@ class PreparedLp:
         offset,
         rows: Sequence,
         var_bounds: Sequence,
-        warm_start: Sequence,
+        x: Sequence,
     ):
         costs, cost_denom = objective
         n = len(costs)
@@ -293,10 +293,10 @@ class PreparedLp:
         self.general: list[int] = []
         self.singles: list[tuple] = []  # (row, j, c, denom)
         self.denoms: list[int] = []  # of the general rows
-        # The float matrix is filled from each general row's nonzero pairs,
-        # at their offsets in the flattened matrix.
+        # The integer matrix is filled from each general row's nonzero
+        # pairs, at their offsets in the flattened matrix.
         offsets: list[int] = []
-        values: list[float] = []
+        values: list[int] = []
         for i, (coeffs, lo, hi, denom) in enumerate(rows):
             if lo is None and hi is None:
                 continue  # vacuous row
@@ -311,10 +311,24 @@ class PreparedLp:
             self.denoms.append(denom)
             for j, c in coeffs:
                 offsets.append(base + j)
-                values.append(c / denom)
-        flat = np.zeros(len(self.general) * n)
-        flat[offsets] = values
-        self.matrix = flat.reshape(len(self.general), n)
+                values.append(c)
+        # The matrix is int64 while every denominator and |c| * n is below
+        # 2^53, so that each is an exact float and a row's sum over a 0/1
+        # point is exact; Python ints otherwise.  Either way the float
+        # matrix is correctly rounded: IEEE division of exact floats, or
+        # Python's int / int.
+        try:
+            ints = np.array(values, dtype=np.int64)
+            peak = max(-int(ints.min(initial=0)), int(ints.max(initial=0))) * n
+        except OverflowError:
+            peak = math.inf
+        if peak >= 2**53 or max(self.denoms, default=1) >= 2**53:
+            ints = np.array(values, dtype=object)  # Python ints
+        flat = np.zeros(len(self.general) * n, dtype=ints.dtype)
+        flat[offsets] = ints
+        self.integer = flat.reshape(len(self.general), n)
+        denoms = np.array(self.denoms, dtype=ints.dtype)
+        self.matrix = np.asarray(self.integer / denoms[:, None], dtype=float)
         self.box = tuple(var_bounds)
         if any(lo > hi for lo, hi in self.box):
             raise ValueError("variable bounds crossed")
@@ -322,18 +336,24 @@ class PreparedLp:
         self.var_lb = np.array(lows, dtype=float)
         self.var_ub = np.array(highs, dtype=float)
         self.cost = np.array([-c for c in self.objective])  # minimizes -c.x
-        x, activities = warm_start
-        if len(x) != n or len(activities) != len(rows):
-            raise ValueError(
-                f"warm start length {len(x)} with {len(activities)} "
-                f"activities, expected {n} with {len(rows)}"
-            )
+        if len(x) != n:
+            raise ValueError(f"warm start length {len(x)}, expected {n}")
         if any(v != lo and v != hi for v, (lo, hi) in zip(x, var_bounds)):
             raise ValueError("warm start off its variable bounds")
         self.warm_x = np.array(x, dtype=float)
-        self.warm_activity = [activities[i] for i in self.general]
+        try:
+            point, scale = [operator.index(v) for v in x], 1
+        except TypeError:  # a Fraction or a float coordinate
+            exact = [Fraction(v) for v in x]
+            scale = math.lcm(*(f.denominator for f in exact))
+            point = [f.numerator * (scale // f.denominator) for f in exact]
+        # integer @ X is exact: in int64 for a 0/1 X, as |c| * n < 2^53,
+        # and in Python ints for any other X or an object matrix.
+        X = np.array(point, dtype=np.int64 if set(point) <= {0, 1} else object)
+        self.warm_activity = (self.integer @ X).tolist()
+        self.warm_denoms = [d * scale for d in self.denoms]
         self.warm_activity_float = np.array(
-            [a / d for a, d in self.warm_activity]
+            [a / d for a, d in zip(self.warm_activity, self.warm_denoms)]
         )
 
     def slack_bounds(self, windows: Sequence) -> tuple:
@@ -350,23 +370,17 @@ class PreparedLp:
             ),
         )
 
-    @functools.cached_property
-    def integer(self) -> np.ndarray | None:
-        """The general rows' numerators c as an int64 matrix, or None.
-
-        A float entry is c / denom correctly rounded; times denom, it lies
-        within |c| * 2^-52 of c, so it rounds back to c while |c| < 2^51
-        and denom < 2^53, exact as a float.  The matrix is given when
-        every such product is below 2^50 / n, so that a row's sum over a
-        Boolean point is exact too; otherwise it is None.
-        """
-        n = max(self.num_vars, 1)
-        if max(self.denoms, default=1) >= 2**53:
-            return None
-        scaled = self.matrix * np.array(self.denoms, dtype=float)[:, None]
-        if np.max(np.abs(scaled), initial=0.0) >= 2**50 / n:
-            return None
-        return np.rint(scaled).astype(np.int64)
+    def _outside(self, activities: list, denoms: list, windows) -> tuple:
+        """Two masks over the general rows: whether activities[i] /
+        denoms[i] lies below, and above, row i's window, compared as
+        integers: a / ad < lo / d exactly when a * d < lo * ad, both
+        denominators being positive."""
+        below, above = [], []
+        for a, ad, i in zip(activities, denoms, self.general):
+            lo, hi, d = windows[i]
+            below.append(lo is not None and a * d < lo * ad)
+            above.append(hi is not None and a * d > hi * ad)
+        return np.array(below, dtype=bool), np.array(above, dtype=bool)
 
     def presolve(self, windows: Sequence) -> tuple | None:
         """The box tightened by the one-coefficient rows' windows, or None
@@ -421,15 +435,8 @@ class PreparedLp:
 
     def broken(self, windows: Sequence) -> tuple:
         """Two masks over the general rows: whether the warm start's exact
-        activity lies below, and above, the row's window, compared as
-        integers: a / ad < lo / d exactly when a * d < lo * ad, both
-        denominators being positive."""
-        below, above = [], []
-        for (a, ad), i in zip(self.warm_activity, self.general):
-            lo, hi, d = windows[i]
-            below.append(lo is not None and a * d < lo * ad)
-            above.append(hi is not None and a * d > hi * ad)
-        return np.array(below, dtype=bool), np.array(above, dtype=bool)
+        activity lies below, and above, the row's window."""
+        return self._outside(self.warm_activity, self.warm_denoms, windows)
 
     def solve(self, windows: Sequence) -> LpSolution:
         """Solve with rows lo_i <= a_i . x <= hi_i for the given (lower,
@@ -544,19 +551,10 @@ class PreparedLp:
             and all(num >= zl[j] * den for j, (num, den) in upper.items())
         ):
             return None
-        if self.integer is None:
-            activities = [
-                sum(c for j, c in self.rows[i][0] if zl[j])
-                for i in self.general
-            ]
-        else:
-            activities = (self.integer @ z).tolist()
-        for i, denom, a in zip(self.general, self.denoms, activities):
-            lo, hi, d = windows[i]
-            if (lo is not None and a * d < lo * denom) or (
-                hi is not None and a * d > hi * denom
-            ):
-                return None
+        activities = (self.integer @ z).tolist()  # exact for a 0/1 z
+        below, above = self._outside(activities, self.denoms, windows)
+        if below.any() or above.any():
+            return None
         (costs, cost_denom), offset = self.exact_objective
         exact = _exact_value(costs, cost_denom, offset, zl)
         if not math.isclose(exact, value, rel_tol=SNAP_TOL):

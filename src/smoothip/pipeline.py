@@ -151,8 +151,11 @@ class SolveConfig:
             object.__setattr__(self, name, int(value))
         if self.randomized_rounds < 1:
             raise ValueError("need at least one randomized round")
-        if self.k <= 0:
-            raise ValueError("tail parameter k must be positive")
+        # nan, inf or "2" raises here, not inside a randomized solve.
+        if not isinstance(self.k, numbers.Real) or not 0 < self.k < math.inf:
+            raise ValueError(
+                f"tail parameter k must be finite and positive, got {self.k!r}"
+            )
 
 
 @dataclass(frozen=True)

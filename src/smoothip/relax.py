@@ -39,11 +39,11 @@ cut the box), kept as one exact bound per prediction.  A
 one denominator, only when an LP reads them, and ``windows(eps)``,
 ``model(eps)`` and ``lp()`` give one budget's bounds, its exact
 Fraction LP and the float LP that every budget shares, warm-started at
-the prediction with each row's activity.  Once every row's range over
-[0,1]^n lies strictly inside its window, no row can cut the box: the
-first grid budget where that holds is the saturation budget, and every
-larger budget is saturated too, since the windows nest.  The test
-reads the stored bound: beta * sqrt_upper(n * eps) must exceed it.
+the prediction.  Once every row's range over [0,1]^n lies strictly
+inside its window, no row can cut the box: the first grid budget where
+that holds is the saturation budget, and every larger budget is
+saturated too, since the windows nest.  The test reads the stored
+bound: beta * sqrt_upper(n * eps) must exceed it.
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ class Row(NamedTuple):
     of depth |I| as its width; a side constraint's top-level window has
     key (), its bounds minus the constraint's constant, and the sum of
     the level factors of that constraint's component nodes (rows or not)
-    as its width.  activity is coeffs . xhat,
-    the prediction's value (a component row's centre).
+    as its width.
     """
 
     key: tuple
@@ -140,7 +139,6 @@ class Row(NamedTuple):
     lower: int | None
     upper: int | None
     width: tuple
-    activity: int
 
 
 def _need(lower, upper, low: int, high: int) -> int | None:
@@ -287,7 +285,7 @@ class RelaxationPlan:
             rows.append(
                 Row(
                     key, _pairs(values, children), self.scale, center,
-                    center, width, center,
+                    center, width,
                 )
             )
         return rows
@@ -321,7 +319,6 @@ class SidePlan(NamedTuple):
             self.lower,
             self.upper,
             plan.width,
-            (values[-1] - plan.constants[-1]) * factor,
         )
 
     def values(self, point, bounds: list) -> list:
@@ -429,15 +426,15 @@ class Relaxation:
         )
 
     def lp(self) -> PreparedLp:
-        """The LP of every budget, warm-started at the prediction and the
-        rows' activities; solve a budget with ``lp().solve(windows(eps))``."""
+        """The LP of every budget, warm-started at the prediction; solve a
+        budget with ``lp().solve(windows(eps))``."""
         rows = self.rows
         return PreparedLp(
             (self.objective, self.denom),
             self.offset,
             [(row.coeffs, row.lower, row.upper, row.denom) for row in rows],
             ((0, 1),) * self.n,
-            (self.xhat, [(row.activity, row.denom) for row in rows]),
+            self.xhat,
         )
 
     def saturation_budget(self, grid: Sequence[int]) -> int | None:

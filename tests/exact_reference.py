@@ -173,7 +173,9 @@ def as_fractions(relaxation) -> ExactRelaxation:
             over(row.lower, row.denom),
             over(row.upper, row.denom),
             Fraction(*row.width),
-            Fraction(row.activity, row.denom),
+            Fraction(
+                sum(c * relaxation.xhat[j] for j, c in row.coeffs), row.denom
+            ),
         )
         for row in relaxation.rows
     )

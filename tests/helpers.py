@@ -110,17 +110,13 @@ def _over_lcm(values) -> tuple:
     ), denom
 
 
-def start_at(rows, var_bounds, x=None) -> tuple:
-    """(x, activities), PreparedLp's warm start: the point x, the box's
-    lower corner when x is None or off a bound in some coordinate, with
-    its exact activity over each (pairs, lower, upper, denom) row."""
+def start_at(var_bounds, x=None) -> list:
+    """PreparedLp's warm start: the point x, the box's lower corner when
+    x is None or off a bound in some coordinate."""
     x = None if x is None else [Fraction(v) for v in x]
     if x is None or not all(v in b for v, b in zip(x, var_bounds)):
         x = [Fraction(lo) for lo, _ in var_bounds]
-    return x, [
-        Fraction(sum(c * x[j] for j, c in coeffs), denom).as_integer_ratio()
-        for coeffs, _, _, denom in rows
-    ]
+    return x
 
 
 def prepared_model(model: LpModel, warm_start=None) -> tuple:
@@ -139,7 +135,7 @@ def prepared_model(model: LpModel, warm_start=None) -> tuple:
         rows.append((pairs, lower, upper, denom))
     lp = PreparedLp(
         _over_lcm(model.objective), model.offset, rows, model.var_bounds,
-        start_at(rows, model.var_bounds, warm_start),
+        start_at(model.var_bounds, warm_start),
     )
     return lp, [(lo, hi, denom) for _, lo, hi, denom in rows]
 

@@ -3,6 +3,8 @@ determinism, warm starts, its vectorized pivoting against plain loops, and
 agreement with the dense-tableau reference (and HiGHS, when scipy is
 installed) on random models and on the relaxations the pipeline solves."""
 
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -116,7 +118,7 @@ def test_no_kept_row_gives_the_box_optimum():
     windows = [(lo, hi, d) for _, lo, hi, d in rows]
     for start in ((0, 1, 1, 0, 0), (0,) * 5):
         lp = PreparedLp(objective, offset, rows, box(5),
-                        start_at(rows, box(5), start))
+                        start_at(box(5), start))
         assert lp.general == lp.singles == []
         sol = lp.solve(windows)
         closed = lpsolve.box_optimum(objective, offset, start)
@@ -189,15 +191,8 @@ def test_warm_start_of_the_wrong_length_is_rejected():
          for row in relaxation.rows],
         ((0, 1),) * 3,
     )
-    activities = [(row.activity, row.denom) for row in relaxation.rows]
-    PreparedLp(*unwarmed, ((1, 0, 0), activities))
-    for start in (
-        ((1, 0), activities),
-        ((1, 0, 0, 1), activities),
-        ((), activities),
-        ((1, 0, 0), activities[:1]),
-        ((1, 0, 0), activities + [(0, 1)]),
-    ):
+    PreparedLp(*unwarmed, (1, 0, 0))
+    for start in ((1, 0), (1, 0, 0, 1), ()):
         with pytest.raises(ValueError, match="warm start length"):
             PreparedLp(*unwarmed, start)
     # A start off the variable bounds is the lower corner in the helper.
@@ -215,8 +210,8 @@ def test_warm_start_off_the_variable_bounds_is_rejected():
     half = Fraction(1, 2)
     for x in ((half, half), (0, half), (1, Fraction(3, 2))):
         with pytest.raises(ValueError, match="off its variable bounds"):
-            PreparedLp(objective, 0, rows, box(2), (x, [(1, 1)]))
-    lp = PreparedLp(objective, 0, rows, box(2), ((0, 1), [(1, 1)]))
+            PreparedLp(objective, 0, rows, box(2), x)
+    lp = PreparedLp(objective, 0, rows, box(2), (0, 1))
     sol = lp.solve([(None, 1, 1)])
     assert (sol.status, sol.objective_value) == ("optimal", 1.0)
     assert tuple(sol.y) == (1.0, 0.0)
@@ -228,9 +223,9 @@ def test_crossed_variable_bounds_are_rejected():
     objective, rows = ((1, 1), 1), [(((0, 1), (1, 1)), None, 3, 1)]
     for bounds in ([(1, 0), (0, 1)], [(0, 1), (Fraction(1, 2), 0)]):
         with pytest.raises(ValueError, match="variable bounds crossed"):
-            PreparedLp(objective, 0, rows, bounds, start_at(rows, bounds))
+            PreparedLp(objective, 0, rows, bounds, start_at(bounds))
     bounds = [(1, 1), (0, 1)]
-    lp = PreparedLp(objective, 0, rows, bounds, start_at(rows, bounds))
+    lp = PreparedLp(objective, 0, rows, bounds, start_at(bounds))
     assert lp.solve([(None, 3, 1)]).y == (1.0, 1.0)
 
 
@@ -241,7 +236,7 @@ def test_boolean_optimum_value_is_the_exact_value_rounded_once():
     box's corner with a Fraction offset."""
     objective = ((1,) * 10, 10)
     assert sum([0.1] * 10) != 1.0
-    lp = PreparedLp(objective, 0, [], box(10), start_at([], box(10)))
+    lp = PreparedLp(objective, 0, [], box(10), start_at(box(10)))
     assert lp.solve([]).objective_value == 1.0
     assert lpsolve.box_optimum(objective, 0, (0,) * 10).objective_value == 1.0
     third = Fraction(1, 3)
@@ -261,7 +256,7 @@ def test_a_near_boolean_optimum_that_breaks_a_window_keeps_its_float_y():
         (((0, d),), 2 - 1 / d), (((0, d), (1, d)), 1 - 1 / d)
     ):
         rows = [(coeffs, None, d - 1, d)]
-        lp = PreparedLp(objective, 0, rows, box(2), start_at(rows, box(2)))
+        lp = PreparedLp(objective, 0, rows, box(2), start_at(box(2)))
         sol = lp.solve([(None, d - 1, d)])
         assert sol.status == "optimal"
         assert sol.y[0] == 1 - 1 / d and sol.y[1] in (0.0, 1.0)
@@ -317,25 +312,97 @@ def test_one_ulp_off_a_boolean_optimum_reads_the_same_point(
     assert boolean >= 5
 
 
-def test_the_boolean_check_sums_rows_in_python_past_int64(
-    pipeline_lps, monkeypatch
-):
-    """Without the integer matrix, which a numerator of 2^50 / n or more
-    rules out, the exact check of a Boolean optimum sums each general row
-    in Python: on the pipeline's LPs that gives the same solutions to the
+def past_int64_model() -> LpModel:
+    """Maximize x0 + x1 + x2 + x3 over [0,1]^4 under rows whose integers
+    leave int64's exact range: numerators 2^51 over 3, so |c| * n = 2^53,
+    with a window that (1, 1, 0, *) breaks; x0 / 2 + (1/2 + 2^-60) x1 <=
+    1, over the denominator 2^60, which (1, 1, *, *) breaks by 2^-60, though
+    the row's floats, 1/2 and 1/2, do not; and x2 + x3 >= 1."""
+    big = 2**51
+    third = Fraction(big, 3)
+    half = Fraction(1, 2)
+    return LpModel(
+        4, box(4),
+        (
+            ((third, third - Fraction(1, 3), -third, 0), None,
+             Fraction(2 * big - 2, 3)),
+            ((half, half + Fraction(1, 2**60), 0, 0), None, Fraction(1)),
+            ((0, 0, Fraction(1), Fraction(1)), Fraction(1), None),
+        ),
+        (Fraction(1),) * 4,
+    )
+
+
+def exact_outside(lp, point, windows) -> tuple:
+    """Per general row, whether its activity at point, summed from its
+    pairs in Fractions, lies below, and above, its window."""
+    below, above = [], []
+    for i in lp.general:
+        pairs, _, _, denom = lp.rows[i]
+        a = Fraction(sum(c * Fraction(point[j]) for j, c in pairs), denom)
+        lo, hi, d = windows[i]
+        below.append(lo is not None and a < Fraction(lo, d))
+        above.append(hi is not None and a > Fraction(hi, d))
+    return below, above
+
+
+def test_the_boolean_check_sums_rows_in_python_past_int64(pipeline_lps):
+    """Past int64's exact range, a numerator with |c| * n >= 2^53 or a
+    denominator >= 2^53, the integer matrix holds Python ints.  On rows
+    past both limits, broken at every Boolean start and at (1/3, ..., 1/3)
+    and the exact check of every Boolean point agree with Fraction sums.
+    The pipeline's LPs, built past int64, give the same solutions to the
     bit, and a relaxation with a 2^70 coefficient takes that path."""
-    cases = [(lp, windows) for _, lp, windows, _ in pipeline_lps]
-    expected = [repr(lp.solve(windows)) for lp, windows in cases]
-    assert all(lp.integer is not None for lp, _ in cases)
-    for lp, _ in cases:
-        monkeypatch.setattr(lp, "integer", None)
-    assert [repr(lp.solve(windows)) for lp, windows in cases] == expected
+    model = past_int64_model()
+    lp, windows = prepared_model(model)
+    assert lp.integer.dtype == object and lp.general == [0, 1, 2]
+    outcomes = set()
+    for z in itertools.product((0, 1), repeat=4):
+        below, above = exact_outside(lp, z, windows)
+        start = prepared_model(model, z)[0]
+        assert [mask.tolist() for mask in start.broken(windows)] == [
+            below, above
+        ]
+        y = np.array(z, dtype=float)
+        snapped = lp._snap(y, float(sum(z)), windows, {}, {})
+        inside = not any(below + above)
+        assert snapped == (
+            (tuple(y.tolist()), float(sum(z))) if inside else None
+        )
+        outcomes.add((inside, any(above[:2])))
+    assert outcomes == {(True, False), (False, True), (False, False)}
+    third = Fraction(1, 3)
+    lifted = dataclasses.replace(model, var_bounds=((third, 1),) * 4)
+    start = prepared_model(lifted)[0]
+    assert start.warm_denoms == [3 * d for d in start.denoms]
+    below, above = exact_outside(start, (third,) * 4, windows)
+    assert [mask.tolist() for mask in start.broken(windows)] == [
+        below, above
+    ]
+    assert any(below)
+    assert agrees(lp.solve(windows), reference_solve(model), 1e-9)
+
+    # Each pipeline LP again, every row's integers times 2^53: the same
+    # rationals, over denominators past int64's exact range.
+    wide = {}
+    for _, lp, windows, _ in pipeline_lps:
+        if id(lp) not in wide:
+            rows = [
+                (tuple((j, c << 53) for j, c in pairs), lo, hi, denom << 53)
+                for pairs, lo, hi, denom in lp.rows
+            ]
+            x = lp.warm_x.astype(int).tolist()
+            wide[id(lp)] = PreparedLp(*lp.exact_objective, rows, lp.box, x)
+            assert lp.integer.dtype == np.int64
+            assert wide[id(lp)].integer.dtype == object
+            assert wide[id(lp)].matrix.tobytes() == lp.matrix.tobytes()
+        assert repr(wide[id(lp)].solve(windows)) == repr(lp.solve(windows))
     p = Polynomial(
         6, {(0, 1, 2): 2**70, (0, 1, 3): 3, (0, 1, 4): -5, (2, 3, 5): 1}
     )
     relaxation = pipeline_relaxation(p, alternating(6))
     lp = relaxation.lp()
-    assert lp.general and lp.integer is None
+    assert lp.general and lp.integer.dtype == object
     for eps in range(3):
         sol = lp.solve(relaxation.windows(eps))
         assert sol.status == "optimal" and set(sol.y) <= {0.0, 1.0}
@@ -386,7 +453,7 @@ def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
         (((0, 1), (1, 1)), None, 2, 1),
     ]
     windows = [(lo, hi, d) for _, lo, hi, d in rows]
-    lp = PreparedLp(((1, 1), 1), 0, rows, box(2), start_at(rows, box(2)))
+    lp = PreparedLp(((1, 1), 1), 0, rows, box(2), start_at(box(2)))
     assert lp.presolve(windows) is None
     sol = lp.solve(windows)
     assert (sol.status, sol.iterations) == ("infeasible", 0)
@@ -399,13 +466,13 @@ def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
     )).status == "infeasible"
     pinned = [(((0, 3),), 1, None, 1), (((0, 6),), None, 2, 1)]
     sol = PreparedLp(
-        ((1,), 1), 0, pinned, box(1), start_at(pinned, box(1))
+        ((1,), 1), 0, pinned, box(1), start_at(box(1))
     ).solve([(1, None, 1), (None, 2, 1)])
     assert (sol.status, sol.y) == ("optimal", (1 / 3,))
     below = [(((0, 3),), 1, None, 1), (((0, 3 * big),), None, big - 1, 1)]
     assert (big - 1) / (3 * big) == 1 / 3
     sol = PreparedLp(
-        ((1,), 1), 0, below, box(1), start_at(below, box(1))
+        ((1,), 1), 0, below, box(1), start_at(box(1))
     ).solve([(1, None, 1), (None, big - 1, 1)])
     assert (sol.status, sol.iterations) == ("infeasible", 0)
 
@@ -525,9 +592,13 @@ def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
     two or more nonzero entries, each Fraction put over its row's
     denominator first.  The one-coefficient rows are the rest of the rows
     with a bound and a nonzero entry, and the integer matrix holds the
-    general rows' numerators over those denominators."""
-    cases = [(prepared_model(model)[0], model) for model in reference_models()]
+    general rows' numerators over those denominators: in int64 on the
+    reference and pipeline models, in Python ints past int64's exact
+    range."""
+    models = reference_models() + [past_int64_model()]
+    cases = [(prepared_model(model)[0], model) for model in models]
     cases += [(lp, model) for _, lp, _, model in pipeline_lps]
+    assert [lp.integer.dtype for lp, _ in cases].count(object) == 1
     singles = 0
     for lp, model in cases:
         bounded = [
@@ -729,8 +800,10 @@ def start_state(sx) -> tuple:
 def loop_start(lp, windows) -> tuple:
     """(start state, broken rows, whether x-hat moved) of a solve, the
     state built one variable and one row at a time: the reference for the
-    solver's array form.  A row is judged on Fractions when no coordinate
-    moved into the tightened box, on the float activity otherwise."""
+    solver's array form.  A row is judged on Fractions, its activity
+    summed from its pairs at the start (every start here is a dyadic
+    float, so exact), when no coordinate moved into the tightened box,
+    and on the float activity otherwise."""
     n, m = lp.num_vars, len(lp.general)
     var_lb, var_ub, *_ = lp.presolve(windows)
     slack_lb, slack_ub = lp.slack_bounds(windows)
@@ -749,7 +822,10 @@ def loop_start(lp, windows) -> tuple:
             activity = product[i]
             below, above = activity < lo, activity > hi
         else:
-            exact = Fraction(*lp.warm_activity[i])
+            pairs, _, _, denom = lp.rows[row]
+            exact = Fraction(
+                sum(c * Fraction(xhat[j]) for j, c in pairs), denom
+            )
             w_lo, w_hi, d = windows[row]
             activity = float(exact)
             below = w_lo is not None and exact < Fraction(w_lo, d)

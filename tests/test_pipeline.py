@@ -210,6 +210,21 @@ def test_config_takes_only_integer_seeds_and_rounds(field):
     )
 
 
+def test_config_takes_only_a_finite_positive_k():
+    """A tail parameter k that is not a finite positive real raises when
+    the config is made, under either strategy; a non-integer k such as
+    2.5 or 3/2 is a valid tail parameter and solves."""
+    for strategy in ("greedy", "randomized"):
+        for bad in (math.nan, math.inf, -math.inf, "2", None, 0, -1):
+            with pytest.raises(ValueError, match="tail parameter k"):
+                SolveConfig(strategy=strategy, k=bad)
+    inst = Instance(maxcut_objective(gen_gnp(8, 0.5, seed=1)))
+    for k in (2.5, Fraction(3, 2), np.float64(2.0)):
+        config = SolveConfig(strategy="randomized", grid=(0, 2), k=k)
+        assert config.k == k
+        solve(inst, (0, 1) * 4, config)
+
+
 def test_stride_and_explicit_grids():
     g = gen_gnp(10, 0.4, 9)
     inst = Instance(maxcut_objective(g))

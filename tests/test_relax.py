@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from exact_reference import (
@@ -461,12 +461,19 @@ def seeded_relaxations():
 
 
 def test_rows_carry_the_predictions_activity():
+    """Every row's pairs are nonzero and in ascending j, and the LP reads
+    each general row's activity at the prediction off its integers:
+    coeffs . xhat over the row's own denominator."""
     for xhat, relaxation in seeded_relaxations():
         for row in relaxation.rows:
             indices = [j for j, _ in row.coeffs]
             assert indices == sorted(set(indices))
             assert all(c != 0 for _, c in row.coeffs)
-            assert row.activity == sum(c * xhat[j] for j, c in row.coeffs)
+        lp = relaxation.lp()
+        assert lp.warm_denoms == lp.denoms and lp.warm_activity == [
+            sum(c * xhat[j] for j, c in relaxation.rows[i].coeffs)
+            for i in lp.general
+        ]
 
 
 def test_prepared_lp_is_solve_at_every_budget():
@@ -938,7 +945,9 @@ def plan_cases(draw):
         at = evaluate(q, xhat)
         below, above = draw(shift), draw(shift)
         lower = None if below is None else at - below
-        upper = None if above is None else max(at + above, lower or at)
+        upper = None if above is None else max(
+            at + above, at if lower is None else lower
+        )
         constraints.append((q, lower, upper))
     return objective, tuple(constraints), xhat
 
@@ -1124,8 +1133,18 @@ def assert_rows_only_for_nodes_with_children(objective, constraints, xhat):
     )
 
 
+# A draw whose upper bound lands below a lower bound of 0 unless the
+# generator keeps upper >= lower: q = 23/6 - 9/2 x0 reads -2/3 at xhat.
+CROSSED_DRAW = (
+    Polynomial(3, {(0, 1): 1, (1, 2): Fraction(1, 2)}),
+    ((Polynomial(3, {(): Fraction(23, 6), (0,): Fraction(-9, 2)}), 0, 0),),
+    (1, 0, 0),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(plan_cases())
+@example(CROSSED_DRAW)
 def test_plans_list_only_nodes_with_children(case):
     assert_rows_only_for_nodes_with_children(*case)
 
