@@ -16,17 +16,27 @@ numerical-failure.  A basis inverse is kept explicitly and refreshed
 periodically.  The solver is deterministic: fixed pivot rules, no
 randomization.
 
-:class:`PreparedLp` is the one way in.  Everything but the row windows is
-prepared once in it: the row split, the general rows as one integer
-matrix, the float matrix, the cost and the warm start x-hat with its
-exact row activities.  Every float in it is an integer over an integer
+Each step of a pivot is one numpy pass.  Columns are priced once per
+basis inverse: a bound flip keeps the duals, so it only negates its own
+column's score (Maros, Computational Techniques of the Simplex Method,
+2003).  The ratio test, after Harris (Math. Prog. 5, 1973), reads the rows
+with |pivot| > PIVOT_TOL: when no ratio lies 1e-12 below the entering
+column's range, that column flips; otherwise, of the rows whose ratio is
+below the smallest plus 1e-12, the one of larger |pivot|, then of smaller
+basic column, leaves, whatever the order of the rows.  The rank-one update
+of the inverse is dense: a row whose multiplier is zero subtracts an exact
+zero, which can change only the sign of a zero entry.  No comparison reads
+that sign, and a refresh rebuilds the inverse.
+
+:class:`PreparedLp` is the one way in; it prepares once everything but
+the row windows.  Every float in it is an integer over an integer
 divided once, correctly rounded, so it is the float of the exact Fraction.
 The row split sets apart the rows with one coefficient: they only bound
 a variable, so a solve turns their windows into exact bounds by integer
 cross-multiplication, intersects them with the box and, when that leaves
-a variable no room, returns infeasible without a pivot.  The simplex
-holds only the other, general, rows (the presolve of Brearley, Mitra &
-Williams, Math. Prog. 8, 1975).
+a variable no room or a general row's window is crossed, returns
+infeasible without a pivot.  The simplex holds only the other, general,
+rows (the presolve of Brearley, Mitra & Williams, Math. Prog. 8, 1975).
 Its ``solve(windows)`` then does one LP, so a caller that solves the same
 rows under many windows (the pipeline, one per error budget) converts
 and checks them once.  Crossed variable bounds, and a warm start x-hat
@@ -145,41 +155,40 @@ class _Simplex:
             return False
         return True
 
-    def recompute_basic_values(self):
-        v = self.val.copy()
-        v[self.basis] = 0.0
-        rhs = -(self.M @ v)
-        self.val[self.basis] = self.Binv @ rhs
-
     def refresh(self) -> bool:
+        """Invert the basis again and solve for the basic values."""
         if self.basis.size and not self.set_basis(self.basis):
             return False
-        self.recompute_basic_values()
+        v = self.val.copy()
+        v[self.basis] = 0.0
+        self.val[self.basis] = self.Binv @ -(self.M @ v)
         return True
 
     # -- core iteration ---------------------------------------------------
 
     def iterate(self, max_iterations: int) -> str:
-        """Run to optimality for the current cost vector."""
+        """Run to optimality for the current cost vector, pricing once per
+        ``Binv`` as the module docstring says."""
+        fixed = self.lb == self.ub
+        score = None
         while True:
             if self.iterations >= max_iterations:
                 return NUMERICAL_FAILURE
             self.iterations += 1
-            if self.iterations % REFRESH_EVERY == 0 and not self.refresh():
+            rebuild = self.iterations % REFRESH_EVERY == 0
+            if rebuild and not self.refresh():
                 return NUMERICAL_FAILURE
-
-            duals = self.cost[self.basis] @ self.Binv
-            reduced = self.cost - duals @ self.M
-            j = self._pick_entering(reduced)
-            if j is None:
+            if rebuild or score is None:
+                duals = self.cost[self.basis] @ self.Binv
+                score = self._score(self.cost - duals @ self.M, fixed)
+            j = int(np.argmax(score))  # first maximum
+            if not score[j] > DUAL_TOL:
                 return OPTIMAL
             sigma = -1.0 if self.at_upper[j] else 1.0
             w = self.Binv @ self.M[:, j]
-            best, leave_pos, leave_to_upper = self._ratio_test(j, sigma, w)
-            if math.isinf(best):
+            delta, leave_pos, leave_to_upper = self._ratio_test(j, sigma, w)
+            if math.isinf(delta):
                 return UNBOUNDED
-
-            delta = best
             self.val[self.basis] -= sigma * delta * w
             self.val[j] += sigma * delta
 
@@ -187,6 +196,7 @@ class _Simplex:
                 # Bound-to-bound move of the entering variable.
                 self.at_upper[j] = not self.at_upper[j]
                 self.val[j] = self.ub[j] if self.at_upper[j] else self.lb[j]
+                score[j] = -score[j]
                 continue
 
             leaving = self.basis[leave_pos]
@@ -196,27 +206,22 @@ class _Simplex:
             self.at_upper[leaving] = leave_to_upper
             self.basis[leave_pos] = j
             self._update_inverse(leave_pos, w)
+            score = None
 
-    def _pick_entering(self, reduced):
-        """Dantzig, the only pricing rule: the first column of largest
-        score, if that score passes DUAL_TOL.  Basic and fixed columns
-        never enter.  Nothing else guards against cycling; a solve ends at
-        the pivot cap of :meth:`PreparedLp.solve`."""
+    def _score(self, reduced, fixed):
+        """Dantzig's scores, the only pricing rule: the reduced costs signed
+        so that a positive score improves, -inf at a basic or ``fixed``
+        column.  Nothing else guards against cycling; a solve ends at the
+        pivot cap of :meth:`PreparedLp.solve`."""
         score = np.where(self.at_upper, reduced, -reduced)
         score[self.basis] = -math.inf
-        score[self.lb == self.ub] = -math.inf
-        j = int(np.argmax(score))  # first maximum
-        return j if score[j] > DUAL_TOL else None
+        score[fixed] = -math.inf
+        return score
 
     def _ratio_test(self, j, sigma, w):
         """(step, leaving position or -1, whether it leaves at its upper
-        bound) for the entering column j moving by delta >= 0 along sigma.
-
-        The rows with a usable pivot and their ratios are found at once;
-        they are then scanned in position order.  A ratio more than 1e-12
-        below the best so far replaces it; one within 1e-12 replaces it if
-        its key is smaller: the larger |pivot|, then the smaller column.
-        """
+        bound) for the entering column j moving by delta >= 0 along sigma,
+        by the ratio rule of the module docstring."""
         piv = sigma * w
         rows = np.flatnonzero(np.abs(piv) > PIVOT_TOL)
         cols = self.basis[rows]
@@ -227,27 +232,21 @@ class _Simplex:
         ) / piv
         # max(ratio, 0.0) as Python takes it: a ratio of -0.0 stays -0.0.
         ratios = np.where(ratios < 0.0, 0.0, ratios)
-        keys = list(zip((-np.abs(piv)).tolist(), cols.tolist()))
-        best = self.ub[j] - self.lb[j]
-        leave = -1
-        for k, ratio in enumerate(ratios.tolist()):
-            if ratio < best - 1e-12 or (
-                leave >= 0 and ratio < best + 1e-12 and keys[k] < keys[leave]
-            ):
-                best = ratio
-                leave = k
-        if leave < 0:
-            return best, -1, False
-        return best, int(rows[leave]), bool(hits_upper[leave])
+        span = self.ub[j] - self.lb[j]
+        lowest = np.fmin.reduce(ratios, initial=span)  # NaNs skipped
+        if not lowest < span - 1e-12:
+            return span, -1, False
+        # The tied rows first, then the larger |pivot|, the smaller column.
+        k = np.lexsort((cols, -np.abs(piv), ~(ratios < lowest + 1e-12)))[0]
+        return float(ratios[k]), int(rows[k]), bool(hits_upper[k])
 
     def _update_inverse(self, leave_pos, w):
-        """Rank-1 update of Binv after the column at leave_pos left: the
-        pivot row is divided by the pivot and eliminated from every other
-        row with a nonzero multiplier."""
-        self.Binv[leave_pos, :] /= w[leave_pos]
-        rows = np.flatnonzero(w)
-        rows = rows[rows != leave_pos]
-        self.Binv[rows] -= np.outer(w[rows], self.Binv[leave_pos])
+        """Rank-1 update of Binv after the column at leave_pos left, dense
+        as the module docstring says: the pivot row divided by the pivot
+        is eliminated from every row, then put in its place."""
+        row = self.Binv[leave_pos] / w[leave_pos]
+        self.Binv -= np.outer(w, row)
+        self.Binv[leave_pos] = row
 
 
 class PreparedLp:
@@ -384,7 +383,8 @@ class PreparedLp:
 
     def presolve(self, windows: Sequence) -> tuple | None:
         """The box tightened by the one-coefficient rows' windows, or None
-        when it is empty or an empty row's window excludes zero.
+        when it is empty, an empty row's window excludes zero or a general
+        row's window is crossed, lower above upper as integers.
 
         A row lo / d <= (c / denom) x_j <= hi / d bounds x_j by lo * denom
         / (c * d) and hi * denom / (c * d), swapped and negated for c < 0.
@@ -397,6 +397,10 @@ class PreparedLp:
         for i in self.empty:
             lo, hi, _ = windows[i]
             if (lo is not None and lo > 0) or (hi is not None and hi < 0):
+                return None
+        for i in self.general:
+            lo, hi, _ = windows[i]
+            if lo is not None and hi is not None and lo > hi:
                 return None
         lower: dict = {}
         upper: dict = {}
@@ -505,13 +509,10 @@ class PreparedLp:
             sx.val[n + m :] = np.maximum(sx.val[n + m :], 0.0)
 
         status = sx.iterate(max_iterations)
+        if status == OPTIMAL and not sx.refresh():
+            status = NUMERICAL_FAILURE
         if status != OPTIMAL:
             return LpSolution(status, _clamped(sx), None, sx.iterations)
-
-        if not sx.refresh():
-            return LpSolution(
-                NUMERICAL_FAILURE, _clamped(sx), None, sx.iterations
-            )
         y = _clamped(sx)
         # Only the general rows can be broken: a one-coefficient row holds
         # through the box, an empty row's window holds zero (presolve
@@ -524,7 +525,7 @@ class PreparedLp:
         )
         if worst > FEAS_TOL:
             return LpSolution(NUMERICAL_FAILURE, y, None, sx.iterations)
-        value = _objective_value(self.objective, self.offset, y)
+        value = sum(c * v for c, v in zip(self.objective, y)) + self.offset
         snapped = self._snap(yv, value, windows, *exact_bounds)
         if snapped is not None:
             y, value = snapped
@@ -580,10 +581,6 @@ def box_optimum(objective: tuple, offset, warm_start: Sequence) -> LpSolution:
     return LpSolution(
         OPTIMAL, tuple(map(float, x)), _exact_value(coeffs, denom, offset, x)
     )
-
-
-def _objective_value(objective, offset, y) -> float:
-    return sum(float(c) * v for c, v in zip(objective, y)) + float(offset)
 
 
 def _exact_value(coeffs, denom, offset, x) -> float:

@@ -109,10 +109,10 @@ def greedy_round(p: Polynomial | GreedyTables, y: Sequence) -> tuple:
     point = []
     for v in y:
         # A float's ratio is the Fraction's, without making the Fraction.
-        a, b = (v if isinstance(v, float) else Fraction(v)).as_integer_ratio()
-        if not 0 <= a <= b:
+        x = v if isinstance(v, float) else Fraction(v)
+        if not 0 <= x <= 1:  # NaN too, before its ratio raises
             raise ValueError(f"coordinate {v} outside [0, 1]")
-        point.append((a, b))
+        point.append(x.as_integer_ratio())
     den = math.lcm(*(b for _, b in point))
     current = [a * (den // b) for a, b in point]
     powers = [den**k for k in range(tables.degree + 1)]

@@ -441,6 +441,26 @@ def test_negative_one_coefficient_rows_give_exact_non_dyadic_bounds():
     assert agrees(sol, reference_solve(model), 1e-9)
 
 
+def test_a_crossed_general_window_is_infeasible_unpivoted():
+    """2 <= x0 + x1 <= 1, a general row's window crossed, is infeasible
+    with no pivot, as a crossed one-coefficient window is; the bounds,
+    over one denominator, are compared as integers, so 1 + 2^-60 <= x0 +
+    x1 <= 1, whose float bounds are equal, is crossed too."""
+    big = 2**60
+    rows = [(((0, 1), (1, 1)), 0, 2, 1)]
+    lp = PreparedLp(((1, 1), 1), 0, rows, box(2), (0, 0))
+    for window in ((2, 1, 1), (big + 1, big, big)):
+        sol = lp.solve([window])
+        assert (sol.status, sol.iterations) == ("infeasible", 0)
+    assert (big + 1) / big == 1.0
+    sol = lp.solve([(big, big, big)])
+    assert (sol.status, sol.objective_value) == ("optimal", 1.0)
+    single = PreparedLp(((1, 1), 1), 0, [(((0, 1),), 0, 2, 1)], box(2),
+                        (0, 0))
+    sol = single.solve([(2, 1, 1)])
+    assert (sol.status, sol.iterations) == ("infeasible", 0)
+
+
 def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
     """x0 >= 3/4 (from 4 x0 >= 3) and 2 x0 <= 1 cannot both hold: the
     solve is infeasible with no pivot, though a general row is there too.
@@ -678,11 +698,11 @@ def degenerate_cut1000():
     alternating prediction, as the pipeline solves it, and its solution.
 
     Every window is an equality at the prediction's activity, so every
-    vertex the simplex visits is degenerate; the longest run of pivots
-    that make no progress is 1262.  A solver that switched to Bland's rule
-    after 1000 such pivots ran into its 100,000-pivot cap here and
-    returned numerical-failure after 443 s; Dantzig pricing alone ends
-    after 1451 pivots."""
+    vertex the simplex visits is degenerate.  A solver that switched to
+    Bland's rule after 1000 pivots that made no progress ran into its
+    100,000-pivot cap here and returned numerical-failure after 443 s;
+    Dantzig pricing alone ends after 1247 pivots, 898 of which make no
+    progress."""
     relaxation = pipeline_relaxation(
         maxcut_objective(gen_gnp(1000, 0.05, 1)), alternating(1000)
     )
@@ -711,56 +731,49 @@ def test_degenerate_lp_at_n_1000_agrees_with_highs(degenerate_cut1000):
 
 class LoopSimplex(lpsolve._Simplex):
     """Pricing, ratio test and inverse update as plain loops over every
-    column and row, the reference for the vectorized ones."""
+    column and row, the reference for the vectorized ones; ``ran`` names
+    each loop that ran."""
 
-    def _pick_entering(self, reduced):
-        best = None
-        best_score = lpsolve.DUAL_TOL
+    ran: set = set()
+
+    def _score(self, reduced, fixed):
+        LoopSimplex.ran.add("_score")
+        score = np.empty(len(reduced))
         for j in range(len(reduced)):
             if j in self.basis or self.lb[j] == self.ub[j]:
-                continue
-            score = -reduced[j] if not self.at_upper[j] else reduced[j]
-            if score <= best_score:
-                continue
-            best = j
-            best_score = score
-        return best
+                score[j] = -math.inf
+            else:
+                score[j] = reduced[j] if self.at_upper[j] else -reduced[j]
+        return score
 
     def _ratio_test(self, j, sigma, w):
-        best = self.ub[j] - self.lb[j]
-        leave_pos = -1
-        leave_to_upper = False
+        """The rule of the lpsolve module docstring: over the rows with
+        |pivot| > PIVOT_TOL, a flip when no ratio lies 1e-12 below j's
+        range; otherwise, of the rows with a ratio below the smallest
+        plus 1e-12, the one of larger |pivot|, then of smaller column."""
+        LoopSimplex.ran.add("_ratio_test")
+        usable = []  # (ratio, position, leaves at its upper bound)
         for pos, col in enumerate(self.basis):
             piv = sigma * w[pos]
             if piv > lpsolve.PIVOT_TOL:
-                limit = self.val[col] - self.lb[col]
-                hits_upper = False
+                usable.append((max((self.val[col] - self.lb[col]) / piv, 0.0),
+                               pos, False))
             elif piv < -lpsolve.PIVOT_TOL:
-                limit = self.val[col] - self.ub[col]
-                hits_upper = True
-            else:
-                continue
-            ratio = max(limit / piv, 0.0)
-            if ratio < best - 1e-12 or (
-                leave_pos >= 0
-                and ratio < best + 1e-12
-                and self._prefer_leaving(pos, leave_pos, w)
-            ):
-                best = ratio
-                leave_pos = pos
-                leave_to_upper = hits_upper
-        return best, leave_pos, leave_to_upper
-
-    def _prefer_leaving(self, pos, incumbent, w) -> bool:
-        if abs(w[pos]) != abs(w[incumbent]):
-            return abs(w[pos]) > abs(w[incumbent])
-        return self.basis[pos] < self.basis[incumbent]
+                usable.append((max((self.val[col] - self.ub[col]) / piv, 0.0),
+                               pos, True))
+        span = self.ub[j] - self.lb[j]
+        if not any(ratio < span - 1e-12 for ratio, _, _ in usable):
+            return span, -1, False
+        lowest = min(ratio for ratio, _, _ in usable)
+        tied = [u for u in usable if u[0] < lowest + 1e-12]
+        return min(tied, key=lambda u: (-abs(w[u[1]]), self.basis[u[1]]))
 
     def _update_inverse(self, leave_pos, w):
-        self.Binv[leave_pos, :] /= w[leave_pos]
+        LoopSimplex.ran.add("_update_inverse")
+        row = self.Binv[leave_pos] / w[leave_pos]
         for i in range(self.m):
-            if i != leave_pos and abs(w[i]) > 0:
-                self.Binv[i, :] -= w[i] * self.Binv[leave_pos, :]
+            self.Binv[i] -= w[i] * row
+        self.Binv[leave_pos] = row
 
 
 @pytest.mark.parametrize("rules", ["dantzig", "refresh"])
@@ -769,7 +782,7 @@ def test_vectorized_pivoting_matches_the_loops(
 ):
     """Same status, y, value and iterations, to the last bit, on the
     reference models (from the lower corner) and on pipeline LPs (from
-    the prediction, with and without broken rows)."""
+    the prediction, with and without broken rows), and each loop ran."""
     if rules == "refresh":
         monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
     cases = [prepared_model(model) for model in reference_models()]
@@ -778,7 +791,132 @@ def test_vectorized_pivoting_matches_the_loops(
             cases.append((lp, windows))
     vectorized = [repr(lp.solve(windows)) for lp, windows in cases]
     monkeypatch.setattr(lpsolve, "_Simplex", LoopSimplex)
+    LoopSimplex.ran.clear()
     assert [repr(lp.solve(windows)) for lp, windows in cases] == vectorized
+    assert LoopSimplex.ran == {"_score", "_ratio_test", "_update_inverse"}
+
+
+def chain_simplex(order):
+    """A simplex whose rows in ``order`` hold basic columns 0, 1 and 2,
+    each in [0, 1], at values that give the entering column 3, in [0, 1],
+    ratios 0, 0.8e-12 and 1.6e-12 under pivots 1, 2 and 4, and that pivot
+    column w."""
+    sx = lpsolve._Simplex.__new__(lpsolve._Simplex)
+    sx.basis = np.array(order, dtype=np.intp)
+    sx.val = np.array([0.0, 1.6e-12, 6.4e-12, 0.0])
+    sx.lb, sx.ub = np.zeros(4), np.ones(4)
+    return sx, np.array([1.0, 2.0, 4.0])[sx.basis]
+
+
+def test_the_ratio_rule_does_not_depend_on_the_row_order():
+    """Ratios 0, 0.8e-12 and 1.6e-12, each within 1e-12 of the one
+    before, with |pivot| growing: a scan in position order that let a
+    ratio within 1e-12 of its best so far and of smaller key replace it
+    went down the chain to column 2.  The written rule ties only the
+    ratios below the smallest plus 1e-12 and takes the larger |pivot|
+    among them, column 1, with its own ratio as the step, in every order
+    of the rows, and the loop reference agrees."""
+    assert 1.6e-12 / 4 < 0.8e-12 / 2 + 1e-12 and 0.8e-12 / 2 < 1e-12
+    for order in itertools.permutations(range(3)):
+        sx, w = chain_simplex(order)
+        step, pos, upper = sx._ratio_test(3, 1.0, w)
+        assert (step, sx.basis[pos], upper) == (0.8e-12, 1, False)
+        loop = LoopSimplex.__new__(LoopSimplex)
+        loop.basis, loop.val, loop.lb, loop.ub = sx.basis, sx.val, sx.lb, sx.ub
+        assert loop._ratio_test(3, 1.0, w) == (step, pos, upper)
+
+
+class RecordingSimplex(lpsolve._Simplex):
+    """A simplex that records (iteration, entering, leaving position,
+    step) at each ratio test."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pivots = []
+
+    def _ratio_test(self, j, sigma, w):
+        step, pos, upper = super()._ratio_test(j, sigma, w)
+        self.pivots.append((self.iterations, j, pos, step))
+        return step, pos, upper
+
+
+class RepricingSimplex(RecordingSimplex):
+    """The loop of ``_Simplex.iterate`` with every pivot priced afresh:
+    the reference for keeping the scores through bound flips."""
+
+    def iterate(self, max_iterations: int) -> str:
+        fixed = self.lb == self.ub
+        while True:
+            if self.iterations >= max_iterations:
+                return lpsolve.NUMERICAL_FAILURE
+            self.iterations += 1
+            if self.iterations % lpsolve.REFRESH_EVERY == 0:
+                if not self.refresh():
+                    return lpsolve.NUMERICAL_FAILURE
+            duals = self.cost[self.basis] @ self.Binv
+            score = self._score(self.cost - duals @ self.M, fixed)
+            j = int(np.argmax(score))
+            if not score[j] > lpsolve.DUAL_TOL:
+                return lpsolve.OPTIMAL
+            sigma = -1.0 if self.at_upper[j] else 1.0
+            w = self.Binv @ self.M[:, j]
+            delta, leave_pos, leave_to_upper = self._ratio_test(j, sigma, w)
+            if math.isinf(delta):
+                return lpsolve.UNBOUNDED
+            self.val[self.basis] -= sigma * delta * w
+            self.val[j] += sigma * delta
+            if leave_pos < 0:
+                self.at_upper[j] = not self.at_upper[j]
+                self.val[j] = self.ub[j] if self.at_upper[j] else self.lb[j]
+                continue
+            leaving = self.basis[leave_pos]
+            self.val[leaving] = (
+                self.ub[leaving] if leave_to_upper else self.lb[leaving]
+            )
+            self.at_upper[leaving] = leave_to_upper
+            self.basis[leave_pos] = j
+            self._update_inverse(leave_pos, w)
+
+
+def recorded_solves(cases, simplex) -> tuple:
+    """Each case's solution under ``simplex``, a RecordingSimplex, and per
+    simplex made, its pivots and its final values and flags as bytes."""
+    made = []
+
+    class Kept(simplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lpsolve, "_Simplex", Kept)
+        solutions = [repr(lp.solve(windows)) for lp, windows in cases]
+    return solutions, [
+        (sx.pivots, sx.val.tobytes(), sx.at_upper.tobytes()) for sx in made
+    ]
+
+
+@pytest.mark.parametrize("refresh_every", [200, 3])
+def test_scores_kept_through_flips_match_pricing_every_pivot(
+    refresh_every, pipeline_lps, monkeypatch
+):
+    """On every pipeline LP, the (entering, leaving, step) of each pivot,
+    the final values and the solution equal those of a loop that prices
+    every pivot.  With a refresh every third iteration, some run of bound
+    flips crosses a refresh."""
+    monkeypatch.setattr(lpsolve, "REFRESH_EVERY", refresh_every)
+    cases = [(lp, windows) for _, lp, windows, _ in pipeline_lps]
+    kept = recorded_solves(cases, RecordingSimplex)
+    assert kept == recorded_solves(cases, RepricingSimplex)
+    flips = {
+        (k, it)
+        for k, (pivots, _, _) in enumerate(kept[1])
+        for it, _, pos, _ in pivots
+        if pos < 0
+    }
+    assert len(flips) > 100
+    if refresh_every == 3:
+        assert any(it % 3 == 0 and (k, it - 1) in flips for k, it in flips)
 
 
 # -- the start -----------------------------------------------------------

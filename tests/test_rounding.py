@@ -268,6 +268,17 @@ def test_greedy_rejects_bad_inputs():
         greedy_round(TRIANGLE, (0.5, 0.5, 1.5))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=str)
+def test_greedy_rejects_a_non_finite_coordinate_as_outside(bad):
+    """An infinity or NaN is a coordinate outside [0, 1], said as such,
+    not an error of converting it to a ratio."""
+    p = Polynomial(2, {(0,): 1, (1,): 1, (0, 1): -2})
+    for y in ((bad, 0.5), (0.5, np.float64(bad))):
+        with pytest.raises(ValueError) as got:
+            greedy_round(p, y)
+        assert str(got.value) == f"coordinate {bad} outside [0, 1]"
+
+
 # -- greedy-rounding tables ---------------------------------------------
 
 
