@@ -22,8 +22,9 @@ column's score (Maros, Computational Techniques of the Simplex Method,
 2003).  The ratio test, after Harris (Math. Prog. 5, 1973), reads the rows
 with |pivot| > PIVOT_TOL: when no ratio lies 1e-12 below the entering
 column's range, that column flips; otherwise, of the rows whose ratio is
-below the smallest plus 1e-12, the one of larger |pivot|, then of smaller
-basic column, leaves, whatever the order of the rows.  The rank-one update
+the smallest or below it plus 1e-12 (a sum that rounds to the smallest
+from 2**14 on), the one of larger |pivot|, then of smaller basic column,
+leaves, whatever the order of the rows.  The rank-one update
 of the inverse is dense: a row whose multiplier is zero subtracts an exact
 zero, which can change only the sign of a zero entry.  No comparison reads
 that sign, and a refresh rebuilds the inverse.
@@ -237,7 +238,8 @@ class _Simplex:
         if not lowest < span - 1e-12:
             return span, -1, False
         # The tied rows first, then the larger |pivot|, the smaller column.
-        k = np.lexsort((cols, -np.abs(piv), ~(ratios < lowest + 1e-12)))[0]
+        tied = (ratios < lowest + 1e-12) | (ratios == lowest)
+        k = np.lexsort((cols, -np.abs(piv), ~tied))[0]
         return float(ratios[k]), int(rows[k]), bool(hits_upper[k])
 
     def _update_inverse(self, leave_pos, w):

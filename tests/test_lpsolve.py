@@ -749,8 +749,8 @@ class LoopSimplex(lpsolve._Simplex):
     def _ratio_test(self, j, sigma, w):
         """The rule of the lpsolve module docstring: over the rows with
         |pivot| > PIVOT_TOL, a flip when no ratio lies 1e-12 below j's
-        range; otherwise, of the rows with a ratio below the smallest
-        plus 1e-12, the one of larger |pivot|, then of smaller column."""
+        range; otherwise, of the rows with the smallest ratio or one below
+        it plus 1e-12, the one of larger |pivot|, then of smaller column."""
         LoopSimplex.ran.add("_ratio_test")
         usable = []  # (ratio, position, leaves at its upper bound)
         for pos, col in enumerate(self.basis):
@@ -765,7 +765,7 @@ class LoopSimplex(lpsolve._Simplex):
         if not any(ratio < span - 1e-12 for ratio, _, _ in usable):
             return span, -1, False
         lowest = min(ratio for ratio, _, _ in usable)
-        tied = [u for u in usable if u[0] < lowest + 1e-12]
+        tied = [u for u in usable if u[0] < lowest + 1e-12 or u[0] == lowest]
         return min(tied, key=lambda u: (-abs(w[u[1]]), self.basis[u[1]]))
 
     def _update_inverse(self, leave_pos, w):
@@ -824,6 +824,28 @@ def test_the_ratio_rule_does_not_depend_on_the_row_order():
         loop = LoopSimplex.__new__(LoopSimplex)
         loop.basis, loop.val, loop.lb, loop.ub = sx.basis, sx.val, sx.lb, sx.ub
         assert loop._ratio_test(3, 1.0, w) == (step, pos, upper)
+
+
+def test_the_smallest_ratio_ties_where_1e_12_rounds_away():
+    """From a smallest ratio of 2**14 on, that ratio plus 1e-12 rounds to
+    itself, so no row lies below it.  Basic column 0 in [0, 1] at 1 with
+    pivot 5e-5 (ratio 2e4) and basic column 1 in [0, inf] at 1e5 with
+    pivot 1 (ratio 1e5), the entering column 2 in [0, inf]: column 0's
+    row still leaves, with its own ratio as the step, in either row
+    order, and the loop reference agrees.  Taking the larger pivot's row
+    would push column 0 to -4."""
+    assert 2e4 + 1e-12 == 2e4
+    for order in itertools.permutations(range(2)):
+        sx = lpsolve._Simplex.__new__(lpsolve._Simplex)
+        sx.basis = np.array(order, dtype=np.intp)
+        sx.val = np.array([1.0, 1e5, 0.0])
+        sx.lb, sx.ub = np.zeros(3), np.array([1.0, math.inf, math.inf])
+        w = np.array([5e-5, 1.0])[sx.basis]
+        step, pos, upper = sx._ratio_test(2, 1.0, w)
+        assert (step, sx.basis[pos], upper) == (1.0 / 5e-5, 0, False)
+        loop = LoopSimplex.__new__(LoopSimplex)
+        loop.basis, loop.val, loop.lb, loop.ub = sx.basis, sx.val, sx.lb, sx.ub
+        assert loop._ratio_test(2, 1.0, w) == (step, pos, upper)
 
 
 class RecordingSimplex(lpsolve._Simplex):
