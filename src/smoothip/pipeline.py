@@ -90,9 +90,10 @@ RANDOMIZED = "randomized"
 EXACT_CAP = 24
 
 # Most entries in one tile of the brute force's values: 1 MiB on int16.
-# Timed at n = 22 and 24 on a 2-core Xeon with a 4 MiB L2 cache, tiles of
-# 2^18 entries took 15-20% longer, of 2^17 about 45% longer and of 2^20
-# about 5% longer.
+# Timed on MAX-CUT G(n, 0.5) at n = 22 and 24 on a 2-core Xeon with a
+# 4 MiB L2 cache (median of 5 best-of-7 exact_solve runs), tiles of 2^18
+# entries took as long at n = 22 and 13% longer at n = 24, of 2^17 39%
+# and 54% longer and of 2^20 36% and 56% longer.
 TILE = 1 << 19
 
 
@@ -452,25 +453,41 @@ def solve_constrained(
 # -- exact reference ----------------------------------------------------
 
 
+def _subset_sums(a, bits: int, run: int) -> None:
+    """Yates' subset-sum transform of the array a, in place, over the
+    `bits` bits of its flat index just above the lowest log2(run): the
+    pass for each bit adds every entry with the bit clear to the entry
+    with it set, stretches of run << b entries at bit b above them."""
+    for b in range(bits):
+        view = a.reshape(-1, 2, run << b)
+        view[:, 1] += view[:, 0]
+
+
 def _value_tiles(table: ScoreTable):
-    """Yield (c0, tile): the value of the score table's polynomial, as
-    integers over its denominator L, at the Boolean points whose index
-    has its low k = n // 2 bits in [c0, c0 + width); bit (n - 1 - i) of
-    an index holds z_i, so ascending index order is lexicographic order
-    on z.  A tile has one row per high part h and holds the point with
-    index h << k | (c0 + l) at [h, l]; it is one buffer, refilled for
-    each c0, so a caller that keeps one copies it.
+    """Yield (offset, tile): the value of the score table's polynomial,
+    as integers over its denominator L, at the Boolean points whose
+    index runs from offset to offset + tile.size; bit (n - 1 - i) of an
+    index holds z_i, so ascending index order is lexicographic order on
+    z.  A tile holds the point with index offset + j at flat position
+    j, and the offsets ascend from 0, each tile starting where the one
+    before ended.  A tile is one buffer, refilled for each offset, so a
+    caller that keeps one copies it.
 
     Every entry is a subset sum of the table's integer coefficients, so
     none exceeds the total of their magnitudes in size; the tiles are on
     the narrowest of int16, int32 and int64 that holds that total, and
     on Python ints (object) past int64.  The sums are Yates' subset-sum
-    transform, one pass per bit, split in two: the low k bits are
-    transformed once, on a table with one row per distinct high part
-    among the monomials; each tile takes its columns of those rows and
-    runs the n - k high passes on them, whole contiguous blocks each.
-    A tile is 2^(n - k) rows by width columns, width the power of two
-    that keeps it within TILE entries (one column at least).
+    transform, one pass per bit of the index.  Its low k = n // 2 bits
+    are transformed once, on a table with one row per distinct high part
+    (top n - k bits) among the monomials, laid out with the low bits as
+    its outer axis, so that each pass runs over long stretches.  A high
+    part splits into outer bits and the r inner bits below them, and a
+    tile is the 2^r rows of one outer value by all 2^k columns, r the
+    largest that keeps it within TILE entries: it starts as the sum of
+    the transformed rows whose outer part lies inside the tile's outer
+    value, each at its inner part, and runs the r inner passes.  When
+    2^k columns alone exceed TILE, a tile is a block of one row's
+    columns, the largest power of two within TILE, and runs no pass.
     """
     n = table.n
     total = sum(map(abs, table.coeffs))
@@ -486,23 +503,38 @@ def _value_tiles(table: ScoreTable):
         for i in mono:
             mask |= 1 << (n - 1 - i)
         row = rows.setdefault(mask >> k, len(rows))
-        cells.append((row, mask & ((1 << k) - 1), value))
-    low = np.zeros((len(rows), 1 << k), dtype=dtype)
-    for row, mask, value in cells:
-        low[row, mask] = value
-    for b in range(k):
-        view = low.reshape(len(rows), 1 << (k - b - 1), 2, 1 << b)
-        view[:, :, 1, :] += view[:, :, 0, :]
-    width = max(1, min(1 << k, TILE >> (n - k)))
-    tile = np.empty((1 << (n - k), width), dtype=dtype)
-    high = list(rows)
-    for c0 in range(0, 1 << k, width):
-        tile[...] = 0
-        tile[high] = low[:, c0:c0 + width]
-        for b in range(n - k):
-            view = tile.reshape(-1, 2, width << b)
-            view[:, 1] += view[:, 0]
-        yield c0, tile
+        cells.append((mask & ((1 << k) - 1), row, value))
+    # One row past the high parts' stays 0: a tile takes it at the inner
+    # parts that no high part of outer part 0 has.
+    zero = len(rows)
+    low = np.zeros((1 << k, zero + 1), dtype=dtype)
+    for mask, row, value in cells:
+        low[mask, row] = value
+    _subset_sums(low, k, zero + 1)
+    low = np.ascontiguousarray(low.T)  # a row per high part, then zeros
+    cols = 1 << k
+    if cols <= TILE:
+        r, width = min(n - k, (TILE // cols).bit_length() - 1), cols
+    else:
+        r, width = 0, 1 << (TILE.bit_length() - 1)
+    first = np.full(1 << r, zero)  # per inner part, its row of outer 0
+    more = []  # (outer part, inner part, row) of the other rows
+    for h, row in rows.items():
+        if h >> r:
+            more.append((h >> r, h & ((1 << r) - 1), row))
+        else:
+            first[h] = row
+    tile = np.empty((1 << r, width), dtype=dtype)
+    for outer in range(1 << (n - k - r)):
+        inside = [(at, row) for part, at, row in more if part & ~outer == 0]
+        for c0 in range(0, cols, width):
+            block = low[:, c0:c0 + width]
+            # mode="clip" writes into the tile unbuffered.
+            np.take(block, first, axis=0, out=tile, mode="clip")
+            for at, row in inside:
+                tile[at] += block[row]
+            _subset_sums(tile, r, width)
+            yield (outer << r << k) + c0, tile
 
 
 def _exact(table: ScoreTable, scores) -> tuple:
@@ -511,7 +543,7 @@ def _exact(table: ScoreTable, scores) -> tuple:
     maximum in lexicographic order.
 
     The points are taken one tile of :func:`_value_tiles` at a time, the
-    objective's and every side constraint's at the same columns, so no
+    objective's and every side constraint's at the same points, so no
     table of all 2^n values is ever held.  With V / L a side
     constraint's value, V an integer, V / L >= lower exactly when V >=
     lo = ceil(lower * L), and V / L <= upper exactly when V <= hi =
@@ -519,15 +551,14 @@ def _exact(table: ScoreTable, scores) -> tuple:
     and of its positive integers, so a bound that every point meets is
     dropped, a window that none meets raises before any tile, and a side
     with no bound left is not tiled; the bounds left are in the tiles'
-    dtype.  Each tile offers its first feasible maximum; the largest
-    value wins, the smallest index on ties, and a later tile can hold a
-    smaller index."""
+    dtype.  Each tile offers its first feasible maximum, at the tile's
+    offset plus its flat position; a later tile holds only larger
+    indices, so its maximum is kept only when strictly larger."""
     n = table.n
     if n > EXACT_CAP:
         raise ValueError(
             f"{n} variables exceeds the brute-force cap {EXACT_CAP}"
         )
-    k = n // 2
     kept, windows = [], []  # the sides with a bound left, their (lo, hi)
     for q, lower, upper in scores:
         least = sum(c for c in q.coeffs if c < 0)
@@ -539,17 +570,15 @@ def _exact(table: ScoreTable, scores) -> tuple:
         if lo > least or hi < most:
             kept.append(q)
             windows.append((lo if lo > least else None, hi if hi < most else None))
-    best = []  # per tile, (value, -index) of its first feasible maximum
+    best = None  # (value, index) of the first feasible maximum so far
     tiles = zip(_value_tiles(table), *map(_value_tiles, kept))
-    for (c0, values), *sides in tiles:
+    for (offset, values), *sides in tiles:
         j = _first_maximum(values, [side for _, side in sides], windows)
-        if j is not None:
-            high, low = divmod(j, values.shape[1])
-            best.append((int(values.flat[j]), -(high << k | c0 + low)))
-    if not best:
+        if j is not None and (best is None or values.flat[j] > best[0]):
+            best = int(values.flat[j]), offset + j
+    if best is None:
         raise ValueError("no Boolean point satisfies the constraints")
-    value, index = max(best)
-    index = -index
+    value, index = best
     z = tuple((index >> (n - 1 - i)) & 1 for i in range(n))
     return z, Fraction(value, table.scale)
 
@@ -557,7 +586,7 @@ def _exact(table: ScoreTable, scores) -> tuple:
 def _first_maximum(values, sides, windows):
     """Flat position of the first maximum of a tile among its entries
     inside every side window, or None when no entry is; sides holds the
-    side constraints' tiles at the same columns."""
+    side constraints' tiles at the same points."""
     if not sides:
         return int(np.argmax(values))
     feasible = np.ones(values.shape, dtype=bool)
@@ -580,9 +609,10 @@ def exact_solve(instance: Instance | PreparedInstance) -> tuple:
     prepared instance is not normalized again.
 
     Returns (z, value) with z the lexicographically smallest optimum.
-    The points are scored a tile of at most TILE at a time, so memory
-    stays near one tile per polynomial plus a table of 2^(n // 2) entries
-    per distinct high part of its monomials, never 2^n values.
+    The points are scored a tile of at most TILE consecutive indices at
+    a time, so memory stays near one tile per polynomial plus a table of
+    2^(n // 2) entries per distinct high part of its monomials, never 2^n
+    values.
     """
     if isinstance(instance, Instance):
         # The brute force only scores: no greedy-rounding tables.

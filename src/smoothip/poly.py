@@ -46,17 +46,19 @@ class Polynomial:
     ):
         if n < 1:
             raise ValueError("need at least one variable")
-        merged: dict[Monomial, Fraction] = {}
+        # Ints are merged as ints, anything else as its exact Fraction;
+        # each kept sum is made a Fraction once, at the end.
+        merged: dict[Monomial, Fraction | int] = {}
         for mono, coeff in (coeffs or {}).items():
-            value = Fraction(coeff)
+            value = coeff if type(coeff) is int else Fraction(coeff)
             if value == 0:
                 continue
             key = tuple(sorted(mono))
             for i in key:
                 if not 0 <= i < n:
                     raise ValueError(f"variable index {i} outside [0, {n})")
-            merged[key] = merged.get(key, Fraction(0)) + value
-        merged = {k: v for k, v in merged.items() if v != 0}
+            merged[key] = merged.get(key, 0) + value
+        merged = {k: Fraction(v) for k, v in merged.items() if v != 0}
         actual = max((len(k) for k in merged), default=0)
         if degree is None:
             degree = actual

@@ -226,8 +226,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a given seed."""
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    if n < 0:
-        raise ValueError("negative vertex count")
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got {n}")
     rng = random.Random(seed)
     edges = [
         (i, j)

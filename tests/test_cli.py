@@ -136,6 +136,15 @@ def test_gen_rejects_bad_parameters(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("n", ("0", "-3"))
+def test_gen_rejects_a_graph_without_vertices(capsys, n):
+    # A "p edge 0 0" file would be rejected by every command that reads it.
+    code, out, err = run(capsys, "gen", "maxcut", "--n", n, "--p", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need at least one vertex, got {n}\n"
+
+
 def test_unknown_flags_exit_2(capsys):
     assert main(["gen", "maxcut", "--Q", "1"]) == 2
     assert main([]) == 2

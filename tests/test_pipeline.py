@@ -674,14 +674,14 @@ def test_exact_agrees_with_enumeration():
 
 def value_table(table: ScoreTable):
     """(values, L): the values at all 2^n points, in index order,
-    assembled from the brute force's tiles."""
-    n, k = table.n, table.n // 2
+    assembled from the brute force's tiles, each the index range from
+    its offset."""
     values = None
-    for c0, tile in _value_tiles(table):
+    for offset, tile in _value_tiles(table):
         if values is None:
-            values = np.empty((1 << (n - k), 1 << k), dtype=tile.dtype)
-        values[:, c0:c0 + tile.shape[1]] = tile
-    return values.reshape(-1), table.scale
+            values = np.empty(1 << table.n, dtype=tile.dtype)
+        values[offset:offset + tile.size] = tile.reshape(-1)
+    return values, table.scale
 
 
 def assert_table_matches_reference(p, dtype=None):
@@ -934,24 +934,37 @@ def test_tiled_brute_force_agrees_with_the_butterfly_and_enumeration(case):
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_a_tie_goes_to_the_smaller_index_in_a_later_tile(
-    monkeypatch, scale
-):
+def test_a_tie_between_tiles_goes_to_the_earlier_tile(monkeypatch, scale):
     # n = 2 splits into one high variable z_0 and one low one z_1, and a
-    # tile of 2 entries is one column: the first tile holds z = (0, 0)
-    # and (1, 0), the second (0, 1) and (1, 1).  The cut of one edge
-    # takes its maximum at (1, 0), in the first tile, and at (0, 1), the
-    # smaller index, in the second; (0, 1) must win.
+    # tile of 2 entries is one row: the first tile holds z = (0, 0) and
+    # (0, 1), the second, from index 2, (1, 0) and (1, 1).  The cut of
+    # one edge takes its maximum at (0, 1) in the first tile and at
+    # (1, 0) in the second; the earlier tile's (0, 1) must win.
     monkeypatch.setattr(pipeline, "TILE", 2)
     p = Polynomial(2, {(0,): scale, (1,): scale, (0, 1): -2 * scale})
     tiles = [
-        (c0, tile.reshape(-1).tolist())
-        for c0, tile in _value_tiles(ScoreTable(p))
+        (offset, tile.reshape(-1).tolist())
+        for offset, tile in _value_tiles(ScoreTable(p))
     ]
-    assert tiles == [(0, [0, scale]), (1, [scale, 0])]
+    assert tiles == [(0, [0, scale]), (2, [scale, 0])]
     count = Polynomial(2, {(0,): 1, (1,): 1})
     for constraints in ((), ((count, None, 2),), ((count, 1, 1),)):
         assert exact_solve(Instance(p, constraints)) == ((0, 1), scale)
+
+
+@pytest.mark.parametrize("tile", (1, 2, 8, 1 << 10, 1 << 19))
+def test_tiles_are_consecutive_index_ranges_within_tile(monkeypatch, tile):
+    """From offset 0 up, each tile starts where the one before ended,
+    they cover all 2^n points and none holds more than TILE entries."""
+    monkeypatch.setattr(pipeline, "TILE", tile)
+    rng = random.Random(tile)
+    for n in range(1, 13):
+        table = ScoreTable(random_multilinear(rng, n, min(3, n)))
+        end = 0
+        for offset, values in _value_tiles(table):
+            assert offset == end and 0 < values.size <= tile
+            end += values.size
+        assert end == 1 << n
 
 
 def counted_value_tiles(monkeypatch) -> list:

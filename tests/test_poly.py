@@ -6,6 +6,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +107,88 @@ def test_constructor_merges_and_drops_zeros():
 def test_constructor_rejects_bad_index():
     with pytest.raises(ValueError):
         Polynomial(2, {(2,): 1})
+
+
+def fraction_at_a_time(n, coeffs, degree):
+    """What the constructor returns or raises, by the rule with one
+    Fraction per term and one Fraction addition per repeated key:
+    ("ok", the coefficients' items in order, the degree) or ("raises",
+    the exception's type and message)."""
+    try:
+        if n < 1:
+            raise ValueError("need at least one variable")
+        merged = {}
+        for mono, coeff in coeffs.items():
+            value = Fraction(coeff)
+            if value == 0:
+                continue
+            key = tuple(sorted(mono))
+            for i in key:
+                if not 0 <= i < n:
+                    raise ValueError(f"variable index {i} outside [0, {n})")
+            merged[key] = merged.get(key, Fraction(0)) + value
+        merged = {k: v for k, v in merged.items() if v != 0}
+        actual = max((len(k) for k in merged), default=0)
+        if degree is not None and degree < actual:
+            raise ValueError(f"declared degree {degree} below actual {actual}")
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "ok", list(merged.items()), actual if degree is None else degree
+
+
+def built(n, coeffs, degree):
+    """The constructor's result in fraction_at_a_time's terms."""
+    try:
+        p = Polynomial(n, coeffs, degree)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    assert all(type(v) is Fraction for v in p.coeffs.values())
+    return "ok", list(p.coeffs.items()), p.degree
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.fractions(-3, 3, max_denominator=6),
+    st.floats(-4, 4, width=16),
+    st.sampled_from((0.1, float("nan"), float("inf"))),
+    st.integers(-3, 3).map(np.int64),
+    st.booleans(),
+    st.sampled_from(("2", "-1/2", "0.25", " 3 ", "0", "x")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 4), max_size=3), COEFFS),
+        max_size=10,
+    ),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_constructor_is_the_fraction_at_a_time_rule(n, terms, degree):
+    """Ints, Fractions, floats, np.int64, bools and strings, keys that
+    repeat in another order, terms that cancel to zero, indices past n
+    and every error: the same values, key order and errors as the rule
+    that makes each coefficient a Fraction and adds them one by one."""
+    coeffs = {tuple(mono): coeff for mono, coeff in terms}
+    assert built(n, coeffs, degree) == fraction_at_a_time(n, coeffs, degree)
+
+
+def test_constructor_keeps_the_first_key_order_through_cancellation():
+    coeffs = {
+        (1, 0): 2, (2,): Fraction(1, 3), (0, 2): 2**70, (): True,
+        (0, 1): -2, (2, 2): np.int64(4), (0,): 0.5, (2, 0): 1 - 2**70,
+        (1,): "1/2", (3,): 0,
+    }
+    p = Polynomial(3, coeffs)
+    assert list(p.coeffs.items()) == [
+        ((2,), Fraction(1, 3)), ((0, 2), Fraction(1)), ((), Fraction(1)),
+        ((2, 2), Fraction(4)), ((0,), Fraction(1, 2)),
+        ((1,), Fraction(1, 2)),
+    ]
+    assert p.degree == 2
 
 
 def test_declared_degree_override():

@@ -295,6 +295,9 @@ def test_ksat_clauses_use_distinct_variables():
 def test_generator_parameter_validation():
     with pytest.raises(ValueError):
         gen_gnp(5, 1.5, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            gen_gnp(n, 0.5, 0)
     with pytest.raises(ValueError):
         gen_ksat(3, 5, 4, 0)
     with pytest.raises(ValueError):
