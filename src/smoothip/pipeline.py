@@ -455,9 +455,9 @@ def solve_constrained(
 
 def _subset_sums(a, bits: int, run: int) -> None:
     """Yates' subset-sum transform of the array a, in place, over the
-    `bits` bits of its flat index just above the lowest log2(run): the
-    pass for each bit adds every entry with the bit clear to the entry
-    with it set, stretches of run << b entries at bit b above them."""
+    `bits` index bits just above its lowest log2(run): the pass for the
+    b-th adds each stretch of run << b entries with that bit clear to
+    the stretch with it set.  No view of a outlives the call."""
     for b in range(bits):
         view = a.reshape(-1, 2, run << b)
         view[:, 1] += view[:, 0]
@@ -517,20 +517,20 @@ def _value_tiles(table: ScoreTable):
         r, width = min(n - k, (TILE // cols).bit_length() - 1), cols
     else:
         r, width = 0, 1 << (TILE.bit_length() - 1)
-    first = np.full(1 << r, zero)  # per inner part, its row of outer 0
+    base = np.full(1 << r, zero)  # per inner part, its row of outer 0
     more = []  # (outer part, inner part, row) of the other rows
     for h, row in rows.items():
         if h >> r:
             more.append((h >> r, h & ((1 << r) - 1), row))
         else:
-            first[h] = row
+            base[h] = row
     tile = np.empty((1 << r, width), dtype=dtype)
     for outer in range(1 << (n - k - r)):
         inside = [(at, row) for part, at, row in more if part & ~outer == 0]
         for c0 in range(0, cols, width):
             block = low[:, c0:c0 + width]
             # mode="clip" writes into the tile unbuffered.
-            np.take(block, first, axis=0, out=tile, mode="clip")
+            np.take(block, base, axis=0, out=tile, mode="clip")
             for at, row in inside:
                 tile[at] += block[row]
             _subset_sums(tile, r, width)
