@@ -136,7 +136,7 @@ def _prediction_for(flag: str, prepared: PreparedInstance, seed: int):
             f"prediction source {flag!r} is not exact, perturb:EPS, "
             "or file:PATH"
         )
-    n = prepared.greedy.n
+    n = prepared.table.n
     if n > EXACT_CAP:
         raise ValueError(
             f"--prediction {flag} brute-forces the optimum, but "
@@ -229,6 +229,16 @@ def cmd_sweep(args) -> int:
         raise ValueError("--trials must be at least 1")
     # The checks every cell's SolveConfig makes, made once up front.
     SolveConfig(strategy=args.strategy, k=args.k)
+    # A row is labelled by its file's stem, so no two files may share one.
+    stems: dict = {}
+    for path in args.instances:
+        stem = Path(path).stem
+        if stem in stems:
+            raise ValueError(
+                f"{stems[stem]} and {path} share the label {stem!r}: "
+                "a sweep labels its rows by file stem"
+            )
+        stems[stem] = path
     instances = [load_instance(path) for path in args.instances]
     # Every file is checked before the first brute force starts.
     for path, instance in zip(args.instances, instances):
@@ -264,7 +274,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     opt = _parse_opt(args.opt)
     instance = load_instance(args.instance)
-    # Only what is printed: no greedy-rounding tables, no baseline.
+    # Only what is printed: no baseline is rounded.
     objective, scores = _scored(instance)
     beta = _beta(objective, scores)
     nodes = len(RelaxationPlan(objective).constants)

@@ -2,13 +2,13 @@
 
 :func:`prepare` does, once per instance, the work that no prediction
 changes.  It multilinearizes the objective and the side constraints and
-keeps each polynomial once, as integers over one denominator: the
-objective as its greedy-rounding tables, each side constraint as a score
-table.  The smoothness certificate beta and the relaxation plans are
-read off those tables, the brute force reads them too, and the
-all-halves baseline is rounded.  :func:`solve` takes an instance, which
-it prepares on entry, or a prepared one, so that a sweep or an
-empirical-risk selection does that work once for many predictions.
+keeps each polynomial once, as a score table of integers over one
+denominator.  The smoothness certificate beta and the relaxation plans
+are read off those tables, the brute force reads them too, and the
+all-halves baseline is rounded on the objective's plan, which greedy
+rounding reads.  :func:`solve` takes an instance, which it prepares on
+entry, or a prepared one, so that a sweep or an empirical-risk
+selection does that work once for many predictions.
 
 Per prediction, the relaxation computes its node values and each row's
 need; its rows and its float LP, warm-started at the prediction, are
@@ -71,7 +71,6 @@ from .relax import (  # noqa: F401
 )
 from .rat import sqrt_upper
 from .rounding import (
-    GreedyTables,
     greedy_round,
     randomized_round,
     rounding_deviation_term,
@@ -232,13 +231,13 @@ def _round_and_score(
     Boolean y rounds to itself under every seed, so it is not drawn on:
     z is y and every round has its value.  Otherwise each distinct z
     among the rounds is scored once."""
-    tables, scores = instance.greedy, instance.constraint_scores
+    table, scores = instance.table, instance.constraint_scores
     if config.strategy == GREEDY:
-        z = greedy_round(tables, y)
-        return z, tables.value(z), _violation(scores, z), ()
+        z = greedy_round(instance.plan, y)
+        return z, table.value(z), _violation(scores, z), ()
     if set(y) <= {0, 1}:
         z = tuple(map(int, y))
-        value = tables.value(z)
+        value = table.value(z)
         return (
             z, value, _violation(scores, z),
             (value,) * config.randomized_rounds,
@@ -248,7 +247,7 @@ def _round_and_score(
     for r in range(config.randomized_rounds):
         z = randomized_round(y, _round_seed(config.seed, eps, r))
         if z not in values:
-            values[z] = tables.value(z)
+            values[z] = table.value(z)
         seed_values.append(values[z])
     z, value = max(values.items(), key=lambda zv: zv[1])
     return z, value, _violation(scores, z), tuple(seed_values)
@@ -271,12 +270,11 @@ def _normalized(objective: Polynomial, constraints):
     return p.with_degree(max(2, p.degree)), tuple(normal)
 
 
-def _scored(instance: Instance, objective_table=ScoreTable) -> tuple:
-    """(objective, scores): the objective_table of the normalized
-    objective, and each normalized side constraint as (score table,
-    lower, upper)."""
+def _scored(instance: Instance) -> tuple:
+    """(objective, scores): the score table of the normalized objective,
+    and each normalized side constraint as (score table, lower, upper)."""
     p, constraints = _normalized(instance.objective, instance.constraints)
-    return objective_table(p), tuple(
+    return ScoreTable(p), tuple(
         (ScoreTable(q), lower, upper) for q, lower, upper in constraints
     )
 
@@ -294,38 +292,36 @@ def _beta(objective: ScoreTable, scores) -> Fraction:
 class PreparedInstance:
     """What every solve of one instance shares, whatever the prediction.
 
-    The smoothness certificate beta, the relaxation plan of the
-    normalized objective and one side plan per side constraint
-    (:mod:`smoothip.relax`), the objective's greedy-rounding tables, which
-    also score its Boolean points and give its n and degree, one (score
-    table, lower, upper) per side constraint, the baseline candidate
-    (greedy rounding of the all-halves point, which depends on the
-    objective alone) and the instance's label.  Each polynomial is held
-    once, as its integer score table, plus the plan read off it.  Built
-    by :func:`prepare`; compares by value and pickles.
+    The smoothness certificate beta; the normalized objective's
+    relaxation plan, which greedy rounding reads too, and one side plan
+    per side constraint (:mod:`smoothip.relax`); the objective's score
+    table, which scores its Boolean points and gives its n and degree,
+    and one (score table, lower, upper) per side constraint; the
+    baseline candidate (greedy rounding of the all-halves point, which
+    depends on the objective alone) and the instance's label.  Built by
+    :func:`prepare`; compares by value and pickles.
     """
 
     beta: Fraction
     plan: RelaxationPlan
     constraint_plans: tuple
-    greedy: GreedyTables
+    table: ScoreTable
     constraint_scores: tuple
     baseline: Candidate
     label: str
 
 
 def prepare(instance: Instance) -> PreparedInstance:
-    """Normalize an instance, build its greedy-rounding and scoring
-    tables, read its smoothness certificate and relaxation plans off
-    them and round its baseline, once; pass the result to :func:`solve`
-    in place of the instance to solve it for many predictions."""
-    greedy, scores = _scored(instance, GreedyTables)
-    beta = _beta(greedy, scores)
-    z = greedy_round(greedy, (0.5,) * greedy.n)
+    """Normalize an instance, build its score tables and relaxation
+    plans, certify its smoothness and round its baseline, once; pass the
+    result to :func:`solve` in place of the instance to solve it for
+    many predictions."""
+    table, scores = _scored(instance)
+    plan = RelaxationPlan(table)
+    z = greedy_round(plan, (0.5,) * table.n)
     return PreparedInstance(
-        beta, RelaxationPlan(greedy),
-        constraint_plans(scores), greedy, scores,
-        Candidate("baseline", z, greedy.value(z), _violation(scores, z)),
+        _beta(table, scores), plan, constraint_plans(scores), table, scores,
+        Candidate("baseline", z, table.value(z), _violation(scores, z)),
         instance.label,
     )
 
@@ -339,14 +335,14 @@ def solve(
     of one; see the module docstring."""
     if isinstance(instance, Instance):
         instance = prepare(instance)
-    greedy, scores = instance.greedy, instance.constraint_scores
-    n, d, beta = greedy.n, greedy.degree, instance.beta
+    table, scores = instance.table, instance.constraint_scores
+    n, d, beta = table.n, table.degree, instance.beta
     xhat = prediction_point(prediction, n)
     constrained = bool(scores)
 
     candidates = [
         Candidate(
-            "prediction", xhat, greedy.value(xhat), _violation(scores, xhat)
+            "prediction", xhat, table.value(xhat), _violation(scores, xhat)
         )
     ]
     if config.include_baseline_candidate:
@@ -356,7 +352,7 @@ def solve(
     grid = _grid(config, n)
     if n <= d:
         # The relaxation's analysis needs n > d; brute force instead.
-        z, value = _exact(greedy, scores)
+        z, value = _exact(table, scores)
         candidates.append(Candidate("exact", z, value, Fraction(0)))
     else:
         relaxation = prepare_relaxation(
@@ -615,9 +611,9 @@ def exact_solve(instance: Instance | PreparedInstance) -> tuple:
     values.
     """
     if isinstance(instance, Instance):
-        # The brute force only scores: no greedy-rounding tables.
+        # The brute force only scores: no relaxation plan.
         return _exact(*_scored(instance))
-    return _exact(instance.greedy, instance.constraint_scores)
+    return _exact(instance.table, instance.constraint_scores)
 
 
 # -- theoretical floors -------------------------------------------------
@@ -660,7 +656,7 @@ def guarantee_bound(
         objective, scores = _scored(instance)
         beta = _beta(objective, scores)
     else:
-        objective, scores = instance.greedy, instance.constraint_scores
+        objective, scores = instance.table, instance.constraint_scores
         beta = instance.beta
     _, opt = _exact(objective, scores)
     return guarantee_floor(

@@ -179,10 +179,12 @@ class RelaxationPlan:
     (None for the root), d the table's declared degree; a childless
     node's row could never bind.  ``width`` sums the level factors of
     every component node, 1 <= |I| <= d - 1, childless ones included,
-    for a side window.  ``offset`` is the top-level constant c.  Raises
-    ValueError on a polynomial that is not multilinear.  Immutable by
-    convention, like :class:`~smoothip.poly.ScoreTable`; compares by
-    value and pickles.
+    for a side window.  ``offset`` is the top-level constant c.  For
+    greedy rounding, ``depths[k]`` is |I| for node k and ``edges[i]``
+    the (position of I, position of I + (i,)) of every node ending in
+    x_i, in sorted key order.  Raises ValueError on a polynomial that is
+    not multilinear.  Immutable by convention, like
+    :class:`~smoothip.poly.ScoreTable`; compares by value and pickles.
     """
 
     def __init__(self, table: ScoreTable):
@@ -198,8 +200,9 @@ class RelaxationPlan:
         keys = sorted(nodes)
         last = len(keys) - 1
         seen = [last] * (d + 1)
-        count = [0] * (d + 1)
         children: list = [[] for _ in keys]
+        depths = [0] * len(keys)
+        edges: list = [[] for _ in range(table.n)]
         for i in range(1, len(keys)):
             key = keys[i]
             depth = len(key)
@@ -210,8 +213,9 @@ class RelaxationPlan:
                     "the relaxation needs a multilinear polynomial"
                 )
             seen[depth] = last - i
-            count[depth] += 1
+            depths[last - i] = depth
             children[seen[depth - 1]].append((key[-1], last - i))
+            edges[key[-1]].append((seen[depth - 1], last - i))
         constant = dict(zip(monomials, table.coeffs))
         width = {
             depth: _level_factor(table.n, d, depth).as_integer_ratio()
@@ -232,8 +236,10 @@ class RelaxationPlan:
             ]
         )
         self.top = tuple(children[last])
+        self.depths = tuple(depths)
+        self.edges = tuple(map(tuple, edges))
         self.width = sum(
-            [count[depth] * Fraction(*width[depth]) for depth in width],
+            [depths.count(depth) * Fraction(*width[depth]) for depth in width],
             Fraction(0),
         ).as_integer_ratio()
 

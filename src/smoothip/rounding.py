@@ -7,14 +7,13 @@ Greedy deterministic rounding fixes coordinates in ascending order, each
 time choosing the value that maximizes the objective with earlier
 coordinates already integral and later ones still fractional; for
 multilinear objectives this never decreases the objective, so p(z) >= p(y)
-holds exactly.  This is the method of conditional expectations: each step
-is the sign of one margin, computed on integers over shared denominators,
-so it is exact without any rational arithmetic.  What the margins need of
-the objective alone (the multilinearity check, the coefficients over one
-denominator and, per variable, the monomials that touch it) is a
-:class:`GreedyTables`, built once per objective and passed to
-``greedy_round`` in place of the polynomial; a call then converts only
-the point.
+holds exactly.  This is the method of conditional expectations on the
+tree of p = c + sum_i x_i * p_i(x) that the relaxation linearizes: each
+step is the sign of one margin, a sum over the tree's edges into the
+step's variable, exact on integers over shared denominators.  It keeps
+no tables of its own: ``greedy_round`` takes the objective's
+:class:`~smoothip.relax.RelaxationPlan`, built once, in place of the
+polynomial.
 
 The radius calculators quantify how far randomized rounding can move the
 objective.  ``rounding_error_bound`` is the high-probability radius used in
@@ -55,57 +54,36 @@ def randomized_round(y: Sequence, seed: int) -> tuple:
     return tuple((draws < probs).astype(int).tolist())
 
 
-class GreedyTables(ScoreTable):
-    """What greedy rounding needs of a multilinear objective, built once.
-
-    A :class:`~smoothip.poly.ScoreTable` of the objective, so the same
-    tables also score Boolean points, plus per variable the monomials that
-    touch it.  Each monomial m is kept as its integer C_m = c_m * L and
-    its degree gap d - |m|, with d the declared degree:
-    ``touching[i]`` lists, for each monomial m that holds x_i, the other
-    variables of m as a tuple, C_m and the gap.  Building the tables
-    raises ValueError on an objective that is not multilinear, seen as
-    two equal neighbours in a (sorted) monomial.
-    """
-
-    def __init__(self, p: Polynomial):
-        super().__init__(p)
-        touching: list = [[] for _ in range(p.n)]
-        for mono, coeff in zip(self.monomials, self.coeffs):
-            gap = self.degree - len(mono)
-            previous = -1
-            for at, i in enumerate(mono):
-                if i == previous:
-                    raise ValueError(
-                        "greedy rounding needs a multilinear objective"
-                    )
-                previous = i
-                touching[i].append((mono[:at] + mono[at + 1:], coeff, gap))
-        self.touching = tuple(map(tuple, touching))
-
-
-def greedy_round(p: Polynomial | GreedyTables, y: Sequence) -> tuple:
+def greedy_round(p: Polynomial | RelaxationPlan, y: Sequence) -> tuple:
     """Coordinate-ascent rounding; requires a multilinear objective, given
-    as a polynomial or as its :class:`GreedyTables`.
+    as a polynomial or as its :class:`~smoothip.relax.RelaxationPlan`.
 
     At step i the choice is argmax over z_i in {0, 1} of the objective with
     coordinates before i already fixed and coordinates after i still at y.
     Ties go to the Boolean value nearest y_i, then to 0.  The returned z
     satisfies p(z) >= p(y) exactly.
 
-    Each step is the sign of one margin, g_i(1) - g_i(0), taken exactly on
-    integers.  The tables hold the coefficients over one denominator L,
-    and the point is put over one denominator D (every float is dyadic, so
-    D is a power of two for float input), so c_m = C_m / L and y_j = Y_j /
-    D.  A monomial m touching i contributes C_m * D^(d - |m|) times the
-    product of the other Y_j, which is L * D^(d - 1) times its true
-    contribution: the integer margin is the true margin times a positive
-    constant and has the same sign.  A call given the tables computes only
-    D, the Y_j and the powers of D.
+    Each step is the sign of one margin, dp/dx_i at (z_<i, y_>i): the
+    sum, over the plan's edges I -> I + (i,), of [every variable of I
+    is 1 in z] times p_(I,i)(y).  It is taken exactly on integers, with
+    c_J = C_J / L over the plan's denominator L and y_j = Y_j / D over
+    the point's (a power of two for floats, which are dyadic).  One
+    child-first pass gives every node J the integer V_J = C_J * D^(d -
+    |J|) + sum over its children (J, j) of Y_j * V_(J,j), which is L *
+    D^(d - |J|) * p_J(y); an edge adds V_(I,i) * D^|I|, so the margin is
+    L * D^(d - 1) times the true one.
     """
-    tables = p if isinstance(p, GreedyTables) else GreedyTables(p)
-    if len(y) != tables.n:
-        raise ValueError(f"point length {len(y)}, expected {tables.n}")
+    plan = p
+    if isinstance(plan, Polynomial):
+        from .relax import RelaxationPlan  # relax imports this module
+        try:
+            plan = RelaxationPlan(ScoreTable(plan))
+        except ValueError:
+            raise ValueError(
+                "greedy rounding needs a multilinear objective"
+            ) from None
+    if len(y) != plan.n:
+        raise ValueError(f"point length {len(y)}, expected {plan.n}")
     point = []
     for v in y:
         # A float's ratio is the Fraction's, without making the Fraction.
@@ -114,26 +92,34 @@ def greedy_round(p: Polynomial | GreedyTables, y: Sequence) -> tuple:
             raise ValueError(f"coordinate {v} outside [0, 1]")
         point.append(x.as_integer_ratio())
     den = math.lcm(*(b for _, b in point))
-    current = [a * (den // b) for a, b in point]
-    powers = [den**k for k in range(tables.degree + 1)]
+    scaled = [a * (den // b) for a, b in point]
+    lift = [den ** (plan.degree - l) for l in range(plan.degree + 1)]
+    values = [c * lift[l] for c, l in zip(plan.constants, plan.depths)]
+    for _, k, _, children in plan.nodes:
+        total = values[k]
+        for j, child in children:
+            total += scaled[j] * values[child]
+        values[k] = total  # V_J, children first
 
+    # weight[k] is D^|I| for node k = I while every variable of I is 1
+    # in z, else 0; the root, last, has weight 1.
+    weight = [0] * (len(values) - 1) + [1]
     z = []
-    for i, touching in enumerate(tables.touching):
-        # L * D^(d-1) times the multilinear coefficient of x_i at the
-        # current mixed point.
+    for i, edges in enumerate(plan.edges):
         margin = 0
-        for others, coeff, gap in touching:
-            term = coeff * powers[gap]
-            for j in others:
-                term *= current[j]
-            margin += term
+        for parent, child in edges:
+            w = weight[parent]
+            if w:
+                margin += values[child] * w
         if margin > 0:
             choice = 1
         elif margin < 0:
             choice = 0
         else:
-            choice = 1 if 2 * current[i] > den else 0
-        current[i] = choice * den
+            choice = 1 if 2 * scaled[i] > den else 0
+        if choice:
+            for parent, child in edges:
+                weight[child] = weight[parent] * den
         z.append(choice)
     return tuple(z)
 

@@ -85,7 +85,7 @@ def every_round_scored(instance, y, config, eps) -> tuple:
     outcomes = []
     for r in range(config.randomized_rounds):
         z = loop_randomized_round(y, _round_seed(config.seed, eps, r))
-        outcomes.append((z, instance.greedy.value(z)))
+        outcomes.append((z, instance.table.value(z)))
     z, value = max(outcomes, key=lambda zv: zv[1])
     return (
         z, value, _violation(instance.constraint_scores, z),

@@ -418,20 +418,21 @@ def test_sweep_prepares_once_per_file(
 def test_sweep_builds_the_rounding_tables_once_per_file(
     two_instances, tmp_path, capsys, monkeypatch
 ):
-    """Greedy rounding's tables are built by prepare, once per file; a
-    solve of the prepared instance rounds every budget with them."""
-    tables = counted_calls(monkeypatch, rounding.GreedyTables, "__init__")
+    """Greedy rounding reads the objective's relaxation plan, which
+    prepare builds once per file; a solve of the prepared instance
+    rounds every budget on that plan and builds none."""
+    plans = counted_calls(monkeypatch, relax.RelaxationPlan, "__init__")
     rows = sweep_rows(capsys, tmp_path / "sweep.csv", *map(str, two_instances),
                       "--eps", "0,2,3", "--trials", "2")
     assert len(rows) == 12
-    assert len(tables) == 2
+    assert len(plans) == 2
     prepared = prepare(load_instance(two_instances[0]))
-    assert len(tables) == 3
+    assert len(plans) == 3
     rounded = counted_calls(monkeypatch, pipeline, "greedy_round")
     report = solve(prepared, (0, 1) * 3 + (0,), SolveConfig())
-    assert len(tables) == 3
+    assert len(plans) == 3
     assert len(rounded) > 1 and all(
-        args[0] is prepared.greedy for args in rounded
+        args[0] is prepared.plan for args in rounded
     )
     assert report.per_eps
 
@@ -440,9 +441,9 @@ def test_prepare_scans_each_polynomial_once_for_multilinearity(
     monkeypatch,
 ):
     """prepare looks for a repeated index once per polynomial, in
-    multilinearize; greedy rounding's tables and the relaxation plans
-    see a repeat inside loops they run anyway, without a scan of their
-    own."""
+    multilinearize; the relaxation plans, which greedy rounding reads
+    too, see a repeat inside the loop they run anyway, without a scan of
+    their own."""
     scans = [
         counted_calls(monkeypatch, module, "is_multilinear")
         for module in (poly, rounding, relax, pipeline)
@@ -515,6 +516,27 @@ def test_sweep_takes_no_opt(two_instances, brute_force_calls, capsys):
     assert code == 2
     assert out == "" and "--opt" in err
     assert brute_force_calls == []
+
+
+def test_sweep_rejects_two_files_that_share_a_stem(
+    tmp_path, capsys, monkeypatch
+):
+    """A sweep labels its rows by file stem, so the rows of a/g.graph
+    and b/g.graph could not be told apart: it exits 2 with one error
+    line naming both paths, before any file is loaded."""
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(str(tmp_path / folder / "g.graph"))
+        run(capsys, "gen", "maxcut", "--n", "6", "--seed", str(len(paths)),
+            "--out", paths[-1])
+    loads = counted_calls(monkeypatch, cli, "load_instance")
+    code, out, err = run(capsys, "sweep", *paths, "--eps", "0,2",
+                         "--trials", "2")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert paths[0] in err and paths[1] in err
+    assert loads == []
 
 
 @pytest.fixture

@@ -156,7 +156,7 @@ def test_determinism_bit_exact():
         assert first.objective_value == second.objective_value
 
 
-def test_warm_start_agrees_with_cold_start():
+def test_warm_start_agrees_with_the_lower_corner_start():
     # (1, 0, 0) is feasible at every budget; (0, 1, 1) breaks rows at
     # eps = 0, where phase 1 starts from it; both agree with the solve
     # from the lower corner, which breaks rows too.

@@ -614,8 +614,8 @@ def test_exact_honors_constraints():
 
 def test_exact_solve_of_an_instance_builds_no_greedy_tables(monkeypatch):
     """The brute force only scores, so exact_solve of a plain instance
-    builds no greedy-rounding tables, and returns what it returns for
-    the prepared instance."""
+    builds no relaxation plan, which greedy rounding reads, and returns
+    what it returns for the prepared instance."""
     cases = (
         Instance(TRIANGLE),
         Instance(maxksat_objective(gen_ksat(8, 30, 3, 2))),
@@ -624,9 +624,9 @@ def test_exact_solve_of_an_instance_builds_no_greedy_tables(monkeypatch):
     for inst in cases:
         expected = exact_solve(prepare(inst))
         calls = []
-        original = rounding.GreedyTables.__init__
+        original = relax.RelaxationPlan.__init__
         monkeypatch.setattr(
-            rounding.GreedyTables, "__init__",
+            relax.RelaxationPlan, "__init__",
             lambda self, *args: calls.append(args) or original(self, *args),
         )
         assert exact_solve(inst) == expected
@@ -1038,7 +1038,7 @@ def test_brute_force_holds_a_tile_not_the_table():
     for n, opt in ((20, 69), (24, 94)):
         graph = gen_gnp(n, 0.5, 7)
         prepared = prepare(Instance(maxcut_objective(graph)))
-        assert next(_value_tiles(prepared.greedy))[1].dtype == np.int16
+        assert next(_value_tiles(prepared.table))[1].dtype == np.int16
         (z, value), peak = traced_peak(lambda: exact_solve(prepared))
         assert value == cut_size(graph, z) == opt
         assert peak < 3 << 19
@@ -1115,7 +1115,7 @@ def test_guarantee_bound_with_n_at_most_d_is_opt():
     configs = (SolveConfig(), SolveConfig(strategy="randomized", k=2))
     for inst in cases:
         prepared = prepare(inst)
-        assert prepared.greedy.n <= prepared.greedy.degree
+        assert prepared.table.n <= prepared.table.degree
         _, opt = exact_solve(inst)
         for config in configs:
             for eps in range(inst.objective.n + 1):
@@ -1199,8 +1199,8 @@ def test_guarantee_bound_of_an_instance_builds_no_solve_tables(
     monkeypatch,
 ):
     """An unprepared instance is scored and certified for the brute
-    force, with neither greedy-rounding tables nor relaxation plans, and
-    gives the prepared instance's bound."""
+    force, with no relaxation plan, which greedy rounding would read,
+    and gives the prepared instance's bound."""
     cases = (
         Instance(TRIANGLE),
         Instance(maxksat_objective(gen_ksat(8, 30, 3, 2))),
@@ -1218,7 +1218,6 @@ def test_guarantee_bound_of_an_instance_builds_no_solve_tables(
     def refuse(*args):
         raise AssertionError("a solve table was built")
 
-    monkeypatch.setattr(pipeline, "GreedyTables", refuse)
     monkeypatch.setattr(pipeline, "RelaxationPlan", refuse)
     assert expected == [
         guarantee_bound(inst, eps, config)
@@ -1287,7 +1286,7 @@ def test_boolean_points_are_scored_from_integer_tables():
         assert len(prepared.constraint_scores) == len(constraints)
         for _ in range(8):
             z = tuple(random_bool_vector(rng, n))
-            assert prepared.greedy.value(z) == fraction_value(p, z)
+            assert prepared.table.value(z) == fraction_value(p, z)
             worst = Fraction(0)
             for q, lower, upper in constraints:
                 value = fraction_value(q, z)
@@ -1301,12 +1300,20 @@ def test_boolean_points_are_scored_from_integer_tables():
 def test_solve_of_a_prepared_instance_builds_nothing_per_objective(
     monkeypatch,
 ):
-    """prepare builds one relaxation plan for the objective, one side plan
-    and one score table per side constraint; a solve of the prepared
+    """prepare builds one score table and one relaxation plan per
+    polynomial: the objective's plan, which greedy rounding reads too,
+    and one side plan per side constraint; a solve of the prepared
     instance builds none of them."""
     built = {}
-    for name in ("RelaxationPlan", "constraint_plans", "ScoreTable",
-                 "GreedyTables"):
+    plans = built["plan builds"] = []
+    original_plan = relax.RelaxationPlan.__init__
+    monkeypatch.setattr(
+        relax.RelaxationPlan, "__init__",
+        lambda self, *args: (
+            plans.append(args) or original_plan(self, *args)
+        ),
+    )
+    for name in ("RelaxationPlan", "constraint_plans", "ScoreTable"):
         original = getattr(pipeline, name)
         built[name] = calls = []
         monkeypatch.setattr(
@@ -1320,8 +1327,8 @@ def test_solve_of_a_prepared_instance_builds_nothing_per_objective(
     prepared = prepare(inst)
     counts = {name: len(calls) for name, calls in built.items()}
     assert counts == {
-        "RelaxationPlan": 1, "constraint_plans": 1, "ScoreTable": 2,
-        "GreedyTables": 1,
+        "plan builds": 3, "RelaxationPlan": 1, "constraint_plans": 1,
+        "ScoreTable": 3,
     }
     assert len(prepared.constraint_plans) == 2
     for xhat in ((0, 1) * 4 + (0,), (1,) * 9):
@@ -1363,7 +1370,7 @@ def test_prepare_takes_maxksat_smoothness_at_the_collapsed_degree():
     assert p == Polynomial(3, {(): 1, (1,): 1, (2,): 1, (1, 2): -1})
     assert p.degree == 3 and min_smoothness(p) == Fraction(1, 3)
     prepared = prepare(Instance(p))
-    assert prepared.greedy.degree == 2 and prepared.beta == 1
+    assert prepared.table.degree == 2 and prepared.beta == 1
     report = solve(prepared, (0, 0, 0))
     assert (report.degree, report.beta) == (2, 1)
 

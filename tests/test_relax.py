@@ -61,7 +61,6 @@ from smoothip.relax import (
     tolerance,
 )
 from smoothip.rounding import (
-    GreedyTables,
     greedy_round,
     rounding_deviation_term,
 )
@@ -141,8 +140,10 @@ def tree_plan(tree) -> dict:
     """A plan's fields as the decomposition tree gives them: the tree's
     nodes numbered child-first, their constants over L, the nodes with
     children and top by those numbers, each component node's width by
-    the paper's schedule, and the plan's width summed over every
-    component node, childless ones included."""
+    the paper's schedule, the plan's width summed over every
+    component node, childless ones included, each node's depth, and per
+    variable i the (parent, child) edges into the nodes that end in i,
+    in sorted key order."""
     root = tree.root
     d = root.degree
     scale = math.lcm(*(c.denominator for c in root.coeffs.values()))
@@ -176,6 +177,15 @@ def tree_plan(tree) -> dict:
         "width": schedule_width(
             root.n, tuple((d, l, c) for l, c in sorted(depths.items()))
         ).as_integer_ratio(),
+        "depths": tuple(len(key) for key in keys),
+        "edges": tuple(
+            tuple(
+                (position[key[:-1]], position[key])
+                for key in reversed(keys)
+                if key and key[-1] == i
+            )
+            for i in range(root.n)
+        ),
     }
 
 
@@ -221,7 +231,8 @@ def test_unchecked_polynomials_with_a_repeat_are_rejected(repeat):
     """The plan sees a repeated index, at the start, the middle or the end
     of a monomial, without a scan of its own, so the constrained build,
     which takes its polynomials unchecked, raises on a repeat in the
-    objective or in a side constraint; so do greedy rounding's tables."""
+    objective or in a side constraint; so does greedy rounding, which
+    reads the plan."""
     clean = Polynomial(3, {(0, 1): 1, (2,): 1})
     repeated = Polynomial(3, {repeat: 1, (2,): 1})
     for prog in (
@@ -230,8 +241,6 @@ def test_unchecked_polynomials_with_a_repeat_are_rejected(repeat):
     ):
         with pytest.raises(ValueError, match="multilinear"):
             build_constrained_relaxation(prog, (0, 1, 0), 1, 1)
-    with pytest.raises(ValueError, match="multilinear"):
-        GreedyTables(repeated)
     with pytest.raises(ValueError, match="multilinear"):
         greedy_round(repeated, (0.5, 0.5, 0.5))
 

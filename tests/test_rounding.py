@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from exact_reference import fraction_greedy_round, loop_randomized_round
 from helpers import random_multilinear, random_point
-from smoothip.poly import Polynomial, evaluate
+from smoothip.poly import Polynomial, ScoreTable, evaluate
+from smoothip.relax import RelaxationPlan
 from smoothip.rounding import (
-    GreedyTables,
     greedy_round,
     randomized_round,
     rounding_deviation_term,
@@ -279,19 +279,28 @@ def test_greedy_rejects_a_non_finite_coordinate_as_outside(bad):
         assert str(got.value) == f"coordinate {bad} outside [0, 1]"
 
 
-# -- greedy-rounding tables ---------------------------------------------
+# -- greedy rounding on the relaxation plan -----------------------------
 
 
 @st.composite
 def table_objectives(draw):
     """Multilinear polynomials of degree 1-4 with a constant monomial and
-    at least one variable that appears in no monomial."""
+    at least one variable that appears in no monomial, and now and then
+    the empty or a constant-only polynomial; each declared up to two
+    degrees above its actual one, as prepare pads a linear objective to
+    degree 2."""
     n = draw(st.integers(2, 9))
+    coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+    above = draw(st.integers(0, 2))
+    shape = draw(st.integers(0, 5))
+    if shape == 0:
+        return Polynomial(n, {}, above)
+    if shape == 1:
+        return Polynomial(n, {(): draw(coeff.filter(bool))}, above)
     live = sorted(
         draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     )
     d = draw(st.integers(1, min(4, len(live))))
-    coeff = st.fractions(min_value=-8, max_value=8, max_denominator=12)
     monos = draw(
         st.lists(st.sets(st.sampled_from(live), max_size=d), max_size=14)
     )
@@ -302,7 +311,8 @@ def table_objectives(draw):
     for mono in monos:
         key = tuple(sorted(mono))
         coeffs[key] = coeffs.get(key, 0) + draw(coeff)
-    return Polynomial(n, coeffs)
+    p = Polynomial(n, coeffs)
+    return p.with_degree(p.degree + above)
 
 
 def unit_values():
@@ -319,22 +329,28 @@ def unit_values():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_tables_round_as_the_polynomial_and_the_fractions(data):
+    """Rounding on a polynomial's relaxation plan, or on the plan's
+    pickled copy, gives the z that the Fraction margins give."""
     p = data.draw(table_objectives())
-    tables = GreedyTables(p)
-    shipped = pickle.loads(pickle.dumps(tables))
-    assert shipped == tables
+    plan = RelaxationPlan(ScoreTable(p))
+    shipped = pickle.loads(pickle.dumps(plan))
+    assert shipped == plan
     for _ in range(3):
         y = data.draw(st.lists(unit_values(), min_size=p.n, max_size=p.n))
         z = fraction_greedy_round(p, y)
-        assert greedy_round(tables, y) == z
+        assert greedy_round(plan, y) == z
         assert greedy_round(shipped, y) == z
         assert greedy_round(p, y) == z
 
 
 def test_tables_reject_what_the_polynomial_rejects():
-    with pytest.raises(ValueError):
-        GreedyTables(Polynomial(2, {(0, 1): 1, (1, 1): 2}))
-    tables = GreedyTables(TRIANGLE)
+    """The plan refuses a polynomial that is not multilinear, and
+    rounding on the plan, or on its pickled copy, refuses every point
+    that rounding on the polynomial refuses."""
+    with pytest.raises(ValueError, match="multilinear"):
+        RelaxationPlan(ScoreTable(Polynomial(2, {(0, 1): 1, (1, 1): 2})))
+    plan = RelaxationPlan(ScoreTable(TRIANGLE))
+    shipped = pickle.loads(pickle.dumps(plan))
     for y in (
         (0.5, 0.5),
         (0.5, 0.5, 0.5, 0.5),
@@ -346,10 +362,9 @@ def test_tables_reject_what_the_polynomial_rejects():
         (0, -1, 0),
         (0.5, math.nan, 0.5),
     ):
-        with pytest.raises(ValueError):
-            greedy_round(tables, y)
-        with pytest.raises(ValueError):
-            greedy_round(TRIANGLE, y)
+        for objective in (plan, shipped, TRIANGLE):
+            with pytest.raises(ValueError):
+                greedy_round(objective, y)
 
 
 # -- concentration radius -----------------------------------------------
