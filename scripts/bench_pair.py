@@ -9,7 +9,7 @@ own ``perfbench/run.py --trace 0`` runs once in a fresh process, the two
 sides in alternating order (parent first on even pairs, change first on
 odd ones), so that a drift of the machine's speed falls on both.  The
 record, ``BENCH_<k>.json`` in the current directory, holds every run's
-result line, environment block and digests, and per workload and
+result line, environment block and digests, and per workload, seed and
 end-to-end metric the medians, the parent's quartiles and how many pairs
 the change won.
 
@@ -83,11 +83,16 @@ def metric(run: dict, name: str):
 
 
 def summarize(runs: list, spec: dict) -> dict:
-    """Per workload and end-to-end metric: both medians, the parent's
-    quartiles, the relative change of the median and the pairs won."""
+    """Per workload, seed and end-to-end metric: both medians, the
+    parent's quartiles, the relative change of the median and the pairs
+    won.  Seeds are kept apart: two seeds of one workload can differ in
+    speed by more than a change does."""
     summary: dict = {}
-    for workload in dict.fromkeys(run["workload"] for run in runs):
-        mine = [run for run in runs if run["workload"] == workload]
+    for workload, seed in dict.fromkeys(
+        (run["workload"], run["seed"]) for run in runs
+    ):
+        mine = [run for run in runs
+                if (run["workload"], run["seed"]) == (workload, seed)]
         table = {}
         for entry in spec["end_to_end"]:
             name = entry["name"]
@@ -119,7 +124,7 @@ def summarize(runs: list, spec: dict) -> dict:
                 ),
                 "pairs": len(pairs),
             }
-        summary[workload] = table
+        summary.setdefault(workload, {})[str(seed)] = table
     return summary
 
 

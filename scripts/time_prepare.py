@@ -1,9 +1,15 @@
-"""Time the per-instance work: the best of 7 ``prepare`` runs per instance.
+"""Time the per-instance and the per-prediction set-up: the best of 7
+runs of ``prepare``, and of one prediction's assembly, per instance.
 
 ``prepare`` normalizes an instance, builds its score tables and
 relaxation plans, reads its smoothness certificate and rounds its
 baseline.  The benchmark's traced run does not see it, so its cost
-shows here.  The instances:
+shows here.  Assembly is what a solve does around the alternating
+prediction before its simplex runs: ``prepare_relaxation`` and
+``Relaxation.lp()``, and, for every budget of the full grid below the
+saturation budget, ``windows(eps)`` and the work ``PreparedLp.solve``
+does before it builds its ``_Simplex`` (the check of the windows, the
+presolve and the slack bounds).  The instances:
 
 - the three grid workloads' instances at seed 7, built the way
   ``perfbench/workloads.py`` builds them: MAX-CUT of G(60, 0.3)
@@ -24,6 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from smoothip import lpsolve  # noqa: E402
 from smoothip.pipeline import Instance, prepare  # noqa: E402
 from smoothip.poly import Polynomial  # noqa: E402
 from smoothip.problems import (  # noqa: E402
@@ -32,6 +39,7 @@ from smoothip.problems import (  # noqa: E402
     maxcut_objective,
     maxksat_objective,
 )
+from smoothip.relax import prepare_relaxation  # noqa: E402
 
 REPEATS = 7
 SEED = 7
@@ -51,19 +59,52 @@ def instances():
     )
 
 
-def best_time(instance) -> float:
+class _Built(Exception):
+    """Raised where a solve would build its simplex."""
+
+
+def _stop(*args):
+    raise _Built
+
+
+def assemble(prepared) -> None:
+    """One prediction's assembly, the alternating prediction's."""
+    n = prepared.plan.n
+    relaxation = prepare_relaxation(
+        prepared.plan, tuple(i % 2 for i in range(n)), prepared.beta,
+        prepared.constraint_plans,
+    )
+    saturation = relaxation.saturation_budget(range(n + 1))
+    lp = relaxation.lp()
+    for eps in range(n + 1 if saturation is None else saturation):
+        try:
+            lp.solve(relaxation.windows(eps))
+        except _Built:
+            pass
+
+
+def best_time(work, *args) -> float:
     times = []
     for _ in range(REPEATS):
         started = time.perf_counter()
-        prepare(instance)
+        work(*args)
         times.append(time.perf_counter() - started)
     return min(times)
 
 
 def main() -> None:
-    print(f"prepare, best of {REPEATS}, ms")
-    for name, instance in instances():
-        print(f"{name:<20} {best_time(instance) * 1e3:9.3f}")
+    print(f"{f'best of {REPEATS}, ms':<20} {'prepare':>9}  {'assembly':>9}")
+    simplex = lpsolve._Simplex
+    lpsolve._Simplex = _stop
+    try:
+        for name, instance in instances():
+            prepared = prepare(instance)
+            print(
+                f"{name:<20} {best_time(prepare, instance) * 1e3:9.3f}"
+                f"  {best_time(assemble, prepared) * 1e3:9.3f}"
+            )
+    finally:
+        lpsolve._Simplex = simplex
 
 
 if __name__ == "__main__":

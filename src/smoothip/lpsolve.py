@@ -2,11 +2,11 @@
 
 Models are boxes plus two-sided linear rows: maximize c^T x + offset over
 a box of per-variable bounds l_j <= x_j <= u_j subject to lo_i <= a_i^T x
-<= hi_i.  The solver takes every row as integers over one positive
-denominator per row, works in floats and the caller re-evaluates
-objectives exactly after rounding, so float error never leaks into a
-reported bound.  An :class:`LpModel`, an LP in Fractions, is a record
-for reference; the solver does not read it.
+<= hi_i.  The solver takes the rows in compressed row storage, integers
+over one positive denominator per row, works in floats and the caller
+re-evaluates objectives exactly after rounding, so float error never
+leaks into a reported bound.  An :class:`LpModel`, an LP in Fractions,
+is a record for reference; the solver does not read it.
 
 The algorithm is a bounded-variable revised simplex.  Every row gets a slack
 variable (a_i^T x - s_i = 0 with s_i carrying the row bounds) and an
@@ -32,7 +32,7 @@ that sign, and a refresh rebuilds the inverse.
 :class:`PreparedLp` is the one way in; it prepares once everything but
 the row windows.  Every float in it is an integer over an integer
 divided once, correctly rounded, so it is the float of the exact Fraction.
-The row split sets apart the rows with one coefficient: they only bound
+Each row's count of coefficients sets apart the rows with one: they bound
 a variable, so a solve turns their windows into exact bounds by integer
 cross-multiplication, intersects them with the box and, when that leaves
 a variable no room or a general row's window is crossed, returns
@@ -65,7 +65,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -251,33 +251,46 @@ class _Simplex:
         self.Binv[leave_pos] = row
 
 
+class SparseRows(NamedTuple):
+    """An LP's rows in compressed row storage (Duff, Erisman & Reid,
+    1986): row i's nonzero coefficients are ``coeff[start[i]:start[i +
+    1]]``, in ascending ``column``, and its bounds ``lower[i]`` and
+    ``upper[i]`` (None when absent), all integers over the positive
+    ``denom[i]``; ``coeff`` is int64 or Python ints, the rest objects."""
+
+    start: np.ndarray
+    column: np.ndarray
+    coeff: np.ndarray
+    denom: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
 class PreparedLp:
     """The part of an LP that its row windows do not change, prepared once.
 
-    ``objective`` is (coeffs, denom), with one integer coefficient per
-    variable, and ``rows`` holds one (coeffs, lower, upper, denom) per
-    row: the row's nonzero coefficients only, as (j, c) pairs, and its
-    bounds, all integers over a positive integer denominator, a bound None
-    when absent.
-    ``var_bounds`` holds an exact (lo, hi) per variable, lo <= hi or
-    ValueError.  The warm start ``x`` is a point at a bound of every
-    variable, or ValueError, as is an x of the wrong length.  Prepared
-    here: which rows are empty or vacuous and which of the others have
-    one coefficient (``singles``) or more (``general``); the general
-    rows' numerators, row i over ``denoms[i]``, as the one exact matrix
-    ``integer`` and the float ``matrix`` read off it (it seeds each
-    solve's working matrix and serves its final row check); the cost,
-    the variable box, and x's exact activities ``integer @ X`` over each
-    row's denom * D, for X x over one denominator D (1 for a 0/1 point).
-    :meth:`solve` then takes one set of row windows in the same integer
-    form, whose absent bounds must be those of ``rows``.
+    ``objective`` is (coeffs, denom), one integer coefficient per
+    variable, and ``rows`` a :class:`SparseRows`.  ``var_bounds`` holds an
+    exact (lo, hi) per variable, lo <= hi or ValueError.  The warm start
+    ``x`` is a point at a bound of every variable, or ValueError, as is an
+    x of the wrong length.  Prepared here, from each row's count of
+    coefficients: which rows with a bound have none (``empty``), one
+    (``singles``, as (row, j, c, denom)) or more (``general``); the
+    general rows' numerators, row i over ``denoms[i]``, as the one exact
+    matrix ``integer`` and the float ``matrix`` read off it (it seeds each
+    solve's working matrix and serves its final row check); the cost, the
+    variable box, and x's exact activities ``integer @ X`` over each row's
+    denom * D, for X x over one denominator D (1 for a 0/1 point).
+    :meth:`solve` then takes one set of row windows, (lower, upper, denom)
+    arrays of one entry per row, None exactly where ``rows`` has no bound
+    (``present`` holds where it has one).
     """
 
     def __init__(
         self,
         objective: tuple,
         offset,
-        rows: Sequence,
+        rows: SparseRows,
         var_bounds: Sequence,
         x: Sequence,
     ):
@@ -287,49 +300,38 @@ class PreparedLp:
         self.exact_objective = objective, offset
         self.objective = tuple(c / cost_denom for c in costs)
         self.offset = float(offset)
-        self.rows = rows
-        self.num_rows = len(rows)
-        self.absent = tuple((lo is None, hi is None) for _, lo, hi, _ in rows)
-        self.empty: list[int] = []
-        self.general: list[int] = []
-        self.singles: list[tuple] = []  # (row, j, c, denom)
-        self.denoms: list[int] = []  # of the general rows
-        # The integer matrix is filled from each general row's nonzero
-        # pairs, at their offsets in the flattened matrix.
-        offsets: list[int] = []
-        values: list[int] = []
-        for i, (coeffs, lo, hi, denom) in enumerate(rows):
-            if lo is None and hi is None:
-                continue  # vacuous row
-            if not coeffs:
-                self.empty.append(i)
-                continue
-            if len(coeffs) == 1:
-                self.singles.append((i, *coeffs[0], denom))
-                continue
-            base = len(self.general) * n
-            self.general.append(i)
-            self.denoms.append(denom)
-            for j, c in coeffs:
-                offsets.append(base + j)
-                values.append(c)
+        self.num_rows = len(rows.denom)
+        self.present = np.not_equal([rows.lower, rows.upper], None)
+        bounded = self.present.any(axis=0)  # else vacuous: in none
+        counts = np.diff(rows.start)
+        general = bounded & (counts > 1)
+        self.empty = np.flatnonzero(bounded & (counts == 0)).tolist()
+        self.general = np.flatnonzero(general).tolist()
+        singles = np.flatnonzero(bounded & (counts == 1))
+        first = rows.start[singles]
+        self.singles = list(zip(  # (row, j, c, denom)
+            singles.tolist(), rows.column[first].tolist(),
+            rows.coeff[first].tolist(), rows.denom[singles].tolist(),
+        ))
+        # Each general row's entries go to its position among them.
+        kept = np.repeat(general, counts)
+        position = np.repeat(np.cumsum(general) - 1, counts)
+        values = rows.coeff[kept]
+        self.denoms = rows.denom[general].tolist()
         # The matrix is int64 while every denominator and |c| * n is below
         # 2^53, so that each is an exact float and a row's sum over a 0/1
         # point is exact; Python ints otherwise.  Either way the float
         # matrix is correctly rounded: IEEE division of exact floats, or
         # Python's int / int.
-        try:
-            ints = np.array(values, dtype=np.int64)
-            peak = max(-int(ints.min(initial=0)), int(ints.max(initial=0))) * n
-        except OverflowError:
-            peak = math.inf
-        if peak >= 2**53 or max(self.denoms, default=1) >= 2**53:
-            ints = np.array(values, dtype=object)  # Python ints
-        flat = np.zeros(len(self.general) * n, dtype=ints.dtype)
-        flat[offsets] = ints
-        self.integer = flat.reshape(len(self.general), n)
-        denoms = np.array(self.denoms, dtype=ints.dtype)
-        self.matrix = np.asarray(self.integer / denoms[:, None], dtype=float)
+        peak = max(-int(values.min(initial=0)), int(values.max(initial=0))) * n
+        fits = peak < 2**53 and max(self.denoms, default=1) < 2**53
+        dtype = np.int64 if fits else object
+        entries = position[kept], rows.column[kept]
+        self.integer = np.zeros((len(self.general), n), dtype=dtype)
+        self.integer[entries] = values
+        denoms = np.array(self.denoms, dtype=dtype)
+        self.matrix = np.zeros((len(self.general), n))
+        self.matrix[entries] = values.astype(dtype) / denoms[entries[0]]
         self.box = tuple(var_bounds)
         if any(lo > hi for lo, hi in self.box):
             raise ValueError("variable bounds crossed")
@@ -357,11 +359,12 @@ class PreparedLp:
             [a / d for a, d in zip(self.warm_activity, self.warm_denoms)]
         )
 
-    def slack_bounds(self, windows: Sequence) -> tuple:
+    def slack_bounds(self, windows: tuple) -> tuple:
         """Float lower and upper bounds of the general rows' slacks, each
         bound an integer divided by its denominator; infinite where
         absent."""
-        kept = [windows[i] for i in self.general]
+        lows, highs, denoms = windows
+        kept = [(lows[i], highs[i], denoms[i]) for i in self.general]
         return (
             np.array(
                 [-math.inf if lo is None else lo / d for lo, _, d in kept]
@@ -376,14 +379,15 @@ class PreparedLp:
         denoms[i] lies below, and above, row i's window, compared as
         integers: a / ad < lo / d exactly when a * d < lo * ad, both
         denominators being positive."""
+        lows, highs, ds = windows
         below, above = [], []
         for a, ad, i in zip(activities, denoms, self.general):
-            lo, hi, d = windows[i]
+            lo, hi, d = lows[i], highs[i], ds[i]
             below.append(lo is not None and a * d < lo * ad)
             above.append(hi is not None and a * d > hi * ad)
         return np.array(below, dtype=bool), np.array(above, dtype=bool)
 
-    def presolve(self, windows: Sequence) -> tuple | None:
+    def presolve(self, windows: tuple) -> tuple | None:
         """The box tightened by the one-coefficient rows' windows, or None
         when it is empty, an empty row's window excludes zero or a general
         row's window is crossed, lower above upper as integers.
@@ -396,18 +400,19 @@ class PreparedLp:
         box's floats with each bound tighter than the box put in as num /
         den.  An empty box is found exactly, in the same integers.
         """
+        lows, highs, denoms = windows
         for i in self.empty:
-            lo, hi, _ = windows[i]
+            lo, hi = lows[i], highs[i]
             if (lo is not None and lo > 0) or (hi is not None and hi < 0):
                 return None
         for i in self.general:
-            lo, hi, _ = windows[i]
+            lo, hi = lows[i], highs[i]
             if lo is not None and hi is not None and lo > hi:
                 return None
         lower: dict = {}
         upper: dict = {}
         for i, j, c, denom in self.singles:
-            lo, hi, d = windows[i]
+            lo, hi, d = lows[i], highs[i], denoms[i]
             if c < 0:  # c x in [lo, hi] is -c x in [-hi, -lo]
                 lo, hi = (
                     None if hi is None else -hi, None if lo is None else -lo
@@ -439,25 +444,25 @@ class PreparedLp:
                 var_ub[j] = num / den
         return var_lb, var_ub, lower, upper
 
-    def broken(self, windows: Sequence) -> tuple:
+    def broken(self, windows: tuple) -> tuple:
         """Two masks over the general rows: whether the warm start's exact
         activity lies below, and above, the row's window."""
         return self._outside(self.warm_activity, self.warm_denoms, windows)
 
-    def solve(self, windows: Sequence) -> LpSolution:
-        """Solve with rows lo_i <= a_i . x <= hi_i for the given (lower,
-        upper, denom) windows, one per row.
+    def solve(self, windows: tuple) -> LpSolution:
+        """Solve with rows lo_i <= a_i . x <= hi_i for the given windows,
+        (lower, upper, denom) arrays of one entry per row.
 
         Returns status optimal / infeasible / unbounded /
         numerical-failure.  The optimal y is clamped into the variable box
         and satisfies every row within FEAS_TOL; otherwise the status says
         numerical-failure.
         """
-        if len(windows) != self.num_rows or any(
-            (lo is None, hi is None) != absent
-            for (lo, hi, _), absent in zip(windows, self.absent)
+        if {len(w) for w in windows} != {self.num_rows} or not np.array_equal(
+            np.not_equal(windows[:2], None), self.present
         ):
             raise ValueError("windows do not match the prepared rows")
+        windows = tuple(w.tolist() for w in windows)  # read row by row
         presolved = self.presolve(windows)
         if presolved is None:
             return LpSolution(INFEASIBLE, tuple(self.var_lb.tolist()), None)

@@ -29,33 +29,38 @@ polynomial alone is a :class:`RelaxationPlan`, read once off its
 :class:`~smoothip.poly.ScoreTable` (a :class:`SidePlan` adds a side
 constraint's window).  Rows exist only for the nodes I with children:
 a childless node's row reads 0 in 0 +- delta_I, which no budget breaks,
-though a side window still widens by its tolerance.  Per prediction,
-one child-first pass over those nodes computes every node value
+though a side window still widens by its tolerance.  The plan keeps
+the rows' edges (row, j, child node) as index arrays.  Per prediction,
+one child-first pass over the nodes computes every node value
 p_I(xhat), an integer over the table's L, by the reconstruction
 identity p_I(xhat) = c_I + sum over j with xhat_j = 1 of p_(I,j)(xhat),
 and each row's need (how wide its window must grow before it cannot
 cut the box), kept as one exact bound per prediction.  A
-:class:`Relaxation` holds those; it builds its rows, all integers over
-one denominator, only when an LP reads them, and ``windows(eps)``,
-``model(eps)`` and ``lp()`` give one budget's bounds, its exact
-Fraction LP and the float LP that every budget shares, warm-started at
-the prediction.  Once every row's range over [0,1]^n lies strictly
-inside its window, no row can cut the box: the first grid budget where
-that holds is the saturation budget, and every larger budget is
-saturated too, since the windows nest.  The test reads the stored
-bound: beta * sqrt_upper(n * eps) must exceed it.
+:class:`Relaxation` holds those; only when an LP reads its rows does it
+gather the node values through the edge arrays into one
+:class:`~smoothip.lpsolve.SparseRows`, integers over one denominator
+per row.  ``windows(eps)``, ``model(eps)`` and ``lp()`` give one
+budget's bounds as arrays, its exact Fraction LP and the float LP that
+every budget shares, warm-started at the prediction.  Once every row's
+range over [0,1]^n lies strictly inside its window, no row can cut the
+box: the first grid budget where that holds is the saturation budget,
+and every larger budget is saturated too, since the windows nest.  The
+test reads the stored bound: beta * sqrt_upper(n * eps) must exceed it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .lpsolve import LpModel, PreparedLp
+import numpy as np
+
+from .lpsolve import LpModel, PreparedLp, SparseRows
 # decompose and evaluate are not called here, since plans are read off
 # the monomials and rows come from node values; the names stay in this
 # module's namespace, where the benchmark's traced run
@@ -116,31 +121,6 @@ def tolerance(
     return Fraction(beta) * _level_factor(n, d, tuple_len) * sqrt_upper(n * eps)
 
 
-class Row(NamedTuple):
-    """One relaxation row, without its eps-dependent tolerance.
-
-    ``coeffs`` holds the row's nonzero coefficients only, as (j, c) pairs
-    in ascending j.  Every number of the row is an integer over the
-    positive ``denom``: the coefficient of x_j is c / denom for its pair
-    (j, c) and 0 for a j without one, the lower bound lower / denom, and
-    so on.  ``width`` is the row's eps-free width a / b as the integer
-    pair (a, b), b > 0: at budget eps the row reads lower - w <= coeffs .
-    x <= upper + w with w = a / b * beta * sqrt(n * eps).  A component row
-    of p_I has key I, lower = upper = p_I(xhat) - c_I and the level factor
-    of depth |I| as its width; a side constraint's top-level window has
-    key (), its bounds minus the constraint's constant, and the sum of
-    the level factors of that constraint's component nodes (rows or not)
-    as its width.
-    """
-
-    key: tuple
-    coeffs: tuple
-    denom: int
-    lower: int | None
-    upper: int | None
-    width: tuple
-
-
 def _need(lower, upper, low: int, high: int) -> int | None:
     """max(lower - low, high - upper) over the bounds present, or None
     when both are absent: with [low, high] the exact range of a row's
@@ -149,15 +129,6 @@ def _need(lower, upper, low: int, high: int) -> int | None:
     if lower is None:
         return None if upper is None else high - upper
     return lower - low if upper is None else max(lower - low, high - upper)
-
-
-def _pairs(values: list, children, factor: int = 1) -> tuple:
-    """The (j, value * factor) pairs of the children whose value is
-    nonzero, in ascending j."""
-    # A list first: a tuple built from a generator grows by realloc, and
-    # over many predictions that fragments the heap.
-    pairs = [(j, v * factor) for j, k in children if (v := values[k])]
-    return tuple(pairs)
 
 
 class RelaxationPlan:
@@ -173,18 +144,22 @@ class RelaxationPlan:
     (I, j) comes before I and the root is last; ``constants[k]`` is c_I *
     L for node k.  ``nodes`` holds (key, k, width, pairs) for every node
     k that has children, in that order, its pairs (j, position of (I,
-    j)) in ascending j; ``top`` is the root's pairs.  Its entries before
-    the root, read in reverse (sorted key order), are the component
-    rows, width the level factor of depth |I| as an integer pair (a, b)
-    (None for the root), d the table's declared degree; a childless
-    node's row could never bind.  ``width`` sums the level factors of
+    j)) in ascending j, width the level factor of depth |I| as an integer
+    pair (a, b) (None for the root), d the table's declared degree;
+    ``top`` is the root's pairs.  ``width`` sums the level factors of
     every component node, 1 <= |I| <= d - 1, childless ones included,
     for a side window.  ``offset`` is the top-level constant c.  For
     greedy rounding, ``depths[k]`` is |I| for node k and ``edges[i]``
     the (position of I, position of I + (i,)) of every node ending in
-    x_i, in sorted key order.  Raises ValueError on a polynomial that is
-    not multilinear.  Immutable by convention, like
-    :class:`~smoothip.poly.ScoreTable`; compares by value and pickles.
+    x_i, in sorted key order.  The rows are the root's (the objective or
+    a side window), then the other nodes with children in sorted key
+    order: ``row_nodes``, ``row_depths`` and ``row_constants`` hold each
+    row's k, |I| and c_I * L, and ``edge_rows``, ``edge_columns`` and
+    ``edge_children`` each edge's row, j and position of (I, j), row by
+    row in ascending j; ``levels[l - 1]`` is depth l's level factor.
+    Raises ValueError on a polynomial that is not multilinear.  Immutable
+    by convention, like :class:`~smoothip.poly.ScoreTable`; compares by
+    value and pickles.
     """
 
     def __init__(self, table: ScoreTable):
@@ -242,9 +217,29 @@ class RelaxationPlan:
             [depths.count(depth) * Fraction(*width[depth]) for depth in width],
             Fraction(0),
         ).as_integer_ratio()
+        self.levels = tuple(width[depth] for depth in range(1, d))
+        # The rows' edges, the root's row first, then the other nodes with
+        # children in sorted key order.
+        rows = [last] + [k for _, k, _, _ in self.nodes[-2::-1]]
+        self.row_nodes = np.array(rows, dtype=np.intp)
+        self.row_depths = np.array([depths[k] for k in rows], dtype=np.intp)
+        self.row_constants = np.array(
+            [self.constants[k] for k in rows], dtype=object
+        )
+        self.edge_rows = np.repeat(
+            np.arange(len(rows)), [len(children[k]) for k in rows]
+        )
+        pairs = chain.from_iterable(children[k] for k in rows)
+        self.edge_columns, self.edge_children = np.array(
+            list(chain.from_iterable(pairs)), dtype=np.intp
+        ).reshape(-1, 2).T
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and vars(other) == vars(self)
+        return type(other) is type(self) and all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray)
+            else mine == theirs
+            for mine, theirs in zip(vars(self).values(), vars(other).values())
+        )
 
     __hash__ = None
 
@@ -281,21 +276,6 @@ class RelaxationPlan:
             bounds.append(Fraction(need * b, a * self.scale))
         return values
 
-    def component_rows(self, values: list) -> list:
-        """The component rows at the prediction whose node values are
-        ``values``: row I has centre (p_I(xhat) - c_I) * L."""
-        rows = []
-        # Every entry but the root, which is last, in sorted key order.
-        for key, k, width, children in self.nodes[-2::-1]:
-            center = values[k] - self.constants[k]
-            rows.append(
-                Row(
-                    key, _pairs(values, children), self.scale, center,
-                    center, width,
-                )
-            )
-        return rows
-
 
 class SidePlan(NamedTuple):
     """A side constraint's plan and its relaxed top-level window.
@@ -312,20 +292,6 @@ class SidePlan(NamedTuple):
     lower: int | None
     upper: int | None
     denom: int
-
-    def top_row(self, values: list) -> Row:
-        """The window's row at the prediction whose node values are
-        ``values``, over denom."""
-        plan = self.plan
-        factor = self.denom // plan.scale
-        return Row(
-            (),
-            _pairs(values, plan.top, factor),
-            self.denom,
-            self.lower,
-            self.upper,
-            plan.width,
-        )
 
     def values(self, point, bounds: list) -> list:
         """The plan's node values at point, its component rows' bounds
@@ -355,12 +321,12 @@ class Relaxation:
     width a / b (see :func:`_need`), -1 with no row, +inf when a zero
     width leaves a window cutting the box.  ``parts`` holds one (plan,
     node values, side plan or None) per polynomial, the objective first:
-    one pass over each plan's nodes gave both.  ``rows``, one per node
-    with children and per side window, are built on first use, so a
-    prediction saturated at every budget it solves never builds them.
-    ``windows(eps)`` scales every row's width by beta * sqrt(n * eps),
-    ``model(eps)`` is that budget's exact LP, and ``lp()`` prepares the
-    LP that every budget shares, up to ``windows(eps)``.
+    one pass over each plan's nodes gave both.  ``form``, the rows, one
+    per node with children and per side window, is gathered on first
+    use, so a prediction saturated at every budget it solves never
+    builds it.  ``windows(eps)`` scales every row's width by beta *
+    sqrt(n * eps), ``model(eps)`` is that budget's exact LP, and ``lp()``
+    prepares the LP that every budget shares, up to ``windows(eps)``.
     """
 
     n: int
@@ -373,59 +339,87 @@ class Relaxation:
     parts: tuple
 
     @cached_property
-    def rows(self) -> tuple:
-        """Every row: the objective's component rows, then per side
-        constraint its window's row and its component rows."""
-        rows = []
+    def form(self) -> SparseRows:
+        """Every row, gathered through the plans' edge arrays: the
+        objective's component rows, then per side constraint its window's
+        row and its component rows.  Row I's coefficients are its
+        children's nonzero p_(I,j)(xhat) and both its bounds p_I(xhat) -
+        c_I, over L; a window's are over its side plan's denom."""
+        parts = []
         for plan, values, side in self.parts:
+            try:
+                values = np.array(values, dtype=np.int64)
+            except OverflowError:  # a value past int64: Python ints
+                values = np.array(values, dtype=object)
+            # The objective's root row is its objective, not a row.
+            first, skip = (0, 0) if side else (1, len(plan.top))
+            coeff = values[plan.edge_children[skip:]]
+            lower = values[plan.row_nodes[first:]] - plan.row_constants[first:]
+            denom = np.full(len(lower), plan.scale, dtype=object)
+            upper = lower.copy()
             if side is not None:
-                rows.append(side.top_row(values))
-            rows.extend(plan.component_rows(values))
-        return tuple(rows)
-
-    def windows(self, eps: int) -> list:
-        """(lower, upper, denom) of every row at budget eps: its bounds
-        widened by w = a / b, its width times beta * sqrt(n * eps) in
-        lowest terms, as integers over denom = row.denom * b, with None
-        where the row has no bound."""
-        scale = self.beta * sqrt_upper(self.n * eps)
-        width = {
-            w: Fraction(*w) * scale for w in {row.width for row in self.rows}
-        }
-        out = []
-        for row in self.rows:
-            w = width[row.width]
-            b = w.denominator
-            slack = w.numerator * row.denom
-            out.append(
-                (
-                    None if row.lower is None else row.lower * b - slack,
-                    None if row.upper is None else row.upper * b + slack,
-                    row.denom * b,
-                )
+                if side.denom != plan.scale:  # in Python ints, past int64
+                    coeff = coeff.astype(object)
+                    coeff[: len(plan.top)] *= side.denom // plan.scale
+                lower[0], upper[0] = side.lower, side.upper
+                denom[0] = side.denom
+            nonzero = coeff != 0
+            counts = np.bincount(
+                plan.edge_rows[skip:][nonzero] - first, minlength=len(lower)
             )
-        return out
+            parts.append(
+                (counts, plan.edge_columns[skip:][nonzero], coeff[nonzero],
+                 denom, lower, upper)
+            )
+        counts, *fields = (np.concatenate(field) for field in zip(*parts))
+        return SparseRows(np.concatenate(([0], np.cumsum(counts))), *fields)
+
+    def windows(self, eps: int) -> tuple:
+        """(lower, upper, denom) arrays of budget eps, one entry per row:
+        the row's bounds widened by w = a / b, its width times beta *
+        sqrt(n * eps), as p / q in lowest terms, over denom = the row's
+        denom * q; None where the row has no bound.  A row's width is the
+        level factor of its depth, or its side plan's for a window, so
+        each plan makes one Fraction per depth."""
+        scale = self.beta * sqrt_upper(self.n * eps)
+        p, q = [], []
+        for plan, _, side in self.parts:
+            widths = [Fraction(*w) * scale for w in (plan.width, *plan.levels)]
+            depths = plan.row_depths[0 if side else 1 :]
+            p.append(np.array([w.numerator for w in widths], object)[depths])
+            q.append(np.array([w.denominator for w in widths], object)[depths])
+        rows = self.form
+        q = np.concatenate(q)
+        slack = -np.concatenate(p) * rows.denom  # the lower bound's
+        windows = []
+        for bounds in (rows.lower, rows.upper):
+            widened = bounds.copy()  # None where absent
+            has = np.not_equal(bounds, None)
+            np.multiply(bounds, q, out=widened, where=has)
+            np.add(widened, slack, out=widened, where=has)
+            windows.append(widened)
+            slack = -slack
+        return (*windows, rows.denom * q)
 
     def model(self, eps: int) -> LpModel:
         """The exact LP of budget eps, every number a Fraction and every
         row a dense coefficient tuple."""
-
-        def dense(row: Row) -> tuple:
-            coeffs = [Fraction(0)] * self.n
-            for j, c in row.coeffs:
-                coeffs[j] = Fraction(c, row.denom)
-            return tuple(coeffs)
-
+        rows = self.form
+        row = np.repeat(np.arange(len(rows.denom)), np.diff(rows.start))
+        dense = np.full((len(rows.denom), self.n), Fraction(0), dtype=object)
+        dense[row, rows.column] = list(
+            map(Fraction, rows.coeff.tolist(), rows.denom[row])
+        )
         return LpModel(
             num_vars=self.n,
             var_bounds=((Fraction(0), Fraction(1)),) * self.n,
             rows=tuple(
                 (
-                    dense(row),
+                    tuple(coeffs),
                     None if lo is None else Fraction(lo, denom),
                     None if hi is None else Fraction(hi, denom),
                 )
-                for row, (lo, hi, denom) in zip(self.rows, self.windows(eps))
+                for coeffs, lo, hi, denom in zip(dense, *self.windows(eps))
             ),
             objective=tuple(Fraction(c, self.denom) for c in self.objective),
             offset=self.offset,
@@ -434,11 +428,10 @@ class Relaxation:
     def lp(self) -> PreparedLp:
         """The LP of every budget, warm-started at the prediction; solve a
         budget with ``lp().solve(windows(eps))``."""
-        rows = self.rows
         return PreparedLp(
             (self.objective, self.denom),
             self.offset,
-            [(row.coeffs, row.lower, row.upper, row.denom) for row in rows],
+            self.form,
             ((0, 1),) * self.n,
             self.xhat,
         )
@@ -542,7 +535,8 @@ def prepare_relaxation(
     :class:`SidePlan` per side constraint, as :func:`constraint_plans`
     gives them, so no plan is built here.  Per polynomial one pass
     computes the node values and its rows' exact bounds; the rows
-    themselves are built only when :attr:`Relaxation.rows` is first read.
+    themselves are gathered only when :attr:`Relaxation.form` is first
+    read.
     A constraint's linearized top level q_c must stay within [lower -
     delta_c, upper + delta_c] where delta_c is the sum of the
     constraint's component tolerances, and its components obey the same

@@ -6,6 +6,7 @@ its rows in that form.  The functions here compute the same things the
 plain way, with one Fraction per operation: greedy rounding multiplies
 exact Fractions through every monomial, and the relaxation evaluates every
 child polynomial at the prediction and keeps every number a Fraction;
+its model at a budget widens each row by its tolerances one by one, and
 its saturation budget groups the rows and scans the grid.  The SAT
 and CSP encoders accumulate one coefficient map; their references add
 Polynomials clause by clause.  The brute force's value table is built on
@@ -29,7 +30,8 @@ import numpy as np
 from smoothip.pipeline import _round_seed, _violation
 from smoothip.poly import Polynomial, decompose
 from smoothip.rat import E_UPPER, sqrt_upper
-from smoothip.relax import constraint_degree, prediction_point
+from smoothip.lpsolve import LpModel
+from smoothip.relax import constraint_degree, prediction_point, tolerance
 
 
 def fraction_greedy_round(p, y) -> tuple:
@@ -121,7 +123,8 @@ def schedule_width(n, widening) -> Fraction:
 
 @dataclass(frozen=True)
 class ExactRow:
-    """relax.Row with every number a Fraction and dense coefficients.
+    """A relaxation row with every number a Fraction and dense
+    coefficients.
 
     A reference row also keeps, outside comparisons, the (degree, depth,
     count) triples of the tolerances that widen it, from which its width
@@ -151,38 +154,86 @@ class ExactRelaxation:
     xhat: tuple
 
 
+def row_keys(relaxation) -> list:
+    """The key I of each row of a relax.Relaxation, read off its plans:
+    the objective's nodes with children but the root, in sorted key
+    order, then per side constraint () for its window and its own."""
+    keys = []
+    for plan, _, side in relaxation.parts:
+        if side is not None:
+            keys.append(())
+        keys += [key for key, *_ in plan.nodes[-2::-1]]
+    return keys
+
+
+def row_widths(relaxation) -> list:
+    """The eps-free width (a, b) of each row of a relax.Relaxation, read
+    off its plans: a window's is its side plan's width, a component
+    row's the level factor of its node's depth."""
+    widths = []
+    for plan, _, side in relaxation.parts:
+        levels = (plan.width, *plan.levels)
+        depths = plan.row_depths[0 if side else 1 :]
+        widths += [levels[depth] for depth in depths]
+    return widths
+
+
 def as_fractions(relaxation) -> ExactRelaxation:
-    """A relax.Relaxation read as exact rationals: every integer over its
-    row's (or the objective's) denominator, each row's (index, value)
-    pairs spread into a dense tuple, and its range and need computed
-    from those coefficients and its bounds."""
+    """A relax.Relaxation read as exact rationals: every integer of its
+    rows over its row's (or the objective's) denominator, each row's
+    entries spread into a dense tuple, its width read off its plan, and
+    its range and need computed from those coefficients and its bounds."""
 
     def over(value, denom):
         return None if value is None else Fraction(value, denom)
 
-    def dense(row):
+    form = relaxation.form
+    widths = row_widths(relaxation)
+    rows = []
+    for i, key in enumerate(row_keys(relaxation)):
+        denom = form.denom[i]
         coeffs = [Fraction(0)] * relaxation.n
-        for j, c in row.coeffs:
-            coeffs[j] = Fraction(c, row.denom)
-        return tuple(coeffs)
-
-    rows = tuple(
-        _row(
-            row.key,
-            dense(row),
-            over(row.lower, row.denom),
-            over(row.upper, row.denom),
-            Fraction(*row.width),
-            Fraction(
-                sum(c * relaxation.xhat[j] for j, c in row.coeffs), row.denom
-            ),
+        entries = slice(form.start[i], form.start[i + 1])
+        for j, c in zip(form.column[entries], form.coeff[entries].tolist()):
+            coeffs[j] = Fraction(c, denom)
+        rows.append(
+            _row(
+                key,
+                tuple(coeffs),
+                over(form.lower[i], denom),
+                over(form.upper[i], denom),
+                Fraction(*widths[i]),
+                _activity(coeffs, relaxation.xhat),
+            )
         )
-        for row in relaxation.rows
-    )
     return ExactRelaxation(
         relaxation.n, relaxation.beta,
         tuple(Fraction(c, relaxation.denom) for c in relaxation.objective),
-        relaxation.offset, rows, relaxation.xhat,
+        relaxation.offset, tuple(rows), relaxation.xhat,
+    )
+
+
+def reference_model(reference, eps) -> LpModel:
+    """The reference relaxation's exact LP at budget eps: each row's
+    bounds widened by the sum of count * tolerance over its (degree,
+    depth, count) triples."""
+    rows = []
+    for row in reference.rows:
+        slack = sum(
+            (
+                count * tolerance(reference.beta, reference.n, d, depth, eps)
+                for d, depth, count in row.widening
+            ),
+            Fraction(0),
+        )
+        rows.append((
+            row.coeffs,
+            None if row.lower is None else row.lower - slack,
+            None if row.upper is None else row.upper + slack,
+        ))
+    return LpModel(
+        reference.n, ((Fraction(0), Fraction(1)),) * reference.n,
+        tuple(rows), reference.objective, reference.offset,
     )
 
 
@@ -308,9 +359,10 @@ def group_saturation_budget(relaxation, grid):
     b) for every group, while a group with beta * a = 0 is saturated at
     every budget (need < 0) or at none."""
     largest = {}
-    for row, exact in zip(relaxation.rows, as_fractions(relaxation).rows):
+    denoms = relaxation.form.denom
+    for denom, exact in zip(denoms, as_fractions(relaxation).rows):
         if exact.need is not None:
-            group = (exact.width, row.denom)
+            group = (exact.width, denom)
             largest[group] = max(largest.get(group, exact.need), exact.need)
     top = Fraction(-1)
     for (width, _), need in largest.items():

@@ -1,10 +1,12 @@
-"""Shared random generators for the test suite, and the way a Fraction
-LpModel reaches the simplex."""
+"""Shared random generators for the test suite, and the way rows given
+as tuples, or a Fraction LpModel, reach the simplex."""
 
 import math
 from fractions import Fraction
 
-from smoothip.lpsolve import LpModel, PreparedLp
+import numpy as np
+
+from smoothip.lpsolve import LpModel, PreparedLp, SparseRows
 from smoothip.pipeline import Instance, prepare
 from smoothip.poly import Polynomial
 from smoothip.relax import prepare_relaxation
@@ -119,6 +121,29 @@ def start_at(var_bounds, x=None) -> list:
     return x
 
 
+def _objects(values) -> np.ndarray:
+    return np.array(list(values), dtype=object)
+
+
+def sparse_rows(rows) -> SparseRows:
+    """The SparseRows of (pairs, lower, upper, denom) rows: each row's
+    nonzero coefficients as (j, c) pairs in ascending j, and its bounds,
+    all integers over the positive denom, a bound None when absent."""
+    entries = [pair for pairs, *_ in rows for pair in pairs]
+    return SparseRows(
+        np.cumsum([0] + [len(pairs) for pairs, *_ in rows]),
+        np.array([j for j, _ in entries], dtype=np.intp),
+        _objects(c for _, c in entries),
+        *(_objects(row[k] for row in rows) for k in (3, 1, 2)),
+    )
+
+
+def as_windows(triples) -> tuple:
+    """The (lower, upper, denom) object arrays that PreparedLp.solve
+    takes, from one (lower, upper, denom) triple per row."""
+    return tuple(_objects(t[k] for t in triples) for k in range(3))
+
+
 def prepared_model(model: LpModel, warm_start=None) -> tuple:
     """(lp, windows): the model as a PreparedLp and its own row windows.
 
@@ -134,10 +159,10 @@ def prepared_model(model: LpModel, warm_start=None) -> tuple:
         pairs = tuple((j, c) for j, c in enumerate(scaled) if c)
         rows.append((pairs, lower, upper, denom))
     lp = PreparedLp(
-        _over_lcm(model.objective), model.offset, rows, model.var_bounds,
-        start_at(model.var_bounds, warm_start),
+        _over_lcm(model.objective), model.offset, sparse_rows(rows),
+        model.var_bounds, start_at(model.var_bounds, warm_start),
     )
-    return lp, [(lo, hi, denom) for _, lo, hi, denom in rows]
+    return lp, as_windows([(lo, hi, denom) for _, lo, hi, denom in rows])
 
 
 def solve_model(model: LpModel, warm_start=None):

@@ -14,11 +14,13 @@ import pytest
 
 from helpers import (
     alternating,
+    as_windows,
     at_most,
     pipeline_relaxation,
     prepared_model,
     random_lp_model,
     solve_model,
+    sparse_rows,
     start_at,
 )
 from lp_reference import reference_solve
@@ -115,9 +117,9 @@ def test_no_kept_row_gives_the_box_optimum():
     a point (zero costs stay there) or from the box's lower corner."""
     objective, offset = ((3, 0, -2, 0, 5), 4), Fraction(1, 2)
     rows = [((), -1, 1, 1), ((), None, None, 1), ((), 0, None, 3)]
-    windows = [(lo, hi, d) for _, lo, hi, d in rows]
+    windows = as_windows([(lo, hi, d) for _, lo, hi, d in rows])
     for start in ((0, 1, 1, 0, 0), (0,) * 5):
-        lp = PreparedLp(objective, offset, rows, box(5),
+        lp = PreparedLp(objective, offset, sparse_rows(rows), box(5),
                         start_at(box(5), start))
         assert lp.general == lp.singles == []
         sol = lp.solve(windows)
@@ -187,8 +189,7 @@ def test_warm_start_of_the_wrong_length_is_rejected():
     unwarmed = (
         (relaxation.objective, relaxation.denom),
         relaxation.offset,
-        [(row.coeffs, row.lower, row.upper, row.denom)
-         for row in relaxation.rows],
+        relaxation.form,
         ((0, 1),) * 3,
     )
     PreparedLp(*unwarmed, (1, 0, 0))
@@ -206,13 +207,14 @@ def test_warm_start_off_the_variable_bounds_is_rejected():
     started at (1/2, 1/2), at no bound, would stop there at value 0, but
     the optimum is 1 at (1, 0).  That start raises; one at a vertex
     gives the optimum."""
-    objective, rows = ((1, -1), 1), [(((0, 1), (1, 1)), None, 1, 1)]
+    objective = ((1, -1), 1)
+    rows = sparse_rows([(((0, 1), (1, 1)), None, 1, 1)])
     half = Fraction(1, 2)
     for x in ((half, half), (0, half), (1, Fraction(3, 2))):
         with pytest.raises(ValueError, match="off its variable bounds"):
             PreparedLp(objective, 0, rows, box(2), x)
     lp = PreparedLp(objective, 0, rows, box(2), (0, 1))
-    sol = lp.solve([(None, 1, 1)])
+    sol = lp.solve(as_windows([(None, 1, 1)]))
     assert (sol.status, sol.objective_value) == ("optimal", 1.0)
     assert tuple(sol.y) == (1.0, 0.0)
 
@@ -220,13 +222,14 @@ def test_warm_start_off_the_variable_bounds_is_rejected():
 def test_crossed_variable_bounds_are_rejected():
     """y_0 in [1, 0] is an empty box; the simplex would clamp y_0 to 0
     and call the result optimal."""
-    objective, rows = ((1, 1), 1), [(((0, 1), (1, 1)), None, 3, 1)]
+    objective = ((1, 1), 1)
+    rows = sparse_rows([(((0, 1), (1, 1)), None, 3, 1)])
     for bounds in ([(1, 0), (0, 1)], [(0, 1), (Fraction(1, 2), 0)]):
         with pytest.raises(ValueError, match="variable bounds crossed"):
             PreparedLp(objective, 0, rows, bounds, start_at(bounds))
     bounds = [(1, 1), (0, 1)]
     lp = PreparedLp(objective, 0, rows, bounds, start_at(bounds))
-    assert lp.solve([(None, 3, 1)]).y == (1.0, 1.0)
+    assert lp.solve(as_windows([(None, 3, 1)])).y == (1.0, 1.0)
 
 
 def test_boolean_optimum_value_is_the_exact_value_rounded_once():
@@ -236,8 +239,9 @@ def test_boolean_optimum_value_is_the_exact_value_rounded_once():
     box's corner with a Fraction offset."""
     objective = ((1,) * 10, 10)
     assert sum([0.1] * 10) != 1.0
-    lp = PreparedLp(objective, 0, [], box(10), start_at(box(10)))
-    assert lp.solve([]).objective_value == 1.0
+    lp = PreparedLp(objective, 0, sparse_rows([]), box(10),
+                    start_at(box(10)))
+    assert lp.solve(as_windows([])).objective_value == 1.0
     assert lpsolve.box_optimum(objective, 0, (0,) * 10).objective_value == 1.0
     third = Fraction(1, 3)
     closed = lpsolve.box_optimum(((3, 0, -1), 1), third, (0, 1, 1))
@@ -255,13 +259,15 @@ def test_a_near_boolean_optimum_that_breaks_a_window_keeps_its_float_y():
     for coeffs, value in (
         (((0, d),), 2 - 1 / d), (((0, d), (1, d)), 1 - 1 / d)
     ):
-        rows = [(coeffs, None, d - 1, d)]
+        rows = sparse_rows([(coeffs, None, d - 1, d)])
         lp = PreparedLp(objective, 0, rows, box(2), start_at(box(2)))
-        sol = lp.solve([(None, d - 1, d)])
+        sol = lp.solve(as_windows([(None, d - 1, d)]))
         assert sol.status == "optimal"
         assert sol.y[0] == 1 - 1 / d and sol.y[1] in (0.0, 1.0)
         assert sol.objective_value == value
-        assert lp.solve([(None, d, d)]).objective_value == value + 1 / d
+        assert lp.solve(as_windows([(None, d, d)])).objective_value == (
+            value + 1 / d
+        )
 
 
 def test_clamped_is_the_per_coordinate_max_and_min_to_the_bit():
@@ -301,7 +307,7 @@ def test_one_ulp_off_a_boolean_optimum_reads_the_same_point(
         toward = np.where(rng.random(y.size) < 0.5, -np.inf, np.inf)
         return tuple(np.nextafter(y, toward).tolist())
 
-    cases = [(lp, windows) for _, lp, windows, _ in pipeline_lps]
+    cases = [(lp, windows) for _, lp, windows, _, _ in pipeline_lps]
     exact = [lp.solve(windows) for lp, windows in cases]
     monkeypatch.setattr(lpsolve, "_clamped", moved)
     boolean = 0
@@ -333,14 +339,14 @@ def past_int64_model() -> LpModel:
     )
 
 
-def exact_outside(lp, point, windows) -> tuple:
-    """Per general row, whether its activity at point, summed from its
-    pairs in Fractions, lies below, and above, its window."""
+def exact_outside(lp, model, point, windows) -> tuple:
+    """Per general row, whether its activity at point, summed from the
+    model's row in Fractions, lies below, and above, its window."""
     below, above = [], []
     for i in lp.general:
-        pairs, _, _, denom = lp.rows[i]
-        a = Fraction(sum(c * Fraction(point[j]) for j, c in pairs), denom)
-        lo, hi, d = windows[i]
+        coeffs, _, _ = model.rows[i]
+        a = sum(c * Fraction(v) for c, v in zip(coeffs, point))
+        lo, hi, d = (w[i] for w in windows)
         below.append(lo is not None and a < Fraction(lo, d))
         above.append(hi is not None and a > Fraction(hi, d))
     return below, above
@@ -358,7 +364,7 @@ def test_the_boolean_check_sums_rows_in_python_past_int64(pipeline_lps):
     assert lp.integer.dtype == object and lp.general == [0, 1, 2]
     outcomes = set()
     for z in itertools.product((0, 1), repeat=4):
-        below, above = exact_outside(lp, z, windows)
+        below, above = exact_outside(lp, model, z, windows)
         start = prepared_model(model, z)[0]
         assert [mask.tolist() for mask in start.broken(windows)] == [
             below, above
@@ -375,7 +381,7 @@ def test_the_boolean_check_sums_rows_in_python_past_int64(pipeline_lps):
     lifted = dataclasses.replace(model, var_bounds=((third, 1),) * 4)
     start = prepared_model(lifted)[0]
     assert start.warm_denoms == [3 * d for d in start.denoms]
-    below, above = exact_outside(start, (third,) * 4, windows)
+    below, above = exact_outside(start, model, (third,) * 4, windows)
     assert [mask.tolist() for mask in start.broken(windows)] == [
         below, above
     ]
@@ -385,12 +391,11 @@ def test_the_boolean_check_sums_rows_in_python_past_int64(pipeline_lps):
     # Each pipeline LP again, every row's integers times 2^53: the same
     # rationals, over denominators past int64's exact range.
     wide = {}
-    for _, lp, windows, _ in pipeline_lps:
+    for _, lp, windows, _, rows in pipeline_lps:
         if id(lp) not in wide:
-            rows = [
-                (tuple((j, c << 53) for j, c in pairs), lo, hi, denom << 53)
-                for pairs, lo, hi, denom in lp.rows
-            ]
+            rows = rows._replace(
+                coeff=rows.coeff.astype(object) << 53, denom=rows.denom << 53
+            )
             x = lp.warm_x.astype(int).tolist()
             wide[id(lp)] = PreparedLp(*lp.exact_objective, rows, lp.box, x)
             assert lp.integer.dtype == np.int64
@@ -441,23 +446,45 @@ def test_negative_one_coefficient_rows_give_exact_non_dyadic_bounds():
     assert agrees(sol, reference_solve(model), 1e-9)
 
 
+def test_windows_that_do_not_match_the_rows_are_rejected():
+    """A solve takes one window per row, each bound present exactly where
+    the row has one: windows of the wrong length, in all three arrays or
+    in one, raise ValueError, and so does a bound given where the row has
+    none or missing where it has one."""
+    rows = [(((0, 1), (1, 1)), None, 3, 1), (((0, 1),), 0, 1, 1)]
+    lp = PreparedLp(((1, 1), 1), 0, sparse_rows(rows), box(2), (0, 0))
+    fits = [(None, 3, 1), (0, 1, 1)]
+    assert lp.solve(as_windows(fits)).status == "optimal"
+    lower, upper, denom = as_windows(fits)
+    for windows in (
+        as_windows(fits[:1]),
+        as_windows(fits + [(0, 1, 1)]),
+        (lower[:1], upper, denom),
+        as_windows([(0, 3, 1), (0, 1, 1)]),
+        as_windows([(None, 3, 1), (0, None, 1)]),
+        as_windows([(None, None, 1), (0, 1, 1)]),
+    ):
+        with pytest.raises(ValueError, match="windows do not match"):
+            lp.solve(windows)
+
+
 def test_a_crossed_general_window_is_infeasible_unpivoted():
     """2 <= x0 + x1 <= 1, a general row's window crossed, is infeasible
     with no pivot, as a crossed one-coefficient window is; the bounds,
     over one denominator, are compared as integers, so 1 + 2^-60 <= x0 +
     x1 <= 1, whose float bounds are equal, is crossed too."""
     big = 2**60
-    rows = [(((0, 1), (1, 1)), 0, 2, 1)]
+    rows = sparse_rows([(((0, 1), (1, 1)), 0, 2, 1)])
     lp = PreparedLp(((1, 1), 1), 0, rows, box(2), (0, 0))
     for window in ((2, 1, 1), (big + 1, big, big)):
-        sol = lp.solve([window])
+        sol = lp.solve(as_windows([window]))
         assert (sol.status, sol.iterations) == ("infeasible", 0)
     assert (big + 1) / big == 1.0
-    sol = lp.solve([(big, big, big)])
+    sol = lp.solve(as_windows([(big, big, big)]))
     assert (sol.status, sol.objective_value) == ("optimal", 1.0)
-    single = PreparedLp(((1, 1), 1), 0, [(((0, 1),), 0, 2, 1)], box(2),
-                        (0, 0))
-    sol = single.solve([(2, 1, 1)])
+    single = PreparedLp(((1, 1), 1), 0, sparse_rows([(((0, 1),), 0, 2, 1)]),
+                        box(2), (0, 0))
+    sol = single.solve(as_windows([(2, 1, 1)]))
     assert (sol.status, sol.iterations) == ("infeasible", 0)
 
 
@@ -472,8 +499,9 @@ def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
         (((0, 2),), None, 1, 1),
         (((0, 1), (1, 1)), None, 2, 1),
     ]
-    windows = [(lo, hi, d) for _, lo, hi, d in rows]
-    lp = PreparedLp(((1, 1), 1), 0, rows, box(2), start_at(box(2)))
+    windows = as_windows([(lo, hi, d) for _, lo, hi, d in rows])
+    lp = PreparedLp(((1, 1), 1), 0, sparse_rows(rows), box(2),
+                    start_at(box(2)))
     assert lp.presolve(windows) is None
     sol = lp.solve(windows)
     assert (sol.status, sol.iterations) == ("infeasible", 0)
@@ -486,14 +514,14 @@ def test_one_coefficient_windows_that_do_not_meet_are_infeasible_unpivoted():
     )).status == "infeasible"
     pinned = [(((0, 3),), 1, None, 1), (((0, 6),), None, 2, 1)]
     sol = PreparedLp(
-        ((1,), 1), 0, pinned, box(1), start_at(box(1))
-    ).solve([(1, None, 1), (None, 2, 1)])
+        ((1,), 1), 0, sparse_rows(pinned), box(1), start_at(box(1))
+    ).solve(as_windows([(1, None, 1), (None, 2, 1)]))
     assert (sol.status, sol.y) == ("optimal", (1 / 3,))
     below = [(((0, 3),), 1, None, 1), (((0, 3 * big),), None, big - 1, 1)]
     assert (big - 1) / (3 * big) == 1 / 3
     sol = PreparedLp(
-        ((1,), 1), 0, below, box(1), start_at(box(1))
-    ).solve([(1, None, 1), (None, big - 1, 1)])
+        ((1,), 1), 0, sparse_rows(below), box(1), start_at(box(1))
+    ).solve(as_windows([(1, None, 1), (None, big - 1, 1)]))
     assert (sol.status, sol.iterations) == ("infeasible", 0)
 
 
@@ -511,8 +539,12 @@ def test_a_side_constraint_on_one_variable_is_a_bound():
         maxcut_objective(gen_gnp(n, 0.3, 4)), alternating(n), (side,)
     )
     lp = relaxation.lp()
-    side_rows = [i for i, row in enumerate(relaxation.rows)
-                 if row.coeffs == ((1, row.denom),)]
+    rows = relaxation.form
+    side_rows = [
+        i for i, (start, end) in enumerate(zip(rows.start, rows.start[1:]))
+        if rows.column[start:end].tolist() == [1]
+        and rows.coeff[start:end].tolist() == [rows.denom[i]]
+    ]
     assert side_rows and set(side_rows) <= {i for i, *_ in lp.singles}
     try:
         import scipy  # noqa: F401
@@ -575,13 +607,13 @@ def test_refresh_agrees_with_reference(monkeypatch):
 
 @pytest.fixture(scope="module")
 def pipeline_lps():
-    """(name, lp, windows, model) of every budget below saturation, each
-    relaxation around the alternating prediction: MAX-CUT G(40, 0.3) and
+    """(name, lp, windows, model, rows) of every budget below saturation,
+    each relaxation around the alternating prediction: MAX-CUT G(40, 0.3) and
     G(60, 0.3), 3-SAT n=24 m=96, and G(40, 0.3) under sum x <= 10, which
     the prediction breaks, so that eps = 0 is infeasible.  lp is the
     relaxation's one PreparedLp and windows the budget's, which a solve
     passes it; model is the budget's exact Fraction LP, for the
-    references."""
+    references, and rows the SparseRows the lp was prepared from."""
     lps = []
     for seed in (5, 7):
         cut40 = maxcut_objective(gen_gnp(40, 0.3, seed))
@@ -601,6 +633,7 @@ def pipeline_lps():
                     (
                         f"{name}/{seed}/eps={eps}", lp,
                         relaxation.windows(eps), relaxation.model(eps),
+                        relaxation.form,
                     )
                 )
     return lps
@@ -617,7 +650,7 @@ def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
     range."""
     models = reference_models() + [past_int64_model()]
     cases = [(prepared_model(model)[0], model) for model in models]
-    cases += [(lp, model) for _, lp, _, model in pipeline_lps]
+    cases += [(lp, model) for _, lp, _, model, _ in pipeline_lps]
     assert [lp.integer.dtype for lp, _ in cases].count(object) == 1
     singles = 0
     for lp, model in cases:
@@ -647,7 +680,7 @@ def test_prepared_matrix_is_every_entry_as_a_float(pipeline_lps):
 
 def test_pipeline_lps_agree_with_reference(pipeline_lps):
     statuses = set()
-    for name, lp, windows, model in pipeline_lps:
+    for name, lp, windows, model, _ in pipeline_lps:
         ours = lp.solve(windows)
         ref = reference_solve(model)
         assert agrees(ours, ref, 1e-9), (name, ours, ref)
@@ -683,7 +716,7 @@ def highs_solve(model):
 
 def test_pipeline_lps_agree_with_highs(pipeline_lps):
     pytest.importorskip("scipy")
-    for name, lp, windows, model in pipeline_lps:
+    for name, lp, windows, model, _ in pipeline_lps:
         ours = lp.solve(windows)
         theirs = highs_solve(model)
         assert agrees(ours, theirs, 1e-9), (name, ours, theirs)
@@ -786,7 +819,7 @@ def test_vectorized_pivoting_matches_the_loops(
     if rules == "refresh":
         monkeypatch.setattr(lpsolve, "REFRESH_EVERY", 3)
     cases = [prepared_model(model) for model in reference_models()]
-    for name, lp, windows, _ in pipeline_lps:
+    for name, lp, windows, _, _ in pipeline_lps:
         if name.startswith(("cut40/5/", "card40/5/", "sat24/5/")):
             cases.append((lp, windows))
     vectorized = [repr(lp.solve(windows)) for lp, windows in cases]
@@ -927,7 +960,7 @@ def test_scores_kept_through_flips_match_pricing_every_pivot(
     every pivot.  With a refresh every third iteration, some run of bound
     flips crosses a refresh."""
     monkeypatch.setattr(lpsolve, "REFRESH_EVERY", refresh_every)
-    cases = [(lp, windows) for _, lp, windows, _ in pipeline_lps]
+    cases = [(lp, windows) for _, lp, windows, _, _ in pipeline_lps]
     kept = recorded_solves(cases, RecordingSimplex)
     assert kept == recorded_solves(cases, RepricingSimplex)
     flips = {
@@ -961,7 +994,7 @@ def loop_start(lp, windows) -> tuple:
     """(start state, broken rows, whether x-hat moved) of a solve, the
     state built one variable and one row at a time: the reference for the
     solver's array form.  A row is judged on Fractions, its activity
-    summed from its pairs at the start (every start here is a dyadic
+    summed from its integers at the start (every start here is a dyadic
     float, so exact), when no coordinate moved into the tightened box,
     and on the float activity otherwise."""
     n, m = lp.num_vars, len(lp.general)
@@ -982,11 +1015,11 @@ def loop_start(lp, windows) -> tuple:
             activity = product[i]
             below, above = activity < lo, activity > hi
         else:
-            pairs, _, _, denom = lp.rows[row]
             exact = Fraction(
-                sum(c * Fraction(xhat[j]) for j, c in pairs), denom
+                sum(c * Fraction(v) for c, v in zip(lp.integer[i], xhat)),
+                lp.denoms[i],
             )
-            w_lo, w_hi, d = windows[row]
+            w_lo, w_hi, d = (w[row] for w in windows)
             activity = float(exact)
             below = w_lo is not None and exact < Fraction(w_lo, d)
             above = w_hi is not None and exact > Fraction(w_hi, d)
@@ -1059,7 +1092,7 @@ def test_a_start_with_a_broken_row_matches_the_per_row_loop(pipeline_lps):
     assert no_row[0].general == no_row[0].singles == []
     cases.append(no_row)
     cases += [
-        (lp, windows) for name, lp, windows, _ in pipeline_lps
+        (lp, windows) for name, lp, windows, _, _ in pipeline_lps
         if name.startswith("card40/")
     ]
     cases = [(lp, w) for lp, w in cases if lp.presolve(w) is not None]
@@ -1081,7 +1114,7 @@ def test_a_prediction_that_breaks_a_side_window_of_a_feasible_lp():
         (at_most(n, 6),),
     )
     lp, windows = relaxation.lp(), relaxation.windows(0)
-    side = len(relaxation.rows) - 1
+    side = len(relaxation.form.denom) - 1
     below, above = lp.broken(windows)
     assert not below.any()
     assert [lp.general[i] for i in np.flatnonzero(above)] == [side]

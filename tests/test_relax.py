@@ -16,6 +16,9 @@ from exact_reference import (
     evaluate_constrained_relaxation,
     evaluate_relaxation,
     group_saturation_budget,
+    reference_model,
+    row_keys,
+    row_widths,
     schedule_width,
     window_saturated,
 )
@@ -143,7 +146,10 @@ def tree_plan(tree) -> dict:
     the paper's schedule, the plan's width summed over every
     component node, childless ones included, each node's depth, and per
     variable i the (parent, child) edges into the nodes that end in i,
-    in sorted key order."""
+    in sorted key order; the level factor of each depth 1 to d - 1, and
+    the rows, the root and then the other nodes with children in sorted
+    key order: each row's node, depth and constant, and each of its
+    edges' row, j and child, as lists."""
     root = tree.root
     d = root.degree
     scale = math.lcm(*(c.denominator for c in root.coeffs.values()))
@@ -157,6 +163,14 @@ def tree_plan(tree) -> dict:
         if tree.nodes[key].children
     }
     depths = Counter(len(key) for key in keys if 1 <= len(key) <= d - 1)
+    rows = [()] + [
+        key for key in reversed(keys) if key and tree.nodes[key].children
+    ]
+    edges = [
+        (r, j, position[key + (j,)])
+        for r, key in enumerate(rows)
+        for j in tree.nodes[key].children
+    ]
     return {
         "n": root.n,
         "degree": d,
@@ -186,6 +200,24 @@ def tree_plan(tree) -> dict:
             )
             for i in range(root.n)
         ),
+        "levels": tuple(
+            schedule_width(root.n, ((d, depth, 1),)).as_integer_ratio()
+            for depth in range(1, d)
+        ),
+        "row_nodes": [position[key] for key in rows],
+        "row_depths": [len(key) for key in rows],
+        "row_constants": [tree.nodes[key].constant * scale for key in rows],
+        "edge_rows": [r for r, _, _ in edges],
+        "edge_columns": [j for _, j, _ in edges],
+        "edge_children": [child for _, _, child in edges],
+    }
+
+
+def plan_fields(plan) -> dict:
+    """vars(plan), its arrays as lists."""
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in vars(plan).items()
     }
 
 
@@ -200,7 +232,7 @@ def test_plan_off_the_monomials_is_the_decomposition(data):
     raw = data.draw(scored_polynomials())
     p = multilinearize(raw)
     raised = p.with_degree(p.degree + data.draw(st.integers(0, 2)))
-    assert vars(RelaxationPlan(ScoreTable(raised))) == tree_plan(
+    assert plan_fields(RelaxationPlan(ScoreTable(raised))) == tree_plan(
         decompose(raised)
     )
     bound = st.none() | st.fractions(-9, 9, max_denominator=7)
@@ -212,10 +244,10 @@ def test_plan_off_the_monomials_is_the_decomposition(data):
     prepared = prepare(Instance(raw, constraints))
     assert pickle.loads(pickle.dumps(prepared)) == prepared
     p, ((side, _, _),) = _normalized(raw, constraints)
-    assert vars(prepared.plan) == tree_plan(decompose(p))
+    assert plan_fields(prepared.plan) == tree_plan(decompose(p))
     assert side.degree == constraint_degree(side)
     ((side_plan, *_),) = prepared.constraint_plans
-    assert vars(side_plan) == tree_plan(decompose(side))
+    assert plan_fields(side_plan) == tree_plan(decompose(side))
 
 
 def test_plan_rejects_what_decompose_rejects():
@@ -251,20 +283,22 @@ def test_relaxation_rows_skip_top_level():
         RelaxationPlan(ScoreTable(p)), (1, 1, 0, 1), 1
     )
     # The node (1, 3) has no children: it gives no row.
-    assert [row.key for row in relaxation.rows] == [(0,), (0, 1), (1,)]
+    assert row_keys(relaxation) == [(0,), (0, 1), (1,)]
     # Depth 1 is widened by 2e * n^(3 - 1 - 1) = 8e, depth 2 by 1.
     wide = (8 * E_UPPER).as_integer_ratio()
-    assert [row.width for row in relaxation.rows] == [wide, (1, 1), wide]
+    assert row_widths(relaxation) == [wide, (1, 1), wide]
     assert relaxation.n == 4 and relaxation.beta == 1
     # Row (0,) linearizes p_0 = x1 x2 around xhat: coefficient of x1 is
     # p_(0,1)(xhat) = x2 = 0, so the row keeps no (index, value) pair;
     # centre p_0(xhat) - c_0 = 0; range [0, 0].  L = 1, so the exact
     # rows, ranges computed from the pairs, have the same numbers.
     first, _, third = as_fractions(relaxation).rows
-    assert relaxation.rows[0].coeffs == ()
+    rows = relaxation.form
+    assert rows.start[1] - rows.start[0] == 0
     assert (first.lower, first.upper, first.low, first.high) == (0, 0, 0, 0)
     # Row (1,): p_1 = x3 gives coefficient 1 on x3, centre 1, range [0, 1].
-    assert relaxation.rows[2].coeffs == ((3, 1),)
+    entries = slice(rows.start[2], rows.start[3])
+    assert list(zip(rows.column[entries], rows.coeff[entries])) == [(3, 1)]
     assert (third.lower, third.upper, third.low, third.high) == (1, 1, 0, 1)
 
 
@@ -469,18 +503,27 @@ def seeded_relaxations():
                 yield xhat, pipeline_relaxation(objective, xhat, constraints)
 
 
+def row_entries(rows, i) -> list:
+    """Row i's (j, c) entries of a SparseRows, as Python ints."""
+    entries = slice(rows.start[i], rows.start[i + 1])
+    return list(
+        zip(rows.column[entries].tolist(), rows.coeff[entries].tolist())
+    )
+
+
 def test_rows_carry_the_predictions_activity():
-    """Every row's pairs are nonzero and in ascending j, and the LP reads
-    each general row's activity at the prediction off its integers:
+    """Every row's entries are nonzero and in ascending j, and the LP
+    reads each general row's activity at the prediction off its integers:
     coeffs . xhat over the row's own denominator."""
     for xhat, relaxation in seeded_relaxations():
-        for row in relaxation.rows:
-            indices = [j for j, _ in row.coeffs]
+        rows = relaxation.form
+        for i in range(len(rows.denom)):
+            indices = [j for j, _ in row_entries(rows, i)]
             assert indices == sorted(set(indices))
-            assert all(c != 0 for _, c in row.coeffs)
+            assert all(c != 0 for _, c in row_entries(rows, i))
         lp = relaxation.lp()
         assert lp.warm_denoms == lp.denoms and lp.warm_activity == [
-            sum(c * xhat[j] for j, c in relaxation.rows[i].coeffs)
+            sum(c * xhat[j] for j, c in row_entries(rows, i))
             for i in lp.general
         ]
 
@@ -632,12 +675,13 @@ def test_float_lp_and_windows_are_the_exact_model_to_the_bit():
             at = relaxation.saturation_budget((eps,)) is not None
             assert at == window_saturated(relaxation, eps)
             saturated.add(at)
-        for row in relaxation.rows:
-            for _, c in row.coeffs:
+        rows = relaxation.form
+        for i, denom in enumerate(rows.denom):
+            for _, c in row_entries(rows, i):
                 if abs(c) > 2**53:
                     huge += 1
-                    naive_misses += float(c) / float(row.denom) != c / row.denom
-                tiny += 0 < abs(Fraction(c, row.denom)) < Fraction(1, 10**30)
+                    naive_misses += float(c) / float(denom) != c / denom
+                tiny += 0 < abs(Fraction(c, denom)) < Fraction(1, 10**30)
     assert broken == saturated == tightened == {False, True}
     # The extreme cases bite: dividing the floats of numerator and
     # denominator would round some entries differently.
@@ -784,15 +828,15 @@ def assert_same_relaxation(built, reference):
     assert exact.objective == reference.objective
     assert exact.offset == reference.offset
     assert len(exact.rows) == len(reference.rows)
-    for built_row, row, ref in zip(built.rows, exact.rows, reference.rows):
+    for i, (row, ref) in enumerate(zip(exact.rows, reference.rows)):
         for field in (
             "key", "coeffs", "lower", "upper", "low", "high", "activity",
             "width", "need",
         ):
             assert getattr(row, field) == getattr(ref, field), field
         # The integer form: no Fraction per coefficient.
-        assert built_row.denom > 0
-        assert all(type(c) is int for _, c in built_row.coeffs)
+        assert built.form.denom[i] > 0
+        assert all(type(c) is int for _, c in row_entries(built.form, i))
     assert built.denom > 0
     assert all(type(c) is int for c in built.objective)
     assert exact == reference
@@ -998,7 +1042,7 @@ def test_plan_relaxation_matches_the_reference(case):
     if budget is not None:
         # A sweep cell at this budget is saturated at its first budget.
         assert relaxation.saturation_budget((budget,)) == budget
-    assert "rows" not in vars(relaxation)
+    assert "form" not in vars(relaxation)
     assert_same_relaxation(
         relaxation,
         evaluate_constrained_relaxation(
@@ -1038,6 +1082,96 @@ def test_plan_relaxation_matches_the_reference(case):
         if eps == 0 and record.status == OPTIMAL:
             lp = relaxation.lp().solve(relaxation.windows(0))
             assert record.lp_value == float(lp.objective_value)
+
+
+def assert_rows_follow_the_reference(objective, constraints, xhat) -> set:
+    """The relaxation gathered through the plans' edge arrays, against
+    the tree reference: its model at every grid budget is the
+    reference's model, and the LP's empty, one-coefficient and general
+    rows and its integer matrix are what that model's rows say.  Returns
+    which of these the case showed: "single" (a row with two or more
+    children, one coefficient left), "empty" (a row with children, none
+    left), "one-sided" (a side window with one bound) and "object" (the
+    integer matrix on Python ints)."""
+    prepared = prepare(Instance(objective, constraints))
+    relaxation = prepare_relaxation(
+        prepared.plan, xhat, prepared.beta, prepared.constraint_plans
+    )
+    reference = evaluate_constrained_relaxation(
+        ConstrainedProgram(*_normalized(objective, constraints)), xhat,
+        prepared.beta,
+    )
+    for eps in range(objective.n + 1):
+        assert relaxation.model(eps) == reference_model(reference, eps)
+    model = reference_model(reference, 0)
+    lp = relaxation.lp()
+    nonzero = [
+        [j for j, c in enumerate(coeffs) if c]
+        if lo is not None or hi is not None else None
+        for coeffs, lo, hi in model.rows
+    ]
+    kinds = [None if k is None else min(len(k), 2) for k in nonzero]
+    assert lp.empty == [i for i, k in enumerate(kinds) if k == 0]
+    assert [i for i, *_ in lp.singles] == [
+        i for i, k in enumerate(kinds) if k == 1
+    ]
+    assert lp.general == [i for i, k in enumerate(kinds) if k == 2]
+    assert [
+        [Fraction(c, d) for c in row]
+        for row, d in zip(lp.integer.tolist(), lp.denoms)
+    ] == [list(model.rows[i][0]) for i in lp.general]
+    children = []  # per row, as row_keys orders them
+    for plan, _, side in relaxation.parts:
+        if side is not None:
+            children.append(len(plan.top))
+        children += [len(pairs) for *_, pairs in plan.nodes[-2::-1]]
+    shown = set()
+    for i, count in enumerate(children):
+        shown.add("single" if kinds[i] == 1 and count > 1 else None)
+        shown.add("empty" if kinds[i] == 0 else None)
+    shown.update(
+        "one-sided" for _, lower, upper in constraints
+        if (lower is None) != (upper is None)
+    )
+    shown.add("object" if lp.integer.dtype == object else None)
+    return shown - {None}
+
+
+@settings(max_examples=120, deadline=None)
+@given(plan_cases())
+def test_rows_gathered_from_the_plans_follow_the_reference(case):
+    for shown in assert_rows_follow_the_reference(*case):
+        event(shown)
+
+
+def test_golden_rows_follow_the_reference():
+    for instance, xhat, _ in corpus().values():
+        assert_rows_follow_the_reference(
+            instance.objective, instance.constraints, xhat
+        )
+
+
+def test_rows_follow_the_reference_where_the_form_degenerates():
+    """Each shape of row the plan's arrays can give: x3 = 0 at the
+    prediction zeroes the child (0, 1) of the node (0,), which keeps one
+    coefficient of its two; both children of (0,) read x3 = 0 in the
+    second objective, which leaves that row empty; a side window with
+    only an upper bound; and coefficients past 2^53, which put the
+    integer matrix on Python ints."""
+    n = 5
+    xhat = (1, 1, 1, 0, 1)
+    one_left = Polynomial(n, {(0, 1, 3): 1, (0, 2): 1, (1, 4): 2})
+    none_left = Polynomial(n, {(0, 1, 3): 1, (0, 2, 3): -1, (1, 4): 2})
+    huge = Polynomial(n, {(0, 1, 2): 2**60 + 1, (0, 3): 1, (1, 4): 3})
+    side = (Polynomial(n, {(0, 2): 1, (3,): 2}), None, Fraction(5, 3))
+    shown = set()
+    for objective, constraints in (
+        (one_left, ()), (none_left, ()), (one_left, (side,)), (huge, ()),
+    ):
+        shown |= assert_rows_follow_the_reference(
+            objective, constraints, xhat
+        )
+    assert shown == {"single", "empty", "one-sided", "object"}
 
 
 def assert_saturation_follows_the_group_rule(objective, constraints, xhat):
@@ -1137,9 +1271,8 @@ def assert_rows_only_for_nodes_with_children(objective, constraints, xhat):
     relaxation = prepare_relaxation(
         prepared.plan, xhat, prepared.beta, prepared.constraint_plans
     )
-    assert [row.key for row in relaxation.rows] == expected_row_keys(
-        objective, constraints
-    )
+    assert row_keys(relaxation) == expected_row_keys(objective, constraints)
+    assert len(relaxation.form.denom) == len(row_keys(relaxation))
 
 
 # A draw whose upper bound lands below a lower bound of 0 unless the
@@ -1186,7 +1319,7 @@ def test_each_prediction_walks_each_plan_once(monkeypatch):
             prepared.plan, xhat, prepared.beta, prepared.constraint_plans
         )
         assert walks == [id(plan) for plan in plans]
-        assert relaxation.rows is not None and len(walks) == len(plans)
+        assert relaxation.form is not None and len(walks) == len(plans)
 
 
 def test_cardinality_window_has_no_component_rows():
@@ -1203,8 +1336,9 @@ def test_cardinality_window_has_no_component_rows():
         prepared.plan, alternating(40), prepared.beta, (side,)
     )
     objective_rows = len(prepared.plan.nodes) - 1
-    assert [row.key for row in relaxation.rows[objective_rows:]] == [()]
-    assert relaxation.rows[-1].width == (40, 1)
+    assert row_keys(relaxation)[objective_rows:] == [()]
+    assert len(relaxation.form.denom) == objective_rows + 1
+    assert row_widths(relaxation)[-1] == (40, 1)
 
 
 @pytest.mark.parametrize("constraints", [(), (at_most(7, 9),)])
@@ -1226,7 +1360,8 @@ def test_linear_objective_has_no_rows_and_saturates_at_zero(
         prepared.plan, xhat, prepared.beta, prepared.constraint_plans
     )
     assert prepared.beta > 0
-    assert [row.key for row in relaxation.rows] == [()] * len(constraints)
+    assert row_keys(relaxation) == [()] * len(constraints)
+    assert len(relaxation.form.denom) == len(constraints)
     assert relaxation.saturation_budget(range(n + 1)) == 0
     configs = (
         SolveConfig(),
